@@ -1,8 +1,12 @@
 """Encoder-decoder transformer on numpy with hand-derived gradients.
 
-Pre-LN blocks, learned positions, tanh-GELU feed-forward, greedy decoding.
-64-bit mode makes training bit-reproducible and lets gradients be checked
-against finite differences; 32-bit mode is for speed. Loss terms are means
+Pre-LN blocks, learned positions, tanh-GELU feed-forward, and K/V-cached
+incremental greedy decoding: `generate` runs `decoder_forward` once per
+emitted token over the new position only, with a `DecodeState` holding the
+self-attention keys and values of the positions before it and the
+cross-attention keys and values of the encoder output. 64-bit mode makes
+training bit-reproducible and lets gradients be checked against finite
+differences; 32-bit mode is for speed. Loss terms are means
 over each task's non-pad target tokens, and batches are always processed as
 fixed-size micro-batches reduced in index order, so results do not depend on
 the worker count.
@@ -68,36 +72,31 @@ class ModelConfig:
         return cls(**raw)
 
 
-def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(cfg.seed)
-    dt = cfg.np_dtype
-    p: dict[str, np.ndarray] = {}
-
-    def weight(name: str, *shape: int) -> None:
-        p[name] = rng.normal(0.0, cfg.init_std, size=shape).astype(dt)
-
-    def zeros(name: str, *shape: int) -> None:
-        p[name] = np.zeros(shape, dtype=dt)
+def _param_spec(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every parameter's shape and initialiser ("normal", "zeros" or "ones"),
+    in the order `init_params` draws them."""
+    d = cfg.d_model
+    spec: dict[str, tuple[tuple[int, ...], str]] = {}
 
     def layer_norm(prefix: str) -> None:
-        p[prefix + ".g"] = np.ones(cfg.d_model, dtype=dt)
-        p[prefix + ".b"] = np.zeros(cfg.d_model, dtype=dt)
+        spec[prefix + ".g"] = ((d,), "ones")
+        spec[prefix + ".b"] = ((d,), "zeros")
 
     def attention(prefix: str) -> None:
         for nm in ("wq", "wk", "wv", "wo"):
-            weight(f"{prefix}.{nm}", cfg.d_model, cfg.d_model)
+            spec[f"{prefix}.{nm}"] = ((d, d), "normal")
         for nm in ("bq", "bk", "bv", "bo"):
-            zeros(f"{prefix}.{nm}", cfg.d_model)
+            spec[f"{prefix}.{nm}"] = ((d,), "zeros")
 
     def ffn(prefix: str) -> None:
-        weight(prefix + ".w1", cfg.d_model, cfg.d_ff)
-        zeros(prefix + ".b1", cfg.d_ff)
-        weight(prefix + ".w2", cfg.d_ff, cfg.d_model)
-        zeros(prefix + ".b2", cfg.d_model)
+        spec[prefix + ".w1"] = ((d, cfg.d_ff), "normal")
+        spec[prefix + ".b1"] = ((cfg.d_ff,), "zeros")
+        spec[prefix + ".w2"] = ((cfg.d_ff, d), "normal")
+        spec[prefix + ".b2"] = ((d,), "zeros")
 
-    weight("tok_emb", cfg.vocab_size, cfg.d_model)
-    weight("pos_enc", cfg.max_len, cfg.d_model)
-    weight("pos_dec", cfg.max_len, cfg.d_model)
+    spec["tok_emb"] = ((cfg.vocab_size, d), "normal")
+    spec["pos_enc"] = ((cfg.max_len, d), "normal")
+    spec["pos_dec"] = ((cfg.max_len, d), "normal")
     for i in range(cfg.n_layers):
         layer_norm(f"enc{i}.ln1")
         attention(f"enc{i}.attn")
@@ -112,9 +111,37 @@ def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
         layer_norm(f"dec{i}.ln3")
         ffn(f"dec{i}.ffn")
     layer_norm("dec_ln")
-    weight("out.w", cfg.d_model, cfg.vocab_size)
-    zeros("out.b", cfg.vocab_size)
+    spec["out.w"] = ((d, cfg.vocab_size), "normal")
+    spec["out.b"] = ((cfg.vocab_size,), "zeros")
+    return spec
+
+
+def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(cfg.seed)
+    dt = cfg.np_dtype
+    p: dict[str, np.ndarray] = {}
+    for name, (shape, init) in _param_spec(cfg).items():
+        if init == "normal":
+            p[name] = rng.normal(0.0, cfg.init_std, size=shape).astype(dt)
+        else:
+            p[name] = (np.ones if init == "ones" else np.zeros)(shape, dtype=dt)
     return p
+
+
+def check_params(p: dict[str, np.ndarray], cfg: ModelConfig) -> None:
+    """Raise ValueError naming the first tensor that `cfg` does not expect, or
+    that is missing or has the wrong shape or dtype."""
+    spec = _param_spec(cfg)
+    for name in p:
+        if name not in spec:
+            raise ValueError(f"unexpected tensor {name!r} for this model config")
+    for name, (shape, _) in spec.items():
+        if name not in p:
+            raise ValueError(f"missing tensor {name!r}")
+        if p[name].shape != shape:
+            raise ValueError(f"tensor {name!r} has shape {p[name].shape}, config expects {shape}")
+        if p[name].dtype != cfg.np_dtype:
+            raise ValueError(f"tensor {name!r} has dtype {p[name].dtype}, config expects {cfg.dtype}")
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -159,7 +186,7 @@ def _layernorm_bwd(dy, cache):
 
 
 def _gelu_fwd(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
     return 0.5 * x * (1.0 + t), (x, t)
 
 
@@ -284,16 +311,92 @@ def encoder_backward(denc, cache, grads):
     grads["pos_enc"][: src.shape[1]] += dx.sum(axis=0)
 
 
-def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask):
-    x = p["tok_emb"][dec_in] + p["pos_dec"][: dec_in.shape[1]]
+class DecodeState:
+    """K/V cache of one incremental decode, filled in by `decoder_forward`.
+
+    After `length` decoder positions have been run, each layer's entry in
+    `self_kv` holds their self-attention keys and values, split into heads, in
+    buffers of cfg.max_len positions; `cross_kv` holds the keys and values of
+    the encoder output, computed on the first call, and `cross_bias` the
+    source-mask bias, or None when no source position is masked.
+    """
+
+    def __init__(self) -> None:
+        self.length = 0
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross_bias: np.ndarray | None = None
+
+
+def _heads_of(p, prefix, name, x, n_heads):
+    return _split_heads(x @ p[f"{prefix}.w{name}"] + p[f"{prefix}.b{name}"], n_heads)
+
+
+def _attend(p, prefix, q_in, kh, vh, bias):
+    """Forward-only attention of `q_in` over keys and values already split
+    into heads; `bias`, if given, is added to the scores."""
+    qh = _heads_of(p, prefix, "q", q_in, kh.shape[1])
+    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
+    if bias is not None:
+        scores = scores + bias
+    ctx = softmax_last(scores) @ vh
+    return _merge_heads(ctx) @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+
+
+def _open_decode(p, cfg: ModelConfig, enc_out, src_mask, state: DecodeState) -> None:
+    """Give an empty `state` its self-attention buffers and the encoder
+    output's cross-attention keys and values."""
+    shape = (enc_out.shape[0], cfg.n_heads, cfg.max_len, cfg.d_model // cfg.n_heads)
+    for i in range(cfg.n_layers):
+        state.self_kv.append((np.empty(shape, dtype=enc_out.dtype),
+                              np.empty(shape, dtype=enc_out.dtype)))
+        state.cross_kv.append((_heads_of(p, f"dec{i}.cross", "k", enc_out, cfg.n_heads),
+                               _heads_of(p, f"dec{i}.cross", "v", enc_out, cfg.n_heads)))
+    if not src_mask.all():
+        state.cross_bias = np.where(src_mask, 0.0, NEG_INF).astype(enc_out.dtype)[:, None, None, :]
+
+
+def _cached_self_attention(p, prefix, h, kv, start):
+    """Causal self-attention of positions start .. start + T - 1, whose keys
+    and values are written into the `kv` buffers after the cached ones."""
+    k_buf, v_buf = kv
+    t = h.shape[1]
+    end = start + t
+    k_buf[:, :, start:end] = _heads_of(p, prefix, "k", h, k_buf.shape[1])
+    v_buf[:, :, start:end] = _heads_of(p, prefix, "v", h, v_buf.shape[1])
+    causal = None
+    if t > 1:  # a single new position attends to every cached one
+        causal = np.triu(np.full((t, end), NEG_INF, dtype=h.dtype), k=start + 1)
+    return _attend(p, prefix, h, k_buf[:, :, :end], v_buf[:, :, :end], causal)
+
+
+def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: DecodeState | None = None):
+    """Teacher-forced decoder pass; returns (logits, backward cache).
+
+    With a `state`, `dec_in` holds only the positions after the
+    `state.length` already run: they attend to the cached keys and values,
+    `state` is extended by them, and no backward cache is kept (None).
+    """
+    start = 0
+    if state is not None:
+        start = state.length
+        if not state.self_kv:
+            _open_decode(p, cfg, enc_out, src_mask, state)
+    x = p["tok_emb"][dec_in] + p["pos_dec"][start : start + dec_in.shape[1]]
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"dec{i}"
         h1, cl1 = _layernorm_fwd(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-        a, ca = _attention_fwd(p, pre + ".self", h1, h1, cfg.n_heads, causal=True)
+        if state is None:
+            a, ca = _attention_fwd(p, pre + ".self", h1, h1, cfg.n_heads, causal=True)
+        else:
+            a, ca = _cached_self_attention(p, pre + ".self", h1, state.self_kv[i], start), None
         x = x + a
         h2, cl2 = _layernorm_fwd(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
-        c, cc = _attention_fwd(p, pre + ".cross", h2, enc_out, cfg.n_heads, key_mask=src_mask)
+        if state is None:
+            c, cc = _attention_fwd(p, pre + ".cross", h2, enc_out, cfg.n_heads, key_mask=src_mask)
+        else:
+            c, cc = _attend(p, pre + ".cross", h2, *state.cross_kv[i], state.cross_bias), None
         x = x + c
         h3, cl3 = _layernorm_fwd(x, p[pre + ".ln3.g"], p[pre + ".ln3.b"])
         f, cf = _ffn_fwd(p, pre + ".ffn", h3)
@@ -301,6 +404,9 @@ def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask):
         layer_caches.append((pre, cl1, ca, cl2, cc, cl3, cf))
     h, cfin = _layernorm_fwd(x, p["dec_ln.g"], p["dec_ln.b"])
     logits, cout = _linear_fwd(h, p["out.w"], p["out.b"])
+    if state is not None:
+        state.length += dec_in.shape[1]
+        return logits, None
     return logits, (dec_in, layer_caches, cfin, cout)
 
 
@@ -452,19 +558,20 @@ def generate(
     input_text: str,
     max_len: int = 64,
 ) -> str:
-    """Greedy decoding; argmax ties break toward the lowest token id."""
+    """Greedy decoding; argmax ties break toward the lowest token id. Emits at
+    most min(max_len, cfg.max_len - 1) tokens: the start token takes one of
+    the cfg.max_len decoder positions."""
     src = np.array([encode_input(prompt_text, input_text, vocab, cfg.max_len)], dtype=np.int64)
     src_mask = np.ones(src.shape, dtype=bool)
     enc, _ = encoder_forward(p, cfg, src, src_mask)
+    state = DecodeState()
     out_ids: list[int] = []
-    dec = [PAD_ID]
-    for _ in range(max_len):
-        logits, _ = decoder_forward(p, cfg, np.array([dec], dtype=np.int64), enc, src_mask)
+    nxt = PAD_ID
+    for _ in range(min(max_len, cfg.max_len - 1)):
+        logits, _ = decoder_forward(p, cfg, np.array([[nxt]], dtype=np.int64), enc, src_mask,
+                                    state=state)
         nxt = int(np.argmax(logits[0, -1]))
         if nxt == EOS_ID:
             break
         out_ids.append(nxt)
-        dec.append(nxt)
-        if len(dec) >= cfg.max_len:
-            break
     return detokenize(vocab.decode(out_ids))

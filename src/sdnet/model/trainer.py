@@ -16,6 +16,7 @@ from .network import (
     LossNotFiniteError,
     LossReport,
     ModelConfig,
+    check_params,
     forward_loss,
     make_batch,
 )
@@ -192,11 +193,14 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig, Vocab, dict]:
+    """Raises ValueError when the tensors' names, shapes or dtypes do not fit
+    the stored config."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
     cfg = ModelConfig.from_dict(meta["config"])
+    check_params(params, cfg)
     vocab = Vocab(id_to_token=tuple(meta["vocab"]))
     return params, cfg, vocab, meta["extra"]

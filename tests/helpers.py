@@ -7,7 +7,18 @@ from pathlib import Path
 import numpy as np
 
 from sdnet.data import AnnotatedSentence, Sentence, TypedMention
-from sdnet.model import ModelConfig, build_vocab, forward_loss, init_params, make_batch
+from sdnet.model import (
+    EOS_ID,
+    PAD_ID,
+    ModelConfig,
+    build_vocab,
+    detokenize,
+    encode_input,
+    forward_loss,
+    init_params,
+    make_batch,
+)
+from sdnet.model.network import decoder_forward, encoder_forward
 from sdnet.sampling import TrainingInstance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -84,3 +95,23 @@ def fd_gradient_check(params, cfg, batch, h: float = 1e-4,
 
 def batch_of(insts, vocab, cfg):
     return make_batch(insts, vocab, cfg, ids=[str(i) for i in range(len(insts))])
+
+
+def reference_generate(p, cfg, vocab, prompt_text: str, input_text: str, max_len: int = 64) -> str:
+    """Greedy decoding that runs the whole decoder over the growing prefix at
+    every step, with no K/V cache: the oracle `generate` must match."""
+    src = np.array([encode_input(prompt_text, input_text, vocab, cfg.max_len)], dtype=np.int64)
+    src_mask = np.ones(src.shape, dtype=bool)
+    enc, _ = encoder_forward(p, cfg, src, src_mask)
+    out_ids: list[int] = []
+    dec = [PAD_ID]
+    for _ in range(max_len):
+        logits, _ = decoder_forward(p, cfg, np.array([dec], dtype=np.int64), enc, src_mask)
+        nxt = int(np.argmax(logits[0, -1]))
+        if nxt == EOS_ID:
+            break
+        out_ids.append(nxt)
+        dec.append(nxt)
+        if len(dec) >= cfg.max_len:
+            break
+    return detokenize(vocab.decode(out_ids))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, batch_of, fd_gradient_check, sent, tiny_setup
+from helpers import FIXTURES, batch_of, fd_gradient_check, reference_generate, sent, tiny_setup
 from sdnet.cli import main as cli_main
 from sdnet.codec import parse_generated, serialize_prompt_eg, serialize_target
 from sdnet.data import (
@@ -265,7 +265,7 @@ def test_pretrain_loss_equals_sum_of_task_terms_each_step():
         assert rel <= 1e-9, f"step {step.step}: total deviates by {rel:.2e}"
 
 
-# ---- 8 & 9. end-to-end memorization and prompt controllability ----
+# ---- 8 & 9. end-to-end memorization, prompt controllability, cached decoding ----
 
 @pytest.fixture(scope="module")
 def memorized():
@@ -305,6 +305,8 @@ def memorized():
         "schema": schema,
         "desc": desc,
         "vocab": vocab,
+        "params": params,
+        "cfg": cfg,
         "gen": gen,
         "train_seconds": time.perf_counter() - started,
     }
@@ -347,6 +349,22 @@ def test_prompts_control_which_types_are_generated(memorized):
             conformant += 1
     assert checked >= 5
     assert conformant >= 5, f"{conformant}/{checked} sentences prompt-conformant"
+
+
+def test_cached_decoding_matches_full_recompute_on_the_memorized_model(memorized):
+    corpus, schema, desc, gen = (memorized[k] for k in ("corpus", "schema", "desc", "gen"))
+    full_prompt = schema_prompt(schema, desc)
+    probes = [(full_prompt, s.text) for s in corpus]
+    for s in corpus[:30]:  # the controllability probes
+        pres = present_types(s)
+        if len(pres) >= 2:
+            probes += [(schema_prompt([t], desc), s.text) for t in pres[:2]]
+    mismatched = [
+        (prompt, text) for prompt, text in probes
+        if gen(prompt, text) != reference_generate(memorized["params"], memorized["cfg"],
+                                                   memorized["vocab"], prompt, text, max_len=32)
+    ]
+    assert not mismatched, f"{len(mismatched)}/{len(probes)} differ, first: {mismatched[0]}"
 
 
 # ---- 10. gold-pipeline plumbing identity ----

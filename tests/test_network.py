@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnet.model import (
     EOS_ID,
@@ -18,7 +19,15 @@ from sdnet.model import (
     softmax_last,
     zero_grads,
 )
-from helpers import batch_of, fd_gradient_check, tiny_instances, tiny_setup
+from sdnet.model.network import (
+    _GELU_A,
+    _GELU_C,
+    DecodeState,
+    _gelu_fwd,
+    decoder_forward,
+    encoder_forward,
+)
+from helpers import batch_of, fd_gradient_check, reference_generate, tiny_instances, tiny_setup
 
 
 def test_model_config_validates():
@@ -50,6 +59,13 @@ def test_softmax_rows_sum_to_one():
     s = softmax_last(x)
     assert np.allclose(s.sum(axis=-1), 1.0)
     assert (s >= 0).all()
+
+
+def test_gelu_matches_float64_power_reference():
+    x = np.linspace(-6.0, 6.0, 2401)
+    ref = 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * np.power(x, 3))))
+    out, _ = _gelu_fwd(x)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
 
 
 def test_uniform_logits_give_log_vocab_loss():
@@ -155,3 +171,45 @@ def test_generate_emits_trained_style_text_types():
     insts, vocab, cfg, params = tiny_setup()
     out = generate(params, cfg, vocab, insts[0].prompt_text, insts[0].input_text, max_len=8)
     assert isinstance(out, str)
+
+
+def test_generate_stops_at_the_decoder_position_limit():
+    insts, vocab, cfg, params = tiny_setup()
+    for p in params.values():
+        p[:] = 0.0
+    alice = vocab.encode(["Alice"])[0]
+    params["out.b"][alice] = 1.0  # never EOS: only the position limit ends decoding
+    out = generate(params, cfg, vocab, "[MD] Alice", "Alice rests.", max_len=cfg.max_len + 10)
+    assert out.split() == ["Alice"] * (cfg.max_len - 1)
+    assert out == reference_generate(params, cfg, vocab, "[MD] Alice", "Alice rests.",
+                                     max_len=cfg.max_len + 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_layers=st.integers(1, 2), n_heads=st.sampled_from([1, 2, 4]),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_cached_decoder_steps_match_one_full_pass(n_layers, n_heads, seed, data):
+    cfg = ModelConfig(vocab_size=30, d_model=8, n_layers=n_layers, n_heads=n_heads, d_ff=16,
+                      max_len=12, dtype="float64", init_std=0.5, seed=seed)
+    params = init_params(cfg)
+    rng = np.random.default_rng(seed)
+    n_src = data.draw(st.integers(1, 10), label="source length")
+    n_pad = data.draw(st.integers(0, n_src - 1), label="padding of row 1")
+    n_dec = data.draw(st.integers(1, cfg.max_len), label="prefix length")
+    src = rng.integers(0, cfg.vocab_size, size=(2, n_src))
+    src_mask = np.ones(src.shape, dtype=bool)
+    src_mask[1, n_src - n_pad:] = False
+    dec_in = rng.integers(0, cfg.vocab_size, size=(2, n_dec))
+    enc, _ = encoder_forward(params, cfg, src, src_mask)
+    full, _ = decoder_forward(params, cfg, dec_in, enc, src_mask)
+
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_dec - 1)), label="chunk starts")) if n_dec > 1 else []
+    for bounds in (range(n_dec + 1), [0, *cuts, n_dec]):  # one position per call, then chunks
+        state = DecodeState()
+        steps = []
+        for a, b in zip(bounds, bounds[1:]):
+            logits, cache = decoder_forward(params, cfg, dec_in[:, a:b], enc, src_mask, state=state)
+            assert cache is None
+            steps.append(logits)
+        assert state.length == n_dec
+        np.testing.assert_allclose(np.concatenate(steps, axis=1), full, rtol=0.0, atol=1e-9)

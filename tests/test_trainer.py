@@ -141,3 +141,26 @@ def test_checkpoint_round_trip(tmp_path):
     for k in params:
         assert (p2[k] == params[k]).all()
         assert p2[k].dtype == params[k].dtype
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("shape", "'dec0.cross.wq' has shape"),
+    ("dtype", "'dec0.cross.wq' has dtype"),
+    ("missing", "missing tensor 'dec0.cross.wq'"),
+    ("unexpected", "unexpected tensor 'dec9.cross.wq'"),
+])
+def test_load_rejects_a_checkpoint_that_does_not_fit_its_config(tmp_path, fault, message):
+    insts, vocab, cfg, params = tiny_setup()
+    name = "dec0.cross.wq"
+    if fault == "shape":
+        params[name] = params[name][:, :-1]
+    elif fault == "dtype":
+        params[name] = params[name].astype(np.float32)
+    elif fault == "missing":
+        del params[name]
+    else:
+        params["dec9.cross.wq"] = params[name]
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, params, cfg, vocab)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
