@@ -220,8 +220,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
                        seed=subseed(args.seed, "model"))
     params = init_params(mcfg)
     tcfg = TrainConfig(mode="pretrain", batch_size=args.batch, lr=args.lr, steps=args.steps,
-                       schedule="constant", seed=subseed(args.seed, "train"),
-                       workers=args.jobs)
+                       schedule="constant", seed=subseed(args.seed, "train"))
     log = train(params, instances, vocab, mcfg, tcfg)
     save_checkpoint(args.out, params, mcfg, vocab,
                     extra={"mode": "pretrain", "steps": len(log)})
@@ -236,8 +235,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     instances = read_instances_jsonl(args.data)
     tcfg = TrainConfig(mode="finetune", batch_size=args.batch, lr=args.lr, epochs=args.epochs,
-                       schedule="linear", seed=subseed(args.seed, "train"),
-                       workers=args.jobs)
+                       schedule="linear", seed=subseed(args.seed, "train"))
     log = train(params, instances, vocab, mcfg, tcfg)
     save_checkpoint(args.out, params, mcfg, vocab,
                     extra={"mode": "finetune", "steps": len(log)})
@@ -285,7 +283,7 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
     schema = _read_schema(args.schema) if args.schema else _derive_schema(corpus)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     ftcfg = TrainConfig(mode="finetune", batch_size=args.batch, lr=args.lr,
-                        epochs=args.epochs, schedule="linear", workers=args.jobs)
+                        epochs=args.epochs, schedule="linear")
     factory = model_episode_factory(params, mcfg, vocab, ftcfg,
                                     DescriptionConfig(rng_seed=subseed(args.seed, "descriptions")))
     report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
@@ -304,11 +302,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sdnet {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, jobs: bool = False) -> None:
+    def common(p: _Parser) -> None:
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help="run seed (default: SDNET_SEED env var or 0)")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="worker cap")
 
     p = sub.add_parser("build-corpus", help="build AnnotatedSentence JSONL from KB + page dumps")
     p.add_argument("--kb", required=True)
@@ -318,7 +314,8 @@ def build_parser() -> _Parser:
     p.add_argument("--min-type-instances", type=int, default=5)
     p.add_argument("--max-type-tokens", type=int, default=3)
     p.add_argument("--top-np", type=int, default=3)
-    common(p, jobs=True)
+    common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker cap")
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("build-descriptions", help="build the type->concepts map")
@@ -371,7 +368,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--max-len", type=int, default=256)
     p.add_argument("--dtype", choices=["float32", "float64"], default="float32")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on EG instances")
@@ -381,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--lr", type=float, default=1e-4)
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("predict", help="generate, parse, and locate spans")
@@ -412,7 +409,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--lr", type=float, default=1e-4)
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(func=cmd_run_episodes)
 
     return parser

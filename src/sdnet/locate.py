@@ -29,18 +29,25 @@ def locate(
     sentence: Sentence, parsed: TargetSequence
 ) -> tuple[list[SpanPrediction], list[tuple[str, str]]]:
     """Assign the k-th appearance of each surface in `parsed` to the k-th
-    occurrence of that surface in the sentence. Occurrences of the same surface
-    never overlap; different surfaces are matched independently. Pairs that run
-    out of occurrences are dropped and reported."""
+    occurrence of that surface in the sentence. An occurrence starts and ends
+    on token boundaries (`token_bounds`), so "Rome" does not match inside
+    "Romeo". Occurrences of the same surface never overlap; different surfaces
+    are matched independently. Pairs that run out of occurrences are dropped
+    and reported."""
+    from .model.tokenizer import token_bounds  # late import keeps `import sdnet` model-free
+
     if parsed.task != "EG":
         raise ValueError("locate expects an entity-generation target")
     text = sentence.text
+    bounds = token_bounds(text)
     next_start: dict[str, int] = {}
     spans: list[SpanPrediction] = []
     unlocated: list[tuple[str, str]] = []
     for surface, labels in parsed.pairs:
         type_id = labels[0]
         pos = text.find(surface, next_start.get(surface, 0))
+        while pos >= 0 and not (pos in bounds and pos + len(surface) in bounds):
+            pos = text.find(surface, pos + 1)
         if pos < 0:
             unlocated.append((surface, type_id))
             continue

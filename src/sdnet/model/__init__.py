@@ -5,6 +5,7 @@ from .network import (
     LossNotFiniteError,
     LossReport,
     ModelConfig,
+    encode_instances,
     forward_loss,
     generate,
     init_params,
@@ -28,6 +29,7 @@ from .tokenizer import (
 )
 from .trainer import (
     AdamWState,
+    FlatLayout,
     StepLog,
     TrainConfig,
     TrainingDivergedError,
@@ -41,11 +43,11 @@ from .trainer import (
 )
 
 __all__ = [
-    "Batch", "LossNotFiniteError", "LossReport", "ModelConfig", "forward_loss",
-    "generate", "init_params", "make_batch", "softmax_last", "zero_grads",
+    "Batch", "LossNotFiniteError", "LossReport", "ModelConfig", "encode_instances",
+    "forward_loss", "generate", "init_params", "make_batch", "softmax_last", "zero_grads",
     "EG_ID", "EOS_ID", "MD_ID", "PAD_ID", "SPECIAL_TOKENS", "UNK_ID", "Vocab",
     "build_vocab", "detokenize", "encode_input", "encode_target", "tokenize",
-    "AdamWState", "StepLog", "TrainConfig", "TrainingDivergedError", "adamw_step",
-    "clone_params", "load_checkpoint", "lr_at", "save_checkpoint",
+    "AdamWState", "FlatLayout", "StepLog", "TrainConfig", "TrainingDivergedError",
+    "adamw_step", "clone_params", "load_checkpoint", "lr_at", "save_checkpoint",
     "total_steps_for", "train",
 ]

@@ -7,15 +7,15 @@ self-attention keys and values of the positions before it and the
 cross-attention keys and values of the encoder output. 64-bit mode makes
 training bit-reproducible and lets gradients be checked against finite
 differences; 32-bit mode is for speed. Loss terms are means
-over each task's non-pad target tokens, and batches are always processed as
-fixed-size micro-batches reduced in index order, so results do not depend on
-the worker count.
+over each task's non-pad target tokens. A batch is always processed as the
+same fixed partition into micro-batches, whose gradients are added in index
+order into the gradient arrays the caller passes (in training, views of one
+flat buffer), so a batch's gradient does not depend on anything but its rows.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,55 +151,88 @@ def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 # ---- differentiable primitives: each forward returns (out, cache) ----
 
 
+# Reductions call the ufunc's `reduce` directly: `x.mean()`, `.sum()` and
+# `.max()` go through numpy's Python-level wrappers, which cost more than the
+# reduction itself at these sizes, and give the same bits.
+
+
 def _linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+    """`x @ w + b` over the last axis, as one 2-D GEMM."""
+    y = x.reshape(-1, x.shape[-1]) @ w
+    y += b
+    return y.reshape(*x.shape[:-1], w.shape[1]), (x, w)
 
 
 def _linear_bwd(dy, cache):
     x, w = cache
-    dx = dy @ w.T
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    return dx, x2.T @ dy2, dy2.sum(axis=0)
+    return (dy2 @ w.T).reshape(x.shape), x2.T @ dy2, np.add.reduce(dy2, axis=0)
 
 
 def _layernorm_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    xc *= inv  # now x-hat
+    return g * xc + b, (xc, inv, g)
 
 
 def _layernorm_bwd(dy, cache):
     xhat, inv, g = cache
-    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxh = dy * g
-    dx = inv * (
-        dxh
-        - dxh.mean(axis=-1, keepdims=True)
-        - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-    )
+    n = xhat.shape[-1]
+    tmp = dy * xhat
+    dg = np.add.reduce(tmp.reshape(-1, n), axis=0)
+    db = np.add.reduce(dy.reshape(-1, n), axis=0)
+    # dx = inv * (dxh - mean(dxh) - xhat * mean(dxh * xhat)), with dxh = dy * g
+    dx = dy * g
+    np.multiply(dx, xhat, out=tmp)
+    proj = np.add.reduce(tmp, axis=-1, keepdims=True) / n
+    dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
+    np.multiply(xhat, proj, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def _gelu_fwd(x):
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), (x, t)
+    """0.5 x (1 + tanh(C (x + A x^3))), operation by operation in that order."""
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = 0.5 * x
+    y *= t + 1.0
+    return y, (x, t)
 
 
 def _gelu_bwd(dy, cache):
+    """dy * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 A x^2)), in the same
+    per-element operation order as that expression, on three buffers."""
     x, t = cache
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    du = (3.0 * _GELU_A) * x
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    out = 0.5 * x
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    out *= s
+    out *= du
+    np.add(t, 1.0, out=s)
+    s *= 0.5
+    out += s
+    out *= dy
+    return out
 
 
 def softmax_last(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _split_heads(x, n_heads):
@@ -239,7 +272,7 @@ def _attention_bwd(dout, cache, grads):
     dctx = _split_heads(dmerged, n_heads)
     dattn = dctx @ vh.swapaxes(-1, -2)
     dvh = attn.swapaxes(-1, -2) @ dctx
-    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    ds = attn * (dattn - np.add.reduce(dattn * attn, axis=-1, keepdims=True))
     dqh = (ds @ kh) * scale
     dkh = (ds.swapaxes(-1, -2) @ qh) * scale
     dq_in, dwq, dbq = _linear_bwd(_merge_heads(dqh), cq)
@@ -280,6 +313,18 @@ def _ln_bwd_acc(dy, cache, prefix, grads):
     return dx
 
 
+def _add_rows(dst, ids, rows):
+    """`np.add.at(dst, ids, rows)`: row `ids[i]` of `dst` gains `rows[i]`.
+    Rows are grouped by id with a stable sort and each group is summed by one
+    `add.reduceat`, so the result is deterministic."""
+    ids = ids.ravel()
+    rows = rows.reshape(ids.size, -1)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    dst[ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+
+
 # ---- encoder / decoder stacks ----
 
 
@@ -307,8 +352,8 @@ def encoder_backward(denc, cache, grads):
         dx = dx + _ln_bwd_acc(dh2, cl2, pre + ".ln2", grads)
         dq, dkv = _attention_bwd(dx, ca, grads)
         dx = dx + _ln_bwd_acc(dq + dkv, cl1, pre + ".ln1", grads)
-    np.add.at(grads["tok_emb"], src, dx)
-    grads["pos_enc"][: src.shape[1]] += dx.sum(axis=0)
+    _add_rows(grads["tok_emb"], src, dx)
+    grads["pos_enc"][: src.shape[1]] += np.add.reduce(dx, axis=0)
 
 
 class DecodeState:
@@ -426,12 +471,27 @@ def decoder_backward(dlogits, cache, grads):
         dx = dx + _ln_bwd_acc(dq, cl2, pre + ".ln2", grads)
         dqs, dkvs = _attention_bwd(dx, ca, grads)
         dx = dx + _ln_bwd_acc(dqs + dkvs, cl1, pre + ".ln1", grads)
-    np.add.at(grads["tok_emb"], dec_in, dx)
-    grads["pos_dec"][: dec_in.shape[1]] += dx.sum(axis=0)
+    _add_rows(grads["tok_emb"], dec_in, dx)
+    grads["pos_dec"][: dec_in.shape[1]] += np.add.reduce(dx, axis=0)
     return denc
 
 
 # ---- batching and loss ----
+
+
+@dataclass(frozen=True)
+class EncodedInstance:
+    """A training instance as id arrays: encoder input, and target ending in [EOS]."""
+    src: np.ndarray        # (S,) int64
+    target: np.ndarray     # (T,) int64
+    is_md: bool
+
+
+def encode_instances(instances: Sequence, vocab: Vocab, cfg: ModelConfig) -> list[EncodedInstance]:
+    return [EncodedInstance(
+        src=np.array(encode_input(i.prompt_text, i.input_text, vocab, cfg.max_len), dtype=np.int64),
+        target=np.array(encode_target(i.target_text, vocab, cfg.max_len), dtype=np.int64),
+        is_md=i.task == "MD") for i in instances]
 
 
 @dataclass(frozen=True)
@@ -447,25 +507,21 @@ class Batch:
         return self.src.shape[0]
 
 
-def make_batch(instances: Sequence, vocab: Vocab, cfg: ModelConfig,
-               ids: Sequence[str] | None = None) -> Batch:
-    if not instances:
+def make_batch(rows: Sequence[EncodedInstance], ids: Sequence[str] | None = None) -> Batch:
+    """Pad encoded instances into one batch."""
+    if not rows:
         raise ValueError("empty batch")
-    enc_rows = [encode_input(i.prompt_text, i.input_text, vocab, cfg.max_len) for i in instances]
-    tgt_rows = [encode_target(i.target_text, vocab, cfg.max_len) for i in instances]
-    S = max(len(r) for r in enc_rows)
-    T = max(len(r) for r in tgt_rows)
-    n = len(instances)
-    src = np.full((n, S), PAD_ID, dtype=np.int64)
-    src_mask = np.zeros((n, S), dtype=bool)
-    labels = np.full((n, T), PAD_ID, dtype=np.int64)
-    dec_in = np.full((n, T), PAD_ID, dtype=np.int64)
-    for r, (er, tr) in enumerate(zip(enc_rows, tgt_rows)):
-        src[r, : len(er)] = er
-        src_mask[r, : len(er)] = True
-        labels[r, : len(tr)] = tr
-        dec_in[r, 1 : len(tr)] = tr[:-1]
-    is_md = np.array([i.task == "MD" for i in instances], dtype=bool)
+    n = len(rows)
+    src_len = np.array([len(r.src) for r in rows])
+    src = np.full((n, int(src_len.max())), PAD_ID, dtype=np.int64)
+    labels = np.full((n, max(len(r.target) for r in rows)), PAD_ID, dtype=np.int64)
+    dec_in = np.full(labels.shape, PAD_ID, dtype=np.int64)
+    for k, r in enumerate(rows):
+        src[k, : len(r.src)] = r.src
+        labels[k, : len(r.target)] = r.target
+        dec_in[k, 1 : len(r.target)] = r.target[:-1]
+    src_mask = np.arange(src.shape[1]) < src_len[:, None]
+    is_md = np.array([r.is_md for r in rows], dtype=bool)
     if ids is None:
         ids = tuple(str(k) for k in range(n))
     return Batch(src=src, src_mask=src_mask, dec_in=dec_in, labels=labels,
@@ -481,21 +537,25 @@ class LossReport:
     eg_tokens: int
 
 
-def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w):
+def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
+    """Per-position cross entropy of one micro-batch; adds the gradient of
+    sum(pos_w * ce) into `grads`."""
     enc, enc_cache = encoder_forward(p, cfg, src, src_mask)
     logits, dec_cache = decoder_forward(p, cfg, dec_in, enc, src_mask)
-    m = logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)) + m
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(logits - m), axis=-1, keepdims=True)) + m
     label_logit = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
     ce = logz[..., 0] - label_logit
-    dlogits = np.exp(logits - logz) * pos_w[..., None]
+    dlogits = logits  # the logits are not needed past this point
+    dlogits -= logz
+    np.exp(dlogits, out=dlogits)
+    dlogits *= pos_w[..., None]
     b_idx = np.arange(labels.shape[0])[:, None]
     t_idx = np.arange(labels.shape[1])[None, :]
     dlogits[b_idx, t_idx, labels] -= pos_w
-    grads = zero_grads(p)
     denc = decoder_backward(dlogits, dec_cache, grads)
     encoder_backward(denc, enc_cache, grads)
-    return ce, grads
+    return ce
 
 
 def forward_loss(
@@ -503,10 +563,15 @@ def forward_loss(
     cfg: ModelConfig,
     batch: Batch,
     micro_size: int = 8,
-    workers: int = 1,
+    grads: dict[str, np.ndarray] | None = None,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Teacher-forced cross entropy: mean over MD tokens plus mean over EG
-    tokens, with analytic gradients. Deterministic for any worker count."""
+    tokens, with analytic gradients.
+
+    The batch runs as micro-batches of `micro_size` rows, one after another,
+    each adding its gradient into `grads` (fresh zeros when None), which is
+    returned. The partition is fixed, so the result is deterministic.
+    """
     labels = batch.labels
     tok_mask = labels != PAD_ID
     md_mask = tok_mask & batch.is_md[:, None]
@@ -519,31 +584,19 @@ def forward_loss(
     if n_eg:
         pos_w[eg_mask] = 1.0 / n_eg
 
-    n = len(batch)
-    slices = [slice(i, min(i + micro_size, n)) for i in range(0, n, micro_size)]
-
-    def run(sl: slice):
-        return _micro_loss_grads(
-            p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl], labels[sl], pos_w[sl]
-        )
-
-    if workers > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, slices))
-    else:
-        results = [run(sl) for sl in slices]
-
+    if grads is None:
+        grads = zero_grads(p)
     md_sum = 0.0
     eg_sum = 0.0
-    grads = zero_grads(p)
-    for sl, (ce, g) in zip(slices, results):
+    for i in range(0, len(batch), micro_size):
+        sl = slice(i, i + micro_size)
+        ce = _micro_loss_grads(p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
+                               labels[sl], pos_w[sl], grads)
         if not np.isfinite(ce[tok_mask[sl]]).all():
             bad = int(np.where(~np.isfinite(ce).all(axis=1))[0][0])
             raise LossNotFiniteError(f"non-finite loss on instance {batch.ids[sl][bad]!r}")
         md_sum += float(ce[md_mask[sl]].sum())
         eg_sum += float(ce[eg_mask[sl]].sum())
-        for k in grads:
-            grads[k] += g[k]
     md_term = md_sum / n_md if n_md else 0.0
     eg_term = eg_sum / n_eg if n_eg else 0.0
     return LossReport(total=md_term + eg_term, md_term=md_term, eg_term=eg_term,

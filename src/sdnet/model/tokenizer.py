@@ -40,6 +40,27 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def token_bounds(text: str) -> set[int]:
+    """Character offsets of `text` where a token of `tokenize(text)` starts or
+    ends: the chunk edges, and each split-off opening or trailing mark."""
+    bounds: set[int] = set()
+    end = 0
+    for chunk in text.split():
+        start = text.index(chunk, end)
+        end = start + len(chunk)
+        bounds.update((start, end))
+        if chunk in SPECIAL_TOKENS:
+            continue
+        lo, hi = start, end
+        while hi - lo > 1 and text[lo] in _OPENING:
+            lo += 1
+            bounds.add(lo)
+        while hi - lo > 1 and text[hi - 1] in _TRAILING:
+            hi -= 1
+            bounds.add(hi)
+    return bounds
+
+
 def detokenize(tokens: Sequence[str]) -> str:
     out: list[str] = []
     prev: str | None = None

@@ -1,5 +1,10 @@
 """Training loop: decoupled-weight-decay Adam, warmup/linear-decay schedule,
-seeded epoch shuffling, and self-describing npz checkpoints."""
+seeded epoch shuffling, and self-describing npz checkpoints.
+
+`train` packs the parameters, their gradients and both Adam moments into one
+contiguous buffer each (`FlatLayout`), so that the optimizer and the
+finiteness check are a few whole-buffer operations; the network reads and
+accumulates into per-tensor views of those buffers."""
 
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ from .network import (
     LossReport,
     ModelConfig,
     check_params,
+    encode_instances,
     forward_loss,
     make_batch,
 )
@@ -44,7 +50,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     micro_size: int = 8
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.lr <= 0:
@@ -80,41 +85,84 @@ def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     return cfg.lr * (total_steps - step) / (total_steps - warmup)
 
 
+class FlatLayout:
+    """Where each tensor of a parameter dict sits in one flat buffer. The
+    matrices come first, so that `buf[:n_decay]` is exactly the entries that
+    take weight decay."""
+
+    def __init__(self, params: dict[str, np.ndarray]) -> None:
+        offsets: dict[str, int] = {}
+        self.size = 0
+        for k in sorted(params, key=lambda k: params[k].ndim < 2):  # stable: matrices first
+            offsets[k] = self.size
+            self.size += params[k].size
+        self.n_decay = sum(p.size for p in params.values() if p.ndim > 1)
+        self.slots = {k: (offsets[k], p.shape) for k, p in params.items()}
+
+    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-tensor views of `buf`, in the parameter dict's key order."""
+        return {k: buf[offset : offset + math.prod(shape)].reshape(shape)
+                for k, (offset, shape) in self.slots.items()}
+
+    def pack(self, params: dict[str, np.ndarray]) -> np.ndarray:
+        buf = np.empty(self.size, dtype=next(iter(params.values())).dtype)
+        for k, view in self.views(buf).items():
+            view[...] = params[k]
+        return buf
+
+
 @dataclass
 class AdamWState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    n_decay: int           # leading entries that take weight decay: the matrices
+    scratch: np.ndarray
     t: int = 0
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray]) -> "AdamWState":
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+    def init(cls, flat: np.ndarray, n_decay: int) -> "AdamWState":
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat), n_decay=n_decay,
+                   scratch=np.empty_like(flat))
 
 
 def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamWState,
     lr: float,
     cfg: TrainConfig,
 ) -> None:
-    """In-place update; weight decay is decoupled and applied to matrices only
-    (biases and norm parameters are exempt)."""
+    """In-place update of the flat `params`; weight decay is decoupled and
+    applied to the first `state.n_decay` entries, the matrices (biases and
+    norm parameters are exempt). `grads` is overwritten: it holds the update.
+
+    Per element, the operations and their order are those of
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        u = (m / bc1) / (sqrt(v / bc2) + eps) [+ wd p];  p -= lr u
+    """
     state.t += 1
     bc1 = 1.0 - cfg.beta1**state.t
     bc2 = 1.0 - cfg.beta2**state.t
-    for k, g in grads.items():
-        m = state.m[k]
-        v = state.v[k]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        if cfg.weight_decay and params[k].ndim > 1:
-            update = update + cfg.weight_decay * params[k]
-        params[k] -= lr * update
+    m, v, s = state.m, state.v, state.scratch
+    m *= cfg.beta1
+    np.multiply(grads, 1.0 - cfg.beta1, out=s)
+    m += s
+    v *= cfg.beta2
+    np.multiply(grads, 1.0 - cfg.beta2, out=s)
+    s *= grads
+    v += s
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += cfg.eps
+    u = grads
+    np.divide(m, bc1, out=u)
+    u /= s
+    if cfg.weight_decay:
+        d = state.n_decay
+        np.multiply(params[:d], cfg.weight_decay, out=s[:d])
+        u[:d] += s[:d]
+    u *= lr
+    params -= u
 
 
 @dataclass(frozen=True)
@@ -136,13 +184,19 @@ def train(
     mcfg: ModelConfig,
     tcfg: TrainConfig,
 ) -> list[StepLog]:
-    """Trains `params` in place; returns the per-step loss log."""
+    """Trains `params` in place, writing the trained values into its arrays
+    when the last step is done; returns the per-step loss log."""
     if not instances:
         raise ValueError("no training instances")
     rng = np.random.default_rng(tcfg.seed)
     n = len(instances)
     total = total_steps_for(tcfg, n)
-    state = AdamWState.init(params)
+    rows = encode_instances(instances, vocab, mcfg)
+    layout = FlatLayout(params)
+    flat = layout.pack(params)
+    flat_grads = np.empty_like(flat)
+    views, grad_views = layout.views(flat), layout.views(flat_grads)
+    state = AdamWState.init(flat, layout.n_decay)
     log: list[StepLog] = []
     step = 0
     while step < total:
@@ -151,21 +205,22 @@ def train(
             if step >= total:
                 break
             idx = order[b0 : b0 + tcfg.batch_size]
-            batch = make_batch([instances[i] for i in idx], vocab, mcfg,
-                               ids=[str(i) for i in idx])
+            batch = make_batch([rows[i] for i in idx], ids=[str(i) for i in idx])
+            flat_grads[...] = 0.0
             try:
-                report, grads = forward_loss(params, mcfg, batch,
-                                             micro_size=tcfg.micro_size,
-                                             workers=tcfg.workers)
+                report, _ = forward_loss(views, mcfg, batch, micro_size=tcfg.micro_size,
+                                         grads=grad_views)
             except LossNotFiniteError as exc:
                 raise TrainingDivergedError(f"step {step}: {exc}") from exc
             lr = lr_at(tcfg, step, total)
-            adamw_step(params, grads, state, lr, tcfg)
-            for k, p in params.items():
-                if not np.isfinite(p).all():
-                    raise TrainingDivergedError(f"step {step}: parameter {k!r} not finite")
+            adamw_step(flat, flat_grads, state, lr, tcfg)
+            if not np.isfinite(flat).all():
+                bad = next(k for k, p in views.items() if not np.isfinite(p).all())
+                raise TrainingDivergedError(f"step {step}: parameter {bad!r} not finite")
             log.append(StepLog(step=step, lr=lr, report=report))
             step += 1
+    for k, p in views.items():
+        params[k][...] = p
     return log
 
 

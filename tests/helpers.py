@@ -11,12 +11,17 @@ from sdnet.model import (
     EOS_ID,
     PAD_ID,
     ModelConfig,
+    StepLog,
     build_vocab,
     detokenize,
     encode_input,
+    encode_instances,
     forward_loss,
     init_params,
     make_batch,
+    lr_at,
+    tokenize,
+    total_steps_for,
 )
 from sdnet.model.network import decoder_forward, encoder_forward
 from sdnet.sampling import TrainingInstance
@@ -93,8 +98,14 @@ def fd_gradient_check(params, cfg, batch, h: float = 1e-4,
     return rows
 
 
+def on_token_boundaries(text: str, start: int, end: int) -> bool:
+    """Brute force: cutting `text` at `start` and at `end` leaves its tokens
+    unchanged, so the span starts and ends between tokens."""
+    return tokenize(text[:start]) + tokenize(text[start:end]) + tokenize(text[end:]) == tokenize(text)
+
+
 def batch_of(insts, vocab, cfg):
-    return make_batch(insts, vocab, cfg, ids=[str(i) for i in range(len(insts))])
+    return make_batch(encode_instances(insts, vocab, cfg), ids=[str(i) for i in range(len(insts))])
 
 
 def reference_generate(p, cfg, vocab, prompt_text: str, input_text: str, max_len: int = 64) -> str:
@@ -115,3 +126,46 @@ def reference_generate(p, cfg, vocab, prompt_text: str, input_text: str, max_len
         if len(dec) >= cfg.max_len:
             break
     return detokenize(vocab.decode(out_ids))
+
+
+def reference_adamw_step(params, grads, m, v, t: int, lr: float, cfg) -> None:
+    """AdamW one tensor at a time, step `t` counted from 1; decoupled weight
+    decay on matrices only."""
+    bc1 = 1.0 - cfg.beta1**t
+    bc2 = 1.0 - cfg.beta2**t
+    for k, g in grads.items():
+        m[k] *= cfg.beta1
+        m[k] += (1.0 - cfg.beta1) * g
+        v[k] *= cfg.beta2
+        v[k] += (1.0 - cfg.beta2) * g * g
+        update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
+        if cfg.weight_decay and params[k].ndim > 1:
+            update = update + cfg.weight_decay * params[k]
+        params[k] -= lr * update
+
+
+def reference_train(params, instances, vocab, mcfg, tcfg) -> list[StepLog]:
+    """The training loop one tensor at a time: a fresh gradient dict per step
+    and a per-tensor AdamW update. The oracle the flat-buffer `train` must
+    match; trains `params` in place."""
+    rng = np.random.default_rng(tcfg.seed)
+    n = len(instances)
+    total = total_steps_for(tcfg, n)
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    log = []
+    step = 0
+    while step < total:
+        order = rng.permutation(n).tolist()
+        for b0 in range(0, n, tcfg.batch_size):
+            if step >= total:
+                break
+            idx = order[b0 : b0 + tcfg.batch_size]
+            batch = make_batch(encode_instances([instances[i] for i in idx], vocab, mcfg),
+                               ids=[str(i) for i in idx])
+            report, grads = forward_loss(params, mcfg, batch, micro_size=tcfg.micro_size)
+            lr = lr_at(tcfg, step, total)
+            reference_adamw_step(params, grads, m, v, step + 1, lr, tcfg)
+            log.append(StepLog(step=step, lr=lr, report=report))
+            step += 1
+    return log

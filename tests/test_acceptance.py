@@ -11,7 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import FIXTURES, batch_of, fd_gradient_check, reference_generate, sent, tiny_setup
+from helpers import (
+    FIXTURES,
+    batch_of,
+    fd_gradient_check,
+    on_token_boundaries,
+    reference_generate,
+    sent,
+    tiny_setup,
+)
 from sdnet.cli import main as cli_main
 from sdnet.codec import parse_generated, serialize_prompt_eg, serialize_target
 from sdnet.data import (
@@ -116,6 +124,9 @@ def _occurrence_starts(text: str, surface: str) -> list[int]:
         idx = text.find(surface, pos)
         if idx < 0:
             return starts
+        if not on_token_boundaries(text, idx, idx + len(surface)):
+            pos = idx + 1
+            continue
         starts.append(idx)
         pos = idx + len(surface)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnet.codec import parse_generated, serialize_target
 from sdnet.data import Sentence, TargetSequence
@@ -15,6 +16,7 @@ from sdnet.locate import (
     spans_to_record,
     write_predictions_jsonl,
 )
+from helpers import on_token_boundaries
 
 
 def _spans(text: str, pairs) -> tuple[list[SpanPrediction], list]:
@@ -36,6 +38,18 @@ def test_distinct_surfaces_scan_independently():
     assert unlocated == []
     assert [(s.surface, s.start, s.end) for s in spans] == [
         ("Paris Region", 0, 12), ("Paris", 0, 5)]
+
+
+def test_matches_start_and_end_on_token_boundaries():
+    parsed = parse_generated("EG", "Rome is city.")
+    spans, unlocated = locate(Sentence(id="s", text="Romeo met Rome."), parsed.target)
+    assert [(s.start, s.end) for s in spans] == [(10, 14)]
+    assert unlocated == []
+    # opening and trailing marks split off as tokens; other punctuation does not
+    spans, unlocated = _spans("(Rome), U.S. army.", [("Rome", ("city",)), ("U.S", ("gpe",)), ("U", ("x",)),
+                                                    ("S", ("x",)), ("arm", ("x",))])
+    assert [(s.surface, s.start, s.end) for s in spans] == [("Rome", 1, 5), ("U.S", 8, 11)]
+    assert unlocated == [("U", "x"), ("S", "x"), ("arm", "x")]
 
 
 def test_exhausted_occurrences_are_reported_unlocated():
@@ -70,16 +84,18 @@ def test_prediction_record_round_trip(tmp_path):
 
 
 def _oracle_spans(text: str, pairs):
-    """Independent i-th occurrence bookkeeping via per-surface occurrence lists."""
+    """Independent i-th occurrence bookkeeping via per-surface occurrence
+    lists: every offset is tried, left to right, skipping overlaps."""
     occurrences: dict[str, list[int]] = {}
     taken: dict[str, int] = {}
     expected = []
     for surface, types in pairs:
         if surface not in occurrences:
-            found, at = [], text.find(surface)
-            while at >= 0:
-                found.append(at)
-                at = text.find(surface, at + len(surface))
+            found: list[int] = []
+            for at in range(len(text)):
+                if (text.startswith(surface, at) and (not found or at >= found[-1] + len(surface))
+                        and on_token_boundaries(text, at, at + len(surface))):
+                    found.append(at)
             occurrences[surface] = found
         i = taken.get(surface, 0)
         taken[surface] = i + 1
@@ -104,6 +120,27 @@ def test_locate_matches_brute_force_oracle_on_random_sentences():
         expected = _oracle_spans(text, pairs)
         assert [(s.surface, s.type_id, s.start, s.end) for s in spans] == expected
         assert len(spans) + len(unlocated) == len(pairs)
+
+
+_WORDS = ["Rome", "Romeo", "Ro", "me", "U.S", "a", "aa", "Bob"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.tuples(st.sampled_from(["", "(", "[", "(("]), st.sampled_from(_WORDS),
+                                st.sampled_from(["", ".", ",", ").", ";", "'s"])),
+                      min_size=1, max_size=8),
+       cuts=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 8)), min_size=1, max_size=5))
+def test_locate_matches_token_boundary_oracle(words, cuts):
+    text = " ".join(lead + word + tail for lead, word, tail in words)
+    # surfaces: pieces of the text, most of them cutting through tokens
+    starts = [at % len(text) for at, _ in cuts]
+    pieces = [text[a:a + n].strip() for a, (_, n) in zip(starts, cuts)]
+    pairs = [(piece, ("t",)) for piece in pieces if piece]
+    spans, unlocated = _spans(text, pairs)
+    assert [(s.surface, s.type_id, s.start, s.end) for s in spans] == _oracle_spans(text, pairs)
+    assert len(spans) + len(unlocated) == len(pairs)
+    for s in spans:
+        assert on_token_boundaries(text, s.start, s.end)
 
 
 def test_generated_text_round_trip_through_parse_and_locate():

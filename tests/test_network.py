@@ -22,8 +22,14 @@ from sdnet.model import (
 from sdnet.model.network import (
     _GELU_A,
     _GELU_C,
+    LN_EPS,
     DecodeState,
+    _add_rows,
+    _gelu_bwd,
     _gelu_fwd,
+    _layernorm_bwd,
+    _layernorm_fwd,
+    _micro_loss_grads,
     decoder_forward,
     encoder_forward,
 )
@@ -128,16 +134,85 @@ def test_padding_columns_do_not_change_the_loss():
         assert np.allclose(grads[k], grads2[k], atol=1e-12)
 
 
-def test_worker_count_does_not_change_loss_or_grads():
+def test_micro_batches_accumulate_in_index_order_deterministically():
     insts, vocab, cfg, params = tiny_setup()
-    rows = (insts * 4)[:17]  # crosses the fixed micro-batch boundary
+    rows = (insts * 4)[:17]  # crosses the fixed micro-batch boundary: slices of 8, 8 and 1
     batch = batch_of(rows, vocab, cfg)
-    r1, g1 = forward_loss(params, cfg, batch, workers=1)
-    r2, g2 = forward_loss(params, cfg, batch, workers=3)
-    assert r1.total == r2.total
-    assert r1.md_term == r2.md_term and r1.eg_term == r2.eg_term
+    r1, g1 = forward_loss(params, cfg, batch)
+    r2, g2 = forward_loss(params, cfg, batch)
+    assert r1 == r2
     for k in g1:
         assert (g1[k] == g2[k]).all()
+
+    # each slice on its own, weighted by the whole batch's task token counts
+    tok = batch.labels != PAD_ID
+    pos_w = (np.where(tok & batch.is_md[:, None], 1.0 / r1.md_tokens, 0.0)
+             + np.where(tok & ~batch.is_md[:, None], 1.0 / r1.eg_tokens, 0.0))
+    loss = 0.0
+    summed = zero_grads(params)
+    for sl in (slice(0, 8), slice(8, 16), slice(16, 17)):
+        g = zero_grads(params)
+        ce = _micro_loss_grads(params, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
+                               batch.labels[sl], pos_w[sl], g)
+        loss += float((ce * pos_w[sl]).sum())
+        for k in summed:
+            summed[k] += g[k]
+    assert abs(loss - r1.total) <= 1e-12
+    for k in g1:
+        np.testing.assert_allclose(g1[k], summed[k], rtol=0.0, atol=1e-12, err_msg=k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 64), (8, 21, 64), (3, 5, 7)])
+def test_reductions_and_in_place_primitives_keep_the_bits_of_the_plain_formulas(dtype, shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape).astype(dtype)
+    n = shape[-1]
+    assert np.array_equal(np.add.reduce(x, axis=-1, keepdims=True) / n,
+                          x.mean(axis=-1, keepdims=True))
+    assert np.array_equal(np.add.reduce(x, axis=-1, keepdims=True), x.sum(axis=-1, keepdims=True))
+    assert np.array_equal(np.maximum.reduce(x, axis=-1, keepdims=True),
+                          x.max(axis=-1, keepdims=True))
+
+    # the layer norm, softmax and GELU primitives against their plain formulas
+    rng = np.random.default_rng(n)
+    g, b = (rng.normal(size=n).astype(dtype) for _ in range(2))
+    dy = rng.normal(size=shape).astype(dtype)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = (x - mu) * inv
+    y, cache = _layernorm_fwd(x, g, b)
+    assert np.array_equal(y, g * xhat + b)
+    dxh = dy * g
+    dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
+                - xhat * (dxh * xhat).mean(axis=-1, keepdims=True))
+    got = _layernorm_bwd(dy, cache)
+    assert np.array_equal(got[0], dx)
+    assert np.array_equal(got[1], (dy * xhat).reshape(-1, n).sum(axis=0))
+    assert np.array_equal(got[2], dy.reshape(-1, n).sum(axis=0))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    assert np.array_equal(softmax_last(x), e / e.sum(axis=-1, keepdims=True))
+    y, (xg, t) = _gelu_fwd(x)
+    assert np.array_equal(t, np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
+    assert np.array_equal(y, 0.5 * x * (1.0 + t))
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * xg * xg)
+    assert np.array_equal(_gelu_bwd(dy, (xg, t)),
+                          dy * (0.5 * (1.0 + t) + 0.5 * xg * (1.0 - t * t) * du))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vocab=st.integers(1, 12), rows=st.integers(1, 5), cols=st.integers(1, 9),
+       width=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_add_rows_matches_add_at(vocab, rows, cols, width, seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, vocab, size=(rows, cols))  # a 2-D id array, ids repeat
+    upd = rng.normal(size=(rows, cols, width))
+    base = rng.normal(size=(vocab, width))
+    want = base.copy()
+    np.add.at(want, ids, upd)
+    got = base.copy()
+    _add_rows(got, ids, upd)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_gradients_match_finite_differences():

@@ -7,6 +7,7 @@ import pytest
 
 from sdnet.model import (
     AdamWState,
+    FlatLayout,
     ModelConfig,
     TrainConfig,
     TrainingDivergedError,
@@ -19,7 +20,7 @@ from sdnet.model import (
     total_steps_for,
     train,
 )
-from helpers import tiny_instances, tiny_setup
+from helpers import reference_adamw_step, reference_train, tiny_instances, tiny_setup
 
 
 def test_train_config_presets_match_published_recipes():
@@ -68,16 +69,57 @@ def test_total_steps_for_modes():
 def test_adamw_decays_matrices_only():
     cfg = ModelConfig(vocab_size=40, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                       max_len=16, dtype="float64", seed=0)
-    params = init_params(cfg)
-    before = clone_params(params)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    before = init_params(cfg)
+    layout = FlatLayout(before)
+    flat = layout.pack(before)
     tcfg = TrainConfig.pretrain_defaults(steps=1, weight_decay=0.5)
-    adamw_step(params, grads, AdamWState.init(params), lr=0.1, cfg=tcfg)
+    adamw_step(flat, np.zeros_like(flat), AdamWState.init(flat, layout.n_decay), lr=0.1, cfg=tcfg)
+    params = layout.views(flat)
     for k in params:
         if params[k].ndim > 1:
             assert np.allclose(params[k], before[k] * (1 - 0.1 * 0.5))
         else:
             assert (params[k] == before[k]).all()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_flat_adamw_is_bit_identical_to_the_per_tensor_loop(dtype):
+    cfg = ModelConfig(vocab_size=40, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                      max_len=16, dtype=dtype, seed=0)
+    ref = init_params(cfg)
+    layout = FlatLayout(ref)
+    flat = layout.pack(ref)
+    state = AdamWState.init(flat, layout.n_decay)
+    m = {k: np.zeros_like(p) for k, p in ref.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.items()}
+    tcfg = TrainConfig.pretrain_defaults(steps=3, weight_decay=0.1)
+    rng = np.random.default_rng(0)
+    for t in range(1, 4):
+        grads = {k: rng.normal(size=p.shape).astype(p.dtype) for k, p in ref.items()}
+        reference_adamw_step(ref, grads, m, v, t, 0.05, tcfg)
+        adamw_step(flat, layout.pack(grads), state, 0.05, tcfg)
+        for k, p in layout.views(flat).items():
+            assert np.array_equal(p, ref[k]), (t, k)
+
+
+@pytest.mark.parametrize("mode", ["pretrain", "finetune"])
+def test_flat_buffer_training_matches_the_per_tensor_reference(mode):
+    insts, vocab, cfg, params = tiny_setup()
+    budget = {"steps": 20} if mode == "pretrain" else {"epochs": 8, "schedule": "linear"}
+    tcfg = TrainConfig(mode=mode, batch_size=3, lr=3e-3, seed=5, micro_size=2, **budget)
+    before = clone_params(params)
+    ref = clone_params(params)
+    ref_log = reference_train(ref, insts, vocab, cfg, tcfg)
+    arrays = dict(params)
+    log = train(params, insts, vocab, cfg, tcfg)
+    assert len(log) == len(ref_log) >= 14
+    for got, want in zip(log, ref_log):
+        assert (got.step, got.lr) == (want.step, want.lr)
+        assert abs(got.report.total - want.report.total) <= 1e-10
+    for k in params:
+        assert params[k] is arrays[k]  # trained in place, in the caller's arrays
+        assert not np.array_equal(params[k], before[k]), k
+        np.testing.assert_allclose(params[k], ref[k], rtol=0.0, atol=1e-10)
 
 
 def test_training_is_bitwise_deterministic():
@@ -126,6 +168,16 @@ def test_divergence_is_reported():
     params["out.w"][:] = np.nan
     tcfg = TrainConfig(mode="pretrain", batch_size=2, lr=1e-3, steps=2, seed=0)
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError):
+        train(params, insts, vocab, cfg, tcfg)
+
+
+def test_divergence_names_the_non_finite_tensor():
+    insts, vocab, cfg, params = tiny_setup()
+    # a decoder position no target reaches: the loss stays finite, the update does not
+    params["pos_dec"][-1, 0] = np.inf
+    tcfg = TrainConfig(mode="pretrain", batch_size=2, lr=1e-3, steps=2, seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            TrainingDivergedError, match=r"^step 0: parameter 'pos_dec' not finite$"):
         train(params, insts, vocab, cfg, tcfg)
 
 
