@@ -10,8 +10,6 @@ with strict micro-F1.
 __version__ = "0.1.0"
 
 from .codec import (
-    DEFAULT_CODEC,
-    CodecConfig,
     ParseResult,
     parse_generated,
     parse_prompt_eg,

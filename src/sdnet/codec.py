@@ -1,8 +1,15 @@
 """Serialization and parsing of task prompts and target sequences.
 
 The serialized forms are the wire format between the data pipeline and the
-model: emit "; " between clauses with a final ".", accept both "; " and ". "
-clause separation when parsing model output.
+model, one grammar for both tasks:
+
+    [MD] e1; e2
+    [EG] t1: {c1, c2}; t2
+    e1 is c1, c2; e2 is c3.
+
+This module is the only place the grammar's literals are spelled. Serializers
+emit SEPARATOR between clauses and a final TERMINATOR; the parser of model
+output also accepts ALT_CLAUSE_SEPARATOR between clauses.
 """
 
 from __future__ import annotations
@@ -11,69 +18,50 @@ from dataclasses import dataclass, field
 
 from .data import ConceptDescription, PromptEG, PromptMD, TargetSequence, Task
 
-
-@dataclass(frozen=True)
-class CodecConfig:
-    md_descriptor: str = "[MD]"
-    eg_descriptor: str = "[EG]"
-    pair_separator_emit: str = "; "
-    clause_terminator: str = "."
-    copula: str = " is "
-    concept_separator: str = ", "
-    type_desc_open: str = "{"
-    type_desc_close: str = "}"
-    type_list_separator: str = "; "
-    type_desc_colon: str = ": "
-
-    def __post_init__(self) -> None:
-        literals = [
-            self.md_descriptor, self.eg_descriptor, self.pair_separator_emit,
-            self.clause_terminator, self.copula, self.concept_separator,
-            self.type_desc_open, self.type_desc_close, self.type_desc_colon,
-        ]
-        if any(not lit for lit in literals):
-            raise ValueError("codec literals must be non-empty")
-        if len({self.md_descriptor, self.eg_descriptor}) != 2:
-            raise ValueError("task descriptors must differ")
-
-
-DEFAULT_CODEC = CodecConfig()
+DESCRIPTORS: dict[Task, str] = {"MD": "[MD]", "EG": "[EG]"}
+SEPARATOR = "; "             # between prompt entries and between target clauses
+ALT_CLAUSE_SEPARATOR = ". "  # also accepted between generated clauses
+COPULA = " is "
+CONCEPT_SEPARATOR = ", "
+DESC_COLON = ": "
+DESC_OPEN = "{"
+DESC_CLOSE = "}"
+TERMINATOR = "."
 
 # Surfaces/labels containing these cannot survive a serialize->parse round trip;
 # the corpus builder drops such mentions. A bare "." is fine: the clause splitter
-# only honors ". " when the copula appears on both sides, so "J.K. Rowling" parses.
-UNSAFE_IN_SURFACE = (" is ", "; ", ", ")
+# only honors ALT_CLAUSE_SEPARATOR when the copula appears on both sides, so
+# "J.K. Rowling" parses.
+UNSAFE_IN_SURFACE = (COPULA, SEPARATOR, CONCEPT_SEPARATOR)
 
 
-def surface_is_safe(text: str, cfg: CodecConfig = DEFAULT_CODEC) -> bool:
-    return not any(sep in text for sep in (cfg.copula, cfg.type_list_separator, cfg.concept_separator))
+def surface_is_safe(text: str) -> bool:
+    """No separator occurs in the surface as it stands in a clause, that is,
+    followed by the copula's leading space: "Acme Inc;" would read as "; "."""
+    in_clause = text + COPULA[0]
+    return not any(sep in in_clause for sep in UNSAFE_IN_SURFACE)
 
 
-def serialize_prompt_md(prompt: PromptMD, cfg: CodecConfig = DEFAULT_CODEC) -> str:
-    return cfg.md_descriptor + " " + cfg.pair_separator_emit.join(prompt.targets)
+def serialize_prompt_md(prompt: PromptMD) -> str:
+    return DESCRIPTORS["MD"] + " " + SEPARATOR.join(prompt.targets)
 
 
-def serialize_prompt_eg(prompt: PromptEG, cfg: CodecConfig = DEFAULT_CODEC) -> str:
+def serialize_prompt_eg(prompt: PromptEG) -> str:
     rendered = []
     for entry in prompt.entries:
         if entry.concepts:
-            inner = cfg.concept_separator.join(entry.concepts)
-            rendered.append(
-                entry.type_id + cfg.type_desc_colon + cfg.type_desc_open + inner + cfg.type_desc_close
-            )
+            inner = CONCEPT_SEPARATOR.join(entry.concepts)
+            rendered.append(entry.type_id + DESC_COLON + DESC_OPEN + inner + DESC_CLOSE)
         else:
             rendered.append(entry.type_id)
-    return cfg.eg_descriptor + " " + cfg.type_list_separator.join(rendered)
+    return DESCRIPTORS["EG"] + " " + SEPARATOR.join(rendered)
 
 
-def serialize_target(target: TargetSequence, cfg: CodecConfig = DEFAULT_CODEC) -> str:
+def serialize_target(target: TargetSequence) -> str:
     if not target.pairs:
         return ""
-    clauses = [
-        surface + cfg.copula + cfg.concept_separator.join(labels)
-        for surface, labels in target.pairs
-    ]
-    return cfg.pair_separator_emit.join(clauses) + cfg.clause_terminator
+    clauses = [surface + COPULA + CONCEPT_SEPARATOR.join(labels) for surface, labels in target.pairs]
+    return SEPARATOR.join(clauses) + TERMINATOR
 
 
 @dataclass
@@ -82,22 +70,23 @@ class ParseResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _split_clauses(text: str, cfg: CodecConfig) -> list[str]:
-    """Split on "; " unconditionally; honor ". " only when the copula appears on
-    both sides, so abbreviation periods inside surfaces do not break clauses."""
+def _split_clauses(text: str) -> list[str]:
+    """Split on SEPARATOR unconditionally; honor ALT_CLAUSE_SEPARATOR only when
+    the copula appears on both sides, so abbreviation periods inside surfaces
+    do not break clauses."""
     clauses: list[str] = []
-    for piece in text.split(cfg.type_list_separator):
+    for piece in text.split(SEPARATOR):
         start = 0
         search = 0
         while True:
-            j = piece.find(". ", search)
+            j = piece.find(ALT_CLAUSE_SEPARATOR, search)
             if j < 0:
                 break
             left = piece[start:j]
-            rest = piece[j + 2:]
-            if cfg.copula in left and cfg.copula in rest:
+            rest = piece[j + len(ALT_CLAUSE_SEPARATOR):]
+            if COPULA in left and COPULA in rest:
                 clauses.append(left)
-                start = j + 2
+                start = j + len(ALT_CLAUSE_SEPARATOR)
                 search = start
             else:
                 search = j + 1
@@ -105,7 +94,7 @@ def _split_clauses(text: str, cfg: CodecConfig) -> list[str]:
     return clauses
 
 
-def parse_generated(task: Task, text: str, cfg: CodecConfig = DEFAULT_CODEC) -> ParseResult:
+def parse_generated(task: Task, text: str) -> ParseResult:
     """Parse untrusted generated text into (surface, labels) pairs.
 
     Never raises: malformed clauses are dropped and reported, a fully
@@ -114,25 +103,25 @@ def parse_generated(task: Task, text: str, cfg: CodecConfig = DEFAULT_CODEC) -> 
     diagnostics: list[str] = []
     pairs: list[tuple[str, tuple[str, ...]]] = []
     body = text.strip()
-    if body.endswith(cfg.clause_terminator):
-        body = body[: -len(cfg.clause_terminator)]
+    if body.endswith(TERMINATOR):
+        body = body[: -len(TERMINATOR)]
     if body:
-        for clause in _split_clauses(body, cfg):
+        for clause in _split_clauses(body):
             clause = clause.strip()
             if not clause:
                 diagnostics.append("empty clause")
                 continue
-            cut = clause.rfind(cfg.copula)
+            cut = clause.rfind(COPULA)
             if cut < 0:
                 diagnostics.append(f"no copula in clause {clause!r}")
                 continue
             surface = clause[:cut]
-            label_part = clause[cut + len(cfg.copula):]
+            label_part = clause[cut + len(COPULA):]
             if not surface or not label_part:
                 diagnostics.append(f"empty side in clause {clause!r}")
                 continue
             if task == "MD":
-                labels = tuple(l for l in label_part.split(cfg.concept_separator) if l)
+                labels = tuple(l for l in label_part.split(CONCEPT_SEPARATOR) if l)
                 if not labels:
                     diagnostics.append(f"no labels in clause {clause!r}")
                     continue
@@ -142,27 +131,30 @@ def parse_generated(task: Task, text: str, cfg: CodecConfig = DEFAULT_CODEC) -> 
     return ParseResult(TargetSequence(task=task, pairs=tuple(pairs)), diagnostics)
 
 
-def parse_prompt_md(text: str, cfg: CodecConfig = DEFAULT_CODEC) -> PromptMD:
-    prefix = cfg.md_descriptor + " "
+def prompt_body(task: Task, text: str) -> str:
+    """The prompt text after its task descriptor and the space that follows it."""
+    if task not in DESCRIPTORS:
+        raise ValueError(f"unknown task {task!r}")
+    prefix = DESCRIPTORS[task] + " "
     if not text.startswith(prefix):
-        raise ValueError(f"mention-describing prompt must start with {prefix!r}")
-    targets = text[len(prefix):].split(cfg.pair_separator_emit)
-    return PromptMD(targets=tuple(targets))
+        raise ValueError(f"{task} prompt must start with {prefix!r}")
+    return text[len(prefix):]
 
 
-def parse_prompt_eg(text: str, cfg: CodecConfig = DEFAULT_CODEC) -> PromptEG:
+def parse_prompt_md(text: str) -> PromptMD:
+    return PromptMD(targets=tuple(prompt_body("MD", text).split(SEPARATOR)))
+
+
+def parse_prompt_eg(text: str) -> PromptEG:
     """Accept both "type" and "type: {}" entry forms."""
-    prefix = cfg.eg_descriptor + " "
-    if not text.startswith(prefix):
-        raise ValueError(f"entity-generation prompt must start with {prefix!r}")
     entries = []
-    for chunk in text[len(prefix):].split(cfg.type_list_separator):
-        if cfg.type_desc_colon in chunk:
-            type_id, desc = chunk.split(cfg.type_desc_colon, 1)
-            if not (desc.startswith(cfg.type_desc_open) and desc.endswith(cfg.type_desc_close)):
+    for chunk in prompt_body("EG", text).split(SEPARATOR):
+        if DESC_COLON in chunk:
+            type_id, desc = chunk.split(DESC_COLON, 1)
+            if not (desc.startswith(DESC_OPEN) and desc.endswith(DESC_CLOSE)):
                 raise ValueError(f"malformed type description in {chunk!r}")
-            inner = desc[len(cfg.type_desc_open): -len(cfg.type_desc_close)]
-            concepts = tuple(c for c in inner.split(cfg.concept_separator) if c) if inner else ()
+            inner = desc[len(DESC_OPEN): -len(DESC_CLOSE)]
+            concepts = tuple(c for c in inner.split(CONCEPT_SEPARATOR) if c) if inner else ()
             entries.append(ConceptDescription(type_id=type_id, concepts=concepts))
         else:
             entries.append(ConceptDescription(type_id=chunk))

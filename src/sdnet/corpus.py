@@ -74,7 +74,6 @@ class BuildConfig:
     min_type_instances: int = 5
     max_type_tokens: int = 3
     top_np_count: int = 3
-    preposition_stoplist: tuple[str, ...] = PREPOSITION_STOPLIST
 
     def __post_init__(self) -> None:
         if self.min_type_instances < 1 or self.max_type_tokens < 1 or self.top_np_count < 0:
@@ -91,7 +90,7 @@ def truncate_type_name(name: str, cfg: BuildConfig) -> str:
         return " ".join(tokens)
     prefix = tokens
     for i, tok in enumerate(tokens):
-        if tok in cfg.preposition_stoplist:
+        if tok in PREPOSITION_STOPLIST:
             prefix = tokens[:i]
             break
     if not prefix:  # name starts with a preposition
@@ -188,7 +187,7 @@ def entity_types(
     return tuple(out) if out else (OTHER_TYPE,)
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] = ABBREVIATIONS) -> list[tuple[int, int]]:
+def split_sentences(text: str) -> list[tuple[int, int]]:
     """Sentence spans: boundary at .!? followed by whitespace and an
     uppercase/digit, unless the period closes a stoplisted abbreviation."""
     spans: list[tuple[int, int]] = []
@@ -206,7 +205,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] = ABBREVIATIONS) ->
                 tok_start = i
                 while tok_start > 0 and not text[tok_start - 1].isspace():
                     tok_start -= 1
-                if text[tok_start : i + 1] in abbreviations:
+                if text[tok_start : i + 1] in ABBREVIATIONS:
                     boundary = False
             if boundary:
                 spans.append((start, i + 1))

@@ -215,10 +215,7 @@ def annotated_from_record(raw: dict) -> AnnotatedSentence:
 
 
 def write_annotated_jsonl(path: str | Path, sentences: Iterable[AnnotatedSentence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sent in sentences:
-            fh.write(json.dumps(annotated_to_record(sent), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, map(annotated_to_record, sentences))
 
 
 def read_annotated_jsonl(path: str | Path) -> list[AnnotatedSentence]:
@@ -242,8 +239,17 @@ def read_annotated_jsonl(path: str | Path) -> list[AnnotatedSentence]:
 
 
 def iter_jsonl(path: str | Path) -> Iterator[dict]:
+    """The records of a JSONL file; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One record per line, UTF-8 kept as is, "\\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False))
+            fh.write("\n")

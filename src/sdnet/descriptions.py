@@ -3,20 +3,17 @@ concept sampling, and other-frequency filtering."""
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .codec import parse_generated, serialize_prompt_md
-from .data import OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD
+from .data import OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD, iter_jsonl, write_jsonl
 
 DescriptionMap = dict[str, tuple[str, ...]]
-
-OtherCountMode = Literal["per-description", "per-concept"]
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,6 @@ class DescriptionConfig:
     max_concepts: int = 10
     other_threshold: float = 0.5
     rng_seed: int = 0
-    other_count_mode: OtherCountMode = "per-description"
 
     def __post_init__(self) -> None:
         if self.max_concepts < 1:
@@ -98,14 +94,6 @@ def fuse_mention_descriptions(
     return out
 
 
-def _other_frequency(descriptions: Sequence[MentionDescription], mode: OtherCountMode) -> float:
-    if mode == "per-description":
-        hits = sum(1 for d in descriptions if d.concepts == (OTHER_TYPE,))
-        return hits / len(descriptions)
-    concepts = [c for d in descriptions for c in d.concepts]
-    return sum(1 for c in concepts if c == OTHER_TYPE) / len(concepts)
-
-
 def apply_filtering(
     per_type: Mapping[str, Sequence[MentionDescription]], cfg: DescriptionConfig
 ) -> tuple[DescriptionMap, FilterReport]:
@@ -118,7 +106,7 @@ def apply_filtering(
     for type_id, descriptions in per_type.items():
         if not descriptions:
             raise ValueError(f"type {type_id!r} has no mention descriptions")
-        freq = _other_frequency(descriptions, cfg.other_count_mode)
+        freq = sum(1 for d in descriptions if d.concepts == (OTHER_TYPE,)) / len(descriptions)
         frequencies[type_id] = freq
         if freq > cfg.other_threshold:
             out[type_id] = ()
@@ -162,23 +150,17 @@ def write_description_map(
     path: str | Path, desc_map: DescriptionMap, filtered: Iterable[str] = ()
 ) -> None:
     filtered_set = set(filtered)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for type_id, concepts in desc_map.items():
-            record = {"type": type_id, "concepts": list(concepts), "filtered": type_id in filtered_set}
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (
+        {"type": type_id, "concepts": list(concepts), "filtered": type_id in filtered_set}
+        for type_id, concepts in desc_map.items()
+    ))
 
 
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:
     desc_map: DescriptionMap = {}
     filtered: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            desc_map[raw["type"]] = tuple(raw["concepts"])
-            if raw.get("filtered"):
-                filtered.add(raw["type"])
+    for raw in iter_jsonl(path):
+        desc_map[raw["type"]] = tuple(raw["concepts"])
+        if raw.get("filtered"):
+            filtered.add(raw["type"])
     return desc_map, filtered

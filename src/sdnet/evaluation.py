@@ -8,17 +8,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .codec import parse_generated, serialize_prompt_eg, serialize_target
-from .data import (
-    OTHER_TYPE,
-    AnnotatedSentence,
-    ConceptDescription,
-    PromptEG,
-    TargetSequence,
-)
+from .codec import parse_generated, serialize_target
+from .data import AnnotatedSentence, TargetSequence
 from .descriptions import DescriptionConfig, DescriptionMap, describe_with_model
 from .locate import SpanPrediction, locate
-from .sampling import KShotSample, build_finetune_instances, eg_pairs, sample_kshot
+from .sampling import (
+    KShotSample,
+    build_finetune_instances,
+    eg_pairs,
+    present_types,
+    sample_kshot,
+    schema_prompt,
+)
 
 GenerateFn = Callable[[str, str], str]
 
@@ -102,16 +103,6 @@ def score(
                       matched_count=matched, per_type=per_type)
 
 
-def present_types(sent: AnnotatedSentence) -> list[str]:
-    """Non-`other` types carried by the sentence's mentions, first-seen order."""
-    types: list[str] = []
-    for m in sent.mentions:
-        for t in m.types:
-            if t != OTHER_TYPE and t not in types:
-                types.append(t)
-    return types
-
-
 def gold_spans(sent: AnnotatedSentence, schema_types: Sequence[str] | None = None) -> list[SpanPrediction]:
     """Character spans of the gold mentions, assigned by the same i-th
     occurrence rule predictions go through.
@@ -127,11 +118,6 @@ def gold_spans(sent: AnnotatedSentence, schema_types: Sequence[str] | None = Non
     target = TargetSequence(task="EG", pairs=eg_pairs(sent, list(schema_types)))
     spans, _ = locate(sent.sentence, target)
     return spans
-
-
-def schema_prompt(schema_types: Sequence[str], desc: DescriptionMap) -> str:
-    entries = tuple(ConceptDescription(type_id=t, concepts=desc.get(t, ())) for t in schema_types)
-    return serialize_prompt_eg(PromptEG(entries=entries))
 
 
 def predict_spans(

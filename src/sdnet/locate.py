@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .data import Sentence, TargetSequence
+from .data import Sentence, TargetSequence, iter_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,8 @@ def spans_from_record(raw: dict) -> tuple[str, list[SpanPrediction]]:
 
 
 def write_predictions_jsonl(path: str | Path, records: Iterable[tuple[str, list[SpanPrediction]]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sentence_id, spans in records:
-            fh.write(json.dumps(spans_to_record(sentence_id, spans), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, itertools.starmap(spans_to_record, records))
 
 
 def read_predictions_jsonl(path: str | Path) -> dict[str, list[SpanPrediction]]:
-    out: dict[str, list[SpanPrediction]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sentence_id, spans = spans_from_record(json.loads(line))
-            out[sentence_id] = spans
-    return out
+    return dict(spans_from_record(raw) for raw in iter_jsonl(path))

@@ -12,7 +12,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-PAD, UNK, EOS, MD, EG = "[PAD]", "[UNK]", "[EOS]", "[MD]", "[EG]"
+from ..codec import DESCRIPTORS
+
+PAD, UNK, EOS = "[PAD]", "[UNK]", "[EOS]"
+MD, EG = DESCRIPTORS["MD"], DESCRIPTORS["EG"]
 SPECIAL_TOKENS = (PAD, UNK, EOS, MD, EG)
 PAD_ID, UNK_ID, EOS_ID, MD_ID, EG_ID = range(5)
 

@@ -3,7 +3,6 @@ schema prompts, and k-shot support-set selection."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codec import parse_generated, serialize_prompt_eg, serialize_prompt_md, serialize_target
+from .codec import parse_generated, prompt_body, serialize_prompt_eg, serialize_prompt_md, serialize_target
 from .data import (
     OTHER_TYPE,
     AnnotatedSentence,
@@ -21,7 +20,9 @@ from .data import (
     TargetSequence,
     Task,
     TypeDictionary,
+    iter_jsonl,
     mention_order_key,
+    write_jsonl,
 )
 from .descriptions import DescriptionConfig, DescriptionMap, sample_concepts, stable_draw_key
 
@@ -49,9 +50,7 @@ class TrainingInstance:
     target_text: str
 
     def __post_init__(self) -> None:
-        descriptor = "[MD]" if self.task == "MD" else "[EG]"
-        if not self.prompt_text.startswith(descriptor):
-            raise ValueError(f"{self.task} prompt must start with {descriptor!r}")
+        prompt_body(self.task, self.prompt_text)
         parsed = parse_generated(self.task, self.target_text)
         if parsed.diagnostics:
             raise ValueError(f"target does not re-parse cleanly: {parsed.diagnostics}")
@@ -111,6 +110,22 @@ def eg_pairs(
     return tuple(pairs)
 
 
+def present_types(sent: AnnotatedSentence) -> list[str]:
+    """Non-`other` types carried by the sentence's mentions, first-seen order."""
+    types: list[str] = []
+    for m in sent.mentions:
+        for t in m.types:
+            if t != OTHER_TYPE and t not in types:
+                types.append(t)
+    return types
+
+
+def schema_prompt(schema_types: Sequence[str], desc: DescriptionMap) -> str:
+    """The full-schema EG prompt: every type with all of its concepts."""
+    entries = tuple(ConceptDescription(type_id=t, concepts=desc.get(t, ())) for t in schema_types)
+    return serialize_prompt_eg(PromptEG(entries=entries))
+
+
 def make_eg_instance(
     s: AnnotatedSentence,
     dictionary: TypeDictionary,
@@ -118,11 +133,7 @@ def make_eg_instance(
     cfg: SamplerConfig,
     draw_key: int,
 ) -> TrainingInstance:
-    sentence_types: list[str] = []
-    for m in s.mentions:
-        for t in m.types:
-            if t != OTHER_TYPE and t not in sentence_types:
-                sentence_types.append(t)
+    sentence_types = present_types(s)
     if not sentence_types:
         raise ValueError(f"sentence {s.id!r} has no non-{OTHER_TYPE!r} mention types")
     rng = np.random.default_rng([cfg.rng_seed, draw_key])
@@ -149,11 +160,10 @@ def make_finetune_instance(
     has no gold mention typed within the schema."""
     if not schema_types:
         raise ValueError("schema_types must be non-empty")
-    entries = tuple(ConceptDescription(type_id=t, concepts=desc.get(t, ())) for t in schema_types)
     target = TargetSequence(task="EG", pairs=eg_pairs(s, list(schema_types)))
     return TrainingInstance(
         task="EG",
-        prompt_text=serialize_prompt_eg(PromptEG(entries=entries)),
+        prompt_text=schema_prompt(schema_types, desc),
         input_text=s.text,
         target_text=serialize_target(target),
     )
@@ -172,7 +182,7 @@ def build_pretrain_instances(
         if not sent.mentions:
             continue
         out.append(make_md_instance(sent, cfg, stable_draw_key(sent.id, "MD")))
-        if any(t != OTHER_TYPE for m in sent.mentions for t in m.types):
+        if present_types(sent):
             out.append(make_eg_instance(sent, dictionary, desc, cfg, stable_draw_key(sent.id, "EG")))
     return out
 
@@ -233,18 +243,8 @@ def instance_from_record(raw: dict) -> TrainingInstance:
 
 
 def write_instances_jsonl(path: str | Path, instances: Iterable[TrainingInstance]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_record(inst), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, map(instance_to_record, instances))
 
 
 def read_instances_jsonl(path: str | Path) -> list[TrainingInstance]:
-    out: list[TrainingInstance] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            out.append(instance_from_record(json.loads(line)))
-    return out
+    return [instance_from_record(raw) for raw in iter_jsonl(path)]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdnet.codec import (
-    DEFAULT_CODEC,
+    ALT_CLAUSE_SEPARATOR,
+    SEPARATOR,
     UNSAFE_IN_SURFACE,
     parse_generated,
     parse_prompt_eg,
@@ -105,15 +106,16 @@ def test_surface_safety():
     assert surface_is_safe("a few days ago")
     for marker in UNSAFE_IN_SURFACE:
         assert not surface_is_safe(f"x{marker}y")
+    # "Acme Inc; is company." would split on "; "
+    assert not surface_is_safe("Acme Inc;")
 
 
 _safe_word = st.text(alphabet="abcdefghXYZ0123456789", min_size=1, max_size=8)
+# surfaces may carry the grammar's punctuation and the copula's word
+_surface_word = st.one_of(st.text(alphabet="abcXYZ0189.;,:{}", min_size=1, max_size=8),
+                          st.just("is"))
 
-
-@st.composite
-def _safe_surface(draw):
-    words = draw(st.lists(_safe_word, min_size=1, max_size=3))
-    return " ".join(words)
+_safe_surface = st.lists(_surface_word, min_size=1, max_size=3).map(" ".join).filter(surface_is_safe)
 
 
 @st.composite
@@ -122,7 +124,7 @@ def _targets(draw):
     n = draw(st.integers(0, 5))
     pairs = []
     for _ in range(n):
-        surface = draw(_safe_surface())
+        surface = draw(_safe_surface)
         k = 1 if task == "EG" else draw(st.integers(1, 3))
         labels = tuple(draw(st.lists(_safe_word, min_size=k, max_size=k, unique=True)))
         pairs.append((surface, labels))
@@ -131,12 +133,15 @@ def _targets(draw):
 
 @given(_targets())
 def test_serialize_parse_round_trip_property(target):
-    r = parse_generated(target.task, serialize_target(target))
-    assert r.diagnostics == []
-    assert r.target == target
+    text = serialize_target(target)
+    # generated text may also separate clauses with ". "
+    for variant in (text, text.replace(SEPARATOR, ALT_CLAUSE_SEPARATOR)):
+        r = parse_generated(target.task, variant)
+        assert r.diagnostics == []
+        assert r.target == target
 
 
-@given(st.lists(_safe_surface(), min_size=1, max_size=5, unique=True))
+@given(st.lists(_safe_surface, min_size=1, max_size=5, unique=True))
 def test_md_prompt_round_trip_property(surfaces):
     p = PromptMD(targets=tuple(surfaces))
     assert parse_prompt_md(serialize_prompt_md(p)) == p

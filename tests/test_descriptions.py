@@ -148,20 +148,15 @@ def test_filtering_threshold_is_strictly_greater_than():
             assert out["person"] == ("writer", "actor")
 
 
-def test_filtering_per_concept_mode_counts_concept_tokens():
+def test_filtering_counts_other_only_descriptions():
     rows = [
         MentionDescription(surface="A", concepts=(OTHER_TYPE, "writer")),
         MentionDescription(surface="B", concepts=("actor",)),
     ]
-    per_desc = DescriptionConfig(other_threshold=0.3, other_count_mode="per-description")
-    out, report = apply_filtering({"t": rows}, per_desc)
+    out, report = apply_filtering({"t": rows}, DescriptionConfig(other_threshold=0.3))
     # neither description is `other`-only: per-description frequency 0
     assert report.frequencies["t"] == 0.0
     assert "t" not in report.filtered
-    per_concept = DescriptionConfig(other_threshold=0.3, other_count_mode="per-concept")
-    _, report2 = apply_filtering({"t": rows}, per_concept)
-    assert report2.frequencies["t"] == pytest.approx(1 / 3)
-    assert "t" in report2.filtered
 
 
 @st.composite
