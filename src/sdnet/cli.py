@@ -36,7 +36,7 @@ from .descriptions import (
     write_description_map,
 )
 from .evaluation import gold_spans, model_episode_factory, run_episodes, score
-from .locate import locate, read_predictions_jsonl, spans_to_record
+from .locate import locate, read_predictions_jsonl, write_predictions_jsonl
 from .model import (
     LossNotFiniteError,
     ModelConfig,
@@ -249,7 +249,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.model, args.prompt_file, args.sentences], [args.out])
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     prompt = Path(args.prompt_file).read_text(encoding="utf-8").strip()
-    lines = []
+    predictions = []
     for raw in iter_jsonl(args.sentences):
         sent = Sentence(id=raw["id"], text=raw["text"])
         generated = generate(params, mcfg, vocab, prompt, sent.text, max_len=args.max_gen)
@@ -258,8 +258,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if parsed.diagnostics or unlocated:
             print(f"{sent.id}: {len(parsed.diagnostics)} parse diagnostics, "
                   f"{len(unlocated)} unlocated", file=sys.stderr)
-        lines.append(json.dumps(spans_to_record(sent.id, spans), ensure_ascii=False))
-    _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
+        predictions.append((sent.id, spans))
+    write_predictions_jsonl(args.out or sys.stdout, predictions)
     return 0
 
 

@@ -22,6 +22,7 @@ from .data import (
     Sentence,
     TypeDictionary,
     TypedMention,
+    jsonl_lines,
     mention_order_key,
 )
 
@@ -119,33 +120,25 @@ def page_from_record(raw: dict) -> WikiPage:
 
 def read_kb_jsonl(path: str | Path, tally: Counter | None = None) -> dict[str, KbItem]:
     items: dict[str, KbItem] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                item = kb_from_record(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError):
-                if tally is not None:
-                    tally["malformed_kb_record"] += 1
-                continue
-            items[item.item_id] = item
+    for _, line in jsonl_lines(path):
+        try:
+            item = kb_from_record(json.loads(line))
+        except (json.JSONDecodeError, KeyError, TypeError):
+            if tally is not None:
+                tally["malformed_kb_record"] += 1
+            continue
+        items[item.item_id] = item
     return items
 
 
 def read_pages_jsonl(path: str | Path, tally: Counter | None = None) -> list[WikiPage]:
     pages: list[WikiPage] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pages.append(page_from_record(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                if tally is not None:
-                    tally["malformed_page_record"] += 1
+    for _, line in jsonl_lines(path):
+        try:
+            pages.append(page_from_record(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            if tally is not None:
+                tally["malformed_page_record"] += 1
     return pages
 
 

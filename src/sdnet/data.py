@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, TextIO
 
 Task = Literal["MD", "EG"]
 
@@ -221,35 +221,46 @@ def write_annotated_jsonl(path: str | Path, sentences: Iterable[AnnotatedSentenc
 def read_annotated_jsonl(path: str | Path) -> list[AnnotatedSentence]:
     out: list[AnnotatedSentence] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            sent = annotated_from_record(raw)
-            if sent.id in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate sentence id {sent.id!r}")
-            seen.add(sent.id)
-            out.append(sent)
+    for lineno, line in jsonl_lines(path):
+        sent = annotated_from_record(_json_record(path, lineno, line))
+        if sent.id in seen:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate sentence id {sent.id!r}")
+        seen.add(sent.id)
+        out.append(sent)
     return out
 
 
-def iter_jsonl(path: str | Path) -> Iterator[dict]:
-    """The records of a JSONL file; blank lines are skipped."""
+def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a UTF-8 text file, stripped, each with its line
+    number (from 1)."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                yield json.loads(line)
+                yield lineno, line
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """One record per line, UTF-8 kept as is, "\\n" line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False))
-            fh.write("\n")
+def _json_record(path: str | Path, lineno: int, line: str) -> dict:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+
+
+def iter_jsonl(path: str | Path) -> Iterator[dict]:
+    """The records of a JSONL file; blank lines are skipped, and a line that
+    is not JSON raises CorpusFormatError naming `path:line`."""
+    for lineno, line in jsonl_lines(path):
+        yield _json_record(path, lineno, line)
+
+
+def write_jsonl(dest: str | Path | TextIO, records: Iterable[dict]) -> None:
+    """One record per line, UTF-8 kept as is, "\\n" line ends, into the file
+    at path `dest` or into the open text stream `dest`."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+            write_jsonl(fh, records)
+        return
+    for record in records:
+        dest.write(json.dumps(record, ensure_ascii=False))
+        dest.write("\n")

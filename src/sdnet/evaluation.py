@@ -131,17 +131,16 @@ def predict_spans(
 def gold_pipeline_report(
     corpus: Iterable[AnnotatedSentence], schema_types: Sequence[str] | None = None
 ) -> EvalReport:
-    """Serialize the gold targets, then parse -> locate -> score them against
-    the directly-located gold spans: the end-to-end plumbing identity."""
+    """Score `predict_spans` with a generator that emits each sentence's
+    serialized gold target against the directly-located gold spans: the
+    end-to-end plumbing identity."""
     gold: dict[str, list[SpanPrediction]] = {}
     pred: dict[str, list[SpanPrediction]] = {}
     for sent in corpus:
         gold[sent.id] = gold_spans(sent, schema_types)
         types = schema_types if schema_types is not None else present_types(sent)
         text = serialize_target(TargetSequence(task="EG", pairs=eg_pairs(sent, list(types))))
-        parsed = parse_generated("EG", text)
-        spans, _ = locate(sent.sentence, parsed.target)
-        pred[sent.id] = spans
+        pred[sent.id] = predict_spans(lambda _prompt, _source: text, sent, prompt_text="")
     return score(gold, pred)
 
 

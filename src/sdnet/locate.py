@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .data import Sentence, TargetSequence, iter_jsonl, write_jsonl
 
@@ -74,8 +74,10 @@ def spans_from_record(raw: dict) -> tuple[str, list[SpanPrediction]]:
     return raw["id"], spans
 
 
-def write_predictions_jsonl(path: str | Path, records: Iterable[tuple[str, list[SpanPrediction]]]) -> None:
-    write_jsonl(path, itertools.starmap(spans_to_record, records))
+def write_predictions_jsonl(
+    dest: str | Path | TextIO, records: Iterable[tuple[str, list[SpanPrediction]]]
+) -> None:
+    write_jsonl(dest, itertools.starmap(spans_to_record, records))
 
 
 def read_predictions_jsonl(path: str | Path) -> dict[str, list[SpanPrediction]]:

@@ -1,16 +1,20 @@
 """Encoder-decoder transformer on numpy with hand-derived gradients.
 
 Pre-LN blocks, learned positions, tanh-GELU feed-forward, and K/V-cached
-incremental greedy decoding: `generate` runs `decoder_forward` once per
-emitted token over the new position only, with a `DecodeState` holding the
-self-attention keys and values of the positions before it and the
-cross-attention keys and values of the encoder output. 64-bit mode makes
-training bit-reproducible and lets gradients be checked against finite
-differences; 32-bit mode is for speed. Loss terms are means
-over each task's non-pad target tokens. A batch is always processed as the
-same fixed partition into micro-batches, whose gradients are added in index
-order into the gradient arrays the caller passes (in training, views of one
-flat buffer), so a batch's gradient does not depend on anything but its rows.
+incremental greedy decoding. One attention forward, `_attention_fwd`, serves
+the encoder, the teacher-forced decoder and the cached decoder: it takes keys
+and values projected by `_kv_fwd` and a score bias built once per stack (key
+padding, causal, or None). `generate` runs `decoder_forward` once per emitted
+token over the new position only; its `DecodeState` decides only where keys
+and values come from: the new position's are written into buffers after those
+of the positions before it, and the encoder output's are projected on the
+first call and kept. 64-bit mode makes training bit-reproducible and lets
+gradients be checked against finite differences; 32-bit mode is for speed.
+Loss terms are means over each task's non-pad target tokens. A batch is always
+processed as the same fixed partition into micro-batches, whose gradients are
+added in index order into the gradient arrays the caller passes (in training,
+views of one flat buffer), so a batch's gradient does not depend on anything
+but its rows.
 """
 
 from __future__ import annotations
@@ -157,10 +161,11 @@ def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def _linear_fwd(x, w, b):
-    """`x @ w + b` over the last axis, as one 2-D GEMM."""
-    y = x.reshape(-1, x.shape[-1]) @ w
+    """`x @ w + b` for a (B, T, D) `x`, as one 2-D GEMM."""
+    n, t, d = x.shape
+    y = x.reshape(n * t, d) @ w
     y += b
-    return y.reshape(*x.shape[:-1], w.shape[1]), (x, w)
+    return y.reshape(n, t, -1), (x, w)
 
 
 def _linear_bwd(dy, cache):
@@ -245,19 +250,32 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * k)
 
 
-def _attention_fwd(p, prefix, q_in, kv_in, n_heads, key_mask=None, causal=False):
+def _kv_fwd(p, prefix, x, n_heads):
+    """Keys and values of `x` for attention `prefix`, split into heads, with
+    their linear caches: the `kv` argument of `_attention_fwd`."""
+    k, ck = _linear_fwd(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+    v, cv = _linear_fwd(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+    return _split_heads(k, n_heads), _split_heads(v, n_heads), ck, cv
+
+
+def _key_bias(key_mask, dtype):
+    """Score bias that hides the masked keys, or None when none is masked."""
+    if key_mask.all():
+        return None
+    return np.where(key_mask, 0.0, NEG_INF).astype(dtype)[:, None, None, :]
+
+
+def _attention_fwd(p, prefix, q_in, kv, bias):
+    """Multi-head attention of `q_in` over `kv` from `_kv_fwd`; `bias`, if not
+    None, is added to the scores."""
+    kh, vh, ck, cv = kv
+    n_heads = kh.shape[1]
     q, cq = _linear_fwd(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-    k, ck = _linear_fwd(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-    v, cv = _linear_fwd(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-    qh, kh, vh = (_split_heads(t_, n_heads) for t_ in (q, k, v))
+    qh = _split_heads(q, n_heads)
     scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
-    if key_mask is not None:
-        bias = np.where(key_mask, 0.0, NEG_INF).astype(scores.dtype)
-        scores = scores + bias[:, None, None, :]
-    if causal:
-        tq, tk = scores.shape[-2:]
-        scores = scores + np.triu(np.full((tq, tk), NEG_INF, dtype=scores.dtype), k=1)
+    if bias is not None:
+        scores += bias
     attn = softmax_last(scores)
     ctx = attn @ vh
     out, co = _linear_fwd(_merge_heads(ctx), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
@@ -330,11 +348,13 @@ def _add_rows(dst, ids, rows):
 
 def encoder_forward(p, cfg: ModelConfig, src, src_mask):
     x = p["tok_emb"][src] + p["pos_enc"][: src.shape[1]]
+    bias = _key_bias(src_mask, x.dtype)
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"enc{i}"
         h1, cl1 = _layernorm_fwd(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-        a, ca = _attention_fwd(p, pre + ".attn", h1, h1, cfg.n_heads, key_mask=src_mask)
+        kv = _kv_fwd(p, pre + ".attn", h1, cfg.n_heads)
+        a, ca = _attention_fwd(p, pre + ".attn", h1, kv, bias)
         x = x + a
         h2, cl2 = _layernorm_fwd(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
         f, cf = _ffn_fwd(p, pre + ".ffn", h2)
@@ -361,58 +381,16 @@ class DecodeState:
 
     After `length` decoder positions have been run, each layer's entry in
     `self_kv` holds their self-attention keys and values, split into heads, in
-    buffers of cfg.max_len positions; `cross_kv` holds the keys and values of
-    the encoder output, computed on the first call, and `cross_bias` the
+    buffers of cfg.max_len positions; `cross_kv` holds each layer's `_kv_fwd`
+    of the encoder output, computed on the first call, and `cross_bias` the
     source-mask bias, or None when no source position is masked.
     """
 
     def __init__(self) -> None:
         self.length = 0
         self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross_kv: list[tuple] = []
         self.cross_bias: np.ndarray | None = None
-
-
-def _heads_of(p, prefix, name, x, n_heads):
-    return _split_heads(x @ p[f"{prefix}.w{name}"] + p[f"{prefix}.b{name}"], n_heads)
-
-
-def _attend(p, prefix, q_in, kh, vh, bias):
-    """Forward-only attention of `q_in` over keys and values already split
-    into heads; `bias`, if given, is added to the scores."""
-    qh = _heads_of(p, prefix, "q", q_in, kh.shape[1])
-    scores = (qh @ kh.swapaxes(-1, -2)) * (1.0 / math.sqrt(qh.shape[-1]))
-    if bias is not None:
-        scores = scores + bias
-    ctx = softmax_last(scores) @ vh
-    return _merge_heads(ctx) @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
-
-
-def _open_decode(p, cfg: ModelConfig, enc_out, src_mask, state: DecodeState) -> None:
-    """Give an empty `state` its self-attention buffers and the encoder
-    output's cross-attention keys and values."""
-    shape = (enc_out.shape[0], cfg.n_heads, cfg.max_len, cfg.d_model // cfg.n_heads)
-    for i in range(cfg.n_layers):
-        state.self_kv.append((np.empty(shape, dtype=enc_out.dtype),
-                              np.empty(shape, dtype=enc_out.dtype)))
-        state.cross_kv.append((_heads_of(p, f"dec{i}.cross", "k", enc_out, cfg.n_heads),
-                               _heads_of(p, f"dec{i}.cross", "v", enc_out, cfg.n_heads)))
-    if not src_mask.all():
-        state.cross_bias = np.where(src_mask, 0.0, NEG_INF).astype(enc_out.dtype)[:, None, None, :]
-
-
-def _cached_self_attention(p, prefix, h, kv, start):
-    """Causal self-attention of positions start .. start + T - 1, whose keys
-    and values are written into the `kv` buffers after the cached ones."""
-    k_buf, v_buf = kv
-    t = h.shape[1]
-    end = start + t
-    k_buf[:, :, start:end] = _heads_of(p, prefix, "k", h, k_buf.shape[1])
-    v_buf[:, :, start:end] = _heads_of(p, prefix, "v", h, v_buf.shape[1])
-    causal = None
-    if t > 1:  # a single new position attends to every cached one
-        causal = np.triu(np.full((t, end), NEG_INF, dtype=h.dtype), k=start + 1)
-    return _attend(p, prefix, h, k_buf[:, :, :end], v_buf[:, :, :end], causal)
 
 
 def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: DecodeState | None = None):
@@ -422,26 +400,42 @@ def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: Decod
     `state.length` already run: they attend to the cached keys and values,
     `state` is extended by them, and no backward cache is kept (None).
     """
-    start = 0
-    if state is not None:
-        start = state.length
-        if not state.self_kv:
-            _open_decode(p, cfg, enc_out, src_mask, state)
-    x = p["tok_emb"][dec_in] + p["pos_dec"][start : start + dec_in.shape[1]]
+    start = 0 if state is None else state.length
+    t = dec_in.shape[1]
+    end = start + t
+    x = p["tok_emb"][dec_in] + p["pos_dec"][start:end]
+    causal = None  # a single new position sees every key
+    if t > 1:
+        causal = np.triu(np.full((t, end), NEG_INF, dtype=x.dtype), k=start + 1)
+    if state is None:
+        cross_bias = _key_bias(src_mask, x.dtype)
+    elif not state.cross_kv:  # the first call: buffers, and the encoder output's K/V
+        shape = (enc_out.shape[0], cfg.n_heads, cfg.max_len, cfg.d_model // cfg.n_heads)
+        state.self_kv = [(np.empty(shape, x.dtype), np.empty(shape, x.dtype))
+                         for _ in range(cfg.n_layers)]
+        state.cross_kv = [_kv_fwd(p, f"dec{i}.cross", enc_out, cfg.n_heads)
+                          for i in range(cfg.n_layers)]
+        state.cross_bias = cross_bias = _key_bias(src_mask, x.dtype)
+    else:
+        cross_bias = state.cross_bias
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"dec{i}"
         h1, cl1 = _layernorm_fwd(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-        if state is None:
-            a, ca = _attention_fwd(p, pre + ".self", h1, h1, cfg.n_heads, causal=True)
-        else:
-            a, ca = _cached_self_attention(p, pre + ".self", h1, state.self_kv[i], start), None
+        kv = _kv_fwd(p, pre + ".self", h1, cfg.n_heads)
+        if state is not None:  # the new positions' K/V go after the cached ones
+            k_buf, v_buf = state.self_kv[i]
+            k_buf[:, :, start:end] = kv[0]
+            v_buf[:, :, start:end] = kv[1]
+            kv = (k_buf[:, :, :end], v_buf[:, :, :end], None, None)  # no backward
+        a, ca = _attention_fwd(p, pre + ".self", h1, kv, causal)
         x = x + a
         h2, cl2 = _layernorm_fwd(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
         if state is None:
-            c, cc = _attention_fwd(p, pre + ".cross", h2, enc_out, cfg.n_heads, key_mask=src_mask)
+            kv = _kv_fwd(p, pre + ".cross", enc_out, cfg.n_heads)
         else:
-            c, cc = _attend(p, pre + ".cross", h2, *state.cross_kv[i], state.cross_bias), None
+            kv = state.cross_kv[i]
+        c, cc = _attention_fwd(p, pre + ".cross", h2, kv, cross_bias)
         x = x + c
         h3, cl3 = _layernorm_fwd(x, p[pre + ".ln3.g"], p[pre + ".ln3.b"])
         f, cf = _ffn_fwd(p, pre + ".ffn", h3)
@@ -450,7 +444,7 @@ def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: Decod
     h, cfin = _layernorm_fwd(x, p["dec_ln.g"], p["dec_ln.b"])
     logits, cout = _linear_fwd(h, p["out.w"], p["out.b"])
     if state is not None:
-        state.length += dec_in.shape[1]
+        state.length += t
         return logits, None
     return logits, (dec_in, layer_caches, cfin, cout)
 

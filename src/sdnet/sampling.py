@@ -44,6 +44,10 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class TrainingInstance:
+    """One prompt/input/target triple. The builders below serialize targets
+    that re-parse cleanly by construction; `instance_from_record` checks the
+    targets read from outside."""
+
     task: Task
     prompt_text: str
     input_text: str
@@ -51,9 +55,6 @@ class TrainingInstance:
 
     def __post_init__(self) -> None:
         prompt_body(self.task, self.prompt_text)
-        parsed = parse_generated(self.task, self.target_text)
-        if parsed.diagnostics:
-            raise ValueError(f"target does not re-parse cleanly: {parsed.diagnostics}")
 
 
 def _ordered_unique_surfaces(s: AnnotatedSentence) -> list[tuple[str, tuple[str, ...]]]:
@@ -234,12 +235,18 @@ def instance_to_record(inst: TrainingInstance) -> dict:
 
 
 def instance_from_record(raw: dict) -> TrainingInstance:
-    return TrainingInstance(
+    """The instance a record holds; raises ValueError when its target does not
+    re-parse cleanly."""
+    inst = TrainingInstance(
         task=raw["task"],
         prompt_text=raw["prompt"],
         input_text=raw["input"],
         target_text=raw["target"],
     )
+    parsed = parse_generated(inst.task, inst.target_text)
+    if parsed.diagnostics:
+        raise ValueError(f"target does not re-parse cleanly: {parsed.diagnostics}")
+    return inst
 
 
 def write_instances_jsonl(path: str | Path, instances: Iterable[TrainingInstance]) -> None:

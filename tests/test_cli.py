@@ -243,15 +243,25 @@ def test_predict_matches_grammar_fixture_when_generation_is_wired(world, tmp_pat
     prompt_path = tmp_path / "prompt.txt"
     prompt_path.write_text("[EG] GPE; date\n", encoding="utf-8")
     sentences_path = tmp_path / "sentences.jsonl"
-    sentences_path.write_text(json.dumps({"id": "t6", "text": text}) + "\n", encoding="utf-8")
+    sentences_path.write_text(json.dumps({"id": "t6", "text": text}) + "\n"
+                              + json.dumps({"id": "t7", "text": "Zoë met China."}) + "\n",
+                              encoding="utf-8")
     ckpt = tmp_path / "fake.ckpt"
     ckpt.write_text("{}", encoding="utf-8")
-    assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
-                 "--sentences", str(sentences_path)]) == 0
-    row = json.loads(capsys.readouterr().out)
+    predict = ["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+               "--sentences", str(sentences_path)]
+    assert main(predict) == 0
+    stdout = capsys.readouterr().out
+    row, other = [json.loads(line) for line in stdout.splitlines()]
     spans = [(s["surface"], s["type"], s["start"]) for s in row["spans"]]
     assert spans == [("China", "GPE", text.index("China")),
                      ("a few days ago", "date", text.index("a few days ago"))]
+    assert [s["surface"] for s in other["spans"]] == ["China"]
+    # --out writes the same bytes as stdout: one record a line, UTF-8 as is
+    out_path = tmp_path / "pred.jsonl"
+    assert main(predict + ["--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == stdout.encode("utf-8")
+    assert stdout == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (row, other))
 
 
 def test_run_episodes_smoke(world, tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +24,9 @@ from sdnet.data import (
     validate_annotated_sentence,
     write_annotated_jsonl,
 )
+from sdnet.descriptions import read_description_map
+from sdnet.locate import read_predictions_jsonl
+from sdnet.sampling import read_instances_jsonl
 from helpers import sent
 
 
@@ -107,6 +113,23 @@ def test_annotated_jsonl_rejects_duplicate_ids(tmp_path):
     write_annotated_jsonl(path, rows)
     with pytest.raises(CorpusFormatError):
         read_annotated_jsonl(path)
+
+
+@pytest.mark.parametrize("read, record", [
+    (read_annotated_jsonl, {"id": "s", "text": "Alice rests.", "mentions": []}),
+    (read_instances_jsonl, {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.",
+                            "target": "Alice is person."}),
+    (read_description_map, {"type": "person", "concepts": ["writer"], "filtered": False}),
+    (read_predictions_jsonl, {"id": "s", "spans": []}),
+])
+def test_jsonl_readers_name_the_line_of_bad_json(tmp_path, read, record):
+    path = tmp_path / "records.jsonl"
+    # blank lines are skipped but still counted
+    path.write_text(json.dumps(record) + "\n\n   \n" + '{"id": "s",\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:4: invalid JSON"):
+        read(path)
+    path.write_text(json.dumps(record) + "\n\n", encoding="utf-8")
+    read(path)
 
 
 _word = st.text(alphabet="abcdefgDEF", min_size=1, max_size=6)

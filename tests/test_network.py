@@ -223,6 +223,18 @@ def test_gradients_match_finite_differences():
     assert worst[4] <= 1e-4, worst
 
 
+def test_gradients_match_finite_differences_at_depth():
+    # two layers of two heads over a padded batch: the key-padding bias is
+    # built once per stack and shared, while each layer keeps its own caches
+    insts, vocab, cfg, params = tiny_setup(n_layers=2, n_heads=2)
+    batch = batch_of(insts, vocab, cfg)
+    assert not batch.src_mask.all()
+    rows = fd_gradient_check(params, cfg, batch, entries_per_tensor=2, seed=5)
+    assert {"enc1.attn.wk", "dec1.self.wq", "dec1.cross.wv"} <= {r[0] for r in rows}
+    worst = max(rows, key=lambda r: r[4])
+    assert worst[4] <= 1e-4, worst
+
+
 def test_non_finite_params_raise():
     insts, vocab, cfg, params = tiny_setup()
     params["out.w"][0, 0] = np.inf

@@ -130,14 +130,15 @@ def test_finetune_instance_full_schema_and_empty_target():
 
 
 def test_training_instance_validates_descriptor_and_target():
+    def record(task, prompt, target):
+        return {"task": task, "prompt": prompt, "input": "x.", "target": target}
+
     with pytest.raises(ValueError):
-        TrainingInstance(task="MD", prompt_text="[EG] person",
-                         input_text="x.", target_text="")
+        instance_from_record(record("MD", "[EG] person", ""))
     with pytest.raises(ValueError):
-        TrainingInstance(task="EG", prompt_text="[EG] person",
-                         input_text="x.", target_text="no copula here")
-    TrainingInstance(task="EG", prompt_text="[EG] person", input_text="x.",
-                     target_text="Alice is person.")
+        instance_from_record(record("EG", "[EG] person", "no copula here"))
+    assert instance_from_record(record("EG", "[EG] person", "Alice is person.")) == TrainingInstance(
+        task="EG", prompt_text="[EG] person", input_text="x.", target_text="Alice is person.")
 
 
 def test_build_pretrain_instances_is_deterministic_and_paired():
