@@ -23,6 +23,7 @@ from .data import (
     CorpusFormatError,
     Sentence,
     TypeDictionary,
+    atomic_write,
     iter_jsonl,
     read_annotated_jsonl,
     write_annotated_jsonl,
@@ -91,6 +92,11 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list) -> None:
     outputs = [Path(p) for p in outputs if p]
     if not outputs:
@@ -109,8 +115,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list) -> No
         "tool_version": TOOL_VERSION,
     }
     manifest_path = Path(str(outputs[0]) + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
-                             encoding="utf-8")
+    _write_text(manifest_path, json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
 
 
 def _read_schema(path: str) -> list[str]:
@@ -126,7 +131,7 @@ def _derive_schema(corpus) -> list[str]:
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(payload, encoding="utf-8")
+        _write_text(out, payload)
     else:
         sys.stdout.write(payload)
 
@@ -141,7 +146,7 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
     build = build_corpus(args.kb, args.pages, cfg, jobs=args.jobs)
     write_annotated_jsonl(args.out, build.sentences)
     if args.dict_out:
-        Path(args.dict_out).write_text(build.dictionary.to_json() + "\n", encoding="utf-8")
+        _write_text(args.dict_out, build.dictionary.to_json() + "\n")
     print(f"sentences={len(build.sentences)} types={len(build.dictionary.entries)} "
           f"tally={dict(build.tally)}", file=sys.stderr)
     return 0

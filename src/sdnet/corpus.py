@@ -273,11 +273,12 @@ def harvest_mentions(
         for pos, phrase in _self_label_occurrences(page, candidates, cfg.top_np_count, anchor_spans):
             located.append((pos, phrase, self_types))
 
+    located.sort(key=lambda m: m[0])
     out: list[AnnotatedSentence] = []
     for idx, (s, e) in enumerate(split_sentences(page.text)):
         sent_text = page.text[s:e]
         mentions: list[TypedMention] = []
-        for pos, surface, types in sorted(located, key=lambda m: m[0]):
+        for pos, surface, types in located:
             if not (s <= pos and pos + len(surface) <= e):
                 if s < pos < e:  # starts inside but crosses the sentence end
                     count("cross_boundary_mention")

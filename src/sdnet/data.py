@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, TextIO
+from typing import IO, Iterable, Iterator, Literal, TextIO
 
 Task = Literal["MD", "EG"]
 
@@ -254,11 +256,28 @@ def iter_jsonl(path: str | Path) -> Iterator[dict]:
         yield _json_record(path, lineno, line)
 
 
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """An open file (UTF-8 text with "\\n" line ends, or bytes) whose contents
+    replace `path` only when the block exits cleanly: it is a temp file in the
+    same directory, renamed over `path` at the end and removed on error, so
+    `path` never holds a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with (open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="\n")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(dest: str | Path | TextIO, records: Iterable[dict]) -> None:
     """One record per line, UTF-8 kept as is, "\\n" line ends, into the file
     at path `dest` or into the open text stream `dest`."""
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(dest) as fh:
             write_jsonl(fh, records)
         return
     for record in records:

@@ -23,23 +23,33 @@ _OPENING = "([{"
 _TRAILING = ".,;:!?)]}"
 
 
+def _core(chunk: str) -> tuple[int, int]:
+    """The chunk rule: `chunk[lo:hi]` is its core token once opening marks are
+    peeled off its front, then trailing marks off its back, each while more
+    than one character is left. Each peeled mark is a token of its own; a
+    special token is never peeled."""
+    lo, hi = 0, len(chunk)
+    if chunk in SPECIAL_TOKENS:
+        return lo, hi
+    while hi - lo > 1 and chunk[lo] in _OPENING:
+        lo += 1
+    while hi - lo > 1 and chunk[hi - 1] in _TRAILING:
+        hi -= 1
+    return lo, hi
+
+
 def tokenize(text: str) -> list[str]:
+    """The tokens of each whitespace chunk by the chunk rule (`_core`); a chunk
+    with no mark at either end is one token as it is."""
     tokens: list[str] = []
     for chunk in text.split():
-        if chunk in SPECIAL_TOKENS:
+        if chunk[0] in _OPENING or chunk[-1] in _TRAILING:
+            lo, hi = _core(chunk)
+            tokens.extend(chunk[:lo])
+            tokens.append(chunk[lo:hi])
+            tokens.extend(chunk[hi:])
+        else:
             tokens.append(chunk)
-            continue
-        lead: list[str] = []
-        while len(chunk) > 1 and chunk[0] in _OPENING:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        tail: list[str] = []
-        while len(chunk) > 1 and chunk[-1] in _TRAILING:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        tokens.append(chunk)
-        tokens.extend(reversed(tail))
     return tokens
 
 
@@ -51,16 +61,12 @@ def token_bounds(text: str) -> set[int]:
     for chunk in text.split():
         start = text.index(chunk, end)
         end = start + len(chunk)
-        bounds.update((start, end))
-        if chunk in SPECIAL_TOKENS:
-            continue
-        lo, hi = start, end
-        while hi - lo > 1 and text[lo] in _OPENING:
-            lo += 1
-            bounds.add(lo)
-        while hi - lo > 1 and text[hi - 1] in _TRAILING:
-            hi -= 1
-            bounds.add(hi)
+        if chunk[0] in _OPENING or chunk[-1] in _TRAILING:
+            lo, hi = _core(chunk)
+            bounds.update(range(start, start + lo + 1))
+            bounds.update(range(start + hi, end + 1))
+        else:
+            bounds.update((start, end))
     return bounds
 
 
@@ -109,9 +115,16 @@ class Vocab:
 
 
 def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocab:
-    counts: Counter[str] = Counter()
+    """Tokens seen at least `min_count` times, sorted, after the special
+    tokens. Tokens never cross whitespace, so each distinct chunk is tokenized
+    once and its tokens counted as often as the chunk occurs."""
+    chunks: Counter[str] = Counter()
     for text in texts:
-        counts.update(tokenize(text))
+        chunks.update(text.split())
+    counts: Counter[str] = Counter()
+    for chunk, n in chunks.items():
+        for tok in tokenize(chunk):
+            counts[tok] += n
     kept = sorted(tok for tok, n in counts.items() if n >= min_count and tok not in SPECIAL_TOKENS)
     return Vocab(id_to_token=SPECIAL_TOKENS + tuple(kept))
 

@@ -16,6 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from ..data import atomic_write
 from .network import (
     Batch,
     LossNotFiniteError,
@@ -243,7 +244,7 @@ def save_checkpoint(
     }
     meta_bytes = np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8)
     arrays = {f"param/{k}": v for k, v in params.items()}
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         np.savez(fh, __meta__=meta_bytes, **arrays)
 
 

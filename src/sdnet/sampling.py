@@ -89,14 +89,6 @@ def make_md_instance(s: AnnotatedSentence, cfg: SamplerConfig, draw_key: int) ->
     )
 
 
-def _eg_prompt(types: Sequence[str], desc: DescriptionMap, cfg: SamplerConfig, draw_key: int) -> str:
-    desc_cfg = DescriptionConfig(max_concepts=cfg.max_concepts, rng_seed=cfg.rng_seed)
-    entries = tuple(
-        sample_concepts(t, desc.get(t, ()), desc_cfg, stable_draw_key(draw_key, t)) for t in types
-    )
-    return serialize_prompt_eg(PromptEG(entries=entries))
-
-
 def eg_pairs(
     s: AnnotatedSentence, positives: Sequence[str]
 ) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -127,6 +119,49 @@ def schema_prompt(schema_types: Sequence[str], desc: DescriptionMap) -> str:
     return serialize_prompt_eg(PromptEG(entries=entries))
 
 
+class _EgSampler:
+    """EG sampling state shared by every instance of one call: the candidate
+    negative types, the description config, and a table of the prompt entries
+    of types whose descriptions fit `max_concepts`. Such an entry draws
+    nothing, so one serves every instance; only over-full descriptions are
+    subsampled per instance."""
+
+    def __init__(self, dictionary: TypeDictionary, desc: DescriptionMap, cfg: SamplerConfig) -> None:
+        self.types = dictionary.types(include_other=False)
+        self.desc = desc
+        self.cfg = cfg
+        self.desc_cfg = DescriptionConfig(max_concepts=cfg.max_concepts, rng_seed=cfg.rng_seed)
+        self.fitting: dict[str, ConceptDescription] = {}
+
+    def _entry(self, t: str, draw_key: int) -> ConceptDescription:
+        entry = self.fitting.get(t)
+        if entry is None:
+            full = self.desc.get(t, ())
+            if len(full) > self.cfg.max_concepts:
+                return sample_concepts(t, full, self.desc_cfg, stable_draw_key(draw_key, t))
+            entry = self.fitting[t] = ConceptDescription(type_id=t, concepts=tuple(full))
+        return entry
+
+    def instance(self, s: AnnotatedSentence, sentence_types: list[str], draw_key: int) -> TrainingInstance:
+        cfg = self.cfg
+        rng = np.random.default_rng([cfg.rng_seed, draw_key])
+        n_pos = min(len(sentence_types), cfg.max_positive_types)
+        positives = [sentence_types[i] for i in sorted(rng.choice(len(sentence_types), size=n_pos, replace=False).tolist())]
+        pool = [t for t in self.types if t not in sentence_types]
+        n_neg = min(len(pool), cfg.max_negative_types)
+        negatives = [pool[i] for i in sorted(rng.choice(len(pool), size=n_neg, replace=False).tolist())] if n_neg else []
+        prompt_types = positives + negatives
+        prompt_types = [prompt_types[i] for i in rng.permutation(len(prompt_types)).tolist()]
+        prompt = PromptEG(entries=tuple(self._entry(t, draw_key) for t in prompt_types))
+        target = TargetSequence(task="EG", pairs=eg_pairs(s, positives))
+        return TrainingInstance(
+            task="EG",
+            prompt_text=serialize_prompt_eg(prompt),
+            input_text=s.text,
+            target_text=serialize_target(target),
+        )
+
+
 def make_eg_instance(
     s: AnnotatedSentence,
     dictionary: TypeDictionary,
@@ -137,21 +172,7 @@ def make_eg_instance(
     sentence_types = present_types(s)
     if not sentence_types:
         raise ValueError(f"sentence {s.id!r} has no non-{OTHER_TYPE!r} mention types")
-    rng = np.random.default_rng([cfg.rng_seed, draw_key])
-    n_pos = min(len(sentence_types), cfg.max_positive_types)
-    positives = [sentence_types[i] for i in sorted(rng.choice(len(sentence_types), size=n_pos, replace=False).tolist())]
-    pool = [t for t in dictionary.types(include_other=False) if t not in sentence_types]
-    n_neg = min(len(pool), cfg.max_negative_types)
-    negatives = [pool[i] for i in sorted(rng.choice(len(pool), size=n_neg, replace=False).tolist())] if n_neg else []
-    prompt_types = list(positives) + list(negatives)
-    prompt_types = [prompt_types[i] for i in rng.permutation(len(prompt_types)).tolist()]
-    target = TargetSequence(task="EG", pairs=eg_pairs(s, positives))
-    return TrainingInstance(
-        task="EG",
-        prompt_text=_eg_prompt(prompt_types, desc, cfg, draw_key),
-        input_text=s.text,
-        target_text=serialize_target(target),
-    )
+    return _EgSampler(dictionary, desc, cfg).instance(s, sentence_types, draw_key)
 
 
 def make_finetune_instance(
@@ -178,13 +199,17 @@ def build_pretrain_instances(
 ) -> list[TrainingInstance]:
     """One MD and (where possible) one EG instance per sentence, in corpus
     order; draw keys derive from sentence ids so output is worker-independent."""
+    eg = _EgSampler(dictionary, desc, cfg)
     out: list[TrainingInstance] = []
     for sent in corpus:
         if not sent.mentions:
             continue
-        out.append(make_md_instance(sent, cfg, stable_draw_key(sent.id, "MD")))
-        if present_types(sent):
-            out.append(make_eg_instance(sent, dictionary, desc, cfg, stable_draw_key(sent.id, "EG")))
+        # the MD draw happens only when md_target_fraction < 1
+        md_key = stable_draw_key(sent.id, "MD") if cfg.md_target_fraction < 1 else 0
+        out.append(make_md_instance(sent, cfg, md_key))
+        sentence_types = present_types(sent)
+        if sentence_types:
+            out.append(eg.instance(sent, sentence_types, stable_draw_key(sent.id, "EG")))
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ from sdnet.data import AnnotatedSentence, Sentence, TypedMention
 from sdnet.model import (
     EOS_ID,
     PAD_ID,
+    SPECIAL_TOKENS,
     ModelConfig,
     StepLog,
+    Vocab,
     build_vocab,
     detokenize,
     encode_input,
@@ -96,6 +99,39 @@ def fd_gradient_check(params, cfg, batch, h: float = 1e-4,
             rel = abs(fd - an) / max(1e-6, abs(fd) + abs(an))
             rows.append((name, idx, fd, an, rel))
     return rows
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Each whitespace chunk peeled mark by mark: opening marks off its front,
+    then trailing marks off its back, while more than one character is left;
+    special tokens whole. The oracle `tokenize` and `token_bounds` must match."""
+    tokens: list[str] = []
+    for chunk in text.split():
+        if chunk in SPECIAL_TOKENS:
+            tokens.append(chunk)
+            continue
+        lead: list[str] = []
+        while len(chunk) > 1 and chunk[0] in "([{":
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        tail: list[str] = []
+        while len(chunk) > 1 and chunk[-1] in ".,;:!?)]}":
+            tail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(lead)
+        tokens.append(chunk)
+        tokens.extend(reversed(tail))
+    return tokens
+
+
+def reference_build_vocab(texts, min_count: int = 1) -> Vocab:
+    """The vocabulary from tokenizing every text whole: the oracle for
+    `build_vocab`, which tokenizes each distinct chunk once."""
+    counts: Counter[str] = Counter()
+    for text in texts:
+        counts.update(reference_tokenize(text))
+    kept = sorted(tok for tok, n in counts.items() if n >= min_count and tok not in SPECIAL_TOKENS)
+    return Vocab(id_to_token=SPECIAL_TOKENS + tuple(kept))
 
 
 def on_token_boundaries(text: str, start: int, end: int) -> bool:

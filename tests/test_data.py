@@ -18,11 +18,13 @@ from sdnet.data import (
     TypedMention,
     annotated_from_record,
     annotated_to_record,
+    atomic_write,
     mention_order_key,
     normalize_type_identifier,
     read_annotated_jsonl,
     validate_annotated_sentence,
     write_annotated_jsonl,
+    write_jsonl,
 )
 from sdnet.descriptions import read_description_map
 from sdnet.locate import read_predictions_jsonl
@@ -150,3 +152,30 @@ def _sentences(draw):
 @given(_sentences())
 def test_record_round_trip_property(s):
     assert annotated_from_record(annotated_to_record(s)) == s
+
+
+def _records_then_fail():
+    yield {"id": "a"}
+    raise RuntimeError("source failed mid-write")
+
+
+def test_write_jsonl_failing_midway_leaves_no_file(tmp_path):
+    dest = tmp_path / "out.jsonl"
+    with pytest.raises(RuntimeError):
+        write_jsonl(dest, _records_then_fail())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_failing_midway_keeps_the_old_file(tmp_path):
+    dest = tmp_path / "model.npz"
+    dest.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_write(dest, binary=True) as fh:
+            fh.write(b"new, half written")
+            raise RuntimeError("crash")
+    assert dest.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [dest]
+    with atomic_write(dest) as fh:
+        fh.write("caf\u00e9\n")
+    assert dest.read_bytes() == "caf\u00e9\n".encode("utf-8")
+    assert list(tmp_path.iterdir()) == [dest]

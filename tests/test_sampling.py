@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnet.codec import parse_generated, parse_prompt_eg, parse_prompt_md
-from sdnet.data import OTHER_TYPE, TypeDictionary
+from sdnet.data import OTHER_TYPE, TypeDictionary, read_annotated_jsonl, write_jsonl
+from sdnet.descriptions import build_cooccurrence_descriptions
 from sdnet.sampling import (
     KShotSample,
     SamplerConfig,
@@ -23,7 +27,7 @@ from sdnet.sampling import (
     sample_kshot,
     write_instances_jsonl,
 )
-from helpers import sent
+from helpers import FIXTURES, sent
 
 CFG = SamplerConfig(rng_seed=0)
 
@@ -150,6 +154,26 @@ def test_build_pretrain_instances_is_deterministic_and_paired():
     assert a == b
     # two full sentences give MD+EG; the other-only sentence gives MD only
     assert [i.task for i in a] == ["MD", "EG", "MD", "EG", "MD"]
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "bce6439bc41880536d5212dd7cccfd5f55d02365cb4da4acad805db129a859a8"),
+    # every description of two or more concepts is over-full: keyed subsampling
+    ({"max_concepts": 1}, "7a78a247c298eddf358d2b5aa42e7828e8e695e09a01181c4d5415469a86c8c9"),
+    # the keyed MD draw as well
+    ({"max_concepts": 2, "md_target_fraction": 0.5},
+     "5c3ebfe6519bc5ccdda8dd68f636f2794da251b194c2f51052c21cedada155a1"),
+])
+def test_build_pretrain_instances_golden_bytes(overrides, digest):
+    """SHA-256 of the fixture corpus's pretraining instances as JSONL, pinned
+    so that a faster sampler cannot change a single draw."""
+    corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
+    dictionary = TypeDictionary.from_json((FIXTURES / "golden_dict.json").read_text(encoding="utf-8"))
+    desc = build_cooccurrence_descriptions(corpus)
+    instances = build_pretrain_instances(corpus, dictionary, desc, SamplerConfig(**overrides))
+    buf = io.StringIO()
+    write_jsonl(buf, map(instance_to_record, instances))
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 def test_build_finetune_instances_covers_corpus():

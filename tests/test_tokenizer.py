@@ -19,6 +19,8 @@ from sdnet.model import (
     encode_target,
     tokenize,
 )
+from sdnet.model.tokenizer import token_bounds
+from helpers import reference_build_vocab, reference_tokenize
 
 
 def test_tokenize_peels_trailing_punctuation():
@@ -120,3 +122,39 @@ def test_word_punctuation_round_trip_property(rows):
     text = " ".join(f"{w}{p}" for w, p in rows)
     tokens = tokenize(text)
     assert detokenize(tokens) == text
+
+
+_MARKS = "([{.,;:!?)]}"
+_core = st.one_of(st.text(alphabet="abcXYZ09.", min_size=1, max_size=6),
+                  st.sampled_from(SPECIAL_TOKENS), st.just(""))
+_chunk = st.builds(lambda lead, core, tail: lead + core + tail,
+                   st.text(alphabet=_MARKS, max_size=3), _core,
+                   st.text(alphabet=_MARKS, max_size=3)).filter(bool)
+_space = st.sampled_from([" ", "  ", "\t", "\n", " \n\t "])
+_text = st.builds(lambda head, rows: head + "".join(c + w for c, w in rows),
+                  st.sampled_from(["", " ", "\n"]), st.lists(st.tuples(_chunk, _space), max_size=8))
+
+
+def _walked_bounds(text: str) -> set[int]:
+    """Start and end offsets of the reference tokens, found left to right."""
+    bounds: set[int] = set()
+    pos = 0
+    for tok in reference_tokenize(text):
+        start = text.index(tok, pos)
+        pos = start + len(tok)
+        bounds.update((start, pos))
+    return bounds
+
+
+def test_tokenize_lone_and_repeated_marks():
+    assert tokenize("... ((x x.) ( [EG] [EG].") == [
+        ".", ".", ".", "(", "(", "x", "x", ".", ")", "(", "[EG]", "[", "EG", "]", "."]
+
+
+@given(st.lists(_text, max_size=5), st.integers(min_value=1, max_value=3))
+def test_tokenizer_matches_reference_property(texts, min_count):
+    for text in texts:
+        assert tokenize(text) == reference_tokenize(text)
+        assert token_bounds(text) == _walked_bounds(text)
+    assert (build_vocab(texts, min_count).id_to_token
+            == reference_build_vocab(texts, min_count).id_to_token)
