@@ -162,9 +162,7 @@ def cmd_build_descriptions(args: argparse.Namespace) -> int:
         filtered: tuple[str, ...] = ()
     else:
         params, mcfg, vocab, _ = load_checkpoint(args.model)
-        dcfg = DescriptionConfig(max_concepts=args.max_concepts,
-                                 other_threshold=args.other_threshold,
-                                 rng_seed=subseed(args.seed, "descriptions"))
+        dcfg = DescriptionConfig(other_threshold=args.other_threshold)
 
         def gen(prompt: str, text: str) -> str:
             return generate(params, mcfg, vocab, prompt, text)
@@ -255,8 +253,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     prompt = Path(args.prompt_file).read_text(encoding="utf-8").strip()
     predictions = []
-    for raw in iter_jsonl(args.sentences):
-        sent = Sentence(id=raw["id"], text=raw["text"])
+    for sent in iter_jsonl(args.sentences, lambda raw: Sentence(id=raw["id"], text=raw["text"])):
         generated = generate(params, mcfg, vocab, prompt, sent.text, max_len=args.max_gen)
         parsed = parse_generated("EG", generated)
         spans, unlocated = locate(sent, parsed.target)
@@ -289,8 +286,7 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     ftcfg = TrainConfig(mode="finetune", batch_size=args.batch, lr=args.lr,
                         epochs=args.epochs, schedule="linear")
-    factory = model_episode_factory(params, mcfg, vocab, ftcfg,
-                                    DescriptionConfig(rng_seed=subseed(args.seed, "descriptions")))
+    factory = model_episode_factory(params, mcfg, vocab, ftcfg)
     report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
                           base_seed=subseed(args.seed, "episodes"), episode_factory=factory)
     _emit(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.out)
@@ -329,7 +325,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["cooccurrence", "mention-describing"],
                    default="cooccurrence")
     p.add_argument("--model", default=None, help="checkpoint for mention-describing mode")
-    p.add_argument("--max-concepts", type=int, default=10)
     p.add_argument("--other-threshold", type=float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_build_descriptions)

@@ -1,9 +1,9 @@
 """Corpus construction from simplified KB / wiki-page dumps.
 
-Two passes: (1) build a type dictionary by counting distinct items per
-(truncated) type label, (2) harvest anchor and self-label mentions per page,
-split sentences, and emit AnnotatedSentence records. Both passes are pure per
-record, so page-level parallelism with input-order merging is byte-stable.
+Two passes: (1) resolve each KB item's types once, into the type dictionary
+and an item -> types table; (2) harvest anchor and self-label mentions per
+page, typed by that table, into AnnotatedSentence records per sentence. Both
+passes are pure per record, so page-parallel input-order merging is byte-stable.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -142,42 +143,35 @@ def read_pages_jsonl(path: str | Path, tally: Counter | None = None) -> list[Wik
     return pages
 
 
-def build_type_dictionary(
-    items: Iterable[KbItem], cfg: BuildConfig, label_of: Mapping[str, str] | None = None
-) -> TypeDictionary:
-    """Count distinct items per truncated type label; drop labels below the
-    instance floor. Claim values naming a known item id resolve to that item's
-    label, otherwise they are taken as literal type names."""
-    counts: Counter[str] = Counter()
-    for item in items:
-        names = set()
-        for value in item.claim_values():
-            name = label_of.get(value, value) if label_of is not None else value
-            if name.strip():
-                names.add(truncate_type_name(name, cfg))
-        counts.update(names)
+def claimed_types(item: KbItem, cfg: BuildConfig, label_of: Mapping[str, str]) -> tuple[str, ...]:
+    """The truncated type names the item claims, in claim order, each once. A
+    claim value naming a known item id resolves to that item's label, otherwise
+    it is taken as a literal type name; blank names are skipped."""
+    names: dict[str, None] = {}
+    for value in item.claim_values():
+        name = label_of.get(value, value)
+        if name.strip():
+            names.setdefault(truncate_type_name(name, cfg))
+    return tuple(names)
+
+
+def build_type_dictionary(claims: Iterable[tuple[str, ...]], cfg: BuildConfig) -> TypeDictionary:
+    """Count distinct items per claimed type name (one `claimed_types` tuple
+    per item); drop names below the instance floor."""
+    counts = Counter(name for names in claims for name in names)
     kept = {name: n for name, n in counts.items() if n >= cfg.min_type_instances}
     return TypeDictionary(entries=kept, min_count=cfg.min_type_instances, max_tokens=cfg.max_type_tokens)
 
 
-def entity_types(
-    item: KbItem | None,
-    dictionary: TypeDictionary,
-    cfg: BuildConfig,
-    label_of: Mapping[str, str] | None = None,
-) -> tuple[str, ...]:
-    """Dictionary types claimed by the item, in claim order; `other` fallback."""
-    if item is None:
-        return (OTHER_TYPE,)
-    out: list[str] = []
-    for value in item.claim_values():
-        name = label_of.get(value, value) if label_of is not None else value
-        if not name.strip():
-            continue
-        t = truncate_type_name(name, cfg)
-        if t in dictionary and t != OTHER_TYPE and t not in out:
-            out.append(t)
-    return tuple(out) if out else (OTHER_TYPE,)
+def type_table(
+    claims: Mapping[str, tuple[str, ...]], dictionary: TypeDictionary
+) -> dict[str, tuple[str, ...]]:
+    """Item id -> the claimed names that are dictionary types other than
+    `other`, in claim order; an item with none is `other`."""
+    return {
+        item_id: tuple(t for t in names if t in dictionary and t != OTHER_TYPE) or (OTHER_TYPE,)
+        for item_id, names in claims.items()
+    }
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
@@ -248,13 +242,13 @@ def _self_label_occurrences(
 
 def harvest_mentions(
     page: WikiPage,
-    dictionary: TypeDictionary,
-    kb: Mapping[str, KbItem],
+    types_of: Mapping[str, tuple[str, ...]],
     cfg: BuildConfig,
-    label_of: Mapping[str, str] | None = None,
     page_item: KbItem | None = None,
     tally: Counter | None = None,
 ) -> list[AnnotatedSentence]:
+    """The page's entity-bearing sentences, each mention typed by `types_of`
+    (a `type_table`); an anchor whose target is not in it is `other`."""
     def count(key: str) -> None:
         if tally is not None:
             tally[key] += 1
@@ -262,13 +256,14 @@ def harvest_mentions(
     located: list[tuple[int, str, tuple[str, ...]]] = []
     anchor_spans: list[tuple[int, int]] = []
     for a in page.anchors:
-        target = kb.get(a.target)
-        if target is None:
+        types = types_of.get(a.target)
+        if types is None:
             count("unknown_anchor_target")
-        located.append((a.offset, a.surface, entity_types(target, dictionary, cfg, label_of)))
+            types = (OTHER_TYPE,)
+        located.append((a.offset, a.surface, types))
         anchor_spans.append((a.offset, a.offset + len(a.surface)))
     if page_item is not None and cfg.top_np_count > 0:
-        self_types = entity_types(page_item, dictionary, cfg, label_of)
+        self_types = types_of.get(page_item.item_id, (OTHER_TYPE,))
         candidates = (page_item.label, *page_item.aliases)
         for pos, phrase in _self_label_occurrences(page, candidates, cfg.top_np_count, anchor_spans):
             located.append((pos, phrase, self_types))
@@ -307,13 +302,14 @@ class CorpusBuild:
     tally: Counter = field(default_factory=Counter)
 
 
-def _harvest_chunk(args: tuple) -> tuple[list[AnnotatedSentence], Counter]:
-    pages, dictionary, kb, cfg, label_of, page_item_ids = args
+def _harvest_chunk(
+    types_of: Mapping[str, tuple[str, ...]], cfg: BuildConfig,
+    pages: list[WikiPage], page_items: list[KbItem | None],
+) -> tuple[list[AnnotatedSentence], Counter]:
     tally: Counter = Counter()
     out: list[AnnotatedSentence] = []
-    for page, item_id in zip(pages, page_item_ids):
-        item = kb.get(item_id) if item_id is not None else None
-        out.extend(harvest_mentions(page, dictionary, kb, cfg, label_of, item, tally))
+    for page, item in zip(pages, page_items):
+        out.extend(harvest_mentions(page, types_of, cfg, item, tally))
     return out, tally
 
 
@@ -321,29 +317,28 @@ def build_corpus(
     kb_path: str | Path, pages_path: str | Path, cfg: BuildConfig, jobs: int = 1
 ) -> CorpusBuild:
     """Full pipeline; output is independent of `jobs` because pages are pure
-    units of work merged in input order."""
+    units of work merged in input order. Each KB item's types are resolved
+    once, into the table every page is typed by."""
     tally: Counter = Counter()
     kb = read_kb_jsonl(kb_path, tally)
     pages = read_pages_jsonl(pages_path, tally)
     label_of = {item.item_id: item.label for item in kb.values()}
-    by_label: dict[str, str] = {}
-    for item in kb.values():
-        by_label.setdefault(item.label, item.item_id)
-    dictionary = build_type_dictionary(kb.values(), cfg, label_of)
-
-    page_item_ids = [by_label.get(p.title) for p in pages]
+    claims = {item_id: claimed_types(item, cfg, label_of) for item_id, item in kb.items()}
+    dictionary = build_type_dictionary(claims.values(), cfg)
+    types_of = type_table(claims, dictionary)
+    by_label = {item.label: item for item in reversed(kb.values())}  # the first item per label
+    page_items = [by_label.get(p.title) for p in pages]
+    harvest = partial(_harvest_chunk, types_of, cfg)
     if jobs <= 1 or len(pages) < 2:
-        sentences, sub = _harvest_chunk((pages, dictionary, kb, cfg, label_of, page_item_ids))
+        sentences, sub = harvest(pages, page_items)
         tally.update(sub)
     else:
         step = max(1, -(-len(pages) // jobs))
-        chunks = [
-            (pages[i : i + step], dictionary, kb, cfg, label_of, page_item_ids[i : i + step])
-            for i in range(0, len(pages), step)
-        ]
+        starts = range(0, len(pages), step)
         sentences = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part, sub in pool.map(_harvest_chunk, chunks):
+            chunks = ([pages[i : i + step] for i in starts], [page_items[i : i + step] for i in starts])
+            for part, sub in pool.map(harvest, *chunks):
                 sentences.extend(part)
                 tally.update(sub)
     return CorpusBuild(dictionary=dictionary, sentences=sentences, tally=tally)

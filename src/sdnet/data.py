@@ -7,11 +7,13 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Literal, TextIO
+from typing import IO, Callable, Iterable, Iterator, Literal, TextIO, TypeVar
 
 Task = Literal["MD", "EG"]
 
 OTHER_TYPE = "other"
+
+T = TypeVar("T")
 
 
 class SurfaceAbsentError(ValueError):
@@ -20,12 +22,6 @@ class SurfaceAbsentError(ValueError):
 
 class CorpusFormatError(ValueError):
     """A JSONL corpus record is malformed or violates corpus-level invariants."""
-
-
-def normalize_type_identifier(name: str) -> str:
-    """Lower-case and collapse internal whitespace. Applied to KB-derived type names only;
-    schema identifiers supplied by callers (e.g. "GPE") are kept verbatim."""
-    return " ".join(name.lower().split())
 
 
 @dataclass(frozen=True)
@@ -207,13 +203,10 @@ def annotated_to_record(sent: AnnotatedSentence) -> dict:
 
 
 def annotated_from_record(raw: dict) -> AnnotatedSentence:
-    try:
-        mentions = tuple(
-            TypedMention(surface=m["surface"], types=tuple(m["types"])) for m in raw["mentions"]
-        )
-        return AnnotatedSentence(Sentence(id=raw["id"], text=raw["text"]), mentions)
-    except (KeyError, TypeError) as exc:
-        raise CorpusFormatError(f"malformed annotated-sentence record: {exc}") from exc
+    mentions = tuple(
+        TypedMention(surface=m["surface"], types=tuple(m["types"])) for m in raw["mentions"]
+    )
+    return AnnotatedSentence(Sentence(id=raw["id"], text=raw["text"]), mentions)
 
 
 def write_annotated_jsonl(path: str | Path, sentences: Iterable[AnnotatedSentence]) -> None:
@@ -221,15 +214,21 @@ def write_annotated_jsonl(path: str | Path, sentences: Iterable[AnnotatedSentenc
 
 
 def read_annotated_jsonl(path: str | Path) -> list[AnnotatedSentence]:
-    out: list[AnnotatedSentence] = []
+    """The sentences of a corpus file; a repeated sentence id or a mention surface
+    absent from its sentence's text is a format error, mention order is not."""
     seen: set[str] = set()
-    for lineno, line in jsonl_lines(path):
-        sent = annotated_from_record(_json_record(path, lineno, line))
+
+    def convert(raw: dict) -> AnnotatedSentence:
+        sent = annotated_from_record(raw)
         if sent.id in seen:
-            raise CorpusFormatError(f"{path}:{lineno}: duplicate sentence id {sent.id!r}")
+            raise CorpusFormatError(f"duplicate sentence id {sent.id!r}")
         seen.add(sent.id)
-        out.append(sent)
-    return out
+        for m in sent.mentions:
+            if m.surface not in sent.text:
+                raise CorpusFormatError(f"sentence {sent.id!r}: surface {m.surface!r} not in its text")
+        return sent
+
+    return list(iter_jsonl(path, convert))
 
 
 def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -242,18 +241,22 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def _json_record(path: str | Path, lineno: int, line: str) -> dict:
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-
-
-def iter_jsonl(path: str | Path) -> Iterator[dict]:
-    """The records of a JSONL file; blank lines are skipped, and a line that
-    is not JSON raises CorpusFormatError naming `path:line`."""
+def iter_jsonl(path: str | Path, convert: Callable[[dict], T]) -> Iterator[T]:
+    """The records of a JSONL file, each passed through `convert`; blank lines
+    are skipped. A line that is not JSON, or a record that `convert` rejects
+    with KeyError (a missing field), TypeError or ValueError, raises
+    CorpusFormatError naming `path:line`."""
     for lineno, line in jsonl_lines(path):
-        yield _json_record(path, lineno, line)
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            value = convert(raw)
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise CorpusFormatError(f"{path}:{lineno}: {detail}") from exc
+        yield value
 
 
 @contextmanager

@@ -157,10 +157,5 @@ def write_description_map(
 
 
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:
-    desc_map: DescriptionMap = {}
-    filtered: set[str] = set()
-    for raw in iter_jsonl(path):
-        desc_map[raw["type"]] = tuple(raw["concepts"])
-        if raw.get("filtered"):
-            filtered.add(raw["type"])
-    return desc_map, filtered
+    rows = list(iter_jsonl(path, lambda r: (r["type"], tuple(r["concepts"]), r.get("filtered"))))
+    return {t: concepts for t, concepts, _ in rows}, {t for t, _, filtered in rows if filtered}

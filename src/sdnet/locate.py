@@ -81,4 +81,4 @@ def write_predictions_jsonl(
 
 
 def read_predictions_jsonl(path: str | Path) -> dict[str, list[SpanPrediction]]:
-    return dict(spans_from_record(raw) for raw in iter_jsonl(path))
+    return dict(iter_jsonl(path, spans_from_record))

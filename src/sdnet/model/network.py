@@ -20,7 +20,7 @@ but its rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +73,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
+        """Raises ValueError naming a field that `to_dict` does not write, or
+        one it writes that `raw` lacks."""
+        names = [f.name for f in fields(cls)]
+        for name in raw:
+            if name not in names:
+                raise ValueError(f"unexpected config field {name!r}")
+        for name in names:
+            if name not in raw:
+                raise ValueError(f"missing config field {name!r}")
         return cls(**raw)
 
 

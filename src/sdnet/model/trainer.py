@@ -249,8 +249,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig, Vocab, dict]:
-    """Raises ValueError when the tensors' names, shapes or dtypes do not fit
-    the stored config."""
+    """Raises ValueError when the stored config has an unexpected or missing
+    field, or the tensors' names, shapes or dtypes do not fit it."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:

@@ -279,4 +279,4 @@ def write_instances_jsonl(path: str | Path, instances: Iterable[TrainingInstance
 
 
 def read_instances_jsonl(path: str | Path) -> list[TrainingInstance]:
-    return [instance_from_record(raw) for raw in iter_jsonl(path)]
+    return list(iter_jsonl(path, instance_from_record))

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sdnet.data import AnnotatedSentence, Sentence, TypedMention
+from sdnet.corpus import truncate_type_name
+from sdnet.data import OTHER_TYPE, AnnotatedSentence, Sentence, TypeDictionary, TypedMention
 from sdnet.model import (
     EOS_ID,
     PAD_ID,
@@ -132,6 +133,37 @@ def reference_build_vocab(texts, min_count: int = 1) -> Vocab:
         counts.update(reference_tokenize(text))
     kept = sorted(tok for tok, n in counts.items() if n >= min_count and tok not in SPECIAL_TOKENS)
     return Vocab(id_to_token=SPECIAL_TOKENS + tuple(kept))
+
+
+def reference_build_type_dictionary(items, cfg, label_of=None) -> TypeDictionary:
+    """Each item's claims resolved and counted on the spot: the oracle for
+    `build_type_dictionary` over `claimed_types`."""
+    counts: Counter[str] = Counter()
+    for item in items:
+        names = set()
+        for value in item.claim_values():
+            name = label_of.get(value, value) if label_of is not None else value
+            if name.strip():
+                names.add(truncate_type_name(name, cfg))
+        counts.update(names)
+    kept = {name: n for name, n in counts.items() if n >= cfg.min_type_instances}
+    return TypeDictionary(entries=kept, min_count=cfg.min_type_instances, max_tokens=cfg.max_type_tokens)
+
+
+def reference_entity_types(item, dictionary, cfg, label_of=None) -> tuple[str, ...]:
+    """One item's dictionary types, resolved from its claims on every call, in
+    claim order, with the `other` fallback: the oracle for a `type_table` entry."""
+    if item is None:
+        return (OTHER_TYPE,)
+    out: list[str] = []
+    for value in item.claim_values():
+        name = label_of.get(value, value) if label_of is not None else value
+        if not name.strip():
+            continue
+        t = truncate_type_name(name, cfg)
+        if t in dictionary and t != OTHER_TYPE and t not in out:
+            out.append(t)
+    return tuple(out) if out else (OTHER_TYPE,)
 
 
 def on_token_boundaries(text: str, start: int, end: int) -> bool:

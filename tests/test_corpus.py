@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
-import pytest
+from hypothesis import example, given, strategies as st
 
 from sdnet.corpus import (
     ABBREVIATIONS,
@@ -14,15 +15,16 @@ from sdnet.corpus import (
     WikiPage,
     build_corpus,
     build_type_dictionary,
-    entity_types,
+    claimed_types,
     harvest_mentions,
     read_kb_jsonl,
     read_pages_jsonl,
     split_sentences,
     truncate_type_name,
+    type_table,
 )
 from sdnet.data import OTHER_TYPE, TypeDictionary, annotated_to_record, validate_annotated_sentence
-from helpers import FIXTURES
+from helpers import FIXTURES, reference_build_type_dictionary, reference_entity_types
 
 CFG = BuildConfig()
 
@@ -96,6 +98,15 @@ def _item(i, label, instance_of=(), occupation=(), subclass_of=(), aliases=()):
                   occupation=tuple(occupation))
 
 
+def _claims(items, label_of, cfg=CFG) -> dict[str, tuple[str, ...]]:
+    return {it.item_id: claimed_types(it, cfg, label_of) for it in items}
+
+
+def _types_of(items, d) -> dict[str, tuple[str, ...]]:
+    label_of = {it.item_id: it.label for it in items}
+    return type_table(_claims(items, label_of), d)
+
+
 def test_dictionary_counts_distinct_items_and_drops_rare_types():
     items = {}
     items["T1"] = _item("T1", "city")
@@ -105,7 +116,7 @@ def test_dictionary_counts_distinct_items_and_drops_rare_types():
     for i in range(4):
         items[f"A{i}"] = _item(f"A{i}", f"a{i}", instance_of=("T2",))
     label_of = {k: v.label for k, v in items.items()}
-    d = build_type_dictionary(items.values(), CFG, label_of)
+    d = build_type_dictionary(_claims(items.values(), label_of).values(), CFG)
     assert d.entries.get("city") == 5
     assert "asteroid family" not in d
     assert OTHER_TYPE in d
@@ -115,7 +126,7 @@ def test_dictionary_merges_truncated_names():
     items = [_item("T1", "state award of the Republic of Moldova")]
     items += [_item(f"Q{i}", f"m{i}", instance_of=("T1",)) for i in range(6)]
     label_of = {it.item_id: it.label for it in items}
-    d = build_type_dictionary(items, CFG, label_of)
+    d = build_type_dictionary(_claims(items, label_of).values(), CFG)
     assert d.entries.get("state award") == 6
     assert "state award of the republic of moldova" not in d
 
@@ -124,10 +135,53 @@ def test_entity_types_resolved_in_claim_order_with_other_fallback():
     label_of = {"T1": "human", "T4": "writer", "T5": "novelist"}
     d = TypeDictionary(entries={"human": 9, "writer": 9, "novelist": 9})
     item = _item("Q1", "X", instance_of=("T1",), occupation=("T4", "T5"))
-    assert entity_types(item, d, CFG, label_of) == ("human", "writer", "novelist")
     unknown = _item("Q2", "Y", instance_of=("T9",))
-    assert entity_types(unknown, d, CFG, label_of) == (OTHER_TYPE,)
-    assert entity_types(None, d, CFG, label_of) == (OTHER_TYPE,)
+    types_of = type_table(_claims([item, unknown], label_of), d)
+    assert types_of["Q1"] == ("human", "writer", "novelist")
+    assert types_of["Q2"] == (OTHER_TYPE,)
+    # an anchor whose target is not in the table
+    tally = Counter()
+    [zed] = harvest_mentions(_page("P", "Zed waved.", [("Zed", "Q9")]), types_of, CFG, tally=tally)
+    assert zed.mentions[0].types == (OTHER_TYPE,)
+    assert tally["unknown_anchor_target"] == 1
+
+
+_WORDS = ["a", "B", "x", "other", "of", "in"]  # "of" and "in" are stoplist prepositions
+_name = st.one_of(
+    st.sampled_from(["", " ", "\t ", "other", "Other", "mountain range in Europe"]),
+    st.builds(lambda words, sep: sep.join(words),
+              st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5), st.sampled_from([" ", "  "])),
+)
+
+
+@st.composite
+def _kbs(draw):
+    """Items whose claims name other items (by id) or literal names: blank,
+    over the token budget with and without a preposition, `other`, repeated."""
+    ids = [f"Q{i}" for i in range(draw(st.integers(1, 10)))]
+    value = st.one_of(st.sampled_from(ids + ["Q99"]), _name)  # no item has id Q99
+    claims = st.lists(value, max_size=4).map(tuple)
+    items = [KbItem(item_id=i, label=draw(_name), instance_of=draw(claims),
+                    subclass_of=draw(claims), occupation=draw(claims)) for i in ids]
+    cfg = BuildConfig(min_type_instances=draw(st.integers(1, 3)), max_type_tokens=draw(st.integers(1, 3)))
+    return items, cfg
+
+
+@given(_kbs())
+@example(([
+    _item("Q0", "first second third fourth", instance_of=("Q1", "other", "  ")),
+    _item("Q1", "mountain range in Europe", instance_of=("Q0", "Q0"), occupation=("Q0", "Q2")),
+    _item("Q2", "", subclass_of=("Q2", "mountain range of Asia", "Q1")),
+], BuildConfig(min_type_instances=1)))
+def test_claimed_types_give_the_reference_dictionary_and_entity_types(kb):
+    items, cfg = kb
+    label_of = {it.item_id: it.label for it in items}
+    claims = _claims(items, label_of, cfg)
+    d = build_type_dictionary(claims.values(), cfg)
+    ref = reference_build_type_dictionary(items, cfg, label_of)
+    assert d.to_json() == ref.to_json()
+    assert type_table(claims, d) == {it.item_id: reference_entity_types(it, ref, cfg, label_of)
+                                     for it in items}
 
 
 # ---- harvesting ----
@@ -154,15 +208,15 @@ def _mini_world():
         items[f"H{i}"] = _item(f"H{i}", f"h{i}", instance_of=("T1",))
         items[f"C{i}"] = _item(f"C{i}", f"c{i}", instance_of=("T2",))
     label_of = {k: v.label for k, v in items.items()}
-    d = build_type_dictionary(items.values(), CFG, label_of)
-    return items, label_of, d
+    d = build_type_dictionary(_claims(items.values(), label_of).values(), CFG)
+    return items, d
 
 
 def test_harvest_anchors_and_self_label_occurrences():
-    items, label_of, d = _mini_world()
+    items, d = _mini_world()
     page = _page("Ada Byron", "Ada Byron lived in Velgrad. Ada Byron wrote programs.",
                  [("Velgrad", "Q2")])
-    sents = harvest_mentions(page, d, items, CFG, label_of, page_item=items["Q1"])
+    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, page_item=items["Q1"])
     assert [s.id for s in sents] == ["Ada Byron#0", "Ada Byron#1"]
     assert [(m.surface, m.types) for m in sents[0].mentions] == [
         ("Ada Byron", ("human",)), ("Velgrad", ("city",))]
@@ -172,25 +226,24 @@ def test_harvest_anchors_and_self_label_occurrences():
 
 
 def test_harvest_skips_self_label_occurrence_overlapping_anchor():
-    items, label_of, d = _mini_world()
+    items, d = _mini_world()
     page = _page("Ada Byron", "Ada Byron met Ada Byron.", [("Ada Byron", "Q1")])
-    sents = harvest_mentions(page, d, items, CFG, label_of, page_item=items["Q1"])
+    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, page_item=items["Q1"])
     # the anchored occurrence is kept once; the free occurrence comes from harvesting
     assert len(sents) == 1
     assert [(m.surface,) for m in sents[0].mentions] == [("Ada Byron",), ("Ada Byron",)]
 
 
 def test_harvest_drops_entity_free_sentences_and_unsafe_surfaces():
-    items, label_of, d = _mini_world()
+    items, d = _mini_world()
     items = dict(items)
     items["Q3"] = _item("Q3", "Velgrad, Northern Side", instance_of=("T2",))
-    label_of = {k: v.label for k, v in items.items()}
-    from collections import Counter
     tally = Counter()
     page = _page("Ada Byron",
                  "Velgrad, Northern Side is cold. Nothing here at all. Ada Byron naps.",
                  [("Velgrad, Northern Side", "Q3")])
-    sents = harvest_mentions(page, d, items, CFG, label_of, page_item=items["Q1"], tally=tally)
+    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, page_item=items["Q1"],
+                             tally=tally)
     assert [s.id for s in sents] == ["Ada Byron#2"]
     assert tally["unsafe_surface_dropped"] == 1
     assert tally["entity_free_sentence_dropped"] >= 1
@@ -205,7 +258,6 @@ def test_read_kb_and_pages_tally_malformed_lines(tmp_path):
         + "{not json}\n"
         + json.dumps({"label": "missing id"}) + "\n",
         encoding="utf-8")
-    from collections import Counter
     tally = Counter()
     items = read_kb_jsonl(kb_path, tally)
     assert list(items) == ["T1"]

@@ -20,7 +20,6 @@ from sdnet.data import (
     annotated_to_record,
     atomic_write,
     mention_order_key,
-    normalize_type_identifier,
     read_annotated_jsonl,
     validate_annotated_sentence,
     write_annotated_jsonl,
@@ -30,11 +29,6 @@ from sdnet.descriptions import read_description_map
 from sdnet.locate import read_predictions_jsonl
 from sdnet.sampling import read_instances_jsonl
 from helpers import sent
-
-
-def test_normalize_type_identifier_lowercases_and_collapses_whitespace():
-    assert normalize_type_identifier("Book  Series") == "book series"
-    assert normalize_type_identifier("  Human ") == "human"
 
 
 def test_mention_order_key_sorts_by_first_index_then_longer_first():
@@ -130,8 +124,26 @@ def test_jsonl_readers_name_the_line_of_bad_json(tmp_path, read, record):
     path.write_text(json.dumps(record) + "\n\n   \n" + '{"id": "s",\n', encoding="utf-8")
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:4: invalid JSON"):
         read(path)
+    key = next(iter(record))
+    missing = {k: v for k, v in record.items() if k != key}
+    path.write_text(json.dumps(record) + "\n\n" + json.dumps(missing) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:3: missing field '{key}'"):
+        read(path)
     path.write_text(json.dumps(record) + "\n\n", encoding="utf-8")
     read(path)
+
+
+def test_annotated_jsonl_rejects_a_surface_absent_from_its_text(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_annotated_jsonl(path, [sent("a#0", "Alice met Bob.", [("Alice", ("person",))]),
+                                 sent("b#0", "Bob waved.", [("Zed", ("person",))])])
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(path))}:2: sentence 'b#0': surface 'Zed'"):
+        read_annotated_jsonl(path)
+    # mentions out of first-occurrence order are data, not a format error
+    rows = [sent("c#0", "Alice met Bob.", [("Bob", ("person",)), ("Alice", ("person",))])]
+    write_annotated_jsonl(path, rows)
+    assert read_annotated_jsonl(path) == rows
 
 
 _word = st.text(alphabet="abcdefgDEF", min_size=1, max_size=6)

@@ -44,6 +44,10 @@ def test_model_config_validates():
     cfg = ModelConfig(vocab_size=50, d_model=8, n_heads=2, d_ff=0)
     assert cfg.d_ff == 32
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    raw = cfg.to_dict()
+    del raw["d_model"]
+    with pytest.raises(ValueError, match="missing config field 'd_model'"):
+        ModelConfig.from_dict(raw)
 
 
 def test_init_params_shapes_and_dtype():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,7 @@ def test_checkpoint_round_trip(tmp_path):
     ("dtype", "'dec0.cross.wq' has dtype"),
     ("missing", "missing tensor 'dec0.cross.wq'"),
     ("unexpected", "unexpected tensor 'dec9.cross.wq'"),
+    ("config", "unexpected config field 'dropout'"),
 ])
 def test_load_rejects_a_checkpoint_that_does_not_fit_its_config(tmp_path, fault, message):
     insts, vocab, cfg, params = tiny_setup()
@@ -210,9 +213,16 @@ def test_load_rejects_a_checkpoint_that_does_not_fit_its_config(tmp_path, fault,
         params[name] = params[name].astype(np.float32)
     elif fault == "missing":
         del params[name]
-    else:
+    elif fault == "unexpected":
         params["dec9.cross.wq"] = params[name]
     path = tmp_path / "model.npz"
     save_checkpoint(path, params, cfg, vocab)
+    if fault == "config":  # a field this ModelConfig does not have
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        meta["config"]["dropout"] = 0.1
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
