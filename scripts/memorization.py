@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import replace
 
 from sdnet.data import TypeDictionary
 from sdnet.codec import parse_generated
 from sdnet.descriptions import build_cooccurrence_descriptions
 from sdnet.evaluation import gold_spans, predict_spans, present_types, schema_prompt, score
 from sdnet.model import (
+    FINETUNE,
+    PRETRAIN,
     ModelConfig,
-    TrainConfig,
     build_vocab,
     generate,
     init_params,
@@ -46,15 +48,15 @@ def mixed_schema_instances(corpus, schema, desc):
     return out
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--sentences", type=int, default=200)
-    ap.add_argument("--pretrain-steps", type=int, default=2000)
-    ap.add_argument("--finetune-epochs", type=int, default=50)
+    ap.add_argument("--pretrain-steps", type=int, default=PRETRAIN.steps)
+    ap.add_argument("--finetune-epochs", type=int, default=FINETUNE.epochs)
     ap.add_argument("--d-model", type=int, default=64)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None, help="optional checkpoint path")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.time()
     corpus, schema = generate_synthetic_corpus(args.sentences, seed=args.seed)
@@ -74,10 +76,10 @@ def main() -> int:
           f"pretrain={len(pretrain_data)} inst, finetune={len(finetune_data)} inst")
 
     train(params, pretrain_data, vocab, cfg,
-          TrainConfig.pretrain_defaults(steps=args.pretrain_steps, seed=args.seed + 1))
+          replace(PRETRAIN, steps=args.pretrain_steps, seed=args.seed + 1))
     print(f"pretrain done at {time.time() - t0:.0f}s")
     train(params, finetune_data, vocab, cfg,
-          TrainConfig.finetune_defaults(epochs=args.finetune_epochs, seed=args.seed + 2))
+          replace(FINETUNE, epochs=args.finetune_epochs, seed=args.seed + 2))
     print(f"finetune done at {time.time() - t0:.0f}s")
 
     def gen(prompt: str, text: str) -> str:

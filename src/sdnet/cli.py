@@ -22,10 +22,10 @@ from .data import (
     OTHER_TYPE,
     CorpusFormatError,
     Sentence,
-    TypeDictionary,
     atomic_write,
     iter_jsonl,
     read_annotated_jsonl,
+    read_type_dictionary,
     write_annotated_jsonl,
 )
 from .descriptions import (
@@ -39,6 +39,8 @@ from .descriptions import (
 from .evaluation import gold_spans, model_episode_factory, run_episodes, score
 from .locate import locate, read_predictions_jsonl, write_predictions_jsonl
 from .model import (
+    FINETUNE,
+    PRETRAIN,
     LossNotFiniteError,
     ModelConfig,
     TrainConfig,
@@ -177,7 +179,7 @@ def cmd_build_descriptions(args: argparse.Namespace) -> int:
 def cmd_make_pretrain_data(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.corpus, args.dict, args.desc], [args.out])
     corpus = read_annotated_jsonl(args.corpus)
-    dictionary = TypeDictionary.from_json(Path(args.dict).read_text(encoding="utf-8"))
+    dictionary = read_type_dictionary(args.dict)
     desc, _ = read_description_map(args.desc)
     cfg = SamplerConfig(rng_seed=subseed(args.seed, "sampler"),
                         md_target_fraction=args.md_fraction,
@@ -213,6 +215,16 @@ def cmd_sample_kshot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _train_and_save(out: str, params: dict, instances: list, vocab, mcfg: ModelConfig,
+                    tcfg: TrainConfig) -> int:
+    """Trains `params` by `tcfg` and writes them as the checkpoint `out`."""
+    log = train(params, instances, vocab, mcfg, tcfg)
+    save_checkpoint(out, params, mcfg, vocab, extra={"mode": tcfg.mode, "steps": len(log)})
+    print(f"steps={len(log)} first_loss={log[0].report.total:.4f} "
+          f"last_loss={log[-1].report.total:.4f}", file=sys.stderr)
+    return 0
+
+
 def cmd_pretrain(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.data], [args.out])
     instances = read_instances_jsonl(args.data)
@@ -222,30 +234,18 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
                        n_heads=args.heads, max_len=args.max_len, dtype=args.dtype,
                        seed=subseed(args.seed, "model"))
     params = init_params(mcfg)
-    tcfg = TrainConfig(mode="pretrain", batch_size=args.batch, lr=args.lr, steps=args.steps,
-                       schedule="constant", seed=subseed(args.seed, "train"))
-    log = train(params, instances, vocab, mcfg, tcfg)
-    save_checkpoint(args.out, params, mcfg, vocab,
-                    extra={"mode": "pretrain", "steps": len(log)})
-    if log:
-        print(f"steps={len(log)} first_loss={log[0].report.total:.4f} "
-              f"last_loss={log[-1].report.total:.4f}", file=sys.stderr)
-    return 0
+    tcfg = dataclasses.replace(PRETRAIN, batch_size=args.batch, lr=args.lr, steps=args.steps,
+                               seed=subseed(args.seed, "train"))
+    return _train_and_save(args.out, params, instances, vocab, mcfg, tcfg)
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.data, args.model], [args.out])
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     instances = read_instances_jsonl(args.data)
-    tcfg = TrainConfig(mode="finetune", batch_size=args.batch, lr=args.lr, epochs=args.epochs,
-                       schedule="linear", seed=subseed(args.seed, "train"))
-    log = train(params, instances, vocab, mcfg, tcfg)
-    save_checkpoint(args.out, params, mcfg, vocab,
-                    extra={"mode": "finetune", "steps": len(log)})
-    if log:
-        print(f"steps={len(log)} first_loss={log[0].report.total:.4f} "
-              f"last_loss={log[-1].report.total:.4f}", file=sys.stderr)
-    return 0
+    tcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs,
+                               seed=subseed(args.seed, "train"))
+    return _train_and_save(args.out, params, instances, vocab, mcfg, tcfg)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -284,8 +284,7 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
     test = read_annotated_jsonl(args.test) if args.test else corpus
     schema = _read_schema(args.schema) if args.schema else _derive_schema(corpus)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
-    ftcfg = TrainConfig(mode="finetune", batch_size=args.batch, lr=args.lr,
-                        epochs=args.epochs, schedule="linear")
+    ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
     factory = model_episode_factory(params, mcfg, vocab, ftcfg)
     report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
                           base_seed=subseed(args.seed, "episodes"), episode_factory=factory)
@@ -312,9 +311,9 @@ def build_parser() -> _Parser:
     p.add_argument("--pages", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dict-out", default=None, help="also write the type dictionary JSON")
-    p.add_argument("--min-type-instances", type=int, default=5)
-    p.add_argument("--max-type-tokens", type=int, default=3)
-    p.add_argument("--top-np", type=int, default=3)
+    p.add_argument("--min-type-instances", type=int, default=BuildConfig.min_type_instances)
+    p.add_argument("--max-type-tokens", type=int, default=BuildConfig.max_type_tokens)
+    p.add_argument("--top-np", type=int, default=BuildConfig.top_np_count)
     common(p)
     p.add_argument("--jobs", type=int, default=1, help="worker cap")
     p.set_defaults(func=cmd_build_corpus)
@@ -325,7 +324,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["cooccurrence", "mention-describing"],
                    default="cooccurrence")
     p.add_argument("--model", default=None, help="checkpoint for mention-describing mode")
-    p.add_argument("--other-threshold", type=float, default=0.5)
+    p.add_argument("--other-threshold", type=float, default=DescriptionConfig.other_threshold)
     common(p)
     p.set_defaults(func=cmd_build_descriptions)
 
@@ -334,10 +333,10 @@ def build_parser() -> _Parser:
     p.add_argument("--dict", required=True)
     p.add_argument("--desc", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--md-fraction", type=float, default=1.0)
-    p.add_argument("--max-pos", type=int, default=5)
-    p.add_argument("--max-neg", type=int, default=3)
-    p.add_argument("--max-concepts", type=int, default=10)
+    p.add_argument("--md-fraction", type=float, default=SamplerConfig.md_target_fraction)
+    p.add_argument("--max-pos", type=int, default=SamplerConfig.max_positive_types)
+    p.add_argument("--max-neg", type=int, default=SamplerConfig.max_negative_types)
+    p.add_argument("--max-concepts", type=int, default=SamplerConfig.max_concepts)
     common(p)
     p.set_defaults(func=cmd_make_pretrain_data)
 
@@ -360,13 +359,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="train a fresh model on MD+EG instances")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=256)
+    p.add_argument("--steps", type=int, default=PRETRAIN.steps)
+    p.add_argument("--batch", type=int, default=PRETRAIN.batch_size)
+    p.add_argument("--lr", type=float, default=PRETRAIN.lr)
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--layers", type=int, default=ModelConfig.n_layers)
+    p.add_argument("--heads", type=int, default=ModelConfig.n_heads)
+    p.add_argument("--max-len", type=int, default=ModelConfig.max_len)
+    # ModelConfig defaults to float64 for the exact gradient checks; a CLI run wants speed.
     p.add_argument("--dtype", choices=["float32", "float64"], default="float32")
     common(p)
     p.set_defaults(func=cmd_pretrain)
@@ -375,9 +375,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int, default=FINETUNE.epochs)
+    p.add_argument("--batch", type=int, default=FINETUNE.batch_size)
+    p.add_argument("--lr", type=float, default=FINETUNE.lr)
     common(p)
     p.set_defaults(func=cmd_finetune)
 
@@ -406,9 +406,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="default: stdout")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int, default=FINETUNE.epochs)
+    p.add_argument("--batch", type=int, default=FINETUNE.batch_size)
+    p.add_argument("--lr", type=float, default=FINETUNE.lr)
     common(p)
     p.set_defaults(func=cmd_run_episodes)
 

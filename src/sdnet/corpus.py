@@ -25,6 +25,7 @@ from .data import (
     TypedMention,
     jsonl_lines,
     mention_order_key,
+    string_list,
 )
 
 PREPOSITION_STOPLIST = ("of", "in", "for", "on", "at", "by", "with", "from", "to")
@@ -101,14 +102,9 @@ def truncate_type_name(name: str, cfg: BuildConfig) -> str:
 
 
 def kb_from_record(raw: dict) -> KbItem:
-    return KbItem(
-        item_id=raw["id"],
-        label=raw["label"],
-        aliases=tuple(raw.get("aliases", ())),
-        instance_of=tuple(raw.get("instance_of", ())),
-        subclass_of=tuple(raw.get("subclass_of", ())),
-        occupation=tuple(raw.get("occupation", ())),
-    )
+    lists = {name: string_list(raw.get(name, ()), name)
+             for name in ("aliases", "instance_of", "subclass_of", "occupation")}
+    return KbItem(item_id=raw["id"], label=raw["label"], **lists)
 
 
 def page_from_record(raw: dict) -> WikiPage:
@@ -275,7 +271,7 @@ def harvest_mentions(
         mentions: list[TypedMention] = []
         for pos, surface, types in located:
             if not (s <= pos and pos + len(surface) <= e):
-                if s < pos < e:  # starts inside but crosses the sentence end
+                if s <= pos < e:  # starts inside but crosses the sentence end
                     count("cross_boundary_mention")
                 continue
             if not surface_is_safe(surface):

@@ -131,10 +131,15 @@ class TypeDictionary:
             ensure_ascii=False,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "TypeDictionary":
-        raw = json.loads(text)
-        return cls(entries=raw["entries"], min_count=raw["min_count"], max_tokens=raw["max_tokens"])
+
+def read_type_dictionary(path: str | Path) -> TypeDictionary:
+    """The type dictionary that `TypeDictionary.to_json` wrote to `path`; bad
+    JSON, a missing field or a bad value raises CorpusFormatError naming `path`."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return TypeDictionary(raw["entries"], raw["min_count"], raw["max_tokens"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _format_error(str(path), exc) from exc
 
 
 @dataclass(frozen=True)
@@ -202,9 +207,18 @@ def annotated_to_record(sent: AnnotatedSentence) -> dict:
     }
 
 
+def string_list(value: object, name: str) -> tuple[str, ...]:
+    """Record field `name`, a list of strings, as a tuple; anything else raises
+    TypeError naming the field (`tuple` would split a bare string into letters)."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"field {name!r} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def annotated_from_record(raw: dict) -> AnnotatedSentence:
     mentions = tuple(
-        TypedMention(surface=m["surface"], types=tuple(m["types"])) for m in raw["mentions"]
+        TypedMention(surface=m["surface"], types=string_list(m["types"], "types"))
+        for m in raw["mentions"]
     )
     return AnnotatedSentence(Sentence(id=raw["id"], text=raw["text"]), mentions)
 
@@ -241,6 +255,15 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def _format_error(where: str, exc: Exception) -> CorpusFormatError:
+    """The CorpusFormatError for a record at `where` that failed with `exc`:
+    bad JSON, KeyError (a missing field) or another bad value."""
+    if isinstance(exc, json.JSONDecodeError):
+        return CorpusFormatError(f"{where}: invalid JSON: {exc}")
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return CorpusFormatError(f"{where}: {detail}")
+
+
 def iter_jsonl(path: str | Path, convert: Callable[[dict], T]) -> Iterator[T]:
     """The records of a JSONL file, each passed through `convert`; blank lines
     are skipped. A line that is not JSON, or a record that `convert` rejects
@@ -248,14 +271,9 @@ def iter_jsonl(path: str | Path, convert: Callable[[dict], T]) -> Iterator[T]:
     CorpusFormatError naming `path:line`."""
     for lineno, line in jsonl_lines(path):
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            value = convert(raw)
+            value = convert(json.loads(line))
         except (KeyError, TypeError, ValueError) as exc:
-            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise CorpusFormatError(f"{path}:{lineno}: {detail}") from exc
+            raise _format_error(f"{path}:{lineno}", exc) from exc
         yield value
 
 

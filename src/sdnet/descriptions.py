@@ -11,7 +11,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .codec import parse_generated, serialize_prompt_md
-from .data import OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD, iter_jsonl, write_jsonl
+from .data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD, iter_jsonl,
+                   string_list, write_jsonl)
 
 DescriptionMap = dict[str, tuple[str, ...]]
 
@@ -157,5 +158,6 @@ def write_description_map(
 
 
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:
-    rows = list(iter_jsonl(path, lambda r: (r["type"], tuple(r["concepts"]), r.get("filtered"))))
+    rows = list(iter_jsonl(path, lambda r: (r["type"], string_list(r["concepts"], "concepts"),
+                                            r.get("filtered"))))
     return {t: concepts for t, concepts, _ in rows}, {t for t, _, filtered in rows if filtered}

@@ -28,6 +28,8 @@ from .tokenizer import (
     tokenize,
 )
 from .trainer import (
+    FINETUNE,
+    PRETRAIN,
     AdamWState,
     FlatLayout,
     StepLog,
@@ -47,7 +49,7 @@ __all__ = [
     "forward_loss", "generate", "init_params", "make_batch", "softmax_last", "zero_grads",
     "EG_ID", "EOS_ID", "MD_ID", "PAD_ID", "SPECIAL_TOKENS", "UNK_ID", "Vocab",
     "build_vocab", "detokenize", "encode_input", "encode_target", "tokenize",
-    "AdamWState", "FlatLayout", "StepLog", "TrainConfig", "TrainingDivergedError",
-    "adamw_step", "clone_params", "load_checkpoint", "lr_at", "save_checkpoint",
-    "total_steps_for", "train",
+    "FINETUNE", "PRETRAIN", "AdamWState", "FlatLayout", "StepLog", "TrainConfig",
+    "TrainingDivergedError", "adamw_step", "clone_params", "load_checkpoint", "lr_at",
+    "save_checkpoint", "total_steps_for", "train",
 ]

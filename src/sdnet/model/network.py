@@ -20,7 +20,7 @@ but its rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -64,12 +64,7 @@ class ModelConfig:
         return np.float64 if self.dtype == "float64" else np.float32
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "d_model": self.d_model,
-            "n_layers": self.n_layers, "n_heads": self.n_heads, "d_ff": self.d_ff,
-            "max_len": self.max_len, "dtype": self.dtype,
-            "init_std": self.init_std, "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -18,7 +18,6 @@ import numpy as np
 
 from ..data import atomic_write
 from .network import (
-    Batch,
     LossNotFiniteError,
     LossReport,
     ModelConfig,
@@ -36,6 +35,12 @@ class TrainingDivergedError(RuntimeError):
     """Loss or parameters left the reals; carries the failing step index."""
 
 
+# AdamW and warmup constants shared by both recipes.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 0.01
+WARMUP_FRAC = 0.06
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     mode: Literal["pretrain", "finetune"]
@@ -44,11 +49,6 @@ class TrainConfig:
     steps: int = 0            # pretrain budget
     epochs: int = 0           # finetune budget
     schedule: Literal["constant", "linear"] = "constant"
-    warmup_frac: float = 0.06
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     micro_size: int = 8
 
@@ -59,26 +59,19 @@ class TrainConfig:
             raise ValueError("pretrain mode needs a positive step budget")
         if self.mode == "finetune" and self.epochs < 1:
             raise ValueError("finetune mode needs a positive epoch budget")
-        if not (0.0 <= self.warmup_frac < 1.0):
-            raise ValueError("warmup_frac must lie in [0, 1)")
 
-    @classmethod
-    def pretrain_defaults(cls, steps: int, seed: int = 0, **kw) -> "TrainConfig":
-        return cls(mode="pretrain", batch_size=16, lr=5e-5, steps=steps,
-                   schedule="constant", seed=seed, **kw)
 
-    @classmethod
-    def finetune_defaults(cls, epochs: int, seed: int = 0, **kw) -> "TrainConfig":
-        return cls(mode="finetune", batch_size=4, lr=1e-4, epochs=epochs,
-                   schedule="linear", seed=seed, **kw)
+# The two published recipes; callers change budget and seed with `dataclasses.replace`.
+PRETRAIN = TrainConfig(mode="pretrain", batch_size=16, lr=5e-5, steps=2000, schedule="constant")
+FINETUNE = TrainConfig(mode="finetune", batch_size=4, lr=1e-4, epochs=50, schedule="linear")
 
 
 def lr_at(cfg: TrainConfig, step: int, total_steps: int) -> float:
     """Step 0 is 0 under the linear schedule; the peak sits at the warmup
-    boundary (warmup_frac of the budget), then decays linearly to 0."""
+    boundary (WARMUP_FRAC of the budget), then decays linearly to 0."""
     if cfg.schedule == "constant":
         return cfg.lr
-    warmup = max(1, int(round(total_steps * cfg.warmup_frac)))
+    warmup = max(1, int(round(total_steps * WARMUP_FRAC)))
     if step < warmup:
         return cfg.lr * step / warmup
     if total_steps <= warmup:
@@ -126,42 +119,35 @@ class AdamWState:
                    scratch=np.empty_like(flat))
 
 
-def adamw_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamWState,
-    lr: float,
-    cfg: TrainConfig,
-) -> None:
+def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: float) -> None:
     """In-place update of the flat `params`; weight decay is decoupled and
     applied to the first `state.n_decay` entries, the matrices (biases and
     norm parameters are exempt). `grads` is overwritten: it holds the update.
 
     Per element, the operations and their order are those of
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        u = (m / bc1) / (sqrt(v / bc2) + eps) [+ wd p];  p -= lr u
+        u = (m / bc1) / (sqrt(v / bc2) + eps) [+ wd p on the matrices];  p -= lr u
     """
     state.t += 1
-    bc1 = 1.0 - cfg.beta1**state.t
-    bc2 = 1.0 - cfg.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     m, v, s = state.m, state.v, state.scratch
-    m *= cfg.beta1
-    np.multiply(grads, 1.0 - cfg.beta1, out=s)
+    m *= BETA1
+    np.multiply(grads, 1.0 - BETA1, out=s)
     m += s
-    v *= cfg.beta2
-    np.multiply(grads, 1.0 - cfg.beta2, out=s)
+    v *= BETA2
+    np.multiply(grads, 1.0 - BETA2, out=s)
     s *= grads
     v += s
     np.divide(v, bc2, out=s)
     np.sqrt(s, out=s)
-    s += cfg.eps
+    s += EPS
     u = grads
     np.divide(m, bc1, out=u)
     u /= s
-    if cfg.weight_decay:
-        d = state.n_decay
-        np.multiply(params[:d], cfg.weight_decay, out=s[:d])
-        u[:d] += s[:d]
+    d = state.n_decay
+    np.multiply(params[:d], WEIGHT_DECAY, out=s[:d])
+    u[:d] += s[:d]
     u *= lr
     params -= u
 
@@ -214,7 +200,7 @@ def train(
             except LossNotFiniteError as exc:
                 raise TrainingDivergedError(f"step {step}: {exc}") from exc
             lr = lr_at(tcfg, step, total)
-            adamw_step(flat, flat_grads, state, lr, tcfg)
+            adamw_step(flat, flat_grads, state, lr)
             if not np.isfinite(flat).all():
                 bad = next(k for k, p in views.items() if not np.isfinite(p).all())
                 raise TrainingDivergedError(f"step {step}: parameter {bad!r} not finite")

@@ -28,6 +28,7 @@ from sdnet.model import (
     total_steps_for,
 )
 from sdnet.model.network import decoder_forward, encoder_forward
+from sdnet.model.trainer import BETA1, BETA2, EPS, WEIGHT_DECAY
 from sdnet.sampling import TrainingInstance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -196,19 +197,19 @@ def reference_generate(p, cfg, vocab, prompt_text: str, input_text: str, max_len
     return detokenize(vocab.decode(out_ids))
 
 
-def reference_adamw_step(params, grads, m, v, t: int, lr: float, cfg) -> None:
+def reference_adamw_step(params, grads, m, v, t: int, lr: float) -> None:
     """AdamW one tensor at a time, step `t` counted from 1; decoupled weight
     decay on matrices only."""
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for k, g in grads.items():
-        m[k] *= cfg.beta1
-        m[k] += (1.0 - cfg.beta1) * g
-        v[k] *= cfg.beta2
-        v[k] += (1.0 - cfg.beta2) * g * g
-        update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + cfg.eps)
-        if cfg.weight_decay and params[k].ndim > 1:
-            update = update + cfg.weight_decay * params[k]
+        m[k] *= BETA1
+        m[k] += (1.0 - BETA1) * g
+        v[k] *= BETA2
+        v[k] += (1.0 - BETA2) * g * g
+        update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + EPS)
+        if params[k].ndim > 1:
+            update = update + WEIGHT_DECAY * params[k]
         params[k] -= lr * update
 
 
@@ -233,7 +234,7 @@ def reference_train(params, instances, vocab, mcfg, tcfg) -> list[StepLog]:
                                ids=[str(i) for i in idx])
             report, grads = forward_loss(params, mcfg, batch, micro_size=tcfg.micro_size)
             lr = lr_at(tcfg, step, total)
-            reference_adamw_step(params, grads, m, v, step + 1, lr, tcfg)
+            reference_adamw_step(params, grads, m, v, step + 1, lr)
             log.append(StepLog(step=step, lr=lr, report=report))
             step += 1
     return log

@@ -4,9 +4,11 @@ pass/fail line per criterion."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from sdnet.data import (
     TargetSequence,
     TypeDictionary,
     read_annotated_jsonl,
+    read_type_dictionary,
     write_annotated_jsonl,
 )
 from sdnet.descriptions import (
@@ -48,7 +51,7 @@ from sdnet.evaluation import (
     score,
 )
 from sdnet.locate import locate
-from sdnet.model import ModelConfig, TrainConfig, build_vocab, generate, init_params, train
+from sdnet.model import FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, init_params, train
 from sdnet.sampling import SamplerConfig, build_pretrain_instances, make_finetune_instance
 from sdnet.synthetic import generate_synthetic_corpus
 
@@ -190,7 +193,7 @@ def test_corpus_build_is_byte_identical_across_runs_and_jobs(tmp_path, capsys):
         assert dict_out.read_bytes() == golden_dict, f"dictionary bytes differ (jobs={jobs})"
     capsys.readouterr()
 
-    dictionary = TypeDictionary.from_json((FIXTURES / "golden_dict.json").read_text(encoding="utf-8"))
+    dictionary = read_type_dictionary(FIXTURES / "golden_dict.json")
     # Long type names truncate at the head words before the first preposition.
     assert "state award" in dictionary.entries
     assert all("state award of" not in name for name in dictionary.entries)
@@ -266,8 +269,7 @@ def test_gradients_match_central_finite_differences():
 
 def test_pretrain_loss_equals_sum_of_task_terms_each_step():
     insts, vocab, cfg, params = tiny_setup(dtype="float64", seed=2)
-    tcfg = TrainConfig(mode="pretrain", batch_size=4, lr=1e-3, steps=40,
-                       schedule="constant", seed=3)
+    tcfg = replace(PRETRAIN, batch_size=4, lr=1e-3, steps=40, seed=3)
     log = train(params, insts, vocab, cfg, tcfg)
     assert len(log) == 40
     for step in log:
@@ -305,8 +307,8 @@ def memorized():
     cfg = ModelConfig(vocab_size=len(vocab.id_to_token), d_model=64, n_layers=1,
                       n_heads=4, d_ff=256, max_len=64, dtype="float32", seed=0)
     params = init_params(cfg)
-    train(params, pre, vocab, cfg, TrainConfig.pretrain_defaults(steps=2000, seed=1))
-    train(params, fin, vocab, cfg, TrainConfig.finetune_defaults(epochs=50, seed=2))
+    train(params, pre, vocab, cfg, replace(PRETRAIN, steps=2000, seed=1))
+    train(params, fin, vocab, cfg, replace(FINETUNE, epochs=50, seed=2))
 
     def gen(prompt: str, text: str) -> str:
         return generate(params, cfg, vocab, prompt, text, max_len=32)
@@ -337,6 +339,16 @@ def test_memorization_reaches_f1_095_within_five_minutes(memorized):
 
     assert report.f1 >= 0.95, f"micro-F1 {report.f1:.4f}"
     assert elapsed <= 300.0, f"pipeline took {elapsed:.0f}s"
+
+
+def test_memorization_script_runs_at_a_tiny_size(capsys):
+    path = FIXTURES.parent / "scripts" / "memorization.py"
+    spec = importlib.util.spec_from_file_location("memorization", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--sentences", "16", "--pretrain-steps", "5", "--finetune-epochs", "1",
+                        "--d-model", "8"]) == 0
+    assert "full-schema micro-F1 = " in capsys.readouterr().out
 
 
 def test_prompts_control_which_types_are_generated(memorized):

@@ -3,16 +3,20 @@ end-to-end pipeline over a tiny synthetic corpus."""
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from sdnet.cli import main
+from sdnet.cli import build_parser, main
+from sdnet.corpus import BuildConfig
 from sdnet.data import write_annotated_jsonl
+from sdnet.descriptions import DescriptionConfig
 from sdnet.evaluation import gold_spans
 from sdnet.locate import spans_to_record
-from sdnet.sampling import read_instances_jsonl
+from sdnet.model import FINETUNE, PRETRAIN, ModelConfig
+from sdnet.sampling import SamplerConfig, read_instances_jsonl
 from sdnet.synthetic import generate_synthetic_corpus
 
 
@@ -74,6 +78,22 @@ def test_invalid_schema_is_data_fault(world, tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, detail", [
+    ('{"min_count": 5}', "missing field 'entries'"),
+    ('{"entries": {}', "invalid JSON"),
+])
+def test_bad_type_dictionary_is_data_fault_naming_the_file(world, tmp_path, capsys, text, detail):
+    root, _, _ = world
+    bad = tmp_path / "d.json"
+    bad.write_text(text, encoding="utf-8")
+    desc = tmp_path / "desc.jsonl"
+    desc.write_text("", encoding="utf-8")
+    rc = main(["make-pretrain-data", "--corpus", str(root / "corpus.jsonl"), "--dict", str(bad),
+               "--desc", str(desc), "--out", str(tmp_path / "inst.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
+
+
 def test_manifest_is_written_before_outputs(world, tmp_path, capsys):
     # A corrupt checkpoint faults after the manifest is on disk but before the
     # output exists: the manifest records intent, not success.
@@ -88,6 +108,49 @@ def test_manifest_is_written_before_outputs(world, tmp_path, capsys):
     manifest = _manifest_of(out)
     assert manifest["subcommand"] == "finetune"
     capsys.readouterr()
+
+
+# ---- flag defaults ----
+
+
+_MODEL = ModelConfig(vocab_size=5)
+_FILLS = {  # (subcommand, flag dest) -> (the config or recipe it fills, its field)
+    ("build-corpus", "min_type_instances"): (BuildConfig(), "min_type_instances"),
+    ("build-corpus", "max_type_tokens"): (BuildConfig(), "max_type_tokens"),
+    ("build-corpus", "top_np"): (BuildConfig(), "top_np_count"),
+    ("build-descriptions", "other_threshold"): (DescriptionConfig(), "other_threshold"),
+    ("make-pretrain-data", "md_fraction"): (SamplerConfig(), "md_target_fraction"),
+    ("make-pretrain-data", "max_pos"): (SamplerConfig(), "max_positive_types"),
+    ("make-pretrain-data", "max_neg"): (SamplerConfig(), "max_negative_types"),
+    ("make-pretrain-data", "max_concepts"): (SamplerConfig(), "max_concepts"),
+    ("pretrain", "steps"): (PRETRAIN, "steps"),
+    ("pretrain", "batch"): (PRETRAIN, "batch_size"),
+    ("pretrain", "lr"): (PRETRAIN, "lr"),
+    ("pretrain", "d_model"): (_MODEL, "d_model"),
+    ("pretrain", "layers"): (_MODEL, "n_layers"),
+    ("pretrain", "heads"): (_MODEL, "n_heads"),
+    ("pretrain", "max_len"): (_MODEL, "max_len"),
+    **{(cmd, dest): (FINETUNE, field) for cmd in ("finetune", "run-episodes")
+       for dest, field in (("epochs", "epochs"), ("batch", "batch_size"), ("lr", "lr"))},
+}
+# flags that fill no config field, and --dtype: the library's float64 serves the
+# exact gradient checks, the CLI's float32 serves speed
+_OWN_DEFAULTS = {"seed", "jobs", "mode", "k", "runs", "max_gen", "dtype"}
+
+
+def test_flag_defaults_equal_the_config_or_recipe_value_they_fill():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for cmd, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.default in (None, argparse.SUPPRESS) or action.dest in _OWN_DEFAULTS:
+                continue
+            config, field = _FILLS[(cmd, action.dest)]
+            assert action.default == getattr(config, field), (cmd, action.dest)
+            seen.add((cmd, action.dest))
+    assert seen == set(_FILLS)
+    assert subparsers.choices["pretrain"].get_default("dtype") == "float32" != _MODEL.dtype
 
 
 # ---- seeds and manifests ----

@@ -249,6 +249,17 @@ def test_harvest_drops_entity_free_sentences_and_unsafe_surfaces():
     assert tally["entity_free_sentence_dropped"] >= 1
 
 
+def test_harvest_tallies_every_mention_that_crosses_its_sentence_end():
+    items, d = _mini_world()
+    # both anchors start inside "Alpha Beta." and end in the next sentence;
+    # the first starts at the sentence's first character
+    page = WikiPage("A", "Alpha Beta. Gamma delta.",
+                    (Anchor("Alpha Beta. Gamma", "Q2", 0), Anchor("Beta. Gamma", "Q2", 6)))
+    tally = Counter()
+    assert harvest_mentions(page, _types_of(items.values(), d), CFG, tally=tally) == []
+    assert tally["cross_boundary_mention"] == 2
+
+
 # ---- file-level builds ----
 
 def test_read_kb_and_pages_tally_malformed_lines(tmp_path):
@@ -256,12 +267,14 @@ def test_read_kb_and_pages_tally_malformed_lines(tmp_path):
     kb_path.write_text(
         json.dumps({"id": "T1", "label": "city"}) + "\n"
         + "{not json}\n"
-        + json.dumps({"label": "missing id"}) + "\n",
+        + json.dumps({"label": "missing id"}) + "\n"
+        + json.dumps({"id": "Q1", "label": "Ada", "instance_of": "Q5"}) + "\n"
+        + json.dumps({"id": "Q2", "label": "Bo", "aliases": ["Bob", None]}) + "\n",
         encoding="utf-8")
     tally = Counter()
     items = read_kb_jsonl(kb_path, tally)
     assert list(items) == ["T1"]
-    assert tally["malformed_kb_record"] == 2
+    assert tally["malformed_kb_record"] == 4
 
     pages_path = tmp_path / "pages.jsonl"
     pages_path.write_text(

@@ -21,6 +21,7 @@ from sdnet.data import (
     atomic_write,
     mention_order_key,
     read_annotated_jsonl,
+    read_type_dictionary,
     validate_annotated_sentence,
     write_annotated_jsonl,
     write_jsonl,
@@ -70,9 +71,11 @@ def test_type_dictionary_always_contains_other():
     assert d.types(include_other=False) == ["city", "person"]
 
 
-def test_type_dictionary_json_round_trip():
+def test_type_dictionary_json_round_trip(tmp_path):
     d = TypeDictionary(entries={"person": 10, "state award": 6}, min_count=5, max_tokens=3)
-    d2 = TypeDictionary.from_json(d.to_json())
+    path = tmp_path / "dict.json"
+    path.write_text(d.to_json(), encoding="utf-8")
+    d2 = read_type_dictionary(path)
     assert d2.entries == d.entries
     assert d2.min_count == d.min_count
     assert d2.max_tokens == d.max_tokens
@@ -131,6 +134,21 @@ def test_jsonl_readers_name_the_line_of_bad_json(tmp_path, read, record):
         read(path)
     path.write_text(json.dumps(record) + "\n\n", encoding="utf-8")
     read(path)
+
+
+@pytest.mark.parametrize("read, record, field", [
+    (read_annotated_jsonl, {"id": "s", "text": "Alice rests.",
+                            "mentions": [{"surface": "Alice", "types": "person"}]}, "types"),
+    (read_annotated_jsonl, {"id": "s", "text": "Alice rests.",
+                            "mentions": [{"surface": "Alice", "types": ["person", 7]}]}, "types"),
+    (read_description_map, {"type": "person", "concepts": "writer"}, "concepts"),
+])
+def test_jsonl_readers_reject_a_string_where_a_list_is_expected(tmp_path, read, record, field):
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(path))}:2: field '{field}' must be a list of strings"):
+        read(path)
 
 
 def test_annotated_jsonl_rejects_a_surface_absent_from_its_text(tmp_path):

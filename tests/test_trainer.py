@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sdnet.model import (
+    FINETUNE,
+    PRETRAIN,
     AdamWState,
     FlatLayout,
     ModelConfig,
@@ -22,15 +25,17 @@ from sdnet.model import (
     total_steps_for,
     train,
 )
+from sdnet.model.trainer import BETA1, BETA2, EPS, WARMUP_FRAC, WEIGHT_DECAY
 from helpers import reference_adamw_step, reference_train, tiny_instances, tiny_setup
 
 
 def test_train_config_presets_match_published_recipes():
-    pre = TrainConfig.pretrain_defaults(steps=2000)
-    assert (pre.batch_size, pre.lr, pre.schedule) == (16, 5e-5, "constant")
-    fin = TrainConfig.finetune_defaults(epochs=50)
-    assert (fin.batch_size, fin.lr, fin.schedule) == (4, 1e-4, "linear")
-    assert fin.warmup_frac == 0.06
+    assert (PRETRAIN.mode, PRETRAIN.steps) == ("pretrain", 2000)
+    assert (PRETRAIN.batch_size, PRETRAIN.lr, PRETRAIN.schedule) == (16, 5e-5, "constant")
+    assert (FINETUNE.mode, FINETUNE.epochs) == ("finetune", 50)
+    assert (FINETUNE.batch_size, FINETUNE.lr, FINETUNE.schedule) == (4, 1e-4, "linear")
+    assert WARMUP_FRAC == 0.06
+    assert (BETA1, BETA2, EPS, WEIGHT_DECAY) == (0.9, 0.999, 1e-8, 0.01)
 
 
 def test_train_config_validation():
@@ -43,12 +48,12 @@ def test_train_config_validation():
 
 
 def test_constant_schedule_is_flat():
-    cfg = TrainConfig.pretrain_defaults(steps=100)
+    cfg = replace(PRETRAIN, steps=100)
     assert {lr_at(cfg, s, 100) for s in range(100)} == {5e-5}
 
 
 def test_linear_schedule_warms_up_to_peak_then_decays():
-    cfg = TrainConfig.finetune_defaults(epochs=1)
+    cfg = replace(FINETUNE, epochs=1)
     total = 100
     warmup = round(0.06 * total)
     assert lr_at(cfg, 0, total) == 0.0
@@ -63,8 +68,8 @@ def test_linear_schedule_warms_up_to_peak_then_decays():
 
 
 def test_total_steps_for_modes():
-    assert total_steps_for(TrainConfig.pretrain_defaults(steps=123), 999) == 123
-    fin = TrainConfig.finetune_defaults(epochs=3)
+    assert total_steps_for(replace(PRETRAIN, steps=123), 999) == 123
+    fin = replace(FINETUNE, epochs=3)
     assert total_steps_for(fin, 10) == 3 * 3  # ceil(10 / 4) = 3 steps per epoch
 
 
@@ -74,12 +79,11 @@ def test_adamw_decays_matrices_only():
     before = init_params(cfg)
     layout = FlatLayout(before)
     flat = layout.pack(before)
-    tcfg = TrainConfig.pretrain_defaults(steps=1, weight_decay=0.5)
-    adamw_step(flat, np.zeros_like(flat), AdamWState.init(flat, layout.n_decay), lr=0.1, cfg=tcfg)
+    adamw_step(flat, np.zeros_like(flat), AdamWState.init(flat, layout.n_decay), lr=0.1)
     params = layout.views(flat)
     for k in params:
         if params[k].ndim > 1:
-            assert np.allclose(params[k], before[k] * (1 - 0.1 * 0.5))
+            assert np.allclose(params[k], before[k] * (1 - 0.1 * WEIGHT_DECAY))
         else:
             assert (params[k] == before[k]).all()
 
@@ -94,12 +98,11 @@ def test_flat_adamw_is_bit_identical_to_the_per_tensor_loop(dtype):
     state = AdamWState.init(flat, layout.n_decay)
     m = {k: np.zeros_like(p) for k, p in ref.items()}
     v = {k: np.zeros_like(p) for k, p in ref.items()}
-    tcfg = TrainConfig.pretrain_defaults(steps=3, weight_decay=0.1)
     rng = np.random.default_rng(0)
     for t in range(1, 4):
         grads = {k: rng.normal(size=p.shape).astype(p.dtype) for k, p in ref.items()}
-        reference_adamw_step(ref, grads, m, v, t, 0.05, tcfg)
-        adamw_step(flat, layout.pack(grads), state, 0.05, tcfg)
+        reference_adamw_step(ref, grads, m, v, t, 0.05)
+        adamw_step(flat, layout.pack(grads), state, 0.05)
         for k, p in layout.views(flat).items():
             assert np.array_equal(p, ref[k]), (t, k)
 
@@ -157,8 +160,7 @@ def test_training_reduces_loss_on_tiny_corpus():
 
 def test_finetune_mode_walks_epochs_with_reshuffles():
     insts, vocab, cfg, params = tiny_setup()
-    tcfg = TrainConfig(mode="finetune", batch_size=2, lr=1e-3, epochs=2, seed=3,
-                       schedule="linear")
+    tcfg = replace(FINETUNE, batch_size=2, lr=1e-3, epochs=2, seed=3)
     log = train(params, insts, vocab, cfg, tcfg)
     assert len(log) == total_steps_for(tcfg, len(insts))
     assert [l.step for l in log] == list(range(len(log)))
