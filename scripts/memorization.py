@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import time
 from dataclasses import replace
+from functools import partial
 
 from sdnet.data import TypeDictionary
 from sdnet.codec import parse_generated
@@ -82,12 +83,10 @@ def main(argv: list[str] | None = None) -> int:
           replace(FINETUNE, epochs=args.finetune_epochs, seed=args.seed + 2))
     print(f"finetune done at {time.time() - t0:.0f}s")
 
-    def gen(prompt: str, text: str) -> str:
-        return generate(params, cfg, vocab, prompt, text, max_len=32)
-
+    gen = partial(generate, params, cfg, vocab, max_len=32)
     prompt = schema_prompt(schema, desc)
     gold = {s.id: gold_spans(s, schema) for s in corpus}
-    pred = {s.id: predict_spans(gen, s, prompt) for s in corpus}
+    pred = {s.id: predict_spans(gen, s.sentence, prompt)[0] for s in corpus}
     report = score(gold, pred)
     print(f"full-schema micro-F1 = {report.f1:.4f} "
           f"(P={report.precision:.4f} R={report.recall:.4f})")

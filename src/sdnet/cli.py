@@ -14,18 +14,21 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
-from .codec import parse_generated
+from . import __version__ as TOOL_VERSION
+from .codec import parse_prompt_eg
 from .corpus import BuildConfig, build_corpus
 from .data import (
     OTHER_TYPE,
     CorpusFormatError,
     Sentence,
+    TypeDictionary,
     atomic_write,
     iter_jsonl,
     read_annotated_jsonl,
-    read_type_dictionary,
+    read_file,
     write_annotated_jsonl,
 )
 from .descriptions import (
@@ -36,8 +39,8 @@ from .descriptions import (
     stable_draw_key,
     write_description_map,
 )
-from .evaluation import gold_spans, model_episode_factory, run_episodes, score
-from .locate import locate, read_predictions_jsonl, write_predictions_jsonl
+from .evaluation import gold_spans, model_episode_factory, predict_spans, run_episodes, score
+from .locate import read_predictions_jsonl, write_predictions_jsonl
 from .model import (
     FINETUNE,
     PRETRAIN,
@@ -52,6 +55,7 @@ from .model import (
     save_checkpoint,
     train,
 )
+from .model.network import GEN_MAX_LEN
 from .sampling import (
     SamplerConfig,
     build_finetune_instances,
@@ -60,8 +64,6 @@ from .sampling import (
     sample_kshot,
     write_instances_jsonl,
 )
-
-TOOL_VERSION = "0.1.0"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,11 +122,16 @@ def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list) -> No
     _write_text(manifest_path, json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
 
 
-def _read_schema(path: str) -> list[str]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+def _schema_from(text: str) -> list[str]:
+    raw = json.loads(text)
     if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw) or not raw:
-        raise CorpusFormatError(f"{path}: schema must be a non-empty JSON array of type names")
+        raise ValueError("schema must be a non-empty JSON array of type names")
     return raw
+
+
+def _eg_prompt_from(text: str) -> str:
+    parse_prompt_eg(text.strip())  # a prompt that is not an EG prompt raises ValueError
+    return text.strip()
 
 
 def _derive_schema(corpus) -> list[str]:
@@ -165,11 +172,7 @@ def cmd_build_descriptions(args: argparse.Namespace) -> int:
     else:
         params, mcfg, vocab, _ = load_checkpoint(args.model)
         dcfg = DescriptionConfig(other_threshold=args.other_threshold)
-
-        def gen(prompt: str, text: str) -> str:
-            return generate(params, mcfg, vocab, prompt, text)
-
-        desc, report = describe_with_model(corpus, gen, dcfg)
+        desc, report = describe_with_model(corpus, partial(generate, params, mcfg, vocab), dcfg)
         filtered = report.filtered
     write_description_map(args.out, desc, filtered)
     print(f"types={len(desc)} filtered={len(filtered)}", file=sys.stderr)
@@ -179,7 +182,7 @@ def cmd_build_descriptions(args: argparse.Namespace) -> int:
 def cmd_make_pretrain_data(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.corpus, args.dict, args.desc], [args.out])
     corpus = read_annotated_jsonl(args.corpus)
-    dictionary = read_type_dictionary(args.dict)
+    dictionary = read_file(args.dict, TypeDictionary.from_json)
     desc, _ = read_description_map(args.desc)
     cfg = SamplerConfig(rng_seed=subseed(args.seed, "sampler"),
                         md_target_fraction=args.md_fraction,
@@ -195,7 +198,7 @@ def cmd_make_pretrain_data(args: argparse.Namespace) -> int:
 def cmd_make_finetune_data(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.corpus, args.schema, args.desc], [args.out])
     corpus = read_annotated_jsonl(args.corpus)
-    schema = _read_schema(args.schema)
+    schema = read_file(args.schema, _schema_from)
     desc, _ = read_description_map(args.desc)
     instances = build_finetune_instances(corpus, schema, desc)
     write_instances_jsonl(args.out, instances)
@@ -206,7 +209,7 @@ def cmd_make_finetune_data(args: argparse.Namespace) -> int:
 def cmd_sample_kshot(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.corpus] + ([args.schema] if args.schema else []), [args.out])
     corpus = read_annotated_jsonl(args.corpus)
-    schema = _read_schema(args.schema) if args.schema else _derive_schema(corpus)
+    schema = read_file(args.schema, _schema_from) if args.schema else _derive_schema(corpus)
     sample = sample_kshot(corpus, args.k, schema, rng_seed=subseed(args.seed, "kshot"))
     write_annotated_jsonl(args.out, sample.sentences)
     print(f"support={len(sample.sentences)} counts={sample.counts}", file=sys.stderr)
@@ -250,15 +253,14 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.model, args.prompt_file, args.sentences], [args.out])
+    prompt = read_file(args.prompt_file, _eg_prompt_from)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
-    prompt = Path(args.prompt_file).read_text(encoding="utf-8").strip()
+    gen = partial(generate, params, mcfg, vocab, max_len=args.max_gen)
     predictions = []
     for sent in iter_jsonl(args.sentences, lambda raw: Sentence(id=raw["id"], text=raw["text"])):
-        generated = generate(params, mcfg, vocab, prompt, sent.text, max_len=args.max_gen)
-        parsed = parse_generated("EG", generated)
-        spans, unlocated = locate(sent, parsed.target)
-        if parsed.diagnostics or unlocated:
-            print(f"{sent.id}: {len(parsed.diagnostics)} parse diagnostics, "
+        spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
+        if diagnostics or unlocated:
+            print(f"{sent.id}: {len(diagnostics)} parse diagnostics, "
                   f"{len(unlocated)} unlocated", file=sys.stderr)
         predictions.append((sent.id, spans))
     write_predictions_jsonl(args.out or sys.stdout, predictions)
@@ -268,7 +270,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_manifest(args, [args.gold, args.pred], [args.out])
     corpus = read_annotated_jsonl(args.gold)
-    schema = _read_schema(args.schema) if args.schema else None
+    schema = read_file(args.schema, _schema_from) if args.schema else None
     gold = {s.id: gold_spans(s, schema) for s in corpus}
     pred = read_predictions_jsonl(args.pred)
     report = score(gold, pred)
@@ -282,7 +284,7 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
                     ([args.schema] if args.schema else []), [args.out])
     corpus = read_annotated_jsonl(args.corpus)
     test = read_annotated_jsonl(args.test) if args.test else corpus
-    schema = _read_schema(args.schema) if args.schema else _derive_schema(corpus)
+    schema = read_file(args.schema, _schema_from) if args.schema else _derive_schema(corpus)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
     factory = model_episode_factory(params, mcfg, vocab, ftcfg)
@@ -302,7 +304,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sdnet {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def common(p: _Parser) -> None:
+    def seeded(p: _Parser) -> None:  # only subcommands that draw from `subseed` streams
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help="run seed (default: SDNET_SEED env var or 0)")
 
@@ -314,7 +316,6 @@ def build_parser() -> _Parser:
     p.add_argument("--min-type-instances", type=int, default=BuildConfig.min_type_instances)
     p.add_argument("--max-type-tokens", type=int, default=BuildConfig.max_type_tokens)
     p.add_argument("--top-np", type=int, default=BuildConfig.top_np_count)
-    common(p)
     p.add_argument("--jobs", type=int, default=1, help="worker cap")
     p.set_defaults(func=cmd_build_corpus)
 
@@ -325,7 +326,6 @@ def build_parser() -> _Parser:
                    default="cooccurrence")
     p.add_argument("--model", default=None, help="checkpoint for mention-describing mode")
     p.add_argument("--other-threshold", type=float, default=DescriptionConfig.other_threshold)
-    common(p)
     p.set_defaults(func=cmd_build_descriptions)
 
     p = sub.add_parser("make-pretrain-data", help="emit MD+EG training instances")
@@ -337,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-pos", type=int, default=SamplerConfig.max_positive_types)
     p.add_argument("--max-neg", type=int, default=SamplerConfig.max_negative_types)
     p.add_argument("--max-concepts", type=int, default=SamplerConfig.max_concepts)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_make_pretrain_data)
 
     p = sub.add_parser("make-finetune-data", help="emit full-schema EG instances")
@@ -345,7 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", required=True, help="JSON array of type names")
     p.add_argument("--desc", required=True)
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_make_finetune_data)
 
     p = sub.add_parser("sample-kshot", help="greedy k-shot support sampling")
@@ -353,7 +352,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--schema", default=None)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_sample_kshot)
 
     p = sub.add_parser("pretrain", help="train a fresh model on MD+EG instances")
@@ -368,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, default=ModelConfig.max_len)
     # ModelConfig defaults to float64 for the exact gradient checks; a CLI run wants speed.
     p.add_argument("--dtype", choices=["float32", "float64"], default="float32")
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on EG instances")
@@ -378,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=FINETUNE.epochs)
     p.add_argument("--batch", type=int, default=FINETUNE.batch_size)
     p.add_argument("--lr", type=float, default=FINETUNE.lr)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("predict", help="generate, parse, and locate spans")
@@ -386,8 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--prompt-file", required=True)
     p.add_argument("--sentences", required=True, help="JSONL with id and text fields")
     p.add_argument("--out", default=None, help="default: stdout")
-    p.add_argument("--max-gen", type=int, default=64)
-    common(p)
+    p.add_argument("--max-gen", type=int, default=GEN_MAX_LEN)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")
@@ -395,7 +393,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True)
     p.add_argument("--schema", default=None)
     p.add_argument("--out", default=None, help="default: stdout")
-    common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run-episodes", help="k-shot fine-tune/predict/score loop")
@@ -409,7 +406,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=FINETUNE.epochs)
     p.add_argument("--batch", type=int, default=FINETUNE.batch_size)
     p.add_argument("--lr", type=float, default=FINETUNE.lr)
-    common(p)
+    seeded(p)
     p.set_defaults(func=cmd_run_episodes)
 
     return parser

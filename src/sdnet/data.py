@@ -70,6 +70,19 @@ def mention_order_key(sentence_text: str, surface: str) -> tuple[int, int]:
     return (idx, -len(surface))
 
 
+def ordered_unique_surfaces(s: AnnotatedSentence) -> list[tuple[str, tuple[str, ...]]]:
+    """Unique surfaces in first-occurrence order, each with the union of the
+    type sets of its mentions: the one order of MD prompt surfaces."""
+    merged: dict[str, list[str]] = {}
+    for m in s.mentions:
+        types = merged.setdefault(m.surface, [])
+        for t in m.types:
+            if t not in types:
+                types.append(t)
+    surfaces = sorted(merged, key=lambda surf: mention_order_key(s.text, surf))
+    return [(surf, tuple(merged[surf])) for surf in surfaces]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -131,13 +144,17 @@ class TypeDictionary:
             ensure_ascii=False,
         )
 
+    @classmethod
+    def from_json(cls, text: str) -> TypeDictionary:
+        raw = json.loads(text)
+        return cls(raw["entries"], raw["min_count"], raw["max_tokens"])
 
-def read_type_dictionary(path: str | Path) -> TypeDictionary:
-    """The type dictionary that `TypeDictionary.to_json` wrote to `path`; bad
-    JSON, a missing field or a bad value raises CorpusFormatError naming `path`."""
+
+def read_file(path: str | Path, convert: Callable[[str], T]) -> T:
+    """The text of the UTF-8 file `path` passed through `convert`; bad JSON, a
+    missing field or a bad value raises CorpusFormatError naming `path`."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return TypeDictionary(raw["entries"], raw["min_count"], raw["max_tokens"])
+        return convert(Path(path).read_text(encoding="utf-8"))
     except (KeyError, TypeError, ValueError) as exc:
         raise _format_error(str(path), exc) from exc
 

@@ -12,9 +12,10 @@ import numpy as np
 
 from .codec import parse_generated, serialize_prompt_md
 from .data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD, iter_jsonl,
-                   string_list, write_jsonl)
+                   ordered_unique_surfaces, string_list, write_jsonl)
 
 DescriptionMap = dict[str, tuple[str, ...]]
+GenerateFn = Callable[[str, str], str]  # (prompt, source text) -> generated text
 
 
 @dataclass(frozen=True)
@@ -120,20 +121,17 @@ def apply_filtering(
 
 def describe_with_model(
     corpus: Iterable[AnnotatedSentence],
-    generate_fn: Callable[[str, str], str],
+    generate_fn: GenerateFn,
     cfg: DescriptionConfig,
 ) -> tuple[DescriptionMap, FilterReport]:
-    """Run the mention-describing task over gold mentions and fuse the parsed
-    concept descriptions per gold type, then filter."""
+    """Run the mention-describing task over gold mentions, in MD prompt order,
+    and fuse the parsed concept descriptions per gold type, then filter."""
     per_type: dict[str, list[MentionDescription]] = {}
     for sent in corpus:
-        surfaces: list[str] = []
-        for m in sent.mentions:
-            if m.surface not in surfaces:
-                surfaces.append(m.surface)
+        surfaces = tuple(surface for surface, _ in ordered_unique_surfaces(sent))
         if not surfaces:
             continue
-        prompt = serialize_prompt_md(PromptMD(targets=tuple(surfaces)))
+        prompt = serialize_prompt_md(PromptMD(targets=surfaces))
         parsed = parse_generated("MD", generate_fn(prompt, sent.text))
         described = {surface: labels for surface, labels in parsed.target.pairs}
         for m in sent.mentions:

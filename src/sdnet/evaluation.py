@@ -6,12 +6,14 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import parse_generated, serialize_target
-from .data import AnnotatedSentence, TargetSequence
-from .descriptions import DescriptionConfig, DescriptionMap, describe_with_model
+from .data import AnnotatedSentence, Sentence, TargetSequence
+from .descriptions import DescriptionConfig, DescriptionMap, GenerateFn, describe_with_model
 from .locate import SpanPrediction, locate
+from .model.network import GEN_MAX_LEN
 from .sampling import (
     KShotSample,
     build_finetune_instances,
@@ -20,8 +22,6 @@ from .sampling import (
     sample_kshot,
     schema_prompt,
 )
-
-GenerateFn = Callable[[str, str], str]
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,14 @@ def gold_spans(sent: AnnotatedSentence, schema_types: Sequence[str] | None = Non
 
 
 def predict_spans(
-    generate_fn: GenerateFn, sent: AnnotatedSentence, prompt_text: str
-) -> list[SpanPrediction]:
-    parsed = parse_generated("EG", generate_fn(prompt_text, sent.text))
-    spans, _ = locate(sent.sentence, parsed.target)
-    return spans
+    generate_fn: GenerateFn, sentence: Sentence, prompt_text: str
+) -> tuple[list[SpanPrediction], list[str], list[tuple[str, str]]]:
+    """The one generate -> parse -> locate path: the spans of the EG text that
+    `generate_fn` answers for `sentence`, with the parse diagnostics and the
+    pairs `locate` could not place."""
+    parsed = parse_generated("EG", generate_fn(prompt_text, sentence.text))
+    spans, unlocated = locate(sentence, parsed.target)
+    return spans, parsed.diagnostics, unlocated
 
 
 def gold_pipeline_report(
@@ -140,7 +143,7 @@ def gold_pipeline_report(
         gold[sent.id] = gold_spans(sent, schema_types)
         types = schema_types if schema_types is not None else present_types(sent)
         text = serialize_target(TargetSequence(task="EG", pairs=eg_pairs(sent, list(types))))
-        pred[sent.id] = predict_spans(lambda _prompt, _source: text, sent, prompt_text="")
+        pred[sent.id] = predict_spans(lambda _prompt, _source: text, sent.sentence, "")[0]
     return score(gold, pred)
 
 
@@ -202,7 +205,7 @@ def run_episodes(
             support = sample_kshot(train_corpus, k, schema_types, rng_seed=seed)
             generate_fn, desc_map = episode_factory(support, schema_types, seed)
             prompt = schema_prompt(schema_types, desc_map)
-            pred = {sent.id: predict_spans(generate_fn, sent, prompt) for sent in test_corpus}
+            pred = {s.id: predict_spans(generate_fn, s.sentence, prompt)[0] for s in test_corpus}
             reports.append(score(gold, pred))
         except Exception as exc:  # noqa: BLE001 - episode isolation is the contract
             failures.append(EpisodeFailure(run=r, message=f"{type(exc).__name__}: {exc}"))
@@ -223,27 +226,21 @@ def model_episode_factory(
     vocab,
     finetune_cfg,
     desc_cfg: DescriptionConfig | None = None,
-    gen_max_len: int = 64,
+    gen_max_len: int = GEN_MAX_LEN,
 ) -> EpisodeFactory:
     """The real pipeline: describe the support with the pretrained model's MD
     task, filter, fine-tune a copy on full-schema instances, decode greedily."""
-    from .model import clone_params, generate, train  # late import keeps scorer model-free
+    from .model import clone_params, generate, train  # bound as they are when the factory is built
 
     desc_cfg = desc_cfg or DescriptionConfig()
 
     def factory(support: KShotSample, schema_types: Sequence[str], run_seed: int):
-        def base_generate(prompt: str, text: str) -> str:
-            return generate(base_params, mcfg, vocab, prompt, text, max_len=gen_max_len)
-
+        base_generate = partial(generate, base_params, mcfg, vocab, max_len=gen_max_len)
         desc_map, _ = describe_with_model(support.sentences, base_generate, desc_cfg)
         params = clone_params(base_params)
         instances = build_finetune_instances(support.sentences, schema_types, desc_map)
         tcfg = dataclasses.replace(finetune_cfg, seed=run_seed)
         train(params, instances, vocab, mcfg, tcfg)
-
-        def tuned_generate(prompt: str, text: str) -> str:
-            return generate(params, mcfg, vocab, prompt, text, max_len=gen_max_len)
-
-        return tuned_generate, desc_map
+        return partial(generate, params, mcfg, vocab, max_len=gen_max_len), desc_map
 
     return factory

@@ -28,6 +28,7 @@ import numpy as np
 from .tokenizer import EOS_ID, PAD_ID, Vocab, detokenize, encode_input, encode_target
 
 NEG_INF = -1e9
+GEN_MAX_LEN = 64  # default cap on the tokens one greedy decode emits
 LN_EPS = 1e-5
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
@@ -607,7 +608,7 @@ def generate(
     vocab: Vocab,
     prompt_text: str,
     input_text: str,
-    max_len: int = 64,
+    max_len: int = GEN_MAX_LEN,
 ) -> str:
     """Greedy decoding; argmax ties break toward the lowest token id. Emits at
     most min(max_len, cfg.max_len - 1) tokens: the start token takes one of

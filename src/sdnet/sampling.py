@@ -22,6 +22,7 @@ from .data import (
     TypeDictionary,
     iter_jsonl,
     mention_order_key,
+    ordered_unique_surfaces,
     write_jsonl,
 )
 from .descriptions import DescriptionConfig, DescriptionMap, sample_concepts, stable_draw_key
@@ -57,23 +58,10 @@ class TrainingInstance:
         prompt_body(self.task, self.prompt_text)
 
 
-def _ordered_unique_surfaces(s: AnnotatedSentence) -> list[tuple[str, tuple[str, ...]]]:
-    """Unique surfaces in first-occurrence order, each with the union of the
-    type sets of its mentions."""
-    merged: dict[str, list[str]] = {}
-    for m in s.mentions:
-        types = merged.setdefault(m.surface, [])
-        for t in m.types:
-            if t not in types:
-                types.append(t)
-    surfaces = sorted(merged, key=lambda surf: mention_order_key(s.text, surf))
-    return [(surf, tuple(merged[surf])) for surf in surfaces]
-
-
 def make_md_instance(s: AnnotatedSentence, cfg: SamplerConfig, draw_key: int) -> TrainingInstance:
     if not s.mentions:
         raise ValueError(f"sentence {s.id!r} has no mentions")
-    candidates = _ordered_unique_surfaces(s)
+    candidates = ordered_unique_surfaces(s)
     want = math.ceil(cfg.md_target_fraction * len(candidates))
     if want < len(candidates):
         rng = np.random.default_rng([cfg.rng_seed, draw_key])

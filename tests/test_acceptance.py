@@ -9,6 +9,7 @@ import json
 import random
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from sdnet.data import (
     TargetSequence,
     TypeDictionary,
     read_annotated_jsonl,
-    read_type_dictionary,
+    read_file,
     write_annotated_jsonl,
 )
 from sdnet.descriptions import (
@@ -193,7 +194,7 @@ def test_corpus_build_is_byte_identical_across_runs_and_jobs(tmp_path, capsys):
         assert dict_out.read_bytes() == golden_dict, f"dictionary bytes differ (jobs={jobs})"
     capsys.readouterr()
 
-    dictionary = read_type_dictionary(FIXTURES / "golden_dict.json")
+    dictionary = read_file(FIXTURES / "golden_dict.json", TypeDictionary.from_json)
     # Long type names truncate at the head words before the first preposition.
     assert "state award" in dictionary.entries
     assert all("state award of" not in name for name in dictionary.entries)
@@ -310,9 +311,6 @@ def memorized():
     train(params, pre, vocab, cfg, replace(PRETRAIN, steps=2000, seed=1))
     train(params, fin, vocab, cfg, replace(FINETUNE, epochs=50, seed=2))
 
-    def gen(prompt: str, text: str) -> str:
-        return generate(params, cfg, vocab, prompt, text, max_len=32)
-
     return {
         "corpus": corpus,
         "schema": schema,
@@ -320,7 +318,7 @@ def memorized():
         "vocab": vocab,
         "params": params,
         "cfg": cfg,
-        "gen": gen,
+        "gen": partial(generate, params, cfg, vocab, max_len=32),
         "train_seconds": time.perf_counter() - started,
     }
 
@@ -333,7 +331,7 @@ def test_memorization_reaches_f1_095_within_five_minutes(memorized):
     started = time.perf_counter()
     prompt = schema_prompt(schema, desc)
     gold = {s.id: gold_spans(s, schema) for s in corpus}
-    pred = {s.id: predict_spans(memorized["gen"], s, prompt) for s in corpus}
+    pred = {s.id: predict_spans(memorized["gen"], s.sentence, prompt)[0] for s in corpus}
     report = score(gold, pred)
     elapsed = memorized["train_seconds"] + (time.perf_counter() - started)
 

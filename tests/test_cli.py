@@ -78,6 +78,38 @@ def test_invalid_schema_is_data_fault(world, tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+def test_schema_that_is_not_json_is_data_fault_naming_the_file(world, tmp_path, capsys):
+    root, _, _ = world
+    bad = tmp_path / "schema.json"
+    bad.write_text("{", encoding="utf-8")
+    rc = main(["sample-kshot", "--corpus", str(root / "corpus.jsonl"),
+               "--out", str(tmp_path / "s.jsonl"), "--k", "1", "--schema", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON")
+
+
+@pytest.mark.parametrize("prompt", ["not a prompt", "[MD] China"])
+def test_predict_rejects_a_prompt_file_that_is_not_an_eg_prompt(tmp_path, capsys, monkeypatch,
+                                                               prompt):
+    import sdnet.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (None, None, None, {}))
+    monkeypatch.setattr(cli_module, "generate", lambda *a, **k: "China is GPE.")
+    prompt_path = tmp_path / "prompt.txt"
+    prompt_path.write_text(prompt + "\n", encoding="utf-8")
+    sentences_path = tmp_path / "sentences.jsonl"
+    sentences_path.write_text(json.dumps({"id": "t0", "text": "Zoë met China."}) + "\n",
+                              encoding="utf-8")
+    ckpt = tmp_path / "fake.ckpt"
+    ckpt.write_text("{}", encoding="utf-8")
+    rc = main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+               "--sentences", str(sentences_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {prompt_path}: EG prompt must start with")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text, detail", [
     ('{"min_count": 5}', "missing field 'entries'"),
     ('{"entries": {}', "invalid JSON"),
@@ -184,6 +216,18 @@ def test_unparseable_seed_env_var_falls_back_to_zero(world, tmp_path, monkeypatc
                  "--out", str(out), "--k", "1"]) == 0
     assert _manifest_of(out)["seed"] == 0
     capsys.readouterr()
+
+
+def test_seed_is_a_usage_error_where_nothing_draws_from_it(world, tmp_path, capsys):
+    root, corpus, _ = world
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(json.dumps(spans_to_record(corpus[0].id, [])) + "\n", encoding="utf-8")
+    evaluate = ["evaluate", "--gold", str(root / "corpus.jsonl"), "--pred", str(pred_path),
+                "--out", str(tmp_path / "report.json")]
+    assert main(evaluate + ["--seed", "5"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert main(evaluate) == 0
+    assert _manifest_of(tmp_path / "report.json")["seed"] is None
 
 
 def test_manifest_records_config_and_input_hashes(world, tmp_path, capsys):
@@ -314,7 +358,8 @@ def test_predict_matches_grammar_fixture_when_generation_is_wired(world, tmp_pat
     predict = ["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
                "--sentences", str(sentences_path)]
     assert main(predict) == 0
-    stdout = capsys.readouterr().out
+    stdout, stderr = capsys.readouterr()
+    assert stderr == "t7: 0 parse diagnostics, 1 unlocated\n"
     row, other = [json.loads(line) for line in stdout.splitlines()]
     spans = [(s["surface"], s["type"], s["start"]) for s in row["spans"]]
     assert spans == [("China", "GPE", text.index("China")),

@@ -21,7 +21,7 @@ from sdnet.data import (
     atomic_write,
     mention_order_key,
     read_annotated_jsonl,
-    read_type_dictionary,
+    read_file,
     validate_annotated_sentence,
     write_annotated_jsonl,
     write_jsonl,
@@ -75,7 +75,7 @@ def test_type_dictionary_json_round_trip(tmp_path):
     d = TypeDictionary(entries={"person": 10, "state award": 6}, min_count=5, max_tokens=3)
     path = tmp_path / "dict.json"
     path.write_text(d.to_json(), encoding="utf-8")
-    d2 = read_type_dictionary(path)
+    d2 = read_file(path, TypeDictionary.from_json)
     assert d2.entries == d.entries
     assert d2.min_count == d.min_count
     assert d2.max_tokens == d.max_tokens

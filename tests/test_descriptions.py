@@ -20,6 +20,7 @@ from sdnet.descriptions import (
     stable_draw_key,
     write_description_map,
 )
+from sdnet.sampling import SamplerConfig, make_md_instance
 from helpers import sent
 
 
@@ -211,6 +212,21 @@ def test_describe_with_model_collects_per_gold_type():
     assert desc_map["actor"] == ("writer",)  # own name excluded by fusion
     assert desc_map["city"] == ("capital",)
     assert report.filtered == ()
+
+
+def test_describe_with_model_lists_surfaces_in_the_pretraining_md_order():
+    # Stored out of text order, the mentions are still prompted as pretraining's
+    # MD instances list them: by first occurrence in the text.
+    s = sent("s0", "Alice met Bob.", [("Bob", ("person",)), ("Alice", ("person",))])
+    prompts = []
+
+    def fake_generate(prompt: str, text: str) -> str:
+        prompts.append(prompt)
+        return "Alice is writer; Bob is actor."
+
+    describe_with_model([s], fake_generate, DescriptionConfig())
+    md_instance = make_md_instance(s, SamplerConfig(), draw_key=0)
+    assert prompts == [md_instance.prompt_text] == ["[MD] Alice; Bob"]
 
 
 def test_description_map_file_round_trip(tmp_path):

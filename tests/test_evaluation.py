@@ -134,9 +134,17 @@ def test_schema_prompt_uses_descriptions():
 def test_predict_spans_runs_generation_output_through_parse_and_locate():
     s = sent("p#0", "Alice met Rome.", [("Alice", ("person",)), ("Rome", ("city",))])
     fn = lambda prompt, text: "Alice is person; Rome is city."
-    spans = predict_spans(fn, s, "[EG] person; city")
+    spans, diagnostics, unlocated = predict_spans(fn, s.sentence, "[EG] person; city")
     assert [(x.surface, x.type_id, x.start) for x in spans] == [
         ("Alice", "person", 0), ("Rome", "city", 10)]
+    assert diagnostics == [] and unlocated == []
+    # a clause without a copula is a parse diagnostic; a surface the sentence
+    # does not hold is an unlocated pair; both come back with the spans
+    fn = lambda prompt, text: "Alice is person; Bob is person; garbage."
+    spans, diagnostics, unlocated = predict_spans(fn, s.sentence, "[EG] person; city")
+    assert [(x.surface, x.type_id, x.start) for x in spans] == [("Alice", "person", 0)]
+    assert diagnostics == ["no copula in clause 'garbage'"]
+    assert unlocated == [("Bob", "person")]
 
 
 def test_gold_pipeline_identity_on_fixture_corpus():

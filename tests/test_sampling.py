@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnet.codec import parse_generated, parse_prompt_eg, parse_prompt_md
-from sdnet.data import (OTHER_TYPE, TypeDictionary, read_annotated_jsonl, read_type_dictionary,
-                        write_jsonl)
+from sdnet.data import OTHER_TYPE, TypeDictionary, read_annotated_jsonl, read_file, write_jsonl
 from sdnet.descriptions import build_cooccurrence_descriptions
 from sdnet.sampling import (
     KShotSample,
@@ -169,7 +168,7 @@ def test_build_pretrain_instances_golden_bytes(overrides, digest):
     """SHA-256 of the fixture corpus's pretraining instances as JSONL, pinned
     so that a faster sampler cannot change a single draw."""
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
-    dictionary = read_type_dictionary(FIXTURES / "golden_dict.json")
+    dictionary = read_file(FIXTURES / "golden_dict.json", TypeDictionary.from_json)
     desc = build_cooccurrence_descriptions(corpus)
     instances = build_pretrain_instances(corpus, dictionary, desc, SamplerConfig(**overrides))
     buf = io.StringIO()
