@@ -23,12 +23,12 @@ from .corpus import BuildConfig, build_corpus
 from .data import (
     OTHER_TYPE,
     CorpusFormatError,
-    Sentence,
     TypeDictionary,
     atomic_write,
     iter_jsonl,
     read_annotated_jsonl,
     read_file,
+    sentence_from_record,
     write_annotated_jsonl,
 )
 from .descriptions import (
@@ -36,7 +36,6 @@ from .descriptions import (
     build_cooccurrence_descriptions,
     describe_with_model,
     read_description_map,
-    stable_draw_key,
     write_description_map,
 )
 from .evaluation import gold_spans, model_episode_factory, predict_spans, run_episodes, score
@@ -62,6 +61,7 @@ from .sampling import (
     build_pretrain_instances,
     read_instances_jsonl,
     sample_kshot,
+    stable_draw_key,
     write_instances_jsonl,
 )
 
@@ -124,8 +124,8 @@ def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list) -> No
 
 def _schema_from(text: str) -> list[str]:
     raw = json.loads(text)
-    if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw) or not raw:
-        raise ValueError("schema must be a non-empty JSON array of type names")
+    if not isinstance(raw, list) or not all(isinstance(t, str) and t.strip() for t in raw) or not raw:
+        raise ValueError("schema must be a non-empty JSON array of non-blank type names")
     return raw
 
 
@@ -257,7 +257,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     gen = partial(generate, params, mcfg, vocab, max_len=args.max_gen)
     predictions = []
-    for sent in iter_jsonl(args.sentences, lambda raw: Sentence(id=raw["id"], text=raw["text"])):
+    for sent in iter_jsonl(args.sentences, sentence_from_record):
         spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
         if diagnostics or unlocated:
             print(f"{sent.id}: {len(diagnostics)} parse diagnostics, "

@@ -25,6 +25,7 @@ from .data import (
     TypedMention,
     jsonl_lines,
     mention_order_key,
+    string_field,
     string_list,
 )
 
@@ -104,15 +105,18 @@ def truncate_type_name(name: str, cfg: BuildConfig) -> str:
 def kb_from_record(raw: dict) -> KbItem:
     lists = {name: string_list(raw.get(name, ()), name)
              for name in ("aliases", "instance_of", "subclass_of", "occupation")}
-    return KbItem(item_id=raw["id"], label=raw["label"], **lists)
+    return KbItem(item_id=string_field(raw["id"], "id"), label=string_field(raw["label"], "label"),
+                  **lists)
 
 
 def page_from_record(raw: dict) -> WikiPage:
     anchors = tuple(
-        Anchor(surface=a["surface"], target=a["target"], offset=a["offset"])
+        Anchor(surface=string_field(a["surface"], "surface"),
+               target=string_field(a["target"], "target"), offset=a["offset"])
         for a in raw.get("anchors", ())
     )
-    return WikiPage(title=raw["title"], text=raw["text"], anchors=anchors)
+    return WikiPage(title=string_field(raw["title"], "title"), text=string_field(raw["text"], "text"),
+                    anchors=anchors)
 
 
 def read_kb_jsonl(path: str | Path, tally: Counter | None = None) -> dict[str, KbItem]:

@@ -167,6 +167,8 @@ class ConceptDescription:
     concepts: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not self.type_id.strip():
+            raise ValueError(f"blank type name {self.type_id!r}")
         if len(set(self.concepts)) != len(self.concepts):
             raise ValueError(f"duplicate concepts for type {self.type_id!r}")
 
@@ -232,12 +234,25 @@ def string_list(value: object, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def string_field(value: object, name: str) -> str:
+    """Record field `name`, a string; anything else raises TypeError naming the
+    field (a number would pass the record's checks and fail far from it)."""
+    if not isinstance(value, str):
+        raise TypeError(f"field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def sentence_from_record(raw: dict) -> Sentence:
+    return Sentence(id=string_field(raw["id"], "id"), text=string_field(raw["text"], "text"))
+
+
 def annotated_from_record(raw: dict) -> AnnotatedSentence:
     mentions = tuple(
-        TypedMention(surface=m["surface"], types=string_list(m["types"], "types"))
+        TypedMention(surface=string_field(m["surface"], "surface"),
+                     types=string_list(m["types"], "types"))
         for m in raw["mentions"]
     )
-    return AnnotatedSentence(Sentence(id=raw["id"], text=raw["text"]), mentions)
+    return AnnotatedSentence(sentence_from_record(raw), mentions)
 
 
 def write_annotated_jsonl(path: str | Path, sentences: Iterable[AnnotatedSentence]) -> None:

@@ -1,18 +1,15 @@
-"""Type descriptions: co-occurrence mining, model-based describing, fusion,
-concept sampling, and other-frequency filtering."""
+"""Type descriptions: co-occurrence mining, model-based describing, fusion and
+other-frequency filtering. No random draws: sampling.py subsamples them."""
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .codec import parse_generated, serialize_prompt_md
-from .data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD, iter_jsonl,
-                   ordered_unique_surfaces, string_list, write_jsonl)
+from .data import (OTHER_TYPE, AnnotatedSentence, PromptMD, iter_jsonl, ordered_unique_surfaces,
+                   string_field, string_list, write_jsonl)
 
 DescriptionMap = dict[str, tuple[str, ...]]
 GenerateFn = Callable[[str, str], str]  # (prompt, source text) -> generated text
@@ -20,36 +17,18 @@ GenerateFn = Callable[[str, str], str]  # (prompt, source text) -> generated tex
 
 @dataclass(frozen=True)
 class DescriptionConfig:
-    max_concepts: int = 10
     other_threshold: float = 0.5
-    rng_seed: int = 0
+    rng_seed: int = 0  # read by nothing; kept for callers that still pass it (perfbench)
 
     def __post_init__(self) -> None:
-        if self.max_concepts < 1:
-            raise ValueError("max_concepts must be >= 1")
         if not (0.0 <= self.other_threshold <= 1.0):
             raise ValueError("other_threshold must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class MentionDescription:
-    surface: str
-    concepts: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.concepts:
-            raise ValueError(f"mention {self.surface!r} has an empty description")
 
 
 @dataclass(frozen=True)
 class FilterReport:
     frequencies: dict[str, float]
     filtered: tuple[str, ...]
-
-
-def stable_draw_key(*parts: str | int) -> int:
-    """Process-stable integer key for seeded sampling (unlike hash())."""
-    return zlib.crc32("\x1f".join(str(p) for p in parts).encode("utf-8"))
 
 
 def build_cooccurrence_descriptions(corpus: Iterable[AnnotatedSentence]) -> DescriptionMap:
@@ -68,54 +47,31 @@ def build_cooccurrence_descriptions(corpus: Iterable[AnnotatedSentence]) -> Desc
     return {t: tuple(concepts) for t, concepts in out.items()}
 
 
-def sample_concepts(
-    type_id: str, full: Sequence[str], cfg: DescriptionConfig, draw_key: int
-) -> ConceptDescription:
-    """At most max_concepts concepts, in input order; over-full collections are
-    subsampled by a generator keyed on (rng_seed, draw_key)."""
-    if len(full) <= cfg.max_concepts:
-        return ConceptDescription(type_id=type_id, concepts=tuple(full))
-    rng = np.random.default_rng([cfg.rng_seed, draw_key])
-    picked = sorted(rng.choice(len(full), size=cfg.max_concepts, replace=False).tolist())
-    return ConceptDescription(type_id=type_id, concepts=tuple(full[i] for i in picked))
-
-
-def fuse_mention_descriptions(
-    per_type: Mapping[str, Sequence[MentionDescription]]
-) -> DescriptionMap:
-    """Union of concepts per type in first-seen order, excluding `other` and the
-    type's own identifier."""
-    out: DescriptionMap = {}
-    for type_id, descriptions in per_type.items():
-        fused: list[str] = []
-        for desc in descriptions:
-            for c in desc.concepts:
-                if c != OTHER_TYPE and c != type_id and c not in fused:
-                    fused.append(c)
-        out[type_id] = tuple(fused)
-    return out
-
-
 def apply_filtering(
-    per_type: Mapping[str, Sequence[MentionDescription]], cfg: DescriptionConfig
+    per_type: Mapping[str, Sequence[tuple[str, ...]]], cfg: DescriptionConfig
 ) -> tuple[DescriptionMap, FilterReport]:
-    """Types whose other-frequency strictly exceeds the threshold map to the
-    empty description (bare type name in prompts); the rest fuse their
-    non-`other` descriptions."""
+    """Fuse each type's mention descriptions (one concept tuple per described
+    mention) into the union of their concepts, in first-seen order, without
+    `other` and the type's own name. A type whose other-frequency (the share
+    of `other`-only descriptions) strictly exceeds the threshold maps to the
+    empty description instead (bare type name in prompts)."""
     out: DescriptionMap = {}
     frequencies: dict[str, float] = {}
     filtered: list[str] = []
     for type_id, descriptions in per_type.items():
-        if not descriptions:
-            raise ValueError(f"type {type_id!r} has no mention descriptions")
-        freq = sum(1 for d in descriptions if d.concepts == (OTHER_TYPE,)) / len(descriptions)
+        if not descriptions or not all(descriptions):
+            raise ValueError(f"type {type_id!r} has no mention descriptions or an empty one")
+        freq = sum(1 for d in descriptions if d == (OTHER_TYPE,)) / len(descriptions)
         frequencies[type_id] = freq
+        fused: dict[str, None] = {}
         if freq > cfg.other_threshold:
-            out[type_id] = ()
             filtered.append(type_id)
         else:
-            kept = [d for d in descriptions if d.concepts != (OTHER_TYPE,)]
-            out[type_id] = fuse_mention_descriptions({type_id: kept})[type_id]
+            for concepts in descriptions:
+                for c in concepts:
+                    if c != OTHER_TYPE and c != type_id:
+                        fused.setdefault(c)
+        out[type_id] = tuple(fused)
     return out, FilterReport(frequencies=frequencies, filtered=tuple(filtered))
 
 
@@ -126,7 +82,7 @@ def describe_with_model(
 ) -> tuple[DescriptionMap, FilterReport]:
     """Run the mention-describing task over gold mentions, in MD prompt order,
     and fuse the parsed concept descriptions per gold type, then filter."""
-    per_type: dict[str, list[MentionDescription]] = {}
+    per_type: dict[str, list[tuple[str, ...]]] = {}
     for sent in corpus:
         surfaces = tuple(surface for surface, _ in ordered_unique_surfaces(sent))
         if not surfaces:
@@ -139,9 +95,7 @@ def describe_with_model(
             if not concepts:
                 continue
             for t in m.types:
-                per_type.setdefault(t, []).append(
-                    MentionDescription(surface=m.surface, concepts=concepts)
-                )
+                per_type.setdefault(t, []).append(concepts)
     return apply_filtering(per_type, cfg)
 
 
@@ -156,6 +110,6 @@ def write_description_map(
 
 
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:
-    rows = list(iter_jsonl(path, lambda r: (r["type"], string_list(r["concepts"], "concepts"),
-                                            r.get("filtered"))))
+    rows = list(iter_jsonl(path, lambda r: (string_field(r["type"], "type"),
+                                            string_list(r["concepts"], "concepts"), r.get("filtered"))))
     return {t: concepts for t, concepts, _ in rows}, {t for t, _, filtered in rows if filtered}

@@ -1,9 +1,11 @@
 """Training-instance construction: pretraining MD/EG sampling, fine-tuning
-schema prompts, and k-shot support-set selection."""
+schema prompts, and k-shot support-set selection. Every seeded draw of
+instance construction happens here, keyed by `stable_draw_key`."""
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,9 +25,15 @@ from .data import (
     iter_jsonl,
     mention_order_key,
     ordered_unique_surfaces,
+    string_field,
     write_jsonl,
 )
-from .descriptions import DescriptionConfig, DescriptionMap, sample_concepts, stable_draw_key
+from .descriptions import DescriptionMap
+
+
+def stable_draw_key(*parts: str | int) -> int:
+    """Process-stable integer key for seeded sampling (unlike hash())."""
+    return zlib.crc32("\x1f".join(str(p) for p in parts).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -109,16 +117,15 @@ def schema_prompt(schema_types: Sequence[str], desc: DescriptionMap) -> str:
 
 class _EgSampler:
     """EG sampling state shared by every instance of one call: the candidate
-    negative types, the description config, and a table of the prompt entries
-    of types whose descriptions fit `max_concepts`. Such an entry draws
-    nothing, so one serves every instance; only over-full descriptions are
-    subsampled per instance."""
+    negative types and a table of the prompt entries of types whose
+    descriptions fit `max_concepts`. Such an entry draws nothing, so one
+    serves every instance; an over-full description is subsampled per
+    instance, keyed on the instance and the type, in input order."""
 
     def __init__(self, dictionary: TypeDictionary, desc: DescriptionMap, cfg: SamplerConfig) -> None:
         self.types = dictionary.types(include_other=False)
         self.desc = desc
         self.cfg = cfg
-        self.desc_cfg = DescriptionConfig(max_concepts=cfg.max_concepts, rng_seed=cfg.rng_seed)
         self.fitting: dict[str, ConceptDescription] = {}
 
     def _entry(self, t: str, draw_key: int) -> ConceptDescription:
@@ -126,7 +133,9 @@ class _EgSampler:
         if entry is None:
             full = self.desc.get(t, ())
             if len(full) > self.cfg.max_concepts:
-                return sample_concepts(t, full, self.desc_cfg, stable_draw_key(draw_key, t))
+                rng = np.random.default_rng([self.cfg.rng_seed, stable_draw_key(draw_key, t)])
+                picked = sorted(rng.choice(len(full), size=self.cfg.max_concepts, replace=False).tolist())
+                return ConceptDescription(type_id=t, concepts=tuple(full[i] for i in picked))
             entry = self.fitting[t] = ConceptDescription(type_id=t, concepts=tuple(full))
         return entry
 
@@ -250,12 +259,7 @@ def instance_to_record(inst: TrainingInstance) -> dict:
 def instance_from_record(raw: dict) -> TrainingInstance:
     """The instance a record holds; raises ValueError when its target does not
     re-parse cleanly."""
-    inst = TrainingInstance(
-        task=raw["task"],
-        prompt_text=raw["prompt"],
-        input_text=raw["input"],
-        target_text=raw["target"],
-    )
+    inst = TrainingInstance(*(string_field(raw[k], k) for k in ("task", "prompt", "input", "target")))
     parsed = parse_generated(inst.task, inst.target_text)
     if parsed.diagnostics:
         raise ValueError(f"target does not re-parse cleanly: {parsed.diagnostics}")

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from sdnet.corpus import truncate_type_name
-from sdnet.data import OTHER_TYPE, AnnotatedSentence, Sentence, TypeDictionary, TypedMention
+from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TypeDictionary,
+                        TypedMention)
 from sdnet.model import (
     EOS_ID,
     PAD_ID,
@@ -165,6 +166,18 @@ def reference_entity_types(item, dictionary, cfg, label_of=None) -> tuple[str, .
         if t in dictionary and t != OTHER_TYPE and t not in out:
             out.append(t)
     return tuple(out) if out else (OTHER_TYPE,)
+
+
+def reference_sample_concepts(type_id: str, full, max_concepts: int, rng_seed: int,
+                              draw_key: int) -> ConceptDescription:
+    """At most max_concepts concepts, in input order; over-full collections are
+    subsampled by a generator keyed on (rng_seed, draw_key). The oracle for an
+    EG prompt entry, whose draw key is `stable_draw_key(instance key, type)`."""
+    if len(full) <= max_concepts:
+        return ConceptDescription(type_id=type_id, concepts=tuple(full))
+    rng = np.random.default_rng([rng_seed, draw_key])
+    picked = sorted(rng.choice(len(full), size=max_concepts, replace=False).tolist())
+    return ConceptDescription(type_id=type_id, concepts=tuple(full[i] for i in picked))
 
 
 def on_token_boundaries(text: str, start: int, end: int) -> bool:

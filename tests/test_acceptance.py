@@ -38,7 +38,6 @@ from sdnet.data import (
 )
 from sdnet.descriptions import (
     DescriptionConfig,
-    MentionDescription,
     apply_filtering,
     build_cooccurrence_descriptions,
 )
@@ -237,10 +236,8 @@ def test_description_cooccurrence_matches_oracle_and_filter_thresholds():
     # Other-frequency filtering is strict: exactly half `other` survives.
     cfg = DescriptionConfig()
     for n_other, n_total, expect_filtered in ((2, 5, False), (3, 6, False), (3, 5, True)):
-        descriptions = [MentionDescription(surface=f"m{i}", concepts=(OTHER_TYPE,))
-                        for i in range(n_other)]
-        descriptions += [MentionDescription(surface=f"k{i}", concepts=("ta",))
-                         for i in range(n_total - n_other)]
+        descriptions = [(OTHER_TYPE,) for i in range(n_other)]
+        descriptions += [("ta",) for i in range(n_total - n_other)]
         desc_map, report = apply_filtering({"tb": descriptions}, cfg)
         assert report.frequencies["tb"] == pytest.approx(n_other / n_total)
         if expect_filtered:

@@ -88,9 +88,13 @@ def test_schema_that_is_not_json_is_data_fault_naming_the_file(world, tmp_path, 
     assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON")
 
 
-@pytest.mark.parametrize("prompt", ["not a prompt", "[MD] China"])
+@pytest.mark.parametrize("prompt, detail", [
+    ("not a prompt", "EG prompt must start with"),
+    ("[MD] China", "EG prompt must start with"),
+    ("[EG] person; ; city", "blank type name"),
+])
 def test_predict_rejects_a_prompt_file_that_is_not_an_eg_prompt(tmp_path, capsys, monkeypatch,
-                                                               prompt):
+                                                               prompt, detail):
     import sdnet.cli as cli_module
 
     monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (None, None, None, {}))
@@ -106,8 +110,47 @@ def test_predict_rejects_a_prompt_file_that_is_not_an_eg_prompt(tmp_path, capsys
                "--sentences", str(sentences_path)])
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {prompt_path}: EG prompt must start with")
+    assert captured.err.startswith(f"error: {prompt_path}: {detail}")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("cmd, record", [
+    ("sample-kshot", {"id": "a", "text": 5, "mentions": []}),
+    ("sample-kshot", {"id": "a", "text": "Ada rests.", "mentions": [{"surface": 5, "types": ["x"]}]}),
+    ("sample-kshot", {"id": 7, "text": "Ada rests.", "mentions": []}),
+    ("pretrain", {"task": "MD", "prompt": 5, "input": "Ada rests.", "target": "Ada is x."}),
+    ("predict", {"id": "t0", "text": 5}),
+])
+def test_a_record_field_that_is_not_a_string_is_data_fault_naming_the_line(tmp_path, capsys,
+                                                                           monkeypatch, cmd, record):
+    import sdnet.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (None, None, None, {}))
+    data = tmp_path / "records.jsonl"
+    data.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    prompt = tmp_path / "prompt.txt"
+    prompt.write_text("[EG] x\n", encoding="utf-8")
+    ckpt = tmp_path / "fake.ckpt"
+    ckpt.write_text("{}", encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {"sample-kshot": ["--corpus", str(data), "--out", out, "--k", "1"],
+            "pretrain": ["--data", str(data), "--out", out],
+            "predict": ["--model", str(ckpt), "--prompt-file", str(prompt), "--sentences", str(data)]}
+    assert main([cmd] + argv[cmd]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {data}:1: field ")
+
+
+@pytest.mark.parametrize("schema", [[""], ["person", "  "]])
+def test_blank_schema_type_is_data_fault_naming_the_file(world, tmp_path, capsys, schema):
+    root, _, _ = world
+    bad = tmp_path / "schema.json"
+    bad.write_text(json.dumps(schema), encoding="utf-8")
+    desc = tmp_path / "desc.jsonl"
+    desc.write_text("", encoding="utf-8")
+    rc = main(["make-finetune-data", "--corpus", str(root / "corpus.jsonl"), "--schema", str(bad),
+               "--desc", str(desc), "--out", str(tmp_path / "ft.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: schema must be")
 
 
 @pytest.mark.parametrize("text, detail", [

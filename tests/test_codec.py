@@ -101,6 +101,14 @@ def test_eg_prompt_parse_accepts_empty_braces():
         entries=(ConceptDescription(type_id="city", concepts=()),))
 
 
+@pytest.mark.parametrize("text", ["[EG] person; ; city", "[EG] : {}", "[EG]  "])
+def test_eg_prompt_parse_rejects_a_blank_type_entry(text):
+    with pytest.raises(ValueError, match="blank type name"):
+        parse_prompt_eg(text)
+    with pytest.raises(ValueError, match="blank type name"):
+        ConceptDescription(type_id=" ")
+
+
 def test_surface_safety():
     assert surface_is_safe("J.K. Rowling")
     assert surface_is_safe("a few days ago")

@@ -269,23 +269,28 @@ def test_read_kb_and_pages_tally_malformed_lines(tmp_path):
         + "{not json}\n"
         + json.dumps({"label": "missing id"}) + "\n"
         + json.dumps({"id": "Q1", "label": "Ada", "instance_of": "Q5"}) + "\n"
-        + json.dumps({"id": "Q2", "label": "Bo", "aliases": ["Bob", None]}) + "\n",
+        + json.dumps({"id": "Q2", "label": "Bo", "aliases": ["Bob", None]}) + "\n"
+        + json.dumps({"id": "T2", "label": 5}) + "\n"
+        + json.dumps({"id": 7, "label": "Cy"}) + "\n",
         encoding="utf-8")
     tally = Counter()
     items = read_kb_jsonl(kb_path, tally)
     assert list(items) == ["T1"]
-    assert tally["malformed_kb_record"] == 4
+    assert tally["malformed_kb_record"] == 6
 
     pages_path = tmp_path / "pages.jsonl"
     pages_path.write_text(
         json.dumps({"title": "A", "text": "A rests.", "anchors": []}) + "\n"
         + json.dumps({"title": "B", "text": "B.", "anchors": [
-            {"surface": "zzz", "target": "Q1", "offset": 0}]}) + "\n",
+            {"surface": "zzz", "target": "Q1", "offset": 0}]}) + "\n"
+        + json.dumps({"title": "C", "text": 5, "anchors": []}) + "\n"
+        + json.dumps({"title": "D", "text": "D rests.", "anchors": [
+            {"surface": "D", "target": 1, "offset": 0}]}) + "\n",
         encoding="utf-8")
     tally = Counter()
     pages = read_pages_jsonl(pages_path, tally)
     assert [p.title for p in pages] == ["A"]
-    assert tally["malformed_page_record"] == 1
+    assert tally["malformed_page_record"] == 3
 
 
 def test_fixture_build_matches_golden_corpus():

@@ -136,18 +136,30 @@ def test_jsonl_readers_name_the_line_of_bad_json(tmp_path, read, record):
     read(path)
 
 
-@pytest.mark.parametrize("read, record, field", [
+_INSTANCE = {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.", "target": "Alice is person."}
+
+
+@pytest.mark.parametrize("read, record, field, kind", [
     (read_annotated_jsonl, {"id": "s", "text": "Alice rests.",
-                            "mentions": [{"surface": "Alice", "types": "person"}]}, "types"),
+                            "mentions": [{"surface": "Alice", "types": "person"}]}, "types",
+     "a list of strings"),
     (read_annotated_jsonl, {"id": "s", "text": "Alice rests.",
-                            "mentions": [{"surface": "Alice", "types": ["person", 7]}]}, "types"),
-    (read_description_map, {"type": "person", "concepts": "writer"}, "concepts"),
+                            "mentions": [{"surface": "Alice", "types": ["person", 7]}]}, "types",
+     "a list of strings"),
+    (read_description_map, {"type": "person", "concepts": "writer"}, "concepts", "a list of strings"),
+    (read_annotated_jsonl, {"id": "s", "text": 5, "mentions": []}, "text", "a string"),
+    (read_annotated_jsonl, {"id": 7, "text": "Alice rests.", "mentions": []}, "id", "a string"),
+    (read_annotated_jsonl, {"id": "s", "text": "Alice rests.",
+                            "mentions": [{"surface": 5, "types": ["person"]}]}, "surface", "a string"),
+    (read_instances_jsonl, {**_INSTANCE, "prompt": 5}, "prompt", "a string"),
+    (read_instances_jsonl, {**_INSTANCE, "input": ["Alice rests."]}, "input", "a string"),
+    (read_description_map, {"type": 5, "concepts": ["writer"]}, "type", "a string"),
 ])
-def test_jsonl_readers_reject_a_string_where_a_list_is_expected(tmp_path, read, record, field):
+def test_jsonl_readers_reject_a_field_of_the_wrong_kind(tmp_path, read, record, field, kind):
     path = tmp_path / "records.jsonl"
     path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError,
-                       match=f"^{re.escape(str(path))}:2: field '{field}' must be a list of strings"):
+                       match=f"^{re.escape(str(path))}:2: field '{field}' must be {kind}, got"):
         read(path)
 
 

@@ -1,4 +1,4 @@
-"""Type description construction: co-occurrence, sampling, fusion, filtering."""
+"""Type description construction: co-occurrence, fusion, filtering."""
 
 from __future__ import annotations
 
@@ -10,14 +10,10 @@ from hypothesis import given, settings, strategies as st
 from sdnet.data import OTHER_TYPE
 from sdnet.descriptions import (
     DescriptionConfig,
-    MentionDescription,
     apply_filtering,
     build_cooccurrence_descriptions,
     describe_with_model,
-    fuse_mention_descriptions,
     read_description_map,
-    sample_concepts,
-    stable_draw_key,
     write_description_map,
 )
 from sdnet.sampling import SamplerConfig, make_md_instance
@@ -94,50 +90,21 @@ def test_cooccurrence_never_contains_other_or_self(corpus):
         assert OTHER_TYPE not in concepts
 
 
-def test_sample_concepts_identity_when_under_budget():
-    cfg = DescriptionConfig(max_concepts=10)
-    got = sample_concepts("t", ("a", "b", "c"), cfg, draw_key=7)
-    assert got.type_id == "t"
-    assert got.concepts == ("a", "b", "c")
-
-
-def test_sample_concepts_subsamples_preserving_input_order():
-    cfg = DescriptionConfig(max_concepts=3, rng_seed=5)
-    full = tuple(f"c{i}" for i in range(12))
-    got = sample_concepts("t", full, cfg, draw_key=1)
-    assert len(got.concepts) == 3
-    assert list(got.concepts) == sorted(got.concepts, key=full.index)
-    # keyed determinism: same (seed, key) -> same draw; different key -> may differ
-    again = sample_concepts("t", full, cfg, draw_key=1)
-    assert got == again
-
-
-def test_stable_draw_key_is_process_stable():
-    assert stable_draw_key("a#1", "MD") == stable_draw_key("a#1", "MD")
-    assert stable_draw_key("a#1", "MD") != stable_draw_key("a#1", "EG")
-    assert isinstance(stable_draw_key("x", 3), int)
-
-
 def test_fusion_unions_in_first_seen_order():
     per_type = {
         "person": [
-            MentionDescription(surface="A", concepts=("writer", "actor")),
-            MentionDescription(surface="B", concepts=("actor", "politician", "person")),
-            MentionDescription(surface="C", concepts=(OTHER_TYPE,)),
+            ("writer", "actor"),
+            ("actor", "politician", "person"),
+            (OTHER_TYPE,),
         ],
     }
-    fused = fuse_mention_descriptions(per_type)
+    fused, _ = apply_filtering(per_type, DescriptionConfig(other_threshold=1.0))
     assert fused["person"] == ("writer", "actor", "politician")
 
 
 def test_filtering_threshold_is_strictly_greater_than():
     # 2 of 4 descriptions are `other`-only: frequency exactly 0.5
-    rows = [
-        MentionDescription(surface="A", concepts=(OTHER_TYPE,)),
-        MentionDescription(surface="B", concepts=(OTHER_TYPE,)),
-        MentionDescription(surface="C", concepts=("writer",)),
-        MentionDescription(surface="D", concepts=("actor",)),
-    ]
+    rows = [(OTHER_TYPE,), (OTHER_TYPE,), ("writer",), ("actor",)]
     for threshold, expect_filtered in [(0.4, True), (0.5, False), (0.6, False)]:
         cfg = DescriptionConfig(other_threshold=threshold)
         out, report = apply_filtering({"person": rows}, cfg)
@@ -150,14 +117,17 @@ def test_filtering_threshold_is_strictly_greater_than():
 
 
 def test_filtering_counts_other_only_descriptions():
-    rows = [
-        MentionDescription(surface="A", concepts=(OTHER_TYPE, "writer")),
-        MentionDescription(surface="B", concepts=("actor",)),
-    ]
+    rows = [(OTHER_TYPE, "writer"), ("actor",)]
     out, report = apply_filtering({"t": rows}, DescriptionConfig(other_threshold=0.3))
     # neither description is `other`-only: per-description frequency 0
     assert report.frequencies["t"] == 0.0
     assert "t" not in report.filtered
+
+
+@pytest.mark.parametrize("rows", [[], [("writer",), ()]])
+def test_filtering_rejects_a_type_without_descriptions_or_with_an_empty_one(rows):
+    with pytest.raises(ValueError, match="no mention descriptions or an empty one"):
+        apply_filtering({"t": rows}, DescriptionConfig())
 
 
 @st.composite
@@ -165,13 +135,13 @@ def _mention_descriptions(draw):
     per_type = {}
     for t in draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=1, max_size=3, unique=True)):
         rows = []
-        for i in range(draw(st.integers(1, 6))):
+        for _ in range(draw(st.integers(1, 6))):
             if draw(st.booleans()):
-                rows.append(MentionDescription(surface=f"m{i}", concepts=(OTHER_TYPE,)))
+                rows.append((OTHER_TYPE,))
             else:
                 concepts = draw(st.lists(st.sampled_from(["x", "y", t, OTHER_TYPE]),
                                          min_size=1, max_size=3, unique=True))
-                rows.append(MentionDescription(surface=f"m{i}", concepts=tuple(concepts)))
+                rows.append(tuple(concepts))
         per_type[t] = rows
     return per_type
 
@@ -189,7 +159,7 @@ def test_threshold_one_filters_nothing(per_type):
 def test_threshold_zero_filters_every_type_with_an_other_only_description(per_type):
     _, report = apply_filtering(per_type, DescriptionConfig(other_threshold=0.0))
     for t, rows in per_type.items():
-        has_other_only = any(d.concepts == (OTHER_TYPE,) for d in rows)
+        has_other_only = any(d == (OTHER_TYPE,) for d in rows)
         assert ((t in report.filtered) is has_other_only)
 
 

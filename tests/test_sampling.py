@@ -25,9 +25,10 @@ from sdnet.sampling import (
     make_md_instance,
     read_instances_jsonl,
     sample_kshot,
+    stable_draw_key,
     write_instances_jsonl,
 )
-from helpers import FIXTURES, sent
+from helpers import FIXTURES, reference_sample_concepts, sent
 
 CFG = SamplerConfig(rng_seed=0)
 
@@ -108,6 +109,57 @@ def test_eg_rejects_sentence_with_only_other_mentions():
     s = sent("s#2", "Thing rests.", [("Thing", (OTHER_TYPE,))])
     with pytest.raises(ValueError):
         make_eg_instance(s, DICT, {}, CFG, draw_key=0)
+
+
+TEE = sent("t#0", "Tee rests.", [("Tee", ("t",))])
+
+
+def _entry_of(inst, type_id):
+    return next(e for e in parse_prompt_eg(inst.prompt_text).entries if e.type_id == type_id)
+
+
+def test_eg_concepts_identity_when_under_budget():
+    cfg = SamplerConfig(max_concepts=10)
+    got = _entry_of(make_eg_instance(TEE, DICT, {"t": ("a", "b", "c")}, cfg, draw_key=7), "t")
+    assert got.type_id == "t"
+    assert got.concepts == ("a", "b", "c")
+
+
+def test_eg_concepts_subsample_preserving_input_order():
+    cfg = SamplerConfig(max_concepts=3, rng_seed=5)
+    full = tuple(f"c{i}" for i in range(12))
+    got = _entry_of(make_eg_instance(TEE, DICT, {"t": full}, cfg, draw_key=1), "t")
+    assert len(got.concepts) == 3
+    assert list(got.concepts) == sorted(got.concepts, key=full.index)
+    # keyed determinism: same (seed, key) -> same draw; different key -> may differ
+    again = _entry_of(make_eg_instance(TEE, DICT, {"t": full}, cfg, draw_key=1), "t")
+    assert got == again
+
+
+_CONCEPT_POOL = [f"k{i}" for i in range(16)] + ["big city", "writer"]
+
+
+@settings(max_examples=120)
+@given(st.lists(st.lists(st.sampled_from(_CONCEPT_POOL), unique=True, max_size=16),
+                min_size=len(DICT.types()), max_size=len(DICT.types())),
+       st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_eg_prompt_entries_equal_the_reference_concept_draw(concept_lists, max_concepts, seed, key):
+    """Every prompt entry, fitting or over-full, is the reference draw keyed on
+    (rng_seed, stable_draw_key(instance key, type))."""
+    desc = {t: tuple(concepts) for t, concepts in zip(DICT.types(include_other=False), concept_lists)}
+    cfg = SamplerConfig(rng_seed=seed, max_concepts=max_concepts)
+    inst = make_eg_instance(ROWLING, DICT, desc, cfg, draw_key=key)
+    entries = parse_prompt_eg(inst.prompt_text).entries
+    assert {"person", "writer", "city"} <= {e.type_id for e in entries}
+    for e in entries:
+        assert e == reference_sample_concepts(e.type_id, desc.get(e.type_id, ()), max_concepts,
+                                              seed, stable_draw_key(key, e.type_id))
+
+
+def test_stable_draw_key_is_process_stable():
+    assert stable_draw_key("a#1", "MD") == stable_draw_key("a#1", "MD")
+    assert stable_draw_key("a#1", "MD") != stable_draw_key("a#1", "EG")
+    assert isinstance(stable_draw_key("x", 3), int)
 
 
 def test_eg_pairs_orders_mentions_then_positive_types():
