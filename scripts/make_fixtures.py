@@ -301,7 +301,7 @@ def main() -> None:
         from sdnet.data import write_annotated_jsonl
 
         build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl",
-                             BuildConfig(), jobs=1)
+                             BuildConfig())
         write_annotated_jsonl(FIXTURES / "golden_corpus.jsonl", build.sentences)
         (FIXTURES / "golden_dict.json").write_text(
             build.dictionary.to_json() + "\n", encoding="utf-8")

@@ -152,7 +152,7 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
     cfg = BuildConfig(min_type_instances=args.min_type_instances,
                       max_type_tokens=args.max_type_tokens, top_np_count=args.top_np)
     _write_manifest(args, [args.kb, args.pages], [args.out, args.dict_out])
-    build = build_corpus(args.kb, args.pages, cfg, jobs=args.jobs)
+    build = build_corpus(args.kb, args.pages, cfg)
     write_annotated_jsonl(args.out, build.sentences)
     if args.dict_out:
         _write_text(args.dict_out, build.dictionary.to_json() + "\n")
@@ -316,7 +316,6 @@ def build_parser() -> _Parser:
     p.add_argument("--min-type-instances", type=int, default=BuildConfig.min_type_instances)
     p.add_argument("--max-type-tokens", type=int, default=BuildConfig.max_type_tokens)
     p.add_argument("--top-np", type=int, default=BuildConfig.top_np_count)
-    p.add_argument("--jobs", type=int, default=1, help="worker cap")
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("build-descriptions", help="build the type->concepts map")

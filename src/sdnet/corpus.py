@@ -2,17 +2,15 @@
 
 Two passes: (1) resolve each KB item's types once, into the type dictionary
 and an item -> types table; (2) harvest anchor and self-label mentions per
-page, typed by that table, into AnnotatedSentence records per sentence. Both
-passes are pure per record, so page-parallel input-order merging is byte-stable.
+page, typed by that table, into AnnotatedSentence records per sentence, in
+page order.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -119,27 +117,25 @@ def page_from_record(raw: dict) -> WikiPage:
                     anchors=anchors)
 
 
-def read_kb_jsonl(path: str | Path, tally: Counter | None = None) -> dict[str, KbItem]:
+def read_kb_jsonl(path: str | Path, tally: Counter) -> dict[str, KbItem]:
     items: dict[str, KbItem] = {}
     for _, line in jsonl_lines(path):
         try:
             item = kb_from_record(json.loads(line))
         except (json.JSONDecodeError, KeyError, TypeError):
-            if tally is not None:
-                tally["malformed_kb_record"] += 1
+            tally["malformed_kb_record"] += 1
             continue
         items[item.item_id] = item
     return items
 
 
-def read_pages_jsonl(path: str | Path, tally: Counter | None = None) -> list[WikiPage]:
+def read_pages_jsonl(path: str | Path, tally: Counter) -> list[WikiPage]:
     pages: list[WikiPage] = []
     for _, line in jsonl_lines(path):
         try:
             pages.append(page_from_record(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            if tally is not None:
-                tally["malformed_page_record"] += 1
+            tally["malformed_page_record"] += 1
     return pages
 
 
@@ -244,21 +240,18 @@ def harvest_mentions(
     page: WikiPage,
     types_of: Mapping[str, tuple[str, ...]],
     cfg: BuildConfig,
+    tally: Counter,
     page_item: KbItem | None = None,
-    tally: Counter | None = None,
 ) -> list[AnnotatedSentence]:
     """The page's entity-bearing sentences, each mention typed by `types_of`
-    (a `type_table`); an anchor whose target is not in it is `other`."""
-    def count(key: str) -> None:
-        if tally is not None:
-            tally[key] += 1
-
+    (a `type_table`); an anchor whose target is not in it is `other`. Dropped
+    and untyped mentions are counted in `tally`."""
     located: list[tuple[int, str, tuple[str, ...]]] = []
     anchor_spans: list[tuple[int, int]] = []
     for a in page.anchors:
         types = types_of.get(a.target)
         if types is None:
-            count("unknown_anchor_target")
+            tally["unknown_anchor_target"] += 1
             types = (OTHER_TYPE,)
         located.append((a.offset, a.surface, types))
         anchor_spans.append((a.offset, a.offset + len(a.surface)))
@@ -276,17 +269,17 @@ def harvest_mentions(
         for pos, surface, types in located:
             if not (s <= pos and pos + len(surface) <= e):
                 if s <= pos < e:  # starts inside but crosses the sentence end
-                    count("cross_boundary_mention")
+                    tally["cross_boundary_mention"] += 1
                 continue
             if not surface_is_safe(surface):
-                count("unsafe_surface_dropped")
+                tally["unsafe_surface_dropped"] += 1
                 continue
             if not surface or surface != surface.strip():
-                count("blank_surface_dropped")
+                tally["blank_surface_dropped"] += 1
                 continue
             mentions.append(TypedMention(surface=surface, types=types))
         if not mentions:
-            count("entity_free_sentence_dropped")
+            tally["entity_free_sentence_dropped"] += 1
             continue
         mentions.sort(key=lambda m: mention_order_key(sent_text, m.surface))
         out.append(
@@ -299,26 +292,15 @@ def harvest_mentions(
 class CorpusBuild:
     dictionary: TypeDictionary
     sentences: list[AnnotatedSentence]
-    tally: Counter = field(default_factory=Counter)
-
-
-def _harvest_chunk(
-    types_of: Mapping[str, tuple[str, ...]], cfg: BuildConfig,
-    pages: list[WikiPage], page_items: list[KbItem | None],
-) -> tuple[list[AnnotatedSentence], Counter]:
-    tally: Counter = Counter()
-    out: list[AnnotatedSentence] = []
-    for page, item in zip(pages, page_items):
-        out.extend(harvest_mentions(page, types_of, cfg, item, tally))
-    return out, tally
+    tally: Counter
 
 
 def build_corpus(
-    kb_path: str | Path, pages_path: str | Path, cfg: BuildConfig, jobs: int = 1
+    kb_path: str | Path, pages_path: str | Path, cfg: BuildConfig,
+    jobs: int = 1,  # read by nothing; kept for callers that still pass it (perfbench)
 ) -> CorpusBuild:
-    """Full pipeline; output is independent of `jobs` because pages are pure
-    units of work merged in input order. Each KB item's types are resolved
-    once, into the table every page is typed by."""
+    """Full pipeline: each KB item's types are resolved once, into the table
+    every page is typed by, then the pages are harvested in input order."""
     tally: Counter = Counter()
     kb = read_kb_jsonl(kb_path, tally)
     pages = read_pages_jsonl(pages_path, tally)
@@ -327,18 +309,7 @@ def build_corpus(
     dictionary = build_type_dictionary(claims.values(), cfg)
     types_of = type_table(claims, dictionary)
     by_label = {item.label: item for item in reversed(kb.values())}  # the first item per label
-    page_items = [by_label.get(p.title) for p in pages]
-    harvest = partial(_harvest_chunk, types_of, cfg)
-    if jobs <= 1 or len(pages) < 2:
-        sentences, sub = harvest(pages, page_items)
-        tally.update(sub)
-    else:
-        step = max(1, -(-len(pages) // jobs))
-        starts = range(0, len(pages), step)
-        sentences = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = ([pages[i : i + step] for i in starts], [page_items[i : i + step] for i in starts])
-            for part, sub in pool.map(harvest, *chunks):
-                sentences.extend(part)
-                tally.update(sub)
+    sentences: list[AnnotatedSentence] = []
+    for page in pages:
+        sentences.extend(harvest_mentions(page, types_of, cfg, tally, by_label.get(page.title)))
     return CorpusBuild(dictionary=dictionary, sentences=sentences, tally=tally)

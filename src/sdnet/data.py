@@ -122,6 +122,8 @@ class TypeDictionary:
         # regardless of construction order (or the process hash seed)
         object.__setattr__(self, "entries", dict(sorted(entries.items())))
         for name, count in entries.items():
+            if not name.strip():
+                raise ValueError(f"blank type name {name!r}")
             if name == OTHER_TYPE:
                 continue
             if count < self.min_count:

@@ -109,7 +109,16 @@ def write_description_map(
     ))
 
 
+def _filtered_flag(raw: dict) -> bool:
+    """The record's `filtered` field, a bool (absent reads as False); anything
+    else raises TypeError naming the field, as "no" would otherwise read true."""
+    value = raw.get("filtered", False)
+    if not isinstance(value, bool):
+        raise TypeError(f"field 'filtered' must be a bool, got {value!r}")
+    return value
+
+
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:
     rows = list(iter_jsonl(path, lambda r: (string_field(r["type"], "type"),
-                                            string_list(r["concepts"], "concepts"), r.get("filtered"))))
+                                            string_list(r["concepts"], "concepts"), _filtered_flag(r))))
     return {t: concepts for t, concepts, _ in rows}, {t for t, _, filtered in rows if filtered}

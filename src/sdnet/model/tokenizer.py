@@ -8,7 +8,6 @@ punctuation — which prompts, sentences, and serialized targets satisfy.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,19 +113,12 @@ class Vocab:
         return cls(id_to_token=tuple(json.loads(text)))
 
 
-def build_vocab(texts: Iterable[str], min_count: int = 1) -> Vocab:
-    """Tokens seen at least `min_count` times, sorted, after the special
-    tokens. Tokens never cross whitespace, so each distinct chunk is tokenized
-    once and its tokens counted as often as the chunk occurs."""
-    chunks: Counter[str] = Counter()
-    for text in texts:
-        chunks.update(text.split())
-    counts: Counter[str] = Counter()
-    for chunk, n in chunks.items():
-        for tok in tokenize(chunk):
-            counts[tok] += n
-    kept = sorted(tok for tok, n in counts.items() if n >= min_count and tok not in SPECIAL_TOKENS)
-    return Vocab(id_to_token=SPECIAL_TOKENS + tuple(kept))
+def build_vocab(texts: Iterable[str]) -> Vocab:
+    """Every token seen, sorted, after the special tokens. Tokens never cross
+    whitespace, so each distinct chunk is tokenized once."""
+    chunks = {chunk for text in texts for chunk in text.split()}
+    tokens = {tok for chunk in chunks for tok in tokenize(chunk)}
+    return Vocab(id_to_token=SPECIAL_TOKENS + tuple(sorted(tokens.difference(SPECIAL_TOKENS))))
 
 
 def encode_input(prompt_text: str, input_text: str, vocab: Vocab, max_len: int = 256) -> list[int]:

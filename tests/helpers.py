@@ -127,13 +127,11 @@ def reference_tokenize(text: str) -> list[str]:
     return tokens
 
 
-def reference_build_vocab(texts, min_count: int = 1) -> Vocab:
+def reference_build_vocab(texts) -> Vocab:
     """The vocabulary from tokenizing every text whole: the oracle for
     `build_vocab`, which tokenizes each distinct chunk once."""
-    counts: Counter[str] = Counter()
-    for text in texts:
-        counts.update(reference_tokenize(text))
-    kept = sorted(tok for tok, n in counts.items() if n >= min_count and tok not in SPECIAL_TOKENS)
+    tokens = {tok for text in texts for tok in reference_tokenize(text)}
+    kept = sorted(tok for tok in tokens if tok not in SPECIAL_TOKENS)
     return Vocab(id_to_token=SPECIAL_TOKENS + tuple(kept))
 
 

@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from helpers import (
     sent,
     tiny_setup,
 )
+import sdnet
 from sdnet.cli import main as cli_main
 from sdnet.codec import parse_generated, serialize_prompt_eg, serialize_target
 from sdnet.data import (
@@ -174,7 +179,7 @@ def test_locator_matches_brute_force_oracle_on_1000_random_sentences():
 
 # ---- 4. corpus builder golden build ----
 
-def test_corpus_build_is_byte_identical_across_runs_and_jobs(tmp_path, capsys):
+def test_corpus_build_is_byte_identical_across_runs_and_hash_seeds(tmp_path, capsys):
     kb = FIXTURES / "kb_items.jsonl"
     pages = FIXTURES / "pages.jsonl"
     assert kb.stat().st_size >= 50 * 1024
@@ -182,15 +187,22 @@ def test_corpus_build_is_byte_identical_across_runs_and_jobs(tmp_path, capsys):
 
     golden_corpus = (FIXTURES / "golden_corpus.jsonl").read_bytes()
     golden_dict = (FIXTURES / "golden_dict.json").read_bytes()
-    for run, jobs in (("a", 1), ("b", 1), ("c", 2)):
+    src = str(Path(sdnet.__file__).resolve().parents[1])
+    # runs a and b in this interpreter; the hash-seed runs in fresh ones, where
+    # set and dict-of-str iteration orders differ
+    for run, hash_seed in (("a", None), ("b", None), ("c", "1"), ("d", "2")):
         out = tmp_path / f"corpus-{run}.jsonl"
         dict_out = tmp_path / f"dict-{run}.json"
-        rc = cli_main(["build-corpus", "--kb", str(kb), "--pages", str(pages),
-                       "--out", str(out), "--dict-out", str(dict_out),
-                       "--jobs", str(jobs)])
-        assert rc == 0
-        assert out.read_bytes() == golden_corpus, f"corpus bytes differ (jobs={jobs})"
-        assert dict_out.read_bytes() == golden_dict, f"dictionary bytes differ (jobs={jobs})"
+        argv = ["build-corpus", "--kb", str(kb), "--pages", str(pages),
+                "--out", str(out), "--dict-out", str(dict_out)]
+        if hash_seed is None:
+            assert cli_main(argv) == 0
+        else:
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            subprocess.run([sys.executable, "-m", "sdnet.cli", *argv], env=env, check=True)
+        assert out.read_bytes() == golden_corpus, f"corpus bytes differ (run {run})"
+        assert dict_out.read_bytes() == golden_dict, f"dictionary bytes differ (run {run})"
     capsys.readouterr()
 
     dictionary = read_file(FIXTURES / "golden_dict.json", TypeDictionary.from_json)

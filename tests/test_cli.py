@@ -156,6 +156,7 @@ def test_blank_schema_type_is_data_fault_naming_the_file(world, tmp_path, capsys
 @pytest.mark.parametrize("text, detail", [
     ('{"min_count": 5}', "missing field 'entries'"),
     ('{"entries": {}', "invalid JSON"),
+    ('{"min_count": 5, "max_tokens": 3, "entries": {" ": 6, "person": 6}}', "blank type name ' '"),
 ])
 def test_bad_type_dictionary_is_data_fault_naming_the_file(world, tmp_path, capsys, text, detail):
     root, _, _ = world
@@ -210,7 +211,7 @@ _FILLS = {  # (subcommand, flag dest) -> (the config or recipe it fills, its fie
 }
 # flags that fill no config field, and --dtype: the library's float64 serves the
 # exact gradient checks, the CLI's float32 serves speed
-_OWN_DEFAULTS = {"seed", "jobs", "mode", "k", "runs", "max_gen", "dtype"}
+_OWN_DEFAULTS = {"seed", "mode", "k", "runs", "max_gen", "dtype"}
 
 
 def test_flag_defaults_equal_the_config_or_recipe_value_they_fill():

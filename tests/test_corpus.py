@@ -216,7 +216,8 @@ def test_harvest_anchors_and_self_label_occurrences():
     items, d = _mini_world()
     page = _page("Ada Byron", "Ada Byron lived in Velgrad. Ada Byron wrote programs.",
                  [("Velgrad", "Q2")])
-    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, page_item=items["Q1"])
+    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, Counter(),
+                             page_item=items["Q1"])
     assert [s.id for s in sents] == ["Ada Byron#0", "Ada Byron#1"]
     assert [(m.surface, m.types) for m in sents[0].mentions] == [
         ("Ada Byron", ("human",)), ("Velgrad", ("city",))]
@@ -228,7 +229,8 @@ def test_harvest_anchors_and_self_label_occurrences():
 def test_harvest_skips_self_label_occurrence_overlapping_anchor():
     items, d = _mini_world()
     page = _page("Ada Byron", "Ada Byron met Ada Byron.", [("Ada Byron", "Q1")])
-    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, page_item=items["Q1"])
+    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, Counter(),
+                             page_item=items["Q1"])
     # the anchored occurrence is kept once; the free occurrence comes from harvesting
     assert len(sents) == 1
     assert [(m.surface,) for m in sents[0].mentions] == [("Ada Byron",), ("Ada Byron",)]
@@ -294,7 +296,7 @@ def test_read_kb_and_pages_tally_malformed_lines(tmp_path):
 
 
 def test_fixture_build_matches_golden_corpus():
-    build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG, jobs=1)
+    build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
     got = "".join(json.dumps(annotated_to_record(s), ensure_ascii=False) + "\n"
                   for s in build.sentences)
     assert got == (FIXTURES / "golden_corpus.jsonl").read_text(encoding="utf-8")
@@ -303,7 +305,7 @@ def test_fixture_build_matches_golden_corpus():
 
 
 def test_fixture_build_dictionary_cases():
-    build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG, jobs=1)
+    build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
     d = build.dictionary
     assert "state award" in d
     assert "state award of the republic of moldova" not in d
@@ -311,7 +313,7 @@ def test_fixture_build_dictionary_cases():
 
 
 def test_fixture_rowling_page_shape():
-    build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG, jobs=1)
+    build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
     rows = [s for s in build.sentences if s.id.startswith("J.K. Rowling#")]
     assert len(rows) == 3
     assert sum(len(s.mentions) for s in rows) == 5

@@ -7,7 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnet.data import OTHER_TYPE
+from sdnet.data import OTHER_TYPE, CorpusFormatError
 from sdnet.descriptions import (
     DescriptionConfig,
     apply_filtering,
@@ -206,3 +206,13 @@ def test_description_map_file_round_trip(tmp_path):
     loaded, filtered = read_description_map(path)
     assert loaded == desc
     assert filtered == {"city"}
+
+
+def test_description_map_filtered_field_is_a_bool(tmp_path):
+    path = tmp_path / "desc.jsonl"
+    path.write_text('{"type": "person", "concepts": []}\n'
+                    '{"type": "city", "concepts": [], "filtered": "no"}\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"desc\.jsonl:2: field 'filtered' must be a bool"):
+        read_description_map(path)
+    path.write_text('{"type": "person", "concepts": []}\n', encoding="utf-8")
+    assert read_description_map(path) == ({"person": ()}, set())

@@ -79,12 +79,6 @@ def test_vocab_json_round_trip():
     assert v2.id_to_token == v.id_to_token
 
 
-def test_vocab_min_count_drops_rare_tokens():
-    v = build_vocab(["a a a b"], min_count=2)
-    assert v.encode(["a"]) != [UNK_ID]
-    assert v.encode(["b"]) == [UNK_ID]
-
-
 def test_encode_input_concatenates_prompt_and_input():
     v = build_vocab(["[MD] Alice", "Alice rests."])
     ids = encode_input("[MD] Alice", "Alice rests.", v)
@@ -151,10 +145,9 @@ def test_tokenize_lone_and_repeated_marks():
         ".", ".", ".", "(", "(", "x", "x", ".", ")", "(", "[EG]", "[", "EG", "]", "."]
 
 
-@given(st.lists(_text, max_size=5), st.integers(min_value=1, max_value=3))
-def test_tokenizer_matches_reference_property(texts, min_count):
+@given(st.lists(_text, max_size=5))
+def test_tokenizer_matches_reference_property(texts):
     for text in texts:
         assert tokenize(text) == reference_tokenize(text)
         assert token_bounds(text) == _walked_bounds(text)
-    assert (build_vocab(texts, min_count).id_to_token
-            == reference_build_vocab(texts, min_count).id_to_token)
+    assert build_vocab(texts).id_to_token == reference_build_vocab(texts).id_to_token
