@@ -49,6 +49,7 @@ from .model import (
     TrainingDivergedError,
     build_vocab,
     generate,
+    generate_many,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -172,7 +173,7 @@ def cmd_build_descriptions(args: argparse.Namespace) -> int:
     else:
         params, mcfg, vocab, _ = load_checkpoint(args.model)
         dcfg = DescriptionConfig(other_threshold=args.other_threshold)
-        desc, report = describe_with_model(corpus, partial(generate, params, mcfg, vocab), dcfg)
+        desc, report = describe_with_model(corpus, partial(generate_many, params, mcfg, vocab), dcfg)
         filtered = report.filtered
     write_description_map(args.out, desc, filtered)
     print(f"types={len(desc)} filtered={len(filtered)}", file=sys.stderr)

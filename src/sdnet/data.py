@@ -24,6 +24,15 @@ class CorpusFormatError(ValueError):
     """A JSONL corpus record is malformed or violates corpus-level invariants."""
 
 
+class RowError(ValueError):
+    """Row `row` of a batched call cannot be processed, for `reason`."""
+
+    def __init__(self, row: int, reason: str) -> None:
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class Sentence:
     id: str

@@ -8,11 +8,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import parse_generated, serialize_prompt_md
-from .data import (OTHER_TYPE, AnnotatedSentence, PromptMD, iter_jsonl, ordered_unique_surfaces,
-                   string_field, string_list, write_jsonl)
+from .data import (OTHER_TYPE, AnnotatedSentence, PromptMD, RowError, iter_jsonl,
+                   ordered_unique_surfaces, string_field, string_list, write_jsonl)
 
 DescriptionMap = dict[str, tuple[str, ...]]
-GenerateFn = Callable[[str, str], str]  # (prompt, source text) -> generated text
+# (prompts, source texts) -> one generated text per row; a bad row raises RowError
+GenerateManyFn = Callable[[Sequence[str], Sequence[str]], list[str]]
 
 
 @dataclass(frozen=True)
@@ -77,21 +78,27 @@ def apply_filtering(
 
 def describe_with_model(
     corpus: Iterable[AnnotatedSentence],
-    generate_fn: GenerateFn,
+    generate_fn: GenerateManyFn,
     cfg: DescriptionConfig,
 ) -> tuple[DescriptionMap, FilterReport]:
     """Run the mention-describing task over gold mentions, in MD prompt order,
-    and fuse the parsed concept descriptions per gold type, then filter."""
-    per_type: dict[str, list[tuple[str, ...]]] = {}
-    for sent in corpus:
+    with one `generate_fn` call for every sentence that has a mention, and
+    fuse the parsed concept descriptions per gold type, then filter. A row the
+    generator rejects raises ValueError naming its sentence id."""
+    described = [s for s in corpus if s.mentions]
+    prompts = []
+    for sent in described:
         surfaces = tuple(surface for surface, _ in ordered_unique_surfaces(sent))
-        if not surfaces:
-            continue
-        prompt = serialize_prompt_md(PromptMD(targets=surfaces))
-        parsed = parse_generated("MD", generate_fn(prompt, sent.text))
-        described = {surface: labels for surface, labels in parsed.target.pairs}
+        prompts.append(serialize_prompt_md(PromptMD(targets=surfaces)))
+    try:
+        outputs = generate_fn(prompts, [s.text for s in described])
+    except RowError as exc:
+        raise ValueError(f"sentence {described[exc.row].id!r}: {exc.reason}") from exc
+    per_type: dict[str, list[tuple[str, ...]]] = {}
+    for sent, text in zip(described, outputs, strict=True):
+        concepts_of = {surface: labels for surface, labels in parse_generated("MD", text).target.pairs}
         for m in sent.mentions:
-            concepts = described.get(m.surface)
+            concepts = concepts_of.get(m.surface)
             if not concepts:
                 continue
             for t in m.types:

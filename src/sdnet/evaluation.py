@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import parse_generated, serialize_target
 from .data import AnnotatedSentence, Sentence, TargetSequence
-from .descriptions import DescriptionConfig, DescriptionMap, GenerateFn, describe_with_model
+from .descriptions import DescriptionConfig, DescriptionMap, describe_with_model
 from .locate import SpanPrediction, locate
 from .model.network import GEN_MAX_LEN
 from .sampling import (
@@ -22,6 +22,8 @@ from .sampling import (
     sample_kshot,
     schema_prompt,
 )
+
+GenerateFn = Callable[[str, str], str]  # (prompt, source text) -> generated text
 
 
 @dataclass(frozen=True)
@@ -229,14 +231,16 @@ def model_episode_factory(
     gen_max_len: int = GEN_MAX_LEN,
 ) -> EpisodeFactory:
     """The real pipeline: describe the support with the pretrained model's MD
-    task, filter, fine-tune a copy on full-schema instances, decode greedily."""
-    from .model import clone_params, generate, train  # bound as they are when the factory is built
+    task in one batched decode, filter, fine-tune a copy on full-schema
+    instances, and return a per-sentence greedy generator."""
+    # bound as they are when the factory is built
+    from .model import clone_params, generate, generate_many, train
 
     desc_cfg = desc_cfg or DescriptionConfig()
+    describe_fn = partial(generate_many, base_params, mcfg, vocab, max_len=gen_max_len)
 
     def factory(support: KShotSample, schema_types: Sequence[str], run_seed: int):
-        base_generate = partial(generate, base_params, mcfg, vocab, max_len=gen_max_len)
-        desc_map, _ = describe_with_model(support.sentences, base_generate, desc_cfg)
+        desc_map, _ = describe_with_model(support.sentences, describe_fn, desc_cfg)
         params = clone_params(base_params)
         instances = build_finetune_instances(support.sentences, schema_types, desc_map)
         tcfg = dataclasses.replace(finetune_cfg, seed=run_seed)

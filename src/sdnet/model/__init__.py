@@ -8,6 +8,7 @@ from .network import (
     encode_instances,
     forward_loss,
     generate,
+    generate_many,
     init_params,
     make_batch,
     softmax_last,
@@ -46,7 +47,8 @@ from .trainer import (
 
 __all__ = [
     "Batch", "LossNotFiniteError", "LossReport", "ModelConfig", "encode_instances",
-    "forward_loss", "generate", "init_params", "make_batch", "softmax_last", "zero_grads",
+    "forward_loss", "generate", "generate_many", "init_params", "make_batch", "softmax_last",
+    "zero_grads",
     "EG_ID", "EOS_ID", "MD_ID", "PAD_ID", "SPECIAL_TOKENS", "UNK_ID", "Vocab",
     "build_vocab", "detokenize", "encode_input", "encode_target", "tokenize",
     "FINETUNE", "PRETRAIN", "AdamWState", "FlatLayout", "StepLog", "TrainConfig",

@@ -4,12 +4,15 @@ Pre-LN blocks, learned positions, tanh-GELU feed-forward, and K/V-cached
 incremental greedy decoding. One attention forward, `_attention_fwd`, serves
 the encoder, the teacher-forced decoder and the cached decoder: it takes keys
 and values projected by `_kv_fwd` and a score bias built once per stack (key
-padding, causal, or None). `generate` runs `decoder_forward` once per emitted
-token over the new position only; its `DecodeState` decides only where keys
-and values come from: the new position's are written into buffers after those
-of the positions before it, and the encoder output's are projected on the
-first call and kept. 64-bit mode makes training bit-reproducible and lets
-gradients be checked against finite differences; 32-bit mode is for speed.
+padding, causal, or None). `generate_many` is the one greedy decode loop: it
+pads a batch of sources behind a key mask, encodes them once, and runs
+`decoder_forward` once per emitted token over each row's new position only,
+until every row has emitted its own [EOS] or the length cap; `generate` is
+that loop on one row. The `DecodeState` decides only where keys and values
+come from: the new position's are written into buffers after those of the
+positions before it, and the encoder output's are projected on the first call
+and kept. 64-bit mode makes training bit-reproducible and lets gradients be
+checked against finite differences; 32-bit mode is for speed.
 Loss terms are means over each task's non-pad target tokens. A batch is always
 processed as the same fixed partition into micro-batches, whose gradients are
 added in index order into the gradient arrays the caller passes (in training,
@@ -25,10 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
+from ..data import RowError
 from .tokenizer import EOS_ID, PAD_ID, Vocab, detokenize, encode_input, encode_target
 
 NEG_INF = -1e9
 GEN_MAX_LEN = 64  # default cap on the tokens one greedy decode emits
+GEN_MAX_ROWS = 64  # cap on the rows one greedy decode batch holds, which bounds its K/V cache
 LN_EPS = 1e-5
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
@@ -610,20 +615,62 @@ def generate(
     input_text: str,
     max_len: int = GEN_MAX_LEN,
 ) -> str:
-    """Greedy decoding; argmax ties break toward the lowest token id. Emits at
-    most min(max_len, cfg.max_len - 1) tokens: the start token takes one of
-    the cfg.max_len decoder positions."""
-    src = np.array([encode_input(prompt_text, input_text, vocab, cfg.max_len)], dtype=np.int64)
-    src_mask = np.ones(src.shape, dtype=bool)
+    """Greedy decoding of one source: `generate_many` on a single row."""
+    return generate_many(p, cfg, vocab, [prompt_text], [input_text], max_len)[0]
+
+
+def generate_many(
+    p: dict[str, np.ndarray],
+    cfg: ModelConfig,
+    vocab: Vocab,
+    prompt_texts: Sequence[str],
+    input_texts: Sequence[str],
+    max_len: int = GEN_MAX_LEN,
+) -> list[str]:
+    """Greedy decoding of each (prompt, input) row; argmax ties break toward
+    the lowest token id. A row stops at its own [EOS] and emits at most
+    min(max_len, cfg.max_len - 1) tokens: the start token takes one of the
+    cfg.max_len decoder positions. Rows run in padded batches of at most
+    GEN_MAX_ROWS. A row that encodes to no ids or to more than cfg.max_len
+    raises RowError naming its index, before anything is decoded."""
+    sources = []
+    for row, (prompt_text, input_text) in enumerate(zip(prompt_texts, input_texts, strict=True)):
+        try:
+            ids = encode_input(prompt_text, input_text, vocab, cfg.max_len)
+        except ValueError as exc:
+            raise RowError(row, str(exc)) from None
+        if not ids:
+            raise RowError(row, "encoded input is empty")
+        sources.append(ids)
+    limit = min(max_len, cfg.max_len - 1)
+    out: list[str] = []
+    for start in range(0, len(sources), GEN_MAX_ROWS):
+        for ids in _greedy_batch(p, cfg, sources[start:start + GEN_MAX_ROWS], limit):
+            out.append(detokenize(vocab.decode(ids)))
+    return out
+
+
+def _greedy_batch(p, cfg: ModelConfig, sources: list[list[int]], limit: int) -> list[list[int]]:
+    """The ids each source's greedy decode emits before its [EOS], at most
+    `limit` of them. The sources are padded with [PAD] behind a key mask and
+    encoded once; each step runs the cached decoder over every row."""
+    lengths = np.array([len(ids) for ids in sources])
+    src = np.full((len(sources), int(lengths.max())), PAD_ID, dtype=np.int64)
+    for k, ids in enumerate(sources):
+        src[k, : len(ids)] = ids
+    src_mask = np.arange(src.shape[1]) < lengths[:, None]
     enc, _ = encoder_forward(p, cfg, src, src_mask)
     state = DecodeState()
-    out_ids: list[int] = []
-    nxt = PAD_ID
-    for _ in range(min(max_len, cfg.max_len - 1)):
-        logits, _ = decoder_forward(p, cfg, np.array([[nxt]], dtype=np.int64), enc, src_mask,
-                                    state=state)
-        nxt = int(np.argmax(logits[0, -1]))
-        if nxt == EOS_ID:
+    out: list[list[int]] = [[] for _ in sources]
+    live = range(len(sources))  # the rows that have not emitted [EOS] yet
+    nxt = np.full((len(sources), 1), PAD_ID, dtype=np.int64)
+    for _ in range(limit):
+        logits, _ = decoder_forward(p, cfg, nxt, enc, src_mask, state=state)
+        nxt = logits[:, -1:].argmax(axis=-1)
+        tokens = nxt.ravel().tolist()
+        live = [k for k in live if tokens[k] != EOS_ID]
+        if not live:
             break
-        out_ids.append(nxt)
-    return detokenize(vocab.decode(out_ids))
+        for k in live:
+            out[k].append(tokens[k])
+    return out

@@ -56,7 +56,8 @@ from sdnet.evaluation import (
     score,
 )
 from sdnet.locate import locate
-from sdnet.model import FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, init_params, train
+from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, generate_many,
+                         init_params, train)
 from sdnet.sampling import SamplerConfig, build_pretrain_instances, make_finetune_instance
 from sdnet.synthetic import generate_synthetic_corpus
 
@@ -381,19 +382,41 @@ def test_prompts_control_which_types_are_generated(memorized):
     assert conformant >= 5, f"{conformant}/{checked} sentences prompt-conformant"
 
 
-def test_cached_decoding_matches_full_recompute_on_the_memorized_model(memorized):
-    corpus, schema, desc, gen = (memorized[k] for k in ("corpus", "schema", "desc", "gen"))
+def _memorized_probes(memorized) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """The (prompt, text) rows of the memorization criterion (the full schema
+    over every sentence) and of the controllability criterion (single types)."""
+    corpus, schema, desc = (memorized[k] for k in ("corpus", "schema", "desc"))
     full_prompt = schema_prompt(schema, desc)
-    probes = [(full_prompt, s.text) for s in corpus]
-    for s in corpus[:30]:  # the controllability probes
+    full = [(full_prompt, s.text) for s in corpus]
+    single = []
+    for s in corpus[:30]:
         pres = present_types(s)
         if len(pres) >= 2:
-            probes += [(schema_prompt([t], desc), s.text) for t in pres[:2]]
+            single += [(schema_prompt([t], desc), s.text) for t in pres[:2]]
+    return full, single
+
+
+def test_cached_decoding_matches_full_recompute_on_the_memorized_model(memorized):
+    full, single = _memorized_probes(memorized)
+    probes = full + single
     mismatched = [
         (prompt, text) for prompt, text in probes
-        if gen(prompt, text) != reference_generate(memorized["params"], memorized["cfg"],
-                                                   memorized["vocab"], prompt, text, max_len=32)
+        if memorized["gen"](prompt, text) != reference_generate(
+            memorized["params"], memorized["cfg"], memorized["vocab"], prompt, text, max_len=32)
     ]
+    assert not mismatched, f"{len(mismatched)}/{len(probes)} differ, first: {mismatched[0]}"
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["full-schema", "single-type"])
+def test_batched_decoding_matches_per_call_decoding_on_the_memorized_model(memorized, which):
+    probes = _memorized_probes(memorized)[which]
+    assert len(probes) >= 10
+    prompts, texts = zip(*probes)
+    batched = generate_many(memorized["params"], memorized["cfg"], memorized["vocab"],
+                            prompts, texts, max_len=32)
+    per_call = [memorized["gen"](prompt, text) for prompt, text in probes]
+    mismatched = [(row, got, want) for row, (got, want) in enumerate(zip(batched, per_call, strict=True))
+                  if got != want]
     assert not mismatched, f"{len(mismatched)}/{len(probes)} differ, first: {mismatched[0]}"
 
 

@@ -4,6 +4,7 @@ end-to-end pipeline over a tiny synthetic corpus."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,11 +13,12 @@ import pytest
 from sdnet.cli import build_parser, main
 from sdnet.corpus import BuildConfig
 from sdnet.data import write_annotated_jsonl
-from sdnet.descriptions import DescriptionConfig
+from sdnet.descriptions import DescriptionConfig, read_description_map
 from sdnet.evaluation import gold_spans
 from sdnet.locate import spans_to_record
-from sdnet.model import FINETUNE, PRETRAIN, ModelConfig
-from sdnet.sampling import SamplerConfig, read_instances_jsonl
+from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, init_params,
+                         save_checkpoint, train)
+from sdnet.sampling import SamplerConfig, make_md_instance, read_instances_jsonl
 from sdnet.synthetic import generate_synthetic_corpus
 
 
@@ -414,6 +416,39 @@ def test_predict_matches_grammar_fixture_when_generation_is_wired(world, tmp_pat
     assert main(predict + ["--out", str(out_path)]) == 0
     assert out_path.read_bytes() == stdout.encode("utf-8")
     assert stdout == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (row, other))
+
+
+def test_mention_describing_decodes_the_corpus_in_one_batch_with_per_row_answers(
+        world, tmp_path, capsys, monkeypatch):
+    # A briefly trained checkpoint whose MD answers parse into concepts: the
+    # file written through the batched engine equals the one written by
+    # describing row by row through per-call `generate`.
+    import sdnet.cli as cli_module
+
+    root, corpus, _ = world
+    md = SamplerConfig(md_target_fraction=1.0)
+    insts = [make_md_instance(s, md, draw_key=i) for i, s in enumerate(corpus) if s.mentions]
+    vocab = build_vocab([x for i in insts for x in (i.prompt_text, i.input_text, i.target_text)])
+    mcfg = ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, max_len=64,
+                       dtype="float32", seed=0)
+    params = init_params(mcfg)
+    train(params, insts, vocab, mcfg, dataclasses.replace(PRETRAIN, steps=40, lr=1e-2,
+                                                          batch_size=4, seed=1))
+    ckpt = tmp_path / "md.ckpt"
+    save_checkpoint(ckpt, params, mcfg, vocab)
+
+    def describe(out: Path) -> bytes:
+        assert main(["build-descriptions", "--corpus", str(root / "corpus.jsonl"), "--out", str(out),
+                     "--mode", "mention-describing", "--model", str(ckpt)]) == 0
+        return out.read_bytes()
+
+    batched = describe(tmp_path / "batched.jsonl")
+    monkeypatch.setattr(cli_module, "generate_many",
+                        lambda p, c, v, ps, ts: [generate(p, c, v, a, b) for a, b in zip(ps, ts)])
+    assert describe(tmp_path / "per_row.jsonl") == batched
+    desc, _ = read_description_map(tmp_path / "batched.jsonl")
+    assert any(desc.values())  # some type was described by concepts
+    capsys.readouterr()
 
 
 def test_run_episodes_smoke(world, tmp_path, capsys):

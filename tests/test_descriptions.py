@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,9 @@ from sdnet.descriptions import (
     read_description_map,
     write_description_map,
 )
+from sdnet.model import generate_many
 from sdnet.sampling import SamplerConfig, make_md_instance
-from helpers import sent
+from helpers import sent, tiny_setup
 
 
 def _pairwise_oracle(corpus):
@@ -167,17 +169,23 @@ def test_describe_with_model_collects_per_gold_type():
     corpus = [
         sent("s0", "Alice met Bob.", [("Alice", ("person",)), ("Bob", ("person", "actor"))]),
         sent("s1", "Rome stands.", [("Rome", ("city",))]),
+        sent("s2", "Nothing here.", []),
     ]
     replies = {
         "Alice met Bob.": "Alice is writer; Bob is actor, writer.",
         "Rome stands.": "Rome is capital.",
     }
 
-    def fake_generate(prompt: str, text: str) -> str:
-        assert prompt.startswith("[MD] ")
-        return replies[text]
+    calls = []
+
+    def fake_generate(prompts: list[str], texts: list[str]) -> list[str]:
+        calls.append(texts)
+        assert all(prompt.startswith("[MD] ") for prompt in prompts)
+        return [replies[text] for text in texts]
 
     desc_map, report = describe_with_model(corpus, fake_generate, DescriptionConfig())
+    # one call for the whole corpus, without the sentence that has no mention
+    assert calls == [["Alice met Bob.", "Rome stands."]]
     assert desc_map["person"] == ("writer", "actor")
     assert desc_map["actor"] == ("writer",)  # own name excluded by fusion
     assert desc_map["city"] == ("capital",)
@@ -190,13 +198,24 @@ def test_describe_with_model_lists_surfaces_in_the_pretraining_md_order():
     s = sent("s0", "Alice met Bob.", [("Bob", ("person",)), ("Alice", ("person",))])
     prompts = []
 
-    def fake_generate(prompt: str, text: str) -> str:
-        prompts.append(prompt)
-        return "Alice is writer; Bob is actor."
+    def fake_generate(prompts_: list[str], texts: list[str]) -> list[str]:
+        prompts.extend(prompts_)
+        return ["Alice is writer; Bob is actor."] * len(texts)
 
     describe_with_model([s], fake_generate, DescriptionConfig())
     md_instance = make_md_instance(s, SamplerConfig(), draw_key=0)
     assert prompts == [md_instance.prompt_text] == ["[MD] Alice; Bob"]
+
+
+def test_describe_with_model_names_the_sentence_of_a_rejected_row():
+    # s1 encodes to more ids than the model's max_len: the batched engine
+    # rejects its row before decoding, and the error names the sentence
+    insts, vocab, cfg, params = tiny_setup()
+    long_text = " ".join(["Alice"] * cfg.max_len) + "."
+    corpus = [sent("s0", "Alice rests.", [("Alice", ("person",))]),
+              sent("s1", long_text, [("Alice", ("person",))])]
+    with pytest.raises(ValueError, match=r"^sentence 's1': encoded input length \d+ exceeds cap 64$"):
+        describe_with_model(corpus, partial(generate_many, params, cfg, vocab), DescriptionConfig())
 
 
 def test_description_map_file_round_trip(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdnet.data import RowError
 from sdnet.model import (
     EOS_ID,
     PAD_ID,
@@ -14,6 +15,7 @@ from sdnet.model import (
     build_vocab,
     forward_loss,
     generate,
+    generate_many,
     init_params,
     make_batch,
     softmax_last,
@@ -274,6 +276,59 @@ def test_generate_stops_at_the_decoder_position_limit():
     assert out.split() == ["Alice"] * (cfg.max_len - 1)
     assert out == reference_generate(params, cfg, vocab, "[MD] Alice", "Alice rests.",
                                      max_len=cfg.max_len + 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_layers=st.integers(1, 2), seed=st.integers(0, 10_000), data=st.data())
+def test_padded_batch_rows_match_decoding_each_row_alone(n_layers, seed, data):
+    insts, vocab, _, _ = tiny_setup()
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=n_layers, n_heads=2, d_ff=16,
+                      max_len=24, dtype="float64", init_std=0.5, seed=seed)
+    params = init_params(cfg)
+    # a raised [EOS] bias makes rows stop at different steps
+    params["out.b"][EOS_ID] += data.draw(st.sampled_from([0.0, 1.0, 2.0]), label="EOS bias")
+    words = [tok for tok in vocab.id_to_token if tok.isalpha()]
+    n_rows = data.draw(st.integers(1, 5), label="rows")
+    prompts = [data.draw(st.sampled_from([i.prompt_text for i in insts]), label="prompt")
+               for _ in range(n_rows)]
+    texts = [" ".join(data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=9),
+                                label="source words")) for _ in range(n_rows)]
+    max_len = data.draw(st.integers(1, cfg.max_len + 2), label="max_len")
+    got = generate_many(params, cfg, vocab, prompts, texts, max_len=max_len)
+    assert got == [reference_generate(params, cfg, vocab, prompt, text, max_len=max_len)
+                   for prompt, text in zip(prompts, texts)]
+
+
+def test_generate_many_of_no_rows_is_empty_and_rows_must_pair_up():
+    insts, vocab, cfg, params = tiny_setup()
+    assert generate_many(params, cfg, vocab, [], []) == []
+    with pytest.raises(ValueError):
+        generate_many(params, cfg, vocab, ["[MD] Alice"], [])
+
+
+def test_generate_many_runs_more_rows_than_one_batch_holds(monkeypatch):
+    import sdnet.model.network as network
+
+    insts, vocab, cfg, params = tiny_setup()
+    rows = [(i.prompt_text, i.input_text) for i in insts]
+    alone = [generate(params, cfg, vocab, prompt, text, max_len=6) for prompt, text in rows]
+    monkeypatch.setattr(network, "GEN_MAX_ROWS", 2)
+    assert generate_many(params, cfg, vocab, *zip(*rows), max_len=6) == alone
+
+
+@pytest.mark.parametrize("prompt, text, reason", [
+    ("", "", "encoded input is empty"),
+    ("[MD] Alice", " ".join(["Alice"] * 63), "encoded input length 65 exceeds cap 64"),
+])
+def test_a_row_that_cannot_be_encoded_raises_naming_its_index(prompt, text, reason):
+    insts, vocab, cfg, params = tiny_setup()
+    with pytest.raises(ValueError, match=f"^row 0: {reason}$"):
+        generate(params, cfg, vocab, prompt, text)
+    rows = [(i.prompt_text, i.input_text) for i in insts[:2]]
+    rows.insert(1, (prompt, text))
+    with pytest.raises(RowError, match=f"^row 1: {reason}$") as raised:
+        generate_many(params, cfg, vocab, *zip(*rows))
+    assert raised.value.row == 1 and raised.value.reason == reason
 
 
 @settings(max_examples=40, deadline=None)
