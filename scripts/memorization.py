@@ -20,7 +20,7 @@ from functools import partial
 from sdnet.data import TypeDictionary
 from sdnet.codec import parse_generated
 from sdnet.descriptions import build_cooccurrence_descriptions
-from sdnet.evaluation import gold_spans, predict_spans, present_types, schema_prompt, score
+from sdnet.evaluation import gold_spans, predict_spans, schema_prompt, score
 from sdnet.model import (
     FINETUNE,
     PRETRAIN,
@@ -31,7 +31,8 @@ from sdnet.model import (
     save_checkpoint,
     train,
 )
-from sdnet.sampling import SamplerConfig, build_pretrain_instances, make_finetune_instance
+from sdnet.sampling import (SamplerConfig, build_pretrain_instances, make_finetune_instance,
+                            present_types)
 from sdnet.synthetic import generate_synthetic_corpus
 
 

@@ -21,8 +21,8 @@ from . import __version__ as TOOL_VERSION
 from .codec import parse_prompt_eg
 from .corpus import BuildConfig, build_corpus
 from .data import (
-    OTHER_TYPE,
     CorpusFormatError,
+    RowError,
     TypeDictionary,
     atomic_write,
     iter_jsonl,
@@ -38,12 +38,12 @@ from .descriptions import (
     read_description_map,
     write_description_map,
 )
-from .evaluation import gold_spans, model_episode_factory, predict_spans, run_episodes, score
+from .evaluation import (corpus_schema, gold_spans, model_episode_factory, predict_spans,
+                         run_episodes, score)
 from .locate import read_predictions_jsonl, write_predictions_jsonl
 from .model import (
     FINETUNE,
     PRETRAIN,
-    LossNotFiniteError,
     ModelConfig,
     TrainConfig,
     TrainingDivergedError,
@@ -102,19 +102,23 @@ def _write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list, outputs: list) -> None:
-    outputs = [Path(p) for p in outputs if p]
+# The flags that name files a run reads, and those that name files it writes.
+INPUT_FLAGS = ("kb", "pages", "corpus", "dict", "desc", "schema", "data", "model", "test",
+               "gold", "pred", "prompt_file", "sentences")
+OUTPUT_FLAGS = ("out", "dict_out")
+
+
+def _write_manifest(args: argparse.Namespace) -> None:
+    """Records the config, the SHA-256 of each given input file (in parser order),
+    the outputs, seed and version beside the first output, if the run writes one."""
+    given = [(key, value) for key, value in vars(args).items() if value]
+    outputs = [Path(value) for key, value in given if key in OUTPUT_FLAGS]
     if not outputs:
         return
-    config = {}
-    for key, value in vars(args).items():
-        if key == "func" or callable(value):
-            continue
-        config[key] = str(value) if isinstance(value, Path) else value
     manifest = {
         "subcommand": args.cmd,
-        "config": config,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs if p},
+        "config": {key: value for key, value in vars(args).items() if not callable(value)},
+        "inputs": {value: _sha256(Path(value)) for key, value in given if key in INPUT_FLAGS},
         "outputs": [str(p) for p in outputs],
         "seed": getattr(args, "seed", None),
         "tool_version": TOOL_VERSION,
@@ -135,8 +139,9 @@ def _eg_prompt_from(text: str) -> str:
     return text.strip()
 
 
-def _derive_schema(corpus) -> list[str]:
-    return sorted({t for s in corpus for m in s.mentions for t in m.types if t != OTHER_TYPE})
+def _schema_of(args: argparse.Namespace, corpus) -> list[str]:
+    """The --schema file's types, or without one every non-`other` type of `corpus`, sorted."""
+    return read_file(args.schema, _schema_from) if args.schema else corpus_schema(corpus)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -152,7 +157,6 @@ def _emit(payload: str, out: str | None) -> None:
 def cmd_build_corpus(args: argparse.Namespace) -> int:
     cfg = BuildConfig(min_type_instances=args.min_type_instances,
                       max_type_tokens=args.max_type_tokens, top_np_count=args.top_np)
-    _write_manifest(args, [args.kb, args.pages], [args.out, args.dict_out])
     build = build_corpus(args.kb, args.pages, cfg)
     write_annotated_jsonl(args.out, build.sentences)
     if args.dict_out:
@@ -163,9 +167,6 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_build_descriptions(args: argparse.Namespace) -> int:
-    if args.mode == "mention-describing" and not args.model:
-        raise CorpusFormatError("--mode mention-describing requires --model")
-    _write_manifest(args, [args.corpus] + ([args.model] if args.model else []), [args.out])
     corpus = read_annotated_jsonl(args.corpus)
     if args.mode == "cooccurrence":
         desc = build_cooccurrence_descriptions(corpus)
@@ -181,7 +182,6 @@ def cmd_build_descriptions(args: argparse.Namespace) -> int:
 
 
 def cmd_make_pretrain_data(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.corpus, args.dict, args.desc], [args.out])
     corpus = read_annotated_jsonl(args.corpus)
     dictionary = read_file(args.dict, TypeDictionary.from_json)
     desc, _ = read_description_map(args.desc)
@@ -197,7 +197,6 @@ def cmd_make_pretrain_data(args: argparse.Namespace) -> int:
 
 
 def cmd_make_finetune_data(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.corpus, args.schema, args.desc], [args.out])
     corpus = read_annotated_jsonl(args.corpus)
     schema = read_file(args.schema, _schema_from)
     desc, _ = read_description_map(args.desc)
@@ -208,9 +207,8 @@ def cmd_make_finetune_data(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_kshot(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.corpus] + ([args.schema] if args.schema else []), [args.out])
     corpus = read_annotated_jsonl(args.corpus)
-    schema = read_file(args.schema, _schema_from) if args.schema else _derive_schema(corpus)
+    schema = _schema_of(args, corpus)
     sample = sample_kshot(corpus, args.k, schema, rng_seed=subseed(args.seed, "kshot"))
     write_annotated_jsonl(args.out, sample.sentences)
     print(f"support={len(sample.sentences)} counts={sample.counts}", file=sys.stderr)
@@ -219,18 +217,20 @@ def cmd_sample_kshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_and_save(out: str, params: dict, instances: list, vocab, mcfg: ModelConfig,
-                    tcfg: TrainConfig) -> int:
-    """Trains `params` by `tcfg` and writes them as the checkpoint `out`."""
-    log = train(params, instances, vocab, mcfg, tcfg)
-    save_checkpoint(out, params, mcfg, vocab, extra={"mode": tcfg.mode, "steps": len(log)})
+def _train_and_save(args: argparse.Namespace, params: dict, instances: list, vocab,
+                    mcfg: ModelConfig, tcfg: TrainConfig) -> int:
+    """Trains `params` on the --data instances by `tcfg`; writes the checkpoint --out."""
+    try:
+        log = train(params, instances, vocab, mcfg, tcfg)
+    except RowError as exc:
+        raise CorpusFormatError(f"--data {args.data}: instance {exc.row + 1}: {exc.reason}") from exc
+    save_checkpoint(args.out, params, mcfg, vocab, extra={"mode": tcfg.mode, "steps": len(log)})
     print(f"steps={len(log)} first_loss={log[0].report.total:.4f} "
           f"last_loss={log[-1].report.total:.4f}", file=sys.stderr)
     return 0
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.data], [args.out])
     instances = read_instances_jsonl(args.data)
     texts = [t for i in instances for t in (i.prompt_text, i.input_text, i.target_text)]
     vocab = build_vocab(texts)
@@ -240,26 +240,28 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     params = init_params(mcfg)
     tcfg = dataclasses.replace(PRETRAIN, batch_size=args.batch, lr=args.lr, steps=args.steps,
                                seed=subseed(args.seed, "train"))
-    return _train_and_save(args.out, params, instances, vocab, mcfg, tcfg)
+    return _train_and_save(args, params, instances, vocab, mcfg, tcfg)
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.data, args.model], [args.out])
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     instances = read_instances_jsonl(args.data)
     tcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs,
                                seed=subseed(args.seed, "train"))
-    return _train_and_save(args.out, params, instances, vocab, mcfg, tcfg)
+    return _train_and_save(args, params, instances, vocab, mcfg, tcfg)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.model, args.prompt_file, args.sentences], [args.out])
     prompt = read_file(args.prompt_file, _eg_prompt_from)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     gen = partial(generate, params, mcfg, vocab, max_len=args.max_gen)
     predictions = []
     for sent in iter_jsonl(args.sentences, sentence_from_record):
-        spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
+        try:
+            spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
+        except RowError as exc:
+            raise CorpusFormatError(
+                f"--sentences {args.sentences}: sentence {sent.id!r}: {exc.reason}") from exc
         if diagnostics or unlocated:
             print(f"{sent.id}: {len(diagnostics)} parse diagnostics, "
                   f"{len(unlocated)} unlocated", file=sys.stderr)
@@ -269,9 +271,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.gold, args.pred], [args.out])
     corpus = read_annotated_jsonl(args.gold)
-    schema = read_file(args.schema, _schema_from) if args.schema else None
+    schema = _schema_of(args, corpus)
     gold = {s.id: gold_spans(s, schema) for s in corpus}
     pred = read_predictions_jsonl(args.pred)
     report = score(gold, pred)
@@ -280,12 +281,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_run_episodes(args: argparse.Namespace) -> int:
-    _write_manifest(args, [args.corpus, args.model] +
-                    ([args.test] if args.test else []) +
-                    ([args.schema] if args.schema else []), [args.out])
     corpus = read_annotated_jsonl(args.corpus)
     test = read_annotated_jsonl(args.test) if args.test else corpus
-    schema = read_file(args.schema, _schema_from) if args.schema else _derive_schema(corpus)
+    schema = _schema_of(args, corpus)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
     factory = model_episode_factory(params, mcfg, vocab, ftcfg)
@@ -419,10 +417,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.cmd == "build-descriptions" and args.mode == "mention-describing" and not args.model:
+            raise CorpusFormatError("--mode mention-describing requires --model")
+        _write_manifest(args)
         return args.func(args)
-    except (CorpusFormatError, TrainingDivergedError, LossNotFiniteError,
-            FileNotFoundError, IsADirectoryError, PermissionError,
-            json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except (ValueError, KeyError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import parse_generated, serialize_target
-from .data import AnnotatedSentence, Sentence, TargetSequence
+from .data import OTHER_TYPE, AnnotatedSentence, Sentence, TargetSequence
 from .descriptions import DescriptionConfig, DescriptionMap, describe_with_model
 from .locate import SpanPrediction, locate
 from .model.network import GEN_MAX_LEN
@@ -18,7 +18,6 @@ from .sampling import (
     KShotSample,
     build_finetune_instances,
     eg_pairs,
-    present_types,
     sample_kshot,
     schema_prompt,
 )
@@ -86,14 +85,9 @@ def score(
         pred_count += sum(p.values())
         both = g & p
         matched += sum(both.values())
-        for key, n in g.items():
-            row = by_type.setdefault(key[0], [0, 0, 0])
-            row[0] += n
-        for key, n in p.items():
-            row = by_type.setdefault(key[0], [0, 0, 0])
-            row[1] += n
-        for key, n in both.items():
-            by_type[key[0]][2] += n
+        for col, counts in enumerate((g, p, both)):  # per type: gold, predicted, matched
+            for key, n in counts.items():
+                by_type.setdefault(key[0], [0, 0, 0])[col] += n
     precision, recall, f1 = _prf(matched, pred_count, gold_count)
     per_type = {}
     for t, (ng, np_, nm) in sorted(by_type.items()):
@@ -105,7 +99,13 @@ def score(
                       matched_count=matched, per_type=per_type)
 
 
-def gold_spans(sent: AnnotatedSentence, schema_types: Sequence[str] | None = None) -> list[SpanPrediction]:
+def corpus_schema(corpus: Iterable[AnnotatedSentence]) -> list[str]:
+    """The schema of a run given none: every non-`other` type the corpus's
+    mentions carry, sorted."""
+    return sorted({t for s in corpus for m in s.mentions for t in m.types if t != OTHER_TYPE})
+
+
+def gold_spans(sent: AnnotatedSentence, schema_types: Sequence[str]) -> list[SpanPrediction]:
     """Character spans of the gold mentions, assigned by the same i-th
     occurrence rule predictions go through.
 
@@ -115,8 +115,6 @@ def gold_spans(sent: AnnotatedSentence, schema_types: Sequence[str] | None = Non
     they are excluded from the gold set rather than treated as a fault; the
     ceiling F1 of a perfect generator stays 1.0.
     """
-    if schema_types is None:
-        schema_types = present_types(sent)
     target = TargetSequence(task="EG", pairs=eg_pairs(sent, list(schema_types)))
     spans, _ = locate(sent.sentence, target)
     return spans
@@ -134,7 +132,7 @@ def predict_spans(
 
 
 def gold_pipeline_report(
-    corpus: Iterable[AnnotatedSentence], schema_types: Sequence[str] | None = None
+    corpus: Iterable[AnnotatedSentence], schema_types: Sequence[str]
 ) -> EvalReport:
     """Score `predict_spans` with a generator that emits each sentence's
     serialized gold target against the directly-located gold spans: the
@@ -143,8 +141,7 @@ def gold_pipeline_report(
     pred: dict[str, list[SpanPrediction]] = {}
     for sent in corpus:
         gold[sent.id] = gold_spans(sent, schema_types)
-        types = schema_types if schema_types is not None else present_types(sent)
-        text = serialize_target(TargetSequence(task="EG", pairs=eg_pairs(sent, list(types))))
+        text = serialize_target(TargetSequence(task="EG", pairs=eg_pairs(sent, list(schema_types))))
         pred[sent.id] = predict_spans(lambda _prompt, _source: text, sent.sentence, "")[0]
     return score(gold, pred)
 
@@ -212,12 +209,8 @@ def run_episodes(
         except Exception as exc:  # noqa: BLE001 - episode isolation is the contract
             failures.append(EpisodeFailure(run=r, message=f"{type(exc).__name__}: {exc}"))
     f1s = tuple(rep.f1 for rep in reports)
-    if f1s:
-        mean = sum(f1s) / len(f1s)
-        std = (sum((x - mean) ** 2 for x in f1s) / len(f1s)) ** 0.5
-    else:
-        mean = 0.0
-        std = 0.0
+    mean = sum(f1s) / len(f1s) if f1s else 0.0
+    std = (sum((x - mean) ** 2 for x in f1s) / len(f1s)) ** 0.5 if f1s else 0.0
     return EpisodeReport(k=k, runs=runs, base_seed=base_seed, per_run=tuple(reports),
                          f1_values=f1s, mean_f1=mean, std_f1=std, failures=tuple(failures))
 

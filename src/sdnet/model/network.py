@@ -492,10 +492,17 @@ class EncodedInstance:
 
 
 def encode_instances(instances: Sequence, vocab: Vocab, cfg: ModelConfig) -> list[EncodedInstance]:
-    return [EncodedInstance(
-        src=np.array(encode_input(i.prompt_text, i.input_text, vocab, cfg.max_len), dtype=np.int64),
-        target=np.array(encode_target(i.target_text, vocab, cfg.max_len), dtype=np.int64),
-        is_md=i.task == "MD") for i in instances]
+    """An instance whose input or target exceeds cfg.max_len raises RowError naming its index."""
+    rows = []
+    for row, i in enumerate(instances):
+        try:
+            src = encode_input(i.prompt_text, i.input_text, vocab, cfg.max_len)
+            target = encode_target(i.target_text, vocab, cfg.max_len)
+        except ValueError as exc:
+            raise RowError(row, str(exc)) from None
+        rows.append(EncodedInstance(src=np.array(src, dtype=np.int64),
+                                    target=np.array(target, dtype=np.int64), is_md=i.task == "MD"))
+    return rows
 
 
 @dataclass(frozen=True)

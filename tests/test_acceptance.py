@@ -47,10 +47,10 @@ from sdnet.descriptions import (
     build_cooccurrence_descriptions,
 )
 from sdnet.evaluation import (
+    corpus_schema,
     gold_pipeline_report,
     gold_spans,
     predict_spans,
-    present_types,
     run_episodes,
     schema_prompt,
     score,
@@ -58,7 +58,8 @@ from sdnet.evaluation import (
 from sdnet.locate import locate
 from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, generate_many,
                          init_params, train)
-from sdnet.sampling import SamplerConfig, build_pretrain_instances, make_finetune_instance
+from sdnet.sampling import (SamplerConfig, build_pretrain_instances, make_finetune_instance,
+                            present_types)
 from sdnet.synthetic import generate_synthetic_corpus
 
 # ---- 1. codec round-trip volume ----
@@ -424,7 +425,7 @@ def test_batched_decoding_matches_per_call_decoding_on_the_memorized_model(memor
 
 def test_gold_pipeline_scores_one_on_the_fixture_corpus():
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
-    report = gold_pipeline_report(corpus)
+    report = gold_pipeline_report(corpus, corpus_schema(corpus))
     assert report.precision == 1.0
     assert report.recall == 1.0
     assert report.f1 == 1.0

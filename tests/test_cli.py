@@ -5,21 +5,25 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from sdnet.cli import build_parser, main
 from sdnet.corpus import BuildConfig
-from sdnet.data import write_annotated_jsonl
+from sdnet.data import read_annotated_jsonl, write_annotated_jsonl
 from sdnet.descriptions import DescriptionConfig, read_description_map
-from sdnet.evaluation import gold_spans
+from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import spans_to_record
 from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, init_params,
-                         save_checkpoint, train)
-from sdnet.sampling import SamplerConfig, make_md_instance, read_instances_jsonl
+                         save_checkpoint, tokenize, train)
+from sdnet.sampling import (SamplerConfig, TrainingInstance, make_md_instance,
+                            read_instances_jsonl, write_instances_jsonl)
 from sdnet.synthetic import generate_synthetic_corpus
+from helpers import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +40,14 @@ def world(tmp_path_factory):
 
 def _manifest_of(out_path: Path) -> dict:
     return json.loads(Path(str(out_path) + ".manifest.json").read_text(encoding="utf-8"))
+
+
+def _untrained_checkpoint(path: Path, texts: list[str]) -> None:
+    """A d=8 model with max_len 64 over the vocabulary of `texts`."""
+    vocab = build_vocab(texts)
+    mcfg = ModelConfig(vocab_size=len(vocab), d_model=8, n_layers=1, n_heads=2, max_len=64,
+                       dtype="float32", seed=0)
+    save_checkpoint(path, init_params(mcfg), mcfg, vocab)
 
 
 # ---- exit codes ----
@@ -188,6 +200,53 @@ def test_manifest_is_written_before_outputs(world, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_mention_describing_without_a_model_faults_before_any_manifest(world, tmp_path, capsys):
+    root, _, _ = world
+    out = tmp_path / "desc.jsonl"
+    assert main(["build-descriptions", "--corpus", str(root / "corpus.jsonl"), "--out", str(out),
+                 "--mode", "mention-describing"]) == 2
+    assert capsys.readouterr().err == "error: --mode mention-describing requires --model\n"
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+def test_predict_names_the_sentence_that_exceeds_the_model_cap(tmp_path, capsys):
+    prompt = "[EG] GPE; date"
+    ckpt = tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [prompt, "China won."])
+    prompt_path = tmp_path / "prompt.txt"
+    prompt_path.write_text(prompt + "\n", encoding="utf-8")
+    sentences_path = tmp_path / "sentences.jsonl"
+    sentences_path.write_text(json.dumps({"id": "t1", "text": "China won."}) + "\n"
+                              + json.dumps({"id": "long", "text": " ".join(["China"] * 70)}) + "\n",
+                              encoding="utf-8")
+    assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+                 "--sentences", str(sentences_path), "--max-gen", "4"]) == 2
+    length = len(tokenize(prompt)) + 70
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: --sentences {sentences_path}: sentence 'long': "
+        f"encoded input length {length} exceeds cap 64")
+
+
+@pytest.mark.parametrize("cmd", ["pretrain", "finetune"])
+def test_training_names_the_instance_that_exceeds_the_model_cap(cmd, tmp_path, capsys):
+    short = TrainingInstance(task="EG", prompt_text="[EG] city", input_text="Rome won.",
+                             target_text="Rome is city.")
+    data = tmp_path / "instances.jsonl"
+    write_instances_jsonl(data, [short, dataclasses.replace(short, input_text=" ".join(["Rome"] * 80))])
+    out = tmp_path / "out.ckpt"
+    if cmd == "pretrain":
+        model = ["--d-model", "8", "--layers", "1", "--heads", "2", "--max-len", "64"]
+    else:
+        _untrained_checkpoint(tmp_path / "base.ckpt", [short.prompt_text, short.input_text,
+                                                       short.target_text])
+        model = ["--model", str(tmp_path / "base.ckpt")]
+    assert main([cmd, "--data", str(data), "--out", str(out)] + model) == 2
+    length = len(tokenize(short.prompt_text)) + 80
+    assert capsys.readouterr().err == (
+        f"error: --data {data}: instance 2: encoded input length {length} exceeds cap 64\n")
+    assert not out.exists()
+
+
 # ---- flag defaults ----
 
 
@@ -291,6 +350,37 @@ def test_manifest_records_config_and_input_hashes(world, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_manifest_records_the_schema_hash(world, tmp_path, capsys):
+    root, corpus, _ = world
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text(json.dumps(spans_to_record(corpus[0].id, [])) + "\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    schema_path = root / "schema.json"
+    assert main(["evaluate", "--gold", str(root / "corpus.jsonl"), "--pred", str(pred_path),
+                 "--schema", str(schema_path), "--out", str(out)]) == 0
+    inputs = _manifest_of(out)["inputs"]
+    assert list(inputs) == [str(root / "corpus.jsonl"), str(pred_path), str(schema_path)]
+    assert inputs[str(schema_path)] == hashlib.sha256(schema_path.read_bytes()).hexdigest()
+    capsys.readouterr()
+
+
+def test_manifest_lists_inputs_in_the_order_the_parser_declares_them(world, tmp_path, capsys):
+    # Flags given out of order; the checkpoint faults after the manifest is written.
+    root, _, _ = world
+    bad_ckpt = tmp_path / "broken.ckpt"
+    bad_ckpt.write_text("not a checkpoint", encoding="utf-8")
+    test_path = tmp_path / "test.jsonl"
+    test_path.write_bytes((root / "corpus.jsonl").read_bytes())
+    out = tmp_path / "episodes.json"
+    assert main(["run-episodes", "--schema", str(root / "schema.json"), "--test", str(test_path),
+                 "--out", str(out), "--corpus", str(root / "corpus.jsonl"),
+                 "--model", str(bad_ckpt)]) == 2
+    inputs = _manifest_of(out)["inputs"]
+    assert list(inputs) == [str(root / "corpus.jsonl"), str(bad_ckpt), str(test_path),
+                            str(root / "schema.json")]
+    capsys.readouterr()
+
+
 def test_same_seed_reproduces_identical_output_bytes(world, tmp_path, capsys):
     root, _, _ = world
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -379,6 +469,26 @@ def test_evaluate_writes_report_to_stdout_without_out(world, tmp_path, capsys):
     out = capsys.readouterr().out
     report = json.loads(out)
     assert report["precision"] == 1.0 and report["recall"] < 1.0
+
+
+def test_evaluate_without_a_schema_scores_against_the_corpus_schema(tmp_path, capsys):
+    # In 11 of the fixture's 51 sentences, the sentence's own type order gives
+    # other gold spans than the sorted corpus schema does.
+    gold_path = FIXTURES / "golden_corpus.jsonl"
+    corpus = read_annotated_jsonl(gold_path)
+    schema = corpus_schema(corpus)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    pred_path = tmp_path / "pred.jsonl"
+    pred_path.write_text("".join(json.dumps(spans_to_record(s.id, gold_spans(s, schema))) + "\n"
+                                 for s in corpus), encoding="utf-8")
+    evaluate = ["evaluate", "--gold", str(gold_path), "--pred", str(pred_path)]
+    with_schema, without = tmp_path / "with.json", tmp_path / "without.json"
+    assert main(evaluate + ["--schema", str(schema_path), "--out", str(with_schema)]) == 0
+    assert main(evaluate + ["--out", str(without)]) == 0
+    assert without.read_bytes() == with_schema.read_bytes()
+    assert json.loads(without.read_text(encoding="utf-8"))["f1"] == 1.0
+    capsys.readouterr()
 
 
 def test_predict_matches_grammar_fixture_when_generation_is_wired(world, tmp_path, capsys, monkeypatch):

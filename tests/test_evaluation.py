@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdnet.evaluation import (
     EpisodeReport,
+    corpus_schema,
     gold_pipeline_report,
     gold_spans,
     predict_spans,
@@ -104,7 +105,7 @@ def test_matched_count_equals_max_matching_oracle(gold_rows, pred_rows):
 
 def test_gold_spans_follow_ith_occurrence_rule():
     s = sent("g#0", "Rome saw Rome.", [("Rome", ("city",)), ("Rome", ("city",))])
-    spans = gold_spans(s)
+    spans = gold_spans(s, ["city"])
     assert [(x.start, x.end) for x in spans] == [(0, 4), (9, 13)]
 
 
@@ -118,11 +119,11 @@ def test_gold_spans_keep_one_clause_per_occurrence_for_multi_type_mentions():
     # One occurrence of the surface but two matching types: the serialized
     # target repeats the surface, so only the first clause has an offset.
     s = sent("g#2", "Alice writes.", [("Alice", ("person", "writer"))])
-    spans = gold_spans(s)
+    spans = gold_spans(s, ["person", "writer"])
     assert [(x.surface, x.type_id, x.start) for x in spans] == [("Alice", "person", 0)]
     # With two occurrences the second clause lands on the second occurrence.
     s2 = sent("g#3", "Alice met Alice.", [("Alice", ("person", "writer"))])
-    spans2 = gold_spans(s2)
+    spans2 = gold_spans(s2, ["person", "writer"])
     assert [(x.type_id, x.start) for x in spans2] == [("person", 0), ("writer", 10)]
 
 
@@ -149,7 +150,7 @@ def test_predict_spans_runs_generation_output_through_parse_and_locate():
 
 def test_gold_pipeline_identity_on_fixture_corpus():
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
-    rep = gold_pipeline_report(corpus)
+    rep = gold_pipeline_report(corpus, corpus_schema(corpus))
     assert rep.f1 == 1.0
     assert rep.precision == 1.0 and rep.recall == 1.0
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from sdnet.model import (
     LossNotFiniteError,
     ModelConfig,
     build_vocab,
+    encode_instances,
     forward_loss,
     generate,
     generate_many,
@@ -328,6 +331,18 @@ def test_a_row_that_cannot_be_encoded_raises_naming_its_index(prompt, text, reas
     rows.insert(1, (prompt, text))
     with pytest.raises(RowError, match=f"^row 1: {reason}$") as raised:
         generate_many(params, cfg, vocab, *zip(*rows))
+    assert raised.value.row == 1 and raised.value.reason == reason
+
+
+@pytest.mark.parametrize("field, text, reason", [
+    ("input_text", " ".join(["Alice"] * 63), "encoded input length 65 exceeds cap 64"),
+    ("target_text", " ".join(["Alice"] * 64), "encoded target length 65 exceeds cap 64"),
+])
+def test_encode_instances_names_the_instance_that_exceeds_the_cap(field, text, reason):
+    insts, vocab, cfg, _ = tiny_setup()
+    long = dataclasses.replace(insts[0], prompt_text="[MD] Alice", **{field: text})
+    with pytest.raises(RowError, match=f"^row 1: {reason}$") as raised:
+        encode_instances([insts[0], long, insts[1]], vocab, cfg)
     assert raised.value.row == 1 and raised.value.reason == reason
 
 
