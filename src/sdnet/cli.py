@@ -414,11 +414,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cmd == "build-descriptions" and args.mode == "mention-describing" and not args.model:
+            parser.error("--mode mention-describing requires --model")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.cmd == "build-descriptions" and args.mode == "mention-describing" and not args.model:
-            raise CorpusFormatError("--mode mention-describing requires --model")
         _write_manifest(args)
         return args.func(args)
     except (ValueError, KeyError, OSError, TrainingDivergedError) as exc:

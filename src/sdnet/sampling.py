@@ -1,16 +1,17 @@
 """Training-instance construction: pretraining MD/EG sampling, fine-tuning
 schema prompts, and k-shot support-set selection. Every seeded draw of
-instance construction happens here, keyed by `stable_draw_key`."""
+instance construction happens here, as one `keyed_sample` keyed by
+`stable_draw_key`."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .codec import parse_generated, prompt_body, serialize_prompt_eg, serialize_prompt_md, serialize_target
 from .data import (
@@ -34,6 +35,39 @@ from .descriptions import DescriptionMap
 def stable_draw_key(*parts: str | int) -> int:
     """Process-stable integer key for seeded sampling (unlike hash())."""
     return zlib.crc32("\x1f".join(str(p) for p in parts).encode("utf-8"))
+
+
+_WORDS = struct.Struct("<8Q")
+
+
+def keyed_sample(seed: int, key: int, stream: str, n: int, k: int) -> list[int]:
+    """The first k positions of a partial Fisher-Yates shuffle of range(n),
+    keyed on (seed, key, stream) and on nothing else, so the draw is the same
+    on every numpy and Python version and platform. Step i swaps position i with
+    i + w_i % (n - i), where w_i is the (i % 8)-th little-endian 64-bit word
+    of the 64-byte BLAKE2b digest of the UTF-8 text
+    "{seed}\x1f{key}\x1f{stream}\x1f{i // 8}". Displaced positions live in a
+    dict, so the cost is O(k) whatever n is, and every k gives a prefix of the
+    full permutation."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} of {n}")
+    prefix = f"{seed}\x1f{key}\x1f{stream}\x1f"
+    moved: dict[int, int] = {}
+    out: list[int] = []
+    words: tuple[int, ...] = ()
+    for i in range(k):
+        if i % 8 == 0:
+            words = _WORDS.unpack(hashlib.blake2b(f"{prefix}{i // 8}".encode("utf-8"), digest_size=64).digest())
+        j = i + words[i % 8] % (n - i)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return out
+
+
+def _keyed_subset(seed: int, key: int, stream: str, n: int, k: int) -> list[int]:
+    """k of range(n) in increasing order; all of them, with no hashing, when
+    k >= n."""
+    return list(range(n)) if k >= n else sorted(keyed_sample(seed, key, stream, n, k))
 
 
 @dataclass(frozen=True)
@@ -72,9 +106,7 @@ def make_md_instance(s: AnnotatedSentence, cfg: SamplerConfig, draw_key: int) ->
     candidates = ordered_unique_surfaces(s)
     want = math.ceil(cfg.md_target_fraction * len(candidates))
     if want < len(candidates):
-        rng = np.random.default_rng([cfg.rng_seed, draw_key])
-        picked = sorted(rng.choice(len(candidates), size=want, replace=False).tolist())
-        candidates = [candidates[i] for i in picked]
+        candidates = [candidates[i] for i in _keyed_subset(cfg.rng_seed, draw_key, "MD", len(candidates), want)]
     prompt = PromptMD(targets=tuple(surf for surf, _ in candidates))
     target = TargetSequence(task="MD", pairs=tuple(candidates))
     return TrainingInstance(
@@ -117,13 +149,14 @@ def schema_prompt(schema_types: Sequence[str], desc: DescriptionMap) -> str:
 
 class _EgSampler:
     """EG sampling state shared by every instance of one call: the candidate
-    negative types and a table of the prompt entries of types whose
-    descriptions fit `max_concepts`. Such an entry draws nothing, so one
-    serves every instance; an over-full description is subsampled per
+    negative types with their positions, and a table of the prompt entries of
+    types whose descriptions fit `max_concepts`. Such an entry draws nothing,
+    so one serves every instance; an over-full description is subsampled per
     instance, keyed on the instance and the type, in input order."""
 
     def __init__(self, dictionary: TypeDictionary, desc: DescriptionMap, cfg: SamplerConfig) -> None:
         self.types = dictionary.types(include_other=False)
+        self.position = {t: i for i, t in enumerate(self.types)}
         self.desc = desc
         self.cfg = cfg
         self.fitting: dict[str, ConceptDescription] = {}
@@ -133,22 +166,36 @@ class _EgSampler:
         if entry is None:
             full = self.desc.get(t, ())
             if len(full) > self.cfg.max_concepts:
-                rng = np.random.default_rng([self.cfg.rng_seed, stable_draw_key(draw_key, t)])
-                picked = sorted(rng.choice(len(full), size=self.cfg.max_concepts, replace=False).tolist())
+                picked = _keyed_subset(self.cfg.rng_seed, stable_draw_key(draw_key, t), "concepts",
+                                       len(full), self.cfg.max_concepts)
                 return ConceptDescription(type_id=t, concepts=tuple(full[i] for i in picked))
             entry = self.fitting[t] = ConceptDescription(type_id=t, concepts=tuple(full))
         return entry
 
+    def _negatives(self, sentence_types: list[str], draw_key: int) -> list[str]:
+        """The keyed draw from the pool of dictionary types the sentence does
+        not carry, in dictionary order. The pool is never listed: pool
+        position p maps to dictionary position p, moved one further past each
+        carried position it reaches, so the cost does not grow with the
+        dictionary."""
+        carried = sorted(self.position[t] for t in sentence_types if t in self.position)
+        out = []
+        for p in _keyed_subset(self.cfg.rng_seed, draw_key, "EG negatives", len(self.types) - len(carried),
+                               self.cfg.max_negative_types):
+            for c in carried:
+                if c > p:
+                    break
+                p += 1
+            out.append(self.types[p])
+        return out
+
     def instance(self, s: AnnotatedSentence, sentence_types: list[str], draw_key: int) -> TrainingInstance:
-        cfg = self.cfg
-        rng = np.random.default_rng([cfg.rng_seed, draw_key])
-        n_pos = min(len(sentence_types), cfg.max_positive_types)
-        positives = [sentence_types[i] for i in sorted(rng.choice(len(sentence_types), size=n_pos, replace=False).tolist())]
-        pool = [t for t in self.types if t not in sentence_types]
-        n_neg = min(len(pool), cfg.max_negative_types)
-        negatives = [pool[i] for i in sorted(rng.choice(len(pool), size=n_neg, replace=False).tolist())] if n_neg else []
-        prompt_types = positives + negatives
-        prompt_types = [prompt_types[i] for i in rng.permutation(len(prompt_types)).tolist()]
+        seed = self.cfg.rng_seed
+        positives = [sentence_types[i] for i in _keyed_subset(seed, draw_key, "EG positives", len(sentence_types),
+                                                              self.cfg.max_positive_types)]
+        prompt_types = positives + self._negatives(sentence_types, draw_key)
+        n = len(prompt_types)
+        prompt_types = [prompt_types[i] for i in keyed_sample(seed, draw_key, "EG order", n, n)]
         prompt = PromptEG(entries=tuple(self._entry(t, draw_key) for t in prompt_types))
         target = TargetSequence(task="EG", pairs=eg_pairs(s, positives))
         return TrainingInstance(
@@ -230,8 +277,7 @@ def sample_kshot(
     still-deficient type count; stop once every type reaches k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    order = rng.permutation(len(corpus)).tolist()
+    order = keyed_sample(rng_seed, 0, "kshot", len(corpus), len(corpus))
     counts = {t: 0 for t in schema_types}
     picked: list[AnnotatedSentence] = []
     for idx in order:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -166,15 +167,31 @@ def reference_entity_types(item, dictionary, cfg, label_of=None) -> tuple[str, .
     return tuple(out) if out else (OTHER_TYPE,)
 
 
+def reference_keyed_shuffle(seed: int, key: int, stream: str, n: int) -> list[int]:
+    """The whole keyed Fisher-Yates shuffle of range(n), swapped in a dense
+    list: step i swaps slots i and i + w % (n - i), where w is bytes 8(i % 8)
+    to 8(i % 8) + 8, read little-endian, of the 64-byte BLAKE2b digest of
+    "seed 0x1f key 0x1f stream 0x1f i // 8". The oracle `keyed_sample` must
+    match on every prefix."""
+    slots = list(range(n))
+    for i in range(n):
+        message = "\x1f".join((str(seed), str(key), stream, str(i // 8))).encode("utf-8")
+        digest = hashlib.blake2b(message, digest_size=64).digest()
+        w = int.from_bytes(digest[8 * (i % 8): 8 * (i % 8) + 8], "little")
+        j = i + w % (n - i)
+        slots[i], slots[j] = slots[j], slots[i]
+    return slots
+
+
 def reference_sample_concepts(type_id: str, full, max_concepts: int, rng_seed: int,
                               draw_key: int) -> ConceptDescription:
-    """At most max_concepts concepts, in input order; over-full collections are
-    subsampled by a generator keyed on (rng_seed, draw_key). The oracle for an
-    EG prompt entry, whose draw key is `stable_draw_key(instance key, type)`."""
+    """At most max_concepts concepts, in input order; over-full collections keep
+    the first max_concepts positions of the dense keyed shuffle on
+    (rng_seed, draw_key, "concepts"). The oracle for an EG prompt entry, whose
+    draw key is `stable_draw_key(instance key, type)`."""
     if len(full) <= max_concepts:
         return ConceptDescription(type_id=type_id, concepts=tuple(full))
-    rng = np.random.default_rng([rng_seed, draw_key])
-    picked = sorted(rng.choice(len(full), size=max_concepts, replace=False).tolist())
+    picked = sorted(reference_keyed_shuffle(rng_seed, draw_key, "concepts", len(full))[:max_concepts])
     return ConceptDescription(type_id=type_id, concepts=tuple(full[i] for i in picked))
 
 

@@ -179,7 +179,22 @@ def test_locator_matches_brute_force_oracle_on_1000_random_sentences():
         assert unlocated == want_unlocated, f"case {case}: {text!r} {pairs}"
 
 
-# ---- 4. corpus builder golden build ----
+# ---- 4. corpus builder golden build, pretraining instances ----
+
+# runs a and b in this interpreter; the hash-seed runs in fresh ones, where set
+# and dict-of-str iteration orders differ
+HASH_SEED_RUNS = (("a", None), ("b", None), ("c", "1"), ("d", "2"))
+
+
+def _run_cli(argv: list[str], hash_seed: str | None) -> None:
+    if hash_seed is None:
+        assert cli_main(argv) == 0
+        return
+    src = str(Path(sdnet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-m", "sdnet.cli", *argv], env=env, check=True)
+
 
 def test_corpus_build_is_byte_identical_across_runs_and_hash_seeds(tmp_path, capsys):
     kb = FIXTURES / "kb_items.jsonl"
@@ -189,20 +204,11 @@ def test_corpus_build_is_byte_identical_across_runs_and_hash_seeds(tmp_path, cap
 
     golden_corpus = (FIXTURES / "golden_corpus.jsonl").read_bytes()
     golden_dict = (FIXTURES / "golden_dict.json").read_bytes()
-    src = str(Path(sdnet.__file__).resolve().parents[1])
-    # runs a and b in this interpreter; the hash-seed runs in fresh ones, where
-    # set and dict-of-str iteration orders differ
-    for run, hash_seed in (("a", None), ("b", None), ("c", "1"), ("d", "2")):
+    for run, hash_seed in HASH_SEED_RUNS:
         out = tmp_path / f"corpus-{run}.jsonl"
         dict_out = tmp_path / f"dict-{run}.json"
-        argv = ["build-corpus", "--kb", str(kb), "--pages", str(pages),
-                "--out", str(out), "--dict-out", str(dict_out)]
-        if hash_seed is None:
-            assert cli_main(argv) == 0
-        else:
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-            subprocess.run([sys.executable, "-m", "sdnet.cli", *argv], env=env, check=True)
+        _run_cli(["build-corpus", "--kb", str(kb), "--pages", str(pages),
+                  "--out", str(out), "--dict-out", str(dict_out)], hash_seed)
         assert out.read_bytes() == golden_corpus, f"corpus bytes differ (run {run})"
         assert dict_out.read_bytes() == golden_dict, f"dictionary bytes differ (run {run})"
     capsys.readouterr()
@@ -214,6 +220,25 @@ def test_corpus_build_is_byte_identical_across_runs_and_hash_seeds(tmp_path, cap
     # Types claimed by fewer than five items are dropped.
     assert "asteroid family" not in dictionary.entries
     assert all(count >= 5 for name, count in dictionary.entries.items() if name != OTHER_TYPE)
+
+
+def test_pretrain_instances_are_byte_identical_across_runs_and_hash_seeds(tmp_path, capsys):
+    """Every keyed draw (MD subset, EG positives, negatives and order, over-full
+    concepts) is made in fresh interpreters under two hash seeds."""
+    corpus = FIXTURES / "golden_corpus.jsonl"
+    desc = tmp_path / "desc.jsonl"
+    assert cli_main(["build-descriptions", "--corpus", str(corpus), "--out", str(desc)]) == 0
+    outputs = []
+    for run, hash_seed in HASH_SEED_RUNS:
+        out = tmp_path / f"pretrain-{run}.jsonl"
+        _run_cli(["make-pretrain-data", "--corpus", str(corpus), "--dict", str(FIXTURES / "golden_dict.json"),
+                  "--desc", str(desc), "--out", str(out), "--md-fraction", "0.5", "--max-concepts", "1",
+                  "--seed", "3"], hash_seed)
+        outputs.append(out.read_bytes())
+    assert outputs[0]
+    for (run, _), data in zip(HASH_SEED_RUNS, outputs):
+        assert data == outputs[0], f"instance bytes differ (run {run})"
+    capsys.readouterr()
 
 
 # ---- 5. description builder oracle and filtering ----

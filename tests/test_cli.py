@@ -204,8 +204,8 @@ def test_mention_describing_without_a_model_faults_before_any_manifest(world, tm
     root, _, _ = world
     out = tmp_path / "desc.jsonl"
     assert main(["build-descriptions", "--corpus", str(root / "corpus.jsonl"), "--out", str(out),
-                 "--mode", "mention-describing"]) == 2
-    assert capsys.readouterr().err == "error: --mode mention-describing requires --model\n"
+                 "--mode", "mention-describing"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "sdnet: error: --mode mention-describing requires --model"
     assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
 

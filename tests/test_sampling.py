@@ -20,6 +20,7 @@ from sdnet.sampling import (
     eg_pairs,
     instance_from_record,
     instance_to_record,
+    keyed_sample,
     make_eg_instance,
     make_finetune_instance,
     make_md_instance,
@@ -28,7 +29,7 @@ from sdnet.sampling import (
     stable_draw_key,
     write_instances_jsonl,
 )
-from helpers import FIXTURES, reference_sample_concepts, sent
+from helpers import FIXTURES, reference_keyed_shuffle, reference_sample_concepts, sent
 
 CFG = SamplerConfig(rng_seed=0)
 
@@ -105,6 +106,18 @@ def test_eg_negatives_disjoint_from_sentence_types_across_keys():
                 assert t in DICT
 
 
+@settings(max_examples=150)
+@given(st.lists(st.sampled_from(DICT.types(include_other=False) + ["t"]), min_size=1, unique=True),
+       st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_eg_negatives_are_the_keyed_draw_from_the_listed_pool(sentence_types, key, max_negative_types):
+    s = sent("n#0", "Xy rests.", [("Xy", tuple(sentence_types))])
+    inst = make_eg_instance(s, DICT, {}, SamplerConfig(max_negative_types=max_negative_types), draw_key=key)
+    negatives = {e.type_id for e in parse_prompt_eg(inst.prompt_text).entries} - set(sentence_types)
+    pool = [t for t in DICT.types(include_other=False) if t not in sentence_types]
+    drawn = reference_keyed_shuffle(CFG.rng_seed, key, "EG negatives", len(pool))[:max_negative_types]
+    assert negatives == {pool[i] for i in drawn}
+
+
 def test_eg_rejects_sentence_with_only_other_mentions():
     s = sent("s#2", "Thing rests.", [("Thing", (OTHER_TYPE,))])
     with pytest.raises(ValueError):
@@ -162,6 +175,36 @@ def test_stable_draw_key_is_process_stable():
     assert isinstance(stable_draw_key("x", 3), int)
 
 
+@pytest.mark.parametrize("seed, key, stream, n, k, expected", [
+    (0, 0, "kshot", 10, 10, [7, 9, 6, 0, 1, 3, 8, 4, 5, 2]),
+    (3, 2654435761, "EG negatives", 1000, 3, [291, 952, 978]),
+    # twelve steps read two digests
+    (12345, 7, "concepts", 20, 12, [2, 3, 14, 18, 9, 10, 17, 4, 16, 5, 11, 0]),
+    # a pool far too large to list
+    (0, 1, "MD", 2**40, 5, [883523441762, 891316147644, 15483371765, 827346334316, 302753595732]),
+])
+def test_keyed_sample_known_answers(seed, key, stream, n, k, expected):
+    """Literal draws: they depend on BLAKE2b and the documented message alone,
+    so no Python or numpy upgrade may move them."""
+    assert keyed_sample(seed, key, stream, n, k) == expected
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.sampled_from(["MD", "kshot", "x"]),
+       st.integers(0, 40), st.data())
+def test_keyed_sample_is_a_prefix_of_the_dense_keyed_shuffle(seed, key, stream, n, data):
+    k = data.draw(st.integers(0, n))
+    got = keyed_sample(seed, key, stream, n, k)
+    assert len(got) == k and len(set(got)) == k and all(0 <= i < n for i in got)
+    assert got == keyed_sample(seed, key, stream, n, n)[:k]
+    assert got == reference_keyed_shuffle(seed, key, stream, n)[:k]
+
+
+def test_keyed_sample_rejects_more_than_the_pool():
+    with pytest.raises(ValueError):
+        keyed_sample(0, 0, "x", 3, 4)
+
+
 def test_eg_pairs_orders_mentions_then_positive_types():
     s = sent("s#3", "Bob met Alice in Rome and Rome again.",
              [("Rome", ("city",)), ("Bob", ("person",)), ("Alice", ("person",)),
@@ -209,16 +252,17 @@ def test_build_pretrain_instances_is_deterministic_and_paired():
 
 
 @pytest.mark.parametrize("overrides, digest", [
-    ({}, "bce6439bc41880536d5212dd7cccfd5f55d02365cb4da4acad805db129a859a8"),
+    ({}, "519729b1d1ed9657e983813996cfd87d08b82e4dd155cf1641dc0e94d600a3f2"),
     # every description of two or more concepts is over-full: keyed subsampling
-    ({"max_concepts": 1}, "7a78a247c298eddf358d2b5aa42e7828e8e695e09a01181c4d5415469a86c8c9"),
+    ({"max_concepts": 1}, "8278953a059d3b89a707168dd80aed5982c6b5c4ee3b998463128434f83f20a8"),
     # the keyed MD draw as well
     ({"max_concepts": 2, "md_target_fraction": 0.5},
-     "5c3ebfe6519bc5ccdda8dd68f636f2794da251b194c2f51052c21cedada155a1"),
-])
+     "330685f72d952e650ff871a06d41765aa00060f7e45d498638de8cfc804dfc08"),
+], ids=["defaults", "over-full-concepts", "md-fraction"])
 def test_build_pretrain_instances_golden_bytes(overrides, digest):
     """SHA-256 of the fixture corpus's pretraining instances as JSONL, pinned
-    so that a faster sampler cannot change a single draw."""
+    to the keyed draw (`keyed_sample`): every byte depends on BLAKE2b and the
+    draw's documented message alone, not on the numpy or Python version."""
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
     dictionary = read_file(FIXTURES / "golden_dict.json", TypeDictionary.from_json)
     desc = build_cooccurrence_descriptions(corpus)
