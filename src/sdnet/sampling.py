@@ -1,7 +1,7 @@
 """Training-instance construction: pretraining MD/EG sampling, fine-tuning
 schema prompts, and k-shot support-set selection. Every seeded draw of
-instance construction happens here, as one `keyed_sample` keyed by
-`stable_draw_key`."""
+instance construction happens here, as a prefix of one `keyed_order` keyed
+by `stable_draw_key`."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codec import parse_generated, prompt_body, serialize_prompt_eg, serialize_prompt_md, serialize_target
 from .data import (
@@ -40,28 +41,32 @@ def stable_draw_key(*parts: str | int) -> int:
 _WORDS = struct.Struct("<8Q")
 
 
-def keyed_sample(seed: int, key: int, stream: str, n: int, k: int) -> list[int]:
-    """The first k positions of a partial Fisher-Yates shuffle of range(n),
-    keyed on (seed, key, stream) and on nothing else, so the draw is the same
-    on every numpy and Python version and platform. Step i swaps position i with
+def keyed_order(seed: int, key: int, stream: str, n: int) -> Iterator[int]:
+    """The positions of range(n) in the order of a Fisher-Yates shuffle keyed
+    on (seed, key, stream) and on nothing else, so the order is the same on
+    every numpy and Python version and platform. Step i swaps position i with
     i + w_i % (n - i), where w_i is the (i % 8)-th little-endian 64-bit word
     of the 64-byte BLAKE2b digest of the UTF-8 text
-    "{seed}\x1f{key}\x1f{stream}\x1f{i // 8}". Displaced positions live in a
-    dict, so the cost is O(k) whatever n is, and every k gives a prefix of the
-    full permutation."""
-    if not 0 <= k <= n:
-        raise ValueError(f"cannot draw {k} of {n}")
+    "{seed}\x1f{key}\x1f{stream}\x1f{i // 8}". Positions are drawn as they
+    are taken and displaced ones live in a dict, so taking k of them costs
+    O(k) whatever n is."""
     prefix = f"{seed}\x1f{key}\x1f{stream}\x1f"
     moved: dict[int, int] = {}
-    out: list[int] = []
     words: tuple[int, ...] = ()
-    for i in range(k):
+    for i in range(n):
         if i % 8 == 0:
             words = _WORDS.unpack(hashlib.blake2b(f"{prefix}{i // 8}".encode("utf-8"), digest_size=64).digest())
         j = i + words[i % 8] % (n - i)
-        out.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return out
+        yield moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+
+
+def keyed_sample(seed: int, key: int, stream: str, n: int, k: int) -> list[int]:
+    """The first k positions of `keyed_order`, so every k gives a prefix of
+    the full permutation."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} of {n}")
+    return list(islice(keyed_order(seed, key, stream, n), k))
 
 
 def _keyed_subset(seed: int, key: int, stream: str, n: int, k: int) -> list[int]:
@@ -149,14 +154,13 @@ def schema_prompt(schema_types: Sequence[str], desc: DescriptionMap) -> str:
 
 class _EgSampler:
     """EG sampling state shared by every instance of one call: the candidate
-    negative types with their positions, and a table of the prompt entries of
-    types whose descriptions fit `max_concepts`. Such an entry draws nothing,
-    so one serves every instance; an over-full description is subsampled per
+    negative types, and a table of the prompt entries of types whose
+    descriptions fit `max_concepts`. Such an entry draws nothing, so one
+    serves every instance; an over-full description is subsampled per
     instance, keyed on the instance and the type, in input order."""
 
     def __init__(self, dictionary: TypeDictionary, desc: DescriptionMap, cfg: SamplerConfig) -> None:
         self.types = dictionary.types(include_other=False)
-        self.position = {t: i for i, t in enumerate(self.types)}
         self.desc = desc
         self.cfg = cfg
         self.fitting: dict[str, ConceptDescription] = {}
@@ -172,28 +176,13 @@ class _EgSampler:
             entry = self.fitting[t] = ConceptDescription(type_id=t, concepts=tuple(full))
         return entry
 
-    def _negatives(self, sentence_types: list[str], draw_key: int) -> list[str]:
-        """The keyed draw from the pool of dictionary types the sentence does
-        not carry, in dictionary order. The pool is never listed: pool
-        position p maps to dictionary position p, moved one further past each
-        carried position it reaches, so the cost does not grow with the
-        dictionary."""
-        carried = sorted(self.position[t] for t in sentence_types if t in self.position)
-        out = []
-        for p in _keyed_subset(self.cfg.rng_seed, draw_key, "EG negatives", len(self.types) - len(carried),
-                               self.cfg.max_negative_types):
-            for c in carried:
-                if c > p:
-                    break
-                p += 1
-            out.append(self.types[p])
-        return out
-
     def instance(self, s: AnnotatedSentence, sentence_types: list[str], draw_key: int) -> TrainingInstance:
         seed = self.cfg.rng_seed
         positives = [sentence_types[i] for i in _keyed_subset(seed, draw_key, "EG positives", len(sentence_types),
                                                               self.cfg.max_positive_types)]
-        prompt_types = positives + self._negatives(sentence_types, draw_key)
+        pool = [t for t in self.types if t not in sentence_types]
+        prompt_types = positives + [pool[i] for i in _keyed_subset(seed, draw_key, "EG negatives", len(pool),
+                                                                   self.cfg.max_negative_types)]
         n = len(prompt_types)
         prompt_types = [prompt_types[i] for i in keyed_sample(seed, draw_key, "EG order", n, n)]
         prompt = PromptEG(entries=tuple(self._entry(t, draw_key) for t in prompt_types))
@@ -273,14 +262,14 @@ class KShotSample:
 def sample_kshot(
     corpus: Sequence[AnnotatedSentence], k: int, schema_types: Sequence[str], rng_seed: int
 ) -> KShotSample:
-    """Greedy seeded pass: shuffle, then keep any sentence that raises a
-    still-deficient type count; stop once every type reaches k."""
+    """Greedy seeded pass in keyed order, drawn only as far as it goes: keep
+    any sentence that raises a still-deficient type count; stop once every
+    type reaches k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = keyed_sample(rng_seed, 0, "kshot", len(corpus), len(corpus))
     counts = {t: 0 for t in schema_types}
     picked: list[AnnotatedSentence] = []
-    for idx in order:
+    for idx in keyed_order(rng_seed, 0, "kshot", len(corpus)):
         if all(c >= k for c in counts.values()):
             break
         sent = corpus[idx]

@@ -304,6 +304,20 @@ def test_sample_kshot_reports_unsatisfied_types():
     assert got.counts["metal"] == 0
 
 
+@pytest.mark.parametrize("rng_seed", [0, 1, 7])
+def test_sample_kshot_is_the_greedy_pass_over_the_dense_keyed_shuffle(rng_seed):
+    corpus = _kshot_corpus()
+    counts = {"person": 0, "city": 0}
+    expected = []
+    for idx in reference_keyed_shuffle(rng_seed, 0, "kshot", len(corpus)):
+        (t,) = corpus[idx].mentions[0].types
+        if counts.get(t, 2) < 2:
+            expected.append(corpus[idx].id)
+            counts[t] += 1
+    got = sample_kshot(corpus, 2, ["person", "city"], rng_seed=rng_seed)
+    assert [s.id for s in got.sentences] == expected
+
+
 def test_sample_kshot_is_seed_deterministic():
     corpus = _kshot_corpus()
     a = sample_kshot(corpus, 2, ["person", "city"], rng_seed=5)
