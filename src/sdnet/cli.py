@@ -25,6 +25,7 @@ from .data import (
     RowError,
     TypeDictionary,
     atomic_write,
+    distinct_ids,
     iter_jsonl,
     read_annotated_jsonl,
     read_file,
@@ -255,8 +256,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     prompt = read_file(args.prompt_file, _eg_prompt_from)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     gen = partial(generate, params, mcfg, vocab, max_len=args.max_gen)
+    sentences = list(iter_jsonl(args.sentences, distinct_ids(sentence_from_record)))
     predictions = []
-    for sent in iter_jsonl(args.sentences, sentence_from_record):
+    for sent in sentences:
         try:
             spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
         except RowError as exc:

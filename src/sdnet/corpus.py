@@ -22,7 +22,6 @@ from .data import (
     TypeDictionary,
     TypedMention,
     jsonl_lines,
-    mention_order_key,
     string_field,
     string_list,
 )
@@ -281,7 +280,6 @@ def harvest_mentions(
         if not mentions:
             tally["entity_free_sentence_dropped"] += 1
             continue
-        mentions.sort(key=lambda m: mention_order_key(sent_text, m.surface))
         out.append(
             AnnotatedSentence(Sentence(id=f"{page.title}#{idx}", text=sent_text), tuple(mentions))
         )

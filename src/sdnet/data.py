@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Literal, TextIO, TypeVar
 
@@ -59,8 +60,17 @@ class TypedMention:
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
+    """A sentence and its mentions, held in text order (`mention_order_key`, then as given)."""
+
     sentence: Sentence
     mentions: tuple[TypedMention, ...]
+
+    def __post_init__(self) -> None:
+        for m in self.mentions:
+            if m.surface not in self.text:
+                raise SurfaceAbsentError(f"sentence {self.id!r}: surface {m.surface!r} not in its text")
+        ordered = sorted(self.mentions, key=lambda m: mention_order_key(self.text, m.surface))
+        object.__setattr__(self, "mentions", tuple(ordered))
 
     @property
     def id(self) -> str:
@@ -80,16 +90,15 @@ def mention_order_key(sentence_text: str, surface: str) -> tuple[int, int]:
 
 
 def ordered_unique_surfaces(s: AnnotatedSentence) -> list[tuple[str, tuple[str, ...]]]:
-    """Unique surfaces in first-occurrence order, each with the union of the
-    type sets of its mentions: the one order of MD prompt surfaces."""
+    """Unique surfaces in text order, each with the union of the type sets of
+    its mentions: the one order of MD prompt surfaces."""
     merged: dict[str, list[str]] = {}
     for m in s.mentions:
         types = merged.setdefault(m.surface, [])
         for t in m.types:
             if t not in types:
                 types.append(t)
-    surfaces = sorted(merged, key=lambda surf: mention_order_key(s.text, surf))
-    return [(surf, tuple(merged[surf])) for surf in surfaces]
+    return [(surf, tuple(types)) for surf, types in merged.items()]
 
 
 @dataclass(frozen=True)
@@ -211,8 +220,8 @@ class PromptEG:
 class TargetSequence:
     """Ordered (surface, labels) pairs; labels are concepts for MD, exactly one type for EG.
 
-    The gold-construction paths additionally order EG pairs by first occurrence in the
-    source sentence; parsed model output carries whatever order the model produced.
+    Gold targets list their pairs in the text order an `AnnotatedSentence` holds its
+    mentions in; parsed model output carries whatever order the model produced.
     """
 
     task: Task
@@ -253,6 +262,31 @@ def string_field(value: object, name: str) -> str:
     return value
 
 
+def int_field(value: object, name: str) -> int:
+    """Record field `name`, an integer; anything else, a bool too, raises
+    TypeError naming the field."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def distinct_ids(convert: Callable[[dict], T],
+                 id_of: Callable[[T], str] = attrgetter("id")) -> Callable[[dict], T]:
+    """`convert` for `iter_jsonl`, except that a record whose id (`id_of` of
+    its value) an earlier record had is a format error."""
+    seen: set[str] = set()
+
+    def checked(raw: dict) -> T:
+        value = convert(raw)
+        key = id_of(value)
+        if key in seen:
+            raise CorpusFormatError(f"duplicate sentence id {key!r}")
+        seen.add(key)
+        return value
+
+    return checked
+
+
 def sentence_from_record(raw: dict) -> Sentence:
     return Sentence(id=string_field(raw["id"], "id"), text=string_field(raw["text"], "text"))
 
@@ -271,21 +305,9 @@ def write_annotated_jsonl(path: str | Path, sentences: Iterable[AnnotatedSentenc
 
 
 def read_annotated_jsonl(path: str | Path) -> list[AnnotatedSentence]:
-    """The sentences of a corpus file; a repeated sentence id or a mention surface
-    absent from its sentence's text is a format error, mention order is not."""
-    seen: set[str] = set()
-
-    def convert(raw: dict) -> AnnotatedSentence:
-        sent = annotated_from_record(raw)
-        if sent.id in seen:
-            raise CorpusFormatError(f"duplicate sentence id {sent.id!r}")
-        seen.add(sent.id)
-        for m in sent.mentions:
-            if m.surface not in sent.text:
-                raise CorpusFormatError(f"sentence {sent.id!r}: surface {m.surface!r} not in its text")
-        return sent
-
-    return list(iter_jsonl(path, convert))
+    """The sentences of a corpus file, mentions in text order; a repeated sentence
+    id or a mention surface absent from its sentence's text is a format error."""
+    return list(iter_jsonl(path, distinct_ids(annotated_from_record)))
 
 
 def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:

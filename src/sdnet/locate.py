@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .data import Sentence, TargetSequence, iter_jsonl, write_jsonl
+from .data import Sentence, TargetSequence, distinct_ids, int_field, iter_jsonl, string_field, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,11 @@ def spans_to_record(sentence_id: str, spans: Iterable[SpanPrediction]) -> dict:
 
 def spans_from_record(raw: dict) -> tuple[str, list[SpanPrediction]]:
     spans = [
-        SpanPrediction(surface=s["surface"], type_id=s["type"], start=s["start"], end=s["end"])
+        SpanPrediction(surface=string_field(s["surface"], "surface"), type_id=string_field(s["type"], "type"),
+                       start=int_field(s["start"], "start"), end=int_field(s["end"], "end"))
         for s in raw["spans"]
     ]
-    return raw["id"], spans
+    return string_field(raw["id"], "id"), spans
 
 
 def write_predictions_jsonl(
@@ -81,4 +83,6 @@ def write_predictions_jsonl(
 
 
 def read_predictions_jsonl(path: str | Path) -> dict[str, list[SpanPrediction]]:
-    return dict(iter_jsonl(path, spans_from_record))
+    """Each sentence id's predicted spans; a repeated id, or a field of the
+    wrong kind, is a format error naming `path:line`."""
+    return dict(iter_jsonl(path, distinct_ids(spans_from_record, itemgetter(0))))

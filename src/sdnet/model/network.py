@@ -518,20 +518,26 @@ class Batch:
         return self.src.shape[0]
 
 
+def _pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Source id rows padded with [PAD] to the longest, and their key mask."""
+    lengths = np.array([len(ids) for ids in sources])
+    src = np.full((len(sources), int(lengths.max())), PAD_ID, dtype=np.int64)
+    for k, ids in enumerate(sources):
+        src[k, : len(ids)] = ids
+    return src, np.arange(src.shape[1]) < lengths[:, None]
+
+
 def make_batch(rows: Sequence[EncodedInstance], ids: Sequence[str] | None = None) -> Batch:
     """Pad encoded instances into one batch."""
     if not rows:
         raise ValueError("empty batch")
     n = len(rows)
-    src_len = np.array([len(r.src) for r in rows])
-    src = np.full((n, int(src_len.max())), PAD_ID, dtype=np.int64)
+    src, src_mask = _pad_sources([r.src for r in rows])
     labels = np.full((n, max(len(r.target) for r in rows)), PAD_ID, dtype=np.int64)
     dec_in = np.full(labels.shape, PAD_ID, dtype=np.int64)
     for k, r in enumerate(rows):
-        src[k, : len(r.src)] = r.src
         labels[k, : len(r.target)] = r.target
         dec_in[k, 1 : len(r.target)] = r.target[:-1]
-    src_mask = np.arange(src.shape[1]) < src_len[:, None]
     is_md = np.array([r.is_md for r in rows], dtype=bool)
     if ids is None:
         ids = tuple(str(k) for k in range(n))
@@ -661,11 +667,7 @@ def _greedy_batch(p, cfg: ModelConfig, sources: list[list[int]], limit: int) -> 
     """The ids each source's greedy decode emits before its [EOS], at most
     `limit` of them. The sources are padded with [PAD] behind a key mask and
     encoded once; each step runs the cached decoder over every row."""
-    lengths = np.array([len(ids) for ids in sources])
-    src = np.full((len(sources), int(lengths.max())), PAD_ID, dtype=np.int64)
-    for k, ids in enumerate(sources):
-        src[k, : len(ids)] = ids
-    src_mask = np.arange(src.shape[1]) < lengths[:, None]
+    src, src_mask = _pad_sources(sources)
     enc, _ = encoder_forward(p, cfg, src, src_mask)
     state = DecodeState()
     out: list[list[int]] = [[] for _ in sources]

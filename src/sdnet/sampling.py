@@ -25,7 +25,6 @@ from .data import (
     Task,
     TypeDictionary,
     iter_jsonl,
-    mention_order_key,
     ordered_unique_surfaces,
     string_field,
     write_jsonl,
@@ -125,11 +124,10 @@ def make_md_instance(s: AnnotatedSentence, cfg: SamplerConfig, draw_key: int) ->
 def eg_pairs(
     s: AnnotatedSentence, positives: Sequence[str]
 ) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """One clause per (mention, matched positive type), mentions in textual
+    """One clause per (mention, matched positive type), mentions in text
     order, adjacent clauses in positive-type order."""
-    mentions = sorted(s.mentions, key=lambda m: mention_order_key(s.text, m.surface))
     pairs = []
-    for m in mentions:
+    for m in s.mentions:
         for t in positives:
             if t in m.types:
                 pairs.append((m.surface, (t,)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import AnnotatedSentence, Sentence, TypedMention, mention_order_key
+from .data import AnnotatedSentence, Sentence, TypedMention
 
 SCHEMA_TYPES = ("person", "city", "animal", "color", "fruit", "metal", "river", "game")
 
@@ -58,11 +58,8 @@ def generate_synthetic_corpus(
         for surface in fillers:
             if text.count(surface) != 1:
                 raise AssertionError(f"surface {surface!r} not unique in {text!r}")
-        mentions = sorted(
-            (TypedMention(surface=surf, types=(t,)) for surf, t in zip(fillers, slot_types)),
-            key=lambda m: mention_order_key(text, m.surface),
-        )
+        mentions = tuple(TypedMention(surface=surf, types=(t,)) for surf, t in zip(fillers, slot_types))
         corpus.append(
-            AnnotatedSentence(Sentence(id=f"syn-{i:04d}", text=text), tuple(mentions))
+            AnnotatedSentence(Sentence(id=f"syn-{i:04d}", text=text), mentions)
         )
     return corpus, SCHEMA_TYPES

@@ -227,6 +227,27 @@ def test_predict_names_the_sentence_that_exceeds_the_model_cap(tmp_path, capsys)
         f"encoded input length {length} exceeds cap 64")
 
 
+def test_predict_rejects_a_repeated_sentence_id_before_decoding(tmp_path, capsys, monkeypatch):
+    import sdnet.cli as cli_module
+
+    decoded = []
+    monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (None, None, None, {}))
+    monkeypatch.setattr(cli_module, "generate", lambda *a, **k: decoded.append(a) or "")
+    prompt_path = tmp_path / "prompt.txt"
+    prompt_path.write_text("[EG] GPE\n", encoding="utf-8")
+    sentences_path = tmp_path / "sentences.jsonl"
+    sentences_path.write_text("".join(json.dumps({"id": sid, "text": "China won."}) + "\n"
+                                      for sid in ("t1", "t2", "t1")), encoding="utf-8")
+    ckpt = tmp_path / "fake.ckpt"
+    ckpt.write_text("{}", encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+                 "--sentences", str(sentences_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {sentences_path}:3: duplicate sentence id 't1'")
+    assert decoded == [] and not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["pretrain", "finetune"])
 def test_training_names_the_instance_that_exceeds_the_model_cap(cmd, tmp_path, capsys):
     short = TrainingInstance(task="EG", prompt_text="[EG] city", input_text="Rome won.",

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdnet.data import (
     AnnotatedSentence,
     CorpusFormatError,
     OTHER_TYPE,
     Sentence,
+    SurfaceAbsentError,
     TargetSequence,
     TypeDictionary,
     TypedMention,
@@ -20,15 +22,17 @@ from sdnet.data import (
     annotated_to_record,
     atomic_write,
     mention_order_key,
+    ordered_unique_surfaces,
     read_annotated_jsonl,
     read_file,
     validate_annotated_sentence,
     write_annotated_jsonl,
     write_jsonl,
 )
-from sdnet.descriptions import read_description_map
+from sdnet.descriptions import build_cooccurrence_descriptions, read_description_map
+from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import read_predictions_jsonl
-from sdnet.sampling import read_instances_jsonl
+from sdnet.sampling import SamplerConfig, build_pretrain_instances, instance_to_record, read_instances_jsonl
 from helpers import sent
 
 
@@ -53,13 +57,12 @@ def test_typed_mention_rejects_empty_fields():
 
 
 def test_validate_annotated_sentence_flags_absent_surface():
-    bad = AnnotatedSentence(
-        sentence=Sentence(id="s0", text="Alice met Bob."),
-        mentions=(TypedMention(surface="Carol", types=("person",)),),
-    )
-    report = validate_annotated_sentence(bad)
-    assert not report
-    assert report.offending_surface == "Carol"
+    # a sentence whose surface is absent from its text cannot be made at all
+    with pytest.raises(SurfaceAbsentError, match="^sentence 's0': surface 'Carol' not in its text$"):
+        AnnotatedSentence(
+            sentence=Sentence(id="s0", text="Alice met Bob."),
+            mentions=(TypedMention(surface="Carol", types=("person",)),),
+        )
     good = sent("s1", "Alice met Bob.", [("Alice", ("person",))])
     assert validate_annotated_sentence(good)
 
@@ -114,6 +117,16 @@ def test_annotated_jsonl_rejects_duplicate_ids(tmp_path):
         read_annotated_jsonl(path)
 
 
+def test_prediction_jsonl_rejects_duplicate_ids(tmp_path):
+    # a second line for one sentence would replace the first line's spans
+    path = tmp_path / "pred.jsonl"
+    span = {"surface": "Alice", "type": "person", "start": 0, "end": 5}
+    write_jsonl(path, [{"id": "dup", "spans": [span]}, {"id": "other", "spans": []},
+                       {"id": "dup", "spans": []}])
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:3: duplicate sentence id 'dup'$"):
+        read_predictions_jsonl(path)
+
+
 @pytest.mark.parametrize("read, record", [
     (read_annotated_jsonl, {"id": "s", "text": "Alice rests.", "mentions": []}),
     (read_instances_jsonl, {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.",
@@ -137,6 +150,7 @@ def test_jsonl_readers_name_the_line_of_bad_json(tmp_path, read, record):
 
 
 _INSTANCE = {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.", "target": "Alice is person."}
+_SPAN = {"surface": "Alice", "type": "person", "start": 0, "end": 5}
 
 
 @pytest.mark.parametrize("read, record, field, kind", [
@@ -154,6 +168,12 @@ _INSTANCE = {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.", "tar
     (read_instances_jsonl, {**_INSTANCE, "prompt": 5}, "prompt", "a string"),
     (read_instances_jsonl, {**_INSTANCE, "input": ["Alice rests."]}, "input", "a string"),
     (read_description_map, {"type": 5, "concepts": ["writer"]}, "type", "a string"),
+    (read_predictions_jsonl, {"id": 7, "spans": []}, "id", "a string"),
+    (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "surface": ["Alice"]}]}, "surface", "a string"),
+    (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "type": 9}]}, "type", "a string"),
+    (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "start": 0.5}]}, "start", "an integer"),
+    (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "end": "5"}]}, "end", "an integer"),
+    (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "end": True}]}, "end", "an integer"),
 ])
 def test_jsonl_readers_reject_a_field_of_the_wrong_kind(tmp_path, read, record, field, kind):
     path = tmp_path / "records.jsonl"
@@ -163,17 +183,22 @@ def test_jsonl_readers_reject_a_field_of_the_wrong_kind(tmp_path, read, record, 
         read(path)
 
 
+def _record(sid: str, text: str, mentions: list[tuple[str, list[str]]]) -> dict:
+    return {"id": sid, "text": text, "mentions": [{"surface": s, "types": t} for s, t in mentions]}
+
+
 def test_annotated_jsonl_rejects_a_surface_absent_from_its_text(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    write_annotated_jsonl(path, [sent("a#0", "Alice met Bob.", [("Alice", ("person",))]),
-                                 sent("b#0", "Bob waved.", [("Zed", ("person",))])])
+    write_jsonl(path, [_record("a#0", "Alice met Bob.", [("Alice", ["person"])]),
+                       _record("b#0", "Bob waved.", [("Zed", ["person"])])])
     with pytest.raises(CorpusFormatError,
                        match=f"^{re.escape(str(path))}:2: sentence 'b#0': surface 'Zed'"):
         read_annotated_jsonl(path)
-    # mentions out of first-occurrence order are data, not a format error
-    rows = [sent("c#0", "Alice met Bob.", [("Bob", ("person",)), ("Alice", ("person",))])]
-    write_annotated_jsonl(path, rows)
-    assert read_annotated_jsonl(path) == rows
+    # mentions out of first-occurrence order are data, not a format error:
+    # the sentence read holds them in text order
+    write_jsonl(path, [_record("c#0", "Alice met Bob.", [("Bob", ["person"]), ("Alice", ["city"])])])
+    (got,) = read_annotated_jsonl(path)
+    assert got.mentions == (TypedMention("Alice", ("city",)), TypedMention("Bob", ("person",)))
 
 
 _word = st.text(alphabet="abcdefgDEF", min_size=1, max_size=6)
@@ -194,6 +219,60 @@ def _sentences(draw):
 @given(_sentences())
 def test_record_round_trip_property(s):
     assert annotated_from_record(annotated_to_record(s)) == s
+
+
+_ALICE = ("Alice visited Paris near the Seine with Bob.",
+          [("Alice", ("person", "writer")), ("Paris", ("city", "capital")), ("Seine", ("river",)),
+           ("Bob", ("person",))])
+
+
+@st.composite
+def _permuted_mentions(draw):
+    """A text, mentions of distinct surfaces in a drawn order, and the same
+    mentions in another drawn order."""
+    words = draw(st.lists(_word, min_size=2, max_size=8))
+    surfaces = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4, unique=True))
+    types = st.lists(st.sampled_from(["person", "writer", "city", "river", OTHER_TYPE]),
+                     min_size=1, max_size=3, unique=True)
+    mentions = [(surface, tuple(draw(types))) for surface in surfaces]
+    return " ".join(words) + ".", mentions, draw(st.permutations(mentions))
+
+
+def _pretrain_bytes(s: AnnotatedSentence, dictionary: TypeDictionary, cfg: SamplerConfig) -> str:
+    buf = io.StringIO()
+    instances = build_pretrain_instances([s], dictionary, build_cooccurrence_descriptions([s]), cfg)
+    write_jsonl(buf, map(instance_to_record, instances))
+    return buf.getvalue()
+
+
+@settings(max_examples=60)
+@given(_permuted_mentions())
+@example((_ALICE[0], _ALICE[1], _ALICE[1][::-1]))
+def test_mentions_given_in_any_order_make_the_same_sentence(case):
+    """Mentions are held in text order, so every MD and EG target built from
+    a sentence is the same whatever order its mentions were listed in."""
+    text, mentions, permuted = case
+    s, p = sent("s#0", text, mentions), sent("s#0", text, permuted)
+    assert p == s
+    assert annotated_to_record(p) == annotated_to_record(s)
+    assert ordered_unique_surfaces(p) == ordered_unique_surfaces(s)
+    # dict equality ignores key order, and the order of the types matters here
+    assert (list(build_cooccurrence_descriptions([p]).items())
+            == list(build_cooccurrence_descriptions([s]).items()))
+    schema = corpus_schema([s])
+    assert gold_spans(p, schema) == gold_spans(s, schema)
+    dictionary = TypeDictionary({t: 5 for t in schema})
+    for cfg in (SamplerConfig(), SamplerConfig(md_target_fraction=0.5)):
+        assert _pretrain_bytes(p, dictionary, cfg) == _pretrain_bytes(s, dictionary, cfg)
+
+
+def test_cooccurrence_descriptions_follow_text_order_whatever_the_listed_order():
+    text, mentions = _ALICE
+    s = sent("s#0", text, mentions[::-1])
+    assert [m.surface for m in s.mentions] == ["Alice", "Paris", "Seine", "Bob"]
+    assert list(build_cooccurrence_descriptions([s]).items()) == [
+        ("person", ("writer",)), ("writer", ("person",)), ("city", ("capital",)), ("capital", ("city",)),
+        ("river", ())]
 
 
 def _records_then_fail():
