@@ -3,14 +3,18 @@
 Two passes: (1) resolve each KB item's types once, into the type dictionary
 and an item -> types table; (2) harvest anchor and self-label mentions per
 page, typed by that table, into AnnotatedSentence records per sentence, in
-page order.
+page order. A build makes one TypedMention per (surface, types) and shares it
+across every sentence that carries it: the records are frozen.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -37,8 +41,11 @@ ABBREVIATIONS = frozenset(
     }
 )
 
+# a candidate sentence end: .!? then whitespace (`\s` is exactly `str.isspace`)
+_BOUNDARY = re.compile(r"[.!?]\s+")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class KbItem:
     item_id: str
     label: str
@@ -51,14 +58,14 @@ class KbItem:
         return self.instance_of + self.subclass_of + self.occupation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Anchor:
     surface: str
     target: str
     offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WikiPage:
     title: str
     text: str
@@ -175,26 +182,18 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
     n = len(text)
     start = 0
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in ".!?":
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            boundary = j > i + 1 and j < n and (text[j].isupper() or text[j].isdigit())
-            if boundary and ch == ".":
-                tok_start = i
-                while tok_start > 0 and not text[tok_start - 1].isspace():
-                    tok_start -= 1
-                if text[tok_start : i + 1] in ABBREVIATIONS:
-                    boundary = False
-            if boundary:
-                spans.append((start, i + 1))
-                start = j
-                i = j
+    for candidate in _BOUNDARY.finditer(text):
+        i, j = candidate.start(), candidate.end()
+        if j == n or not (text[j].isupper() or text[j].isdigit()):
+            continue
+        if text[i] == ".":
+            tok_start = i
+            while tok_start > 0 and not text[tok_start - 1].isspace():
+                tok_start -= 1
+            if text[tok_start : i + 1] in ABBREVIATIONS:
                 continue
-        i += 1
+        spans.append((start, i + 1))
+        start = j
     if start < n:
         spans.append((start, n))
     trimmed: list[tuple[int, int]] = []
@@ -225,14 +224,22 @@ def _self_label_occurrences(
         if found:
             occurrences[phrase] = found
     ranked = sorted(occurrences, key=lambda p: (-len(occurrences[p]), occurrences[p][0], p))
+    # [pos, end) overlaps a taken span iff one that starts before `end`
+    # reaches past `pos`: the furthest reach among the spans starting before it
+    spans = sorted(taken)
+    starts = [ts for ts, _ in spans]
+    reach = list(accumulate((te for _, te in spans), max))
     out: list[tuple[int, str]] = []
     for phrase in ranked[:top_np_count]:
         for pos in occurrences[phrase]:
-            end = pos + len(phrase)
-            if any(pos < te and ts < end for ts, te in taken):
+            k = bisect_left(starts, pos + len(phrase))
+            if k and reach[k - 1] > pos:
                 continue
             out.append((pos, phrase))
     return out
+
+
+MentionKey = tuple[str, tuple[str, ...]]
 
 
 def harvest_mentions(
@@ -240,11 +247,13 @@ def harvest_mentions(
     types_of: Mapping[str, tuple[str, ...]],
     cfg: BuildConfig,
     tally: Counter,
+    shared: dict[MentionKey, TypedMention],
     page_item: KbItem | None = None,
 ) -> list[AnnotatedSentence]:
     """The page's entity-bearing sentences, each mention typed by `types_of`
     (a `type_table`); an anchor whose target is not in it is `other`. Dropped
-    and untyped mentions are counted in `tally`."""
+    and untyped mentions are counted in `tally`. Each (surface, types) is one
+    mention object, taken from `shared` or added to it."""
     located: list[tuple[int, str, tuple[str, ...]]] = []
     anchor_spans: list[tuple[int, int]] = []
     for a in page.anchors:
@@ -262,13 +271,17 @@ def harvest_mentions(
 
     located.sort(key=lambda m: m[0])
     out: list[AnnotatedSentence] = []
+    at = 0  # sentence spans are disjoint and in text order: each mention is visited once
     for idx, (s, e) in enumerate(split_sentences(page.text)):
         sent_text = page.text[s:e]
+        while at < len(located) and located[at][0] < s:  # starts between sentences: not tallied
+            at += 1
         mentions: list[TypedMention] = []
-        for pos, surface, types in located:
-            if not (s <= pos and pos + len(surface) <= e):
-                if s <= pos < e:  # starts inside but crosses the sentence end
-                    tally["cross_boundary_mention"] += 1
+        while at < len(located) and located[at][0] < e:
+            pos, surface, types = located[at]
+            at += 1
+            if pos + len(surface) > e:  # starts inside but crosses the sentence end
+                tally["cross_boundary_mention"] += 1
                 continue
             if not surface_is_safe(surface):
                 tally["unsafe_surface_dropped"] += 1
@@ -276,7 +289,10 @@ def harvest_mentions(
             if not surface or surface != surface.strip():
                 tally["blank_surface_dropped"] += 1
                 continue
-            mentions.append(TypedMention(surface=surface, types=types))
+            mention = shared.get((surface, types))
+            if mention is None:
+                mention = shared[surface, types] = TypedMention(surface=surface, types=types)
+            mentions.append(mention)
         if not mentions:
             tally["entity_free_sentence_dropped"] += 1
             continue
@@ -307,7 +323,8 @@ def build_corpus(
     dictionary = build_type_dictionary(claims.values(), cfg)
     types_of = type_table(claims, dictionary)
     by_label = {item.label: item for item in reversed(kb.values())}  # the first item per label
+    shared: dict[MentionKey, TypedMention] = {}
     sentences: list[AnnotatedSentence] = []
     for page in pages:
-        sentences.extend(harvest_mentions(page, types_of, cfg, tally, by_label.get(page.title)))
+        sentences.extend(harvest_mentions(page, types_of, cfg, tally, shared, by_label.get(page.title)))
     return CorpusBuild(dictionary=dictionary, sentences=sentences, tally=tally)

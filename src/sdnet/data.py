@@ -34,7 +34,7 @@ class RowError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     id: str
     text: str
@@ -44,7 +44,7 @@ class Sentence:
             raise ValueError(f"sentence {self.id!r} has empty text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedMention:
     surface: str
     types: tuple[str, ...]
@@ -58,7 +58,7 @@ class TypedMention:
             raise ValueError(f"mention {self.surface!r} has duplicate types")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
     """A sentence and its mentions, held in text order (`mention_order_key`, then as given)."""
 
@@ -66,11 +66,15 @@ class AnnotatedSentence:
     mentions: tuple[TypedMention, ...]
 
     def __post_init__(self) -> None:
-        for m in self.mentions:
-            if m.surface not in self.text:
+        # one find per mention gives the absence check and `mention_order_key`;
+        # the given position breaks ties, so the order is stable
+        keyed = []
+        for i, m in enumerate(self.mentions):
+            idx = self.sentence.text.find(m.surface)
+            if idx < 0:
                 raise SurfaceAbsentError(f"sentence {self.id!r}: surface {m.surface!r} not in its text")
-        ordered = sorted(self.mentions, key=lambda m: mention_order_key(self.text, m.surface))
-        object.__setattr__(self, "mentions", tuple(ordered))
+            keyed.append((idx, -len(m.surface), i))
+        object.__setattr__(self, "mentions", tuple(self.mentions[i] for *_, i in sorted(keyed)))
 
     @property
     def id(self) -> str:
@@ -254,6 +258,14 @@ def string_list(value: object, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def list_field(value: object, name: str) -> list[dict]:
+    """Record field `name`, a list of objects; anything else raises TypeError
+    naming the field (iterating a string or a dict would fail far from it)."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise TypeError(f"field {name!r} must be a list of objects, got {value!r}")
+    return value
+
+
 def string_field(value: object, name: str) -> str:
     """Record field `name`, a string; anything else raises TypeError naming the
     field (a number would pass the record's checks and fail far from it)."""
@@ -295,7 +307,7 @@ def annotated_from_record(raw: dict) -> AnnotatedSentence:
     mentions = tuple(
         TypedMention(surface=string_field(m["surface"], "surface"),
                      types=string_list(m["types"], "types"))
-        for m in raw["mentions"]
+        for m in list_field(raw["mentions"], "mentions")
     )
     return AnnotatedSentence(sentence_from_record(raw), mentions)
 

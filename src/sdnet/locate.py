@@ -8,7 +8,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .data import Sentence, TargetSequence, distinct_ids, int_field, iter_jsonl, string_field, write_jsonl
+from .data import (Sentence, TargetSequence, distinct_ids, int_field, iter_jsonl, list_field, string_field,
+                   write_jsonl)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def spans_from_record(raw: dict) -> tuple[str, list[SpanPrediction]]:
     spans = [
         SpanPrediction(surface=string_field(s["surface"], "surface"), type_id=string_field(s["type"], "type"),
                        start=int_field(s["start"], "start"), end=int_field(s["end"], "end"))
-        for s in raw["spans"]
+        for s in list_field(raw["spans"], "spans")
     ]
     return string_field(raw["id"], "id"), spans
 

@@ -89,7 +89,7 @@ class SamplerConfig:
             raise ValueError("bad sampler bounds")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainingInstance:
     """One prompt/input/target triple. The builders below serialize targets
     that re-parse cleanly by construction; `instance_from_record` checks the

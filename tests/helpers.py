@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sdnet.corpus import truncate_type_name
+from sdnet.corpus import ABBREVIATIONS, truncate_type_name
 from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TypeDictionary,
                         TypedMention)
 from sdnet.model import (
@@ -134,6 +134,44 @@ def reference_build_vocab(texts) -> Vocab:
     tokens = {tok for text in texts for tok in reference_tokenize(text)}
     kept = sorted(tok for tok in tokens if tok not in SPECIAL_TOKENS)
     return Vocab(id_to_token=SPECIAL_TOKENS + tuple(kept))
+
+
+def reference_split_sentences(text: str) -> list[tuple[int, int]]:
+    """The per-character scan: the oracle for `split_sentences`."""
+    spans: list[tuple[int, int]] = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch in ".!?":
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            boundary = j > i + 1 and j < n and (text[j].isupper() or text[j].isdigit())
+            if boundary and ch == ".":
+                tok_start = i
+                while tok_start > 0 and not text[tok_start - 1].isspace():
+                    tok_start -= 1
+                if text[tok_start : i + 1] in ABBREVIATIONS:
+                    boundary = False
+            if boundary:
+                spans.append((start, i + 1))
+                start = j
+                i = j
+                continue
+        i += 1
+    if start < n:
+        spans.append((start, n))
+    trimmed: list[tuple[int, int]] = []
+    for s, e in spans:
+        while s < e and text[s].isspace():
+            s += 1
+        while e > s and text[e - 1].isspace():
+            e -= 1
+        if s < e:
+            trimmed.append((s, e))
+    return trimmed
 
 
 def reference_build_type_dictionary(items, cfg, label_of=None) -> TypeDictionary:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdnet.corpus import (
     ABBREVIATIONS,
@@ -23,8 +23,10 @@ from sdnet.corpus import (
     truncate_type_name,
     type_table,
 )
-from sdnet.data import OTHER_TYPE, TypeDictionary, annotated_to_record, validate_annotated_sentence
-from helpers import FIXTURES, reference_build_type_dictionary, reference_entity_types
+from sdnet.data import (OTHER_TYPE, TypeDictionary, annotated_to_record, validate_annotated_sentence,
+                        write_annotated_jsonl)
+from helpers import (FIXTURES, reference_build_type_dictionary, reference_entity_types,
+                     reference_split_sentences)
 
 CFG = BuildConfig()
 
@@ -90,6 +92,22 @@ def test_split_spans_index_into_original_text():
     assert [text[a:b] for a, b in spans] == ["Alice met Bob.", "Bob waved."]
 
 
+# upper case and digits beyond ASCII, whitespace that is not ASCII ("\x1c" and
+# "\x85" are `str.isspace`), runs of terminators, and stoplisted abbreviations
+_SPLIT_PIECES = st.one_of(
+    st.text(alphabet="aZ9.!? \n\t\x1c\x85\xa0\u2003\u3000\xc9\u03a9\xe9\u0663\u2167", max_size=4),
+    st.sampled_from(sorted(ABBREVIATIONS)),
+    st.sampled_from(["...", "?!", ". ", ".\u3000", "Dr.", "x.y.", "\u00b2"]),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_SPLIT_PIECES, max_size=12).map("".join))
+@example("Dr. Kohl came. \u3000Se\xf1or left!  9 went?\x85\xc9t\xe9. U.S. Navy...  Yes")
+def test_split_sentences_matches_the_per_character_scan(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
 # ---- type dictionary ----
 
 def _item(i, label, instance_of=(), occupation=(), subclass_of=(), aliases=()):
@@ -141,7 +159,8 @@ def test_entity_types_resolved_in_claim_order_with_other_fallback():
     assert types_of["Q2"] == (OTHER_TYPE,)
     # an anchor whose target is not in the table
     tally = Counter()
-    [zed] = harvest_mentions(_page("P", "Zed waved.", [("Zed", "Q9")]), types_of, CFG, tally=tally)
+    [zed] = harvest_mentions(_page("P", "Zed waved.", [("Zed", "Q9")]), types_of, CFG,
+                             tally=tally, shared={})
     assert zed.mentions[0].types == (OTHER_TYPE,)
     assert tally["unknown_anchor_target"] == 1
 
@@ -216,7 +235,7 @@ def test_harvest_anchors_and_self_label_occurrences():
     items, d = _mini_world()
     page = _page("Ada Byron", "Ada Byron lived in Velgrad. Ada Byron wrote programs.",
                  [("Velgrad", "Q2")])
-    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, Counter(),
+    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, Counter(), {},
                              page_item=items["Q1"])
     assert [s.id for s in sents] == ["Ada Byron#0", "Ada Byron#1"]
     assert [(m.surface, m.types) for m in sents[0].mentions] == [
@@ -229,11 +248,22 @@ def test_harvest_anchors_and_self_label_occurrences():
 def test_harvest_skips_self_label_occurrence_overlapping_anchor():
     items, d = _mini_world()
     page = _page("Ada Byron", "Ada Byron met Ada Byron.", [("Ada Byron", "Q1")])
-    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, Counter(),
+    sents = harvest_mentions(page, _types_of(items.values(), d), CFG, Counter(), {},
                              page_item=items["Q1"])
     # the anchored occurrence is kept once; the free occurrence comes from harvesting
     assert len(sents) == 1
     assert [(m.surface,) for m in sents[0].mentions] == [("Ada Byron",), ("Ada Byron",)]
+
+
+def test_harvest_skips_self_label_occurrence_inside_an_earlier_longer_anchor():
+    items, d = _mini_world()
+    # "Ada Byron" at 4 lies inside the anchor at 0, not inside the later-starting one at 1
+    page = WikiPage("Ada Byron", "The Ada Byron Prize went to Ada Byron.",
+                    (Anchor("The Ada Byron Prize", "Q2", 0), Anchor("he", "Q2", 1)))
+    tally = Counter()
+    [s] = harvest_mentions(page, _types_of(items.values(), d), CFG, tally, {}, page_item=items["Q1"])
+    assert [m.surface for m in s.mentions] == ["The Ada Byron Prize", "he", "Ada Byron"]
+    assert not tally
 
 
 def test_harvest_drops_entity_free_sentences_and_unsafe_surfaces():
@@ -245,7 +275,7 @@ def test_harvest_drops_entity_free_sentences_and_unsafe_surfaces():
                  "Velgrad, Northern Side is cold. Nothing here at all. Ada Byron naps.",
                  [("Velgrad, Northern Side", "Q3")])
     sents = harvest_mentions(page, _types_of(items.values(), d), CFG, page_item=items["Q1"],
-                             tally=tally)
+                             tally=tally, shared={})
     assert [s.id for s in sents] == ["Ada Byron#2"]
     assert tally["unsafe_surface_dropped"] == 1
     assert tally["entity_free_sentence_dropped"] >= 1
@@ -258,8 +288,17 @@ def test_harvest_tallies_every_mention_that_crosses_its_sentence_end():
     page = WikiPage("A", "Alpha Beta. Gamma delta.",
                     (Anchor("Alpha Beta. Gamma", "Q2", 0), Anchor("Beta. Gamma", "Q2", 6)))
     tally = Counter()
-    assert harvest_mentions(page, _types_of(items.values(), d), CFG, tally=tally) == []
+    assert harvest_mentions(page, _types_of(items.values(), d), CFG, tally=tally, shared={}) == []
     assert tally["cross_boundary_mention"] == 2
+
+
+def test_harvest_neither_keeps_nor_tallies_a_mention_starting_between_sentences():
+    items, d = _mini_world()
+    # " Velgrad" starts in the whitespace after "Alpha rests.", outside every sentence span
+    page = WikiPage("A", "Alpha rests.  Velgrad sleeps.", (Anchor(" Velgrad", "Q2", 13),))
+    tally = Counter()
+    assert harvest_mentions(page, _types_of(items.values(), d), CFG, tally, {}) == []
+    assert tally == {"entity_free_sentence_dropped": 2}
 
 
 # ---- file-level builds ----
@@ -302,6 +341,16 @@ def test_fixture_build_matches_golden_corpus():
     assert got == (FIXTURES / "golden_corpus.jsonl").read_text(encoding="utf-8")
     assert build.dictionary.to_json() + "\n" == (FIXTURES / "golden_dict.json").read_text(
         encoding="utf-8")
+
+
+def test_fixture_build_shares_one_mention_per_surface_and_types(tmp_path):
+    build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
+    mentions = [m for s in build.sentences for m in s.mentions]
+    pairs = {(m.surface, m.types) for m in mentions}
+    assert len({id(m) for m in mentions}) == len(pairs) < len(mentions)
+    path = tmp_path / "corpus.jsonl"
+    write_annotated_jsonl(path, build.sentences)
+    assert path.read_bytes() == (FIXTURES / "golden_corpus.jsonl").read_bytes()
 
 
 def test_fixture_build_dictionary_cases():

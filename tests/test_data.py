@@ -168,7 +168,15 @@ _SPAN = {"surface": "Alice", "type": "person", "start": 0, "end": 5}
     (read_instances_jsonl, {**_INSTANCE, "prompt": 5}, "prompt", "a string"),
     (read_instances_jsonl, {**_INSTANCE, "input": ["Alice rests."]}, "input", "a string"),
     (read_description_map, {"type": 5, "concepts": ["writer"]}, "type", "a string"),
+    (read_annotated_jsonl, {"id": "s", "text": "Alice rests.", "mentions": "Alice"}, "mentions",
+     "a list of objects"),
+    (read_annotated_jsonl, {"id": "s", "text": "Alice rests.",
+                            "mentions": {"surface": "Alice", "types": ["person"]}}, "mentions",
+     "a list of objects"),
     (read_predictions_jsonl, {"id": 7, "spans": []}, "id", "a string"),
+    (read_predictions_jsonl, {"id": "s", "spans": "ab"}, "spans", "a list of objects"),
+    (read_predictions_jsonl, {"id": "s", "spans": {"surface": 1}}, "spans", "a list of objects"),
+    (read_predictions_jsonl, {"id": "s", "spans": ["ab"]}, "spans", "a list of objects"),
     (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "surface": ["Alice"]}]}, "surface", "a string"),
     (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "type": 9}]}, "type", "a string"),
     (read_predictions_jsonl, {"id": "s", "spans": [{**_SPAN, "start": 0.5}]}, "start", "an integer"),
