@@ -14,10 +14,12 @@ positions before it, and the encoder output's are projected on the first call
 and kept. 64-bit mode makes training bit-reproducible and lets gradients be
 checked against finite differences; 32-bit mode is for speed.
 Loss terms are means over each task's non-pad target tokens. A batch is always
-processed as the same fixed partition into micro-batches, whose gradients are
-added in index order into the gradient arrays the caller passes (in training,
-views of one flat buffer), so a batch's gradient does not depend on anything
-but its rows.
+processed as the same fixed partition into micro-batches, and one summation
+rule makes its gradient: each micro-batch's gradient is accumulated from zero,
+and those gradients are added in micro-batch index order. The gradient
+therefore depends on nothing but the batch's rows, whether the micro-batches
+run one after another here or each in its own worker process
+(`sdnet.model.pool`).
 """
 
 from __future__ import annotations
@@ -484,25 +486,32 @@ def decoder_backward(dlogits, cache, grads):
 
 
 @dataclass(frozen=True)
-class EncodedInstance:
-    """A training instance as id arrays: encoder input, and target ending in [EOS]."""
-    src: np.ndarray        # (S,) int64
-    target: np.ndarray     # (T,) int64
-    is_md: bool
+class EncodedInstances:
+    """Training instances as ids in one array: instance i's encoder input is
+    `ids[bounds[2 * i]:bounds[2 * i + 1]]`, and its target, which ends in
+    [EOS], runs on from there to `bounds[2 * i + 2]`."""
+    ids: np.ndarray        # int32
+    bounds: np.ndarray     # (2n + 1,) int64
+    is_md: np.ndarray      # (n,) bool
+
+    def __len__(self) -> int:
+        return self.is_md.size
 
 
-def encode_instances(instances: Sequence, vocab: Vocab, cfg: ModelConfig) -> list[EncodedInstance]:
+def encode_instances(instances: Sequence, vocab: Vocab, cfg: ModelConfig) -> EncodedInstances:
     """An instance whose input or target exceeds cfg.max_len raises RowError naming its index."""
-    rows = []
+    ids: list[int] = []
+    bounds = [0]
     for row, i in enumerate(instances):
         try:
-            src = encode_input(i.prompt_text, i.input_text, vocab, cfg.max_len)
-            target = encode_target(i.target_text, vocab, cfg.max_len)
+            ids += encode_input(i.prompt_text, i.input_text, vocab, cfg.max_len)
+            bounds.append(len(ids))
+            ids += encode_target(i.target_text, vocab, cfg.max_len)
         except ValueError as exc:
             raise RowError(row, str(exc)) from None
-        rows.append(EncodedInstance(src=np.array(src, dtype=np.int64),
-                                    target=np.array(target, dtype=np.int64), is_md=i.task == "MD"))
-    return rows
+        bounds.append(len(ids))
+    return EncodedInstances(ids=np.array(ids, dtype=np.int32), bounds=np.array(bounds, dtype=np.int64),
+                            is_md=np.array([i.task == "MD" for i in instances], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -527,22 +536,33 @@ def _pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarr
     return src, np.arange(src.shape[1]) < lengths[:, None]
 
 
-def make_batch(rows: Sequence[EncodedInstance], ids: Sequence[str] | None = None) -> Batch:
-    """Pad encoded instances into one batch."""
-    if not rows:
+def _gather_padded(ids: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row k holds `ids[starts[k]:ends[k]]`, padded with [PAD] to the longest;
+    returned with the mask of the positions that are not padding."""
+    lengths = ends - starts
+    pos = np.arange(int(lengths.max()))
+    mask = pos < lengths[:, None]
+    out = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    out[mask] = ids[(starts[:, None] + pos)[mask]]
+    return out, mask
+
+
+def make_batch(store: EncodedInstances, rows: Sequence[int] | None = None,
+               ids: Sequence[str] | None = None) -> Batch:
+    """Pad the instances `rows` of `store` (all of them, in order, when None)
+    into one batch."""
+    rows = np.arange(len(store)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if not rows.size:
         raise ValueError("empty batch")
-    n = len(rows)
-    src, src_mask = _pad_sources([r.src for r in rows])
-    labels = np.full((n, max(len(r.target) for r in rows)), PAD_ID, dtype=np.int64)
+    b = store.bounds
+    src, src_mask = _gather_padded(store.ids, b[2 * rows], b[2 * rows + 1])
+    labels, tgt_mask = _gather_padded(store.ids, b[2 * rows + 1], b[2 * rows + 2])
     dec_in = np.full(labels.shape, PAD_ID, dtype=np.int64)
-    for k, r in enumerate(rows):
-        labels[k, : len(r.target)] = r.target
-        dec_in[k, 1 : len(r.target)] = r.target[:-1]
-    is_md = np.array([r.is_md for r in rows], dtype=bool)
+    dec_in[:, 1:] = np.where(tgt_mask[:, 1:], labels[:, :-1], PAD_ID)
     if ids is None:
-        ids = tuple(str(k) for k in range(n))
+        ids = tuple(str(k) for k in range(rows.size))
     return Batch(src=src, src_mask=src_mask, dec_in=dec_in, labels=labels,
-                 is_md=is_md, ids=tuple(ids))
+                 is_md=store.is_md[rows], ids=tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -552,6 +572,40 @@ class LossReport:
     eg_term: float
     md_tokens: int
     eg_tokens: int
+
+    @classmethod
+    def from_sums(cls, md_sum: float, eg_sum: float, md_tokens: int, eg_tokens: int) -> "LossReport":
+        """The report of a batch whose MD and EG token cross entropies sum to
+        `md_sum` and `eg_sum`; a task with no tokens has a zero term."""
+        md_term = md_sum / md_tokens if md_tokens else 0.0
+        eg_term = eg_sum / eg_tokens if eg_tokens else 0.0
+        return cls(total=md_term + eg_term, md_term=md_term, eg_term=eg_term,
+                   md_tokens=md_tokens, eg_tokens=eg_tokens)
+
+
+@dataclass(frozen=True)
+class TokenWeights:
+    """Each target position's weight in its batch's loss: 1/n_md on MD
+    tokens, 1/n_eg on EG tokens and 0 on padding."""
+    md_mask: np.ndarray    # (B, T) bool
+    eg_mask: np.ndarray    # (B, T) bool
+    pos_w: np.ndarray      # (B, T) in the model's dtype
+    n_md: int
+    n_eg: int
+
+
+def token_weights(batch: Batch, dtype: type) -> TokenWeights:
+    tok_mask = batch.labels != PAD_ID
+    md_mask = tok_mask & batch.is_md[:, None]
+    eg_mask = tok_mask & ~batch.is_md[:, None]
+    n_md = int(md_mask.sum())
+    n_eg = int(eg_mask.sum())
+    pos_w = np.zeros(batch.labels.shape, dtype=dtype)
+    if n_md:
+        pos_w[md_mask] = 1.0 / n_md
+    if n_eg:
+        pos_w[eg_mask] = 1.0 / n_eg
+    return TokenWeights(md_mask=md_mask, eg_mask=eg_mask, pos_w=pos_w, n_md=n_md, n_eg=n_eg)
 
 
 def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
@@ -586,38 +640,41 @@ def forward_loss(
     tokens, with analytic gradients.
 
     The batch runs as micro-batches of `micro_size` rows, one after another,
-    each adding its gradient into `grads` (fresh zeros when None), which is
-    returned. The partition is fixed, so the result is deterministic.
+    under the module's summation rule: micro-batch 0 accumulates its gradient
+    into `grads`, which must hold zeros (fresh zeros when None), and each
+    later one accumulates into zeros of its own that are then added into
+    `grads`, in index order. `grads` is returned.
     """
-    labels = batch.labels
-    tok_mask = labels != PAD_ID
-    md_mask = tok_mask & batch.is_md[:, None]
-    eg_mask = tok_mask & ~batch.is_md[:, None]
-    n_md = int(md_mask.sum())
-    n_eg = int(eg_mask.sum())
-    pos_w = np.zeros(labels.shape, dtype=cfg.np_dtype)
-    if n_md:
-        pos_w[md_mask] = 1.0 / n_md
-    if n_eg:
-        pos_w[eg_mask] = 1.0 / n_eg
-
+    weights = token_weights(batch, cfg.np_dtype)
     if grads is None:
         grads = zero_grads(p)
+    part = grads
     md_sum = 0.0
     eg_sum = 0.0
     for i in range(0, len(batch), micro_size):
-        sl = slice(i, i + micro_size)
-        ce = _micro_loss_grads(p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
-                               labels[sl], pos_w[sl], grads)
-        if not np.isfinite(ce[tok_mask[sl]]).all():
-            bad = int(np.where(~np.isfinite(ce).all(axis=1))[0][0])
-            raise LossNotFiniteError(f"non-finite loss on instance {batch.ids[sl][bad]!r}")
-        md_sum += float(ce[md_mask[sl]].sum())
-        eg_sum += float(ce[eg_mask[sl]].sum())
-    md_term = md_sum / n_md if n_md else 0.0
-    eg_term = eg_sum / n_eg if n_eg else 0.0
-    return LossReport(total=md_term + eg_term, md_term=md_term, eg_term=eg_term,
-                      md_tokens=n_md, eg_tokens=n_eg), grads
+        if i:
+            part = zero_grads(p)
+        md, eg = micro_batch_loss(p, cfg, batch, weights, slice(i, i + micro_size), part)
+        if i:
+            for k, g in grads.items():
+                g += part[k]
+        md_sum += md
+        eg_sum += eg
+    return LossReport.from_sums(md_sum, eg_sum, weights.n_md, weights.n_eg), grads
+
+
+def micro_batch_loss(p, cfg: ModelConfig, batch: Batch, weights: TokenWeights, sl: slice,
+                     grads: dict[str, np.ndarray]) -> tuple[float, float]:
+    """Rows `sl` of `batch`: adds the gradient of their share of the batch
+    loss into `grads`, and returns their MD and EG token cross-entropy sums.
+    Raises LossNotFiniteError naming the first row whose loss is not finite."""
+    ce = _micro_loss_grads(p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
+                           batch.labels[sl], weights.pos_w[sl], grads)
+    md_mask, eg_mask = weights.md_mask[sl], weights.eg_mask[sl]
+    if not np.isfinite(ce[md_mask | eg_mask]).all():
+        bad = int(np.where(~np.isfinite(ce).all(axis=1))[0][0])
+        raise LossNotFiniteError(f"non-finite loss on instance {batch.ids[sl][bad]!r}")
+    return float(ce[md_mask].sum()), float(ce[eg_mask].sum())
 
 
 def generate(

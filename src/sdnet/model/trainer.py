@@ -4,12 +4,22 @@ seeded epoch shuffling, and self-describing npz checkpoints.
 `train` packs the parameters, their gradients and both Adam moments into one
 contiguous buffer each (`FlatLayout`), so that the optimizer and the
 finiteness check are a few whole-buffer operations; the network reads and
-accumulates into per-tensor views of those buffers."""
+accumulates into per-tensor views of those buffers.
+
+Training is pooled when a full batch spans two or more micro-batches and the
+process may run on more than one CPU: then min(micro-batches, CPUs) worker
+processes (`sdnet.model.pool`) compute the micro-batch gradients of each
+batch that has two or more, while the main process waits, sums them and runs
+AdamW. A batch of one micro-batch, and all training on one CPU, runs in
+process through `forward_loss`. Both follow one summation rule, so the trained
+bytes do not depend on which ran."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
@@ -115,8 +125,11 @@ class AdamWState:
 
     @classmethod
     def init(cls, flat: np.ndarray, n_decay: int) -> "AdamWState":
-        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat), n_decay=n_decay,
-                   scratch=np.empty_like(flat))
+        # one block: once a `train` call frees it, glibc's malloc keeps blocks of
+        # up to twice its size instead of returning them to the system, so a
+        # later training step does not page its temporaries in again
+        m, v, scratch = np.zeros((3, flat.size), dtype=flat.dtype)
+        return cls(m=m, v=v, n_decay=n_decay, scratch=scratch)
 
 
 def adamw_step(params: np.ndarray, grads: np.ndarray, state: AdamWState, lr: float) -> None:
@@ -164,6 +177,15 @@ def total_steps_for(cfg: TrainConfig, n_instances: int) -> int:
     return cfg.steps if cfg.mode == "pretrain" else cfg.epochs * steps_per_epoch
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which bounds the pool's worker
+    count; 1 on a platform without CPU affinity or memfd, where nothing is
+    pooled."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 def train(
     params: dict[str, np.ndarray],
     instances: Sequence,
@@ -178,25 +200,32 @@ def train(
     rng = np.random.default_rng(tcfg.seed)
     n = len(instances)
     total = total_steps_for(tcfg, n)
-    rows = encode_instances(instances, vocab, mcfg)
+    store = encode_instances(instances, vocab, mcfg)
     layout = FlatLayout(params)
     flat = layout.pack(params)
-    flat_grads = np.empty_like(flat)
-    views, grad_views = layout.views(flat), layout.views(flat_grads)
-    state = AdamWState.init(flat, layout.n_decay)
-    log: list[StepLog] = []
-    step = 0
-    while step < total:
-        order = rng.permutation(n).tolist()
-        for b0 in range(0, n, tcfg.batch_size):
-            if step >= total:
-                break
-            idx = order[b0 : b0 + tcfg.batch_size]
-            batch = make_batch([rows[i] for i in idx], ids=[str(i) for i in idx])
-            flat_grads[...] = 0.0
+    n_micro = -(-tcfg.batch_size // tcfg.micro_size)
+    n_workers = min(n_micro, usable_cpus())
+    pooled = nullcontext()
+    if n_workers > 1:
+        from .pool import shared_pool  # the process machinery loads only where training is pooled
+        pooled = shared_pool().job(n_workers, layout, flat, n_micro, store, mcfg, tcfg.micro_size)
+    with pooled as job:
+        if job is None:
+            flat_grads = np.empty_like(flat)
+        else:
+            flat, flat_grads = job.params, job.grads[0]
+        views, grad_views = layout.views(flat), layout.views(flat_grads)
+        state = AdamWState.init(flat, layout.n_decay)
+        log: list[StepLog] = []
+        for step, idx in enumerate(_batches(rng, n, tcfg.batch_size, total)):
             try:
-                report, _ = forward_loss(views, mcfg, batch, micro_size=tcfg.micro_size,
-                                         grads=grad_views)
+                if job is not None and len(idx) > tcfg.micro_size:
+                    report = job.step(idx)
+                else:
+                    batch = make_batch(store, idx, ids=[str(i) for i in idx])
+                    flat_grads[...] = 0.0
+                    report, _ = forward_loss(views, mcfg, batch, micro_size=tcfg.micro_size,
+                                             grads=grad_views)
             except LossNotFiniteError as exc:
                 raise TrainingDivergedError(f"step {step}: {exc}") from exc
             lr = lr_at(tcfg, step, total)
@@ -205,10 +234,22 @@ def train(
                 bad = next(k for k, p in views.items() if not np.isfinite(p).all())
                 raise TrainingDivergedError(f"step {step}: parameter {bad!r} not finite")
             log.append(StepLog(step=step, lr=lr, report=report))
-            step += 1
-    for k, p in views.items():
-        params[k][...] = p
+        for k, p in views.items():
+            params[k][...] = p
     return log
+
+
+def _batches(rng: np.random.Generator, n: int, batch_size: int, total: int):
+    """The instance indices of `total` batches: each epoch is a fresh seeded
+    shuffle of the n instances, cut into batches in order."""
+    step = 0
+    while True:
+        order = rng.permutation(n).tolist()
+        for b0 in range(0, n, batch_size):
+            if step == total:
+                return
+            step += 1
+            yield order[b0 : b0 + batch_size]
 
 
 def clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -153,22 +153,24 @@ def test_micro_batches_accumulate_in_index_order_deterministically():
     for k in g1:
         assert (g1[k] == g2[k]).all()
 
-    # each slice on its own, weighted by the whole batch's task token counts
+    # each slice on its own from zero, weighted by the whole batch's task token
+    # counts, then the slices' gradients added in index order: the same bits
     tok = batch.labels != PAD_ID
-    pos_w = (np.where(tok & batch.is_md[:, None], 1.0 / r1.md_tokens, 0.0)
-             + np.where(tok & ~batch.is_md[:, None], 1.0 / r1.eg_tokens, 0.0))
-    loss = 0.0
+    md, eg = tok & batch.is_md[:, None], tok & ~batch.is_md[:, None]
+    pos_w = np.where(md, 1.0 / r1.md_tokens, 0.0) + np.where(eg, 1.0 / r1.eg_tokens, 0.0)
+    md_sum = eg_sum = 0.0
     summed = zero_grads(params)
     for sl in (slice(0, 8), slice(8, 16), slice(16, 17)):
         g = zero_grads(params)
         ce = _micro_loss_grads(params, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
                                batch.labels[sl], pos_w[sl], g)
-        loss += float((ce * pos_w[sl]).sum())
+        md_sum += float(ce[md[sl]].sum())
+        eg_sum += float(ce[eg[sl]].sum())
         for k in summed:
             summed[k] += g[k]
-    assert abs(loss - r1.total) <= 1e-12
+    assert md_sum / r1.md_tokens + eg_sum / r1.eg_tokens == r1.total
     for k in g1:
-        np.testing.assert_allclose(g1[k], summed[k], rtol=0.0, atol=1e-12, err_msg=k)
+        assert g1[k].tobytes() == summed[k].tobytes(), k
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
