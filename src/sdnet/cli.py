@@ -85,11 +85,6 @@ def _default_seed() -> int:
         return 0
 
 
-def subseed(seed: int, stream: str) -> int:
-    """Named sub-stream of the run seed, so components re-seed independently."""
-    return stable_draw_key(seed, stream)
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -186,7 +181,7 @@ def cmd_make_pretrain_data(args: argparse.Namespace) -> int:
     corpus = read_annotated_jsonl(args.corpus)
     dictionary = read_file(args.dict, TypeDictionary.from_json)
     desc, _ = read_description_map(args.desc)
-    cfg = SamplerConfig(rng_seed=subseed(args.seed, "sampler"),
+    cfg = SamplerConfig(rng_seed=stable_draw_key(args.seed, "sampler"),
                         md_target_fraction=args.md_fraction,
                         max_positive_types=args.max_pos,
                         max_negative_types=args.max_neg,
@@ -210,7 +205,7 @@ def cmd_make_finetune_data(args: argparse.Namespace) -> int:
 def cmd_sample_kshot(args: argparse.Namespace) -> int:
     corpus = read_annotated_jsonl(args.corpus)
     schema = _schema_of(args, corpus)
-    sample = sample_kshot(corpus, args.k, schema, rng_seed=subseed(args.seed, "kshot"))
+    sample = sample_kshot(corpus, args.k, schema, rng_seed=stable_draw_key(args.seed, "kshot"))
     write_annotated_jsonl(args.out, sample.sentences)
     print(f"support={len(sample.sentences)} counts={sample.counts}", file=sys.stderr)
     if sample.unsatisfied:
@@ -237,10 +232,10 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     vocab = build_vocab(texts)
     mcfg = ModelConfig(vocab_size=len(vocab), d_model=args.d_model, n_layers=args.layers,
                        n_heads=args.heads, max_len=args.max_len, dtype=args.dtype,
-                       seed=subseed(args.seed, "model"))
+                       seed=stable_draw_key(args.seed, "model"))
     params = init_params(mcfg)
     tcfg = dataclasses.replace(PRETRAIN, batch_size=args.batch, lr=args.lr, steps=args.steps,
-                               seed=subseed(args.seed, "train"))
+                               seed=stable_draw_key(args.seed, "train"))
     return _train_and_save(args, params, instances, vocab, mcfg, tcfg)
 
 
@@ -248,7 +243,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     instances = read_instances_jsonl(args.data)
     tcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs,
-                               seed=subseed(args.seed, "train"))
+                               seed=stable_draw_key(args.seed, "train"))
     return _train_and_save(args, params, instances, vocab, mcfg, tcfg)
 
 
@@ -290,7 +285,7 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
     ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
     factory = model_episode_factory(params, mcfg, vocab, ftcfg)
     report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
-                          base_seed=subseed(args.seed, "episodes"), episode_factory=factory)
+                          base_seed=stable_draw_key(args.seed, "episodes"), episode_factory=factory)
     _emit(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.out)
     print(f"mean_f1={report.mean_f1:.4f} std_f1={report.std_f1:.4f} "
           f"failures={len(report.failures)}", file=sys.stderr)
@@ -305,7 +300,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sdnet {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    def seeded(p: _Parser) -> None:  # only subcommands that draw from `subseed` streams
+    def seeded(p: _Parser) -> None:  # only subcommands that draw seeded streams (`stable_draw_key`)
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help="run seed (default: SDNET_SEED env var or 0)")
 

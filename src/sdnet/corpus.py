@@ -25,6 +25,7 @@ from .data import (
     Sentence,
     TypeDictionary,
     TypedMention,
+    int_field,
     jsonl_lines,
     string_field,
     string_list,
@@ -73,7 +74,7 @@ class WikiPage:
 
     def __post_init__(self) -> None:
         for a in self.anchors:
-            if self.text[a.offset : a.offset + len(a.surface)] != a.surface:
+            if a.offset < 0 or self.text[a.offset : a.offset + len(a.surface)] != a.surface:
                 raise ValueError(f"anchor {a.surface!r}@{a.offset} does not slice page text")
 
 
@@ -116,7 +117,7 @@ def kb_from_record(raw: dict) -> KbItem:
 def page_from_record(raw: dict) -> WikiPage:
     anchors = tuple(
         Anchor(surface=string_field(a["surface"], "surface"),
-               target=string_field(a["target"], "target"), offset=a["offset"])
+               target=string_field(a["target"], "target"), offset=int_field(a["offset"], "offset"))
         for a in raw.get("anchors", ())
     )
     return WikiPage(title=string_field(raw["title"], "title"), text=string_field(raw["text"], "text"),

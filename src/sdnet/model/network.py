@@ -15,18 +15,19 @@ and kept. 64-bit mode makes training bit-reproducible and lets gradients be
 checked against finite differences; 32-bit mode is for speed.
 Loss terms are means over each task's non-pad target tokens. A batch is always
 processed as the same fixed partition into micro-batches, and one summation
-rule makes its gradient: each micro-batch's gradient is accumulated from zero,
-and those gradients are added in micro-batch index order. The gradient
-therefore depends on nothing but the batch's rows, whether the micro-batches
-run one after another here or each in its own worker process
-(`sdnet.model.pool`).
+rule makes its gradient: each micro-batch's gradient is accumulated from zero
+(`micro_batch_losses`), and those gradients and the micro-batches' loss sums
+are added in micro-batch index order (`batch_report`). Both halves live here
+only: `forward_loss` runs them in process, and the worker pool
+(`sdnet.model.pool`) runs the first in its workers and the second in the main
+process, so the gradient depends on nothing but the batch's rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -527,15 +528,6 @@ class Batch:
         return self.src.shape[0]
 
 
-def _pad_sources(sources: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Source id rows padded with [PAD] to the longest, and their key mask."""
-    lengths = np.array([len(ids) for ids in sources])
-    src = np.full((len(sources), int(lengths.max())), PAD_ID, dtype=np.int64)
-    for k, ids in enumerate(sources):
-        src[k, : len(ids)] = ids
-    return src, np.arange(src.shape[1]) < lengths[:, None]
-
-
 def _gather_padded(ids: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row k holds `ids[starts[k]:ends[k]]`, padded with [PAD] to the longest;
     returned with the mask of the positions that are not padding."""
@@ -550,7 +542,8 @@ def _gather_padded(ids: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tup
 def make_batch(store: EncodedInstances, rows: Sequence[int] | None = None,
                ids: Sequence[str] | None = None) -> Batch:
     """Pad the instances `rows` of `store` (all of them, in order, when None)
-    into one batch."""
+    into one batch; the rows are named `ids`, by default their instance
+    indices."""
     rows = np.arange(len(store)) if rows is None else np.asarray(rows, dtype=np.int64)
     if not rows.size:
         raise ValueError("empty batch")
@@ -559,10 +552,8 @@ def make_batch(store: EncodedInstances, rows: Sequence[int] | None = None,
     labels, tgt_mask = _gather_padded(store.ids, b[2 * rows + 1], b[2 * rows + 2])
     dec_in = np.full(labels.shape, PAD_ID, dtype=np.int64)
     dec_in[:, 1:] = np.where(tgt_mask[:, 1:], labels[:, :-1], PAD_ID)
-    if ids is None:
-        ids = tuple(str(k) for k in range(rows.size))
     return Batch(src=src, src_mask=src_mask, dec_in=dec_in, labels=labels,
-                 is_md=store.is_md[rows], ids=tuple(ids))
+                 is_md=store.is_md[rows], ids=tuple(map(str, rows.tolist()) if ids is None else ids))
 
 
 @dataclass(frozen=True)
@@ -581,31 +572,6 @@ class LossReport:
         eg_term = eg_sum / eg_tokens if eg_tokens else 0.0
         return cls(total=md_term + eg_term, md_term=md_term, eg_term=eg_term,
                    md_tokens=md_tokens, eg_tokens=eg_tokens)
-
-
-@dataclass(frozen=True)
-class TokenWeights:
-    """Each target position's weight in its batch's loss: 1/n_md on MD
-    tokens, 1/n_eg on EG tokens and 0 on padding."""
-    md_mask: np.ndarray    # (B, T) bool
-    eg_mask: np.ndarray    # (B, T) bool
-    pos_w: np.ndarray      # (B, T) in the model's dtype
-    n_md: int
-    n_eg: int
-
-
-def token_weights(batch: Batch, dtype: type) -> TokenWeights:
-    tok_mask = batch.labels != PAD_ID
-    md_mask = tok_mask & batch.is_md[:, None]
-    eg_mask = tok_mask & ~batch.is_md[:, None]
-    n_md = int(md_mask.sum())
-    n_eg = int(eg_mask.sum())
-    pos_w = np.zeros(batch.labels.shape, dtype=dtype)
-    if n_md:
-        pos_w[md_mask] = 1.0 / n_md
-    if n_eg:
-        pos_w[eg_mask] = 1.0 / n_eg
-    return TokenWeights(md_mask=md_mask, eg_mask=eg_mask, pos_w=pos_w, n_md=n_md, n_eg=n_eg)
 
 
 def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
@@ -645,36 +611,59 @@ def forward_loss(
     later one accumulates into zeros of its own that are then added into
     `grads`, in index order. `grads` is returned.
     """
-    weights = token_weights(batch, cfg.np_dtype)
     if grads is None:
         grads = zero_grads(p)
-    part = grads
+    parts = [grads] + [zero_grads(p) for _ in range(micro_size, len(batch), micro_size)]
+    report = batch_report(*micro_batch_losses(p, cfg, batch, micro_size, parts, range(len(parts))))
+    for part in parts[1:]:
+        for k, g in grads.items():
+            g += part[k]
+    return report, grads
+
+
+def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
+                       grads: Sequence[dict[str, np.ndarray]], ms: Iterable[int]) -> tuple[int, int, list]:
+    """The micro-batches `ms` of `batch`, in that order: micro-batch m, rows
+    m * micro_size onward, adds the gradient of its share of the batch loss
+    into `grads[m]`. Returns the batch's MD and EG token counts and, per
+    micro-batch run, (m, its MD and EG cross-entropy sums), or (m, the message
+    naming its first row whose loss is not finite), after which it stops."""
+    tok_mask = batch.labels != PAD_ID
+    md_mask = tok_mask & batch.is_md[:, None]
+    eg_mask = tok_mask & ~batch.is_md[:, None]
+    n_md = int(md_mask.sum())
+    n_eg = int(eg_mask.sum())
+    pos_w = np.zeros(batch.labels.shape, dtype=cfg.np_dtype)  # each target token's weight in the loss
+    if n_md:
+        pos_w[md_mask] = 1.0 / n_md
+    if n_eg:
+        pos_w[eg_mask] = 1.0 / n_eg
+    parts: list = []
+    for m in ms:
+        sl = slice(m * micro_size, (m + 1) * micro_size)
+        ce = _micro_loss_grads(p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
+                               batch.labels[sl], pos_w[sl], grads[m])
+        md, eg = md_mask[sl], eg_mask[sl]
+        if not np.isfinite(ce[md | eg]).all():
+            bad = int(np.where(~np.isfinite(ce).all(axis=1))[0][0])
+            parts.append((m, f"non-finite loss on instance {batch.ids[sl][bad]!r}"))
+            break
+        parts.append((m, (float(ce[md].sum()), float(ce[eg].sum()))))
+    return n_md, n_eg, parts
+
+
+def batch_report(n_md: int, n_eg: int, parts: list) -> LossReport:
+    """The batch's report from the parts of its micro-batches, added in index
+    order. Raises LossNotFiniteError with the message of the first
+    micro-batch, in index order, whose loss is not finite."""
     md_sum = 0.0
     eg_sum = 0.0
-    for i in range(0, len(batch), micro_size):
-        if i:
-            part = zero_grads(p)
-        md, eg = micro_batch_loss(p, cfg, batch, weights, slice(i, i + micro_size), part)
-        if i:
-            for k, g in grads.items():
-                g += part[k]
-        md_sum += md
-        eg_sum += eg
-    return LossReport.from_sums(md_sum, eg_sum, weights.n_md, weights.n_eg), grads
-
-
-def micro_batch_loss(p, cfg: ModelConfig, batch: Batch, weights: TokenWeights, sl: slice,
-                     grads: dict[str, np.ndarray]) -> tuple[float, float]:
-    """Rows `sl` of `batch`: adds the gradient of their share of the batch
-    loss into `grads`, and returns their MD and EG token cross-entropy sums.
-    Raises LossNotFiniteError naming the first row whose loss is not finite."""
-    ce = _micro_loss_grads(p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
-                           batch.labels[sl], weights.pos_w[sl], grads)
-    md_mask, eg_mask = weights.md_mask[sl], weights.eg_mask[sl]
-    if not np.isfinite(ce[md_mask | eg_mask]).all():
-        bad = int(np.where(~np.isfinite(ce).all(axis=1))[0][0])
-        raise LossNotFiniteError(f"non-finite loss on instance {batch.ids[sl][bad]!r}")
-    return float(ce[md_mask].sum()), float(ce[eg_mask].sum())
+    for _, result in sorted(parts, key=lambda part: part[0]):
+        if isinstance(result, str):
+            raise LossNotFiniteError(result)
+        md_sum += result[0]
+        eg_sum += result[1]
+    return LossReport.from_sums(md_sum, eg_sum, n_md, n_eg)
 
 
 def generate(
@@ -724,7 +713,9 @@ def _greedy_batch(p, cfg: ModelConfig, sources: list[list[int]], limit: int) -> 
     """The ids each source's greedy decode emits before its [EOS], at most
     `limit` of them. The sources are padded with [PAD] behind a key mask and
     encoded once; each step runs the cached decoder over every row."""
-    src, src_mask = _pad_sources(sources)
+    lengths = np.array([len(ids) for ids in sources])
+    ends = np.cumsum(lengths)
+    src, src_mask = _gather_padded(np.concatenate(sources), ends - lengths, ends)
     enc, _ = encoder_forward(p, cfg, src, src_mask)
     state = DecodeState()
     out: list[list[int]] = [[] for _ in sources]

@@ -11,13 +11,16 @@ may use: the main process wakes every worker at once, and the scheduler
 otherwise often puts two of them on its own CPU, one waiting behind the other.
 The parameters and one gradient buffer per micro-batch live in one shared
 memory file, a memfd named `sdnet-grads`: it has no path in /dev/shm and
-disappears with the last process that holds it. For each step the main
-process sends the batch's instance indices to the first W workers; worker w
-computes micro-batches w, w + W, ..., each accumulated from zero into its own
-buffer (`network.micro_batch_loss`), and replies with their cross-entropy
-sums. The main process computes nothing meanwhile; it then adds the buffers
-into buffer 0 in micro-batch index order. That is the summation rule
-`network.forward_loss` follows in process, so both give the same bits.
+disappears with the last process that holds it.
+
+The pool only routes rows and buffers; the summation rule is
+`sdnet.model.network`'s alone. For each step the main process sends the
+batch's instance indices to the first W workers. Worker w zeroes the buffers
+of micro-batches w, w + W, ... and runs them through
+`network.micro_batch_losses`, as `forward_loss` does in process, and replies
+with their loss sums. The main process computes nothing meanwhile; it then
+reduces the replies with `network.batch_report` and adds the buffers into
+buffer 0 in micro-batch index order, so both give the same bits.
 
 The pool starts on first use, once per interpreter, and closes at exit:
 closing a worker's socket ends it, and the main process waits for each. A
@@ -43,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LossNotFiniteError, LossReport, make_batch, micro_batch_loss, token_weights
+from .network import LossReport, batch_report, make_batch, micro_batch_losses
 
 _IMPORT_ROOT = str(Path(__file__).resolve().parents[2])  # the directory that holds `sdnet`
 _WORKER_MAIN = "import sys; from sdnet.model.pool import serve; serve(*map(int, sys.argv[1:]))"
@@ -99,7 +102,8 @@ class _Worker:
 
 
 class GradPool:
-    """Gradient workers and the shared memory file they map."""
+    """Gradient workers and the shared memory file they map. While a job is
+    open, `params` and `grads` are its shared buffers."""
 
     def __init__(self) -> None:
         self.memfd = os.memfd_create("sdnet-grads")
@@ -107,6 +111,8 @@ class GradPool:
         self.workers: list[_Worker] = []
         self.closed = False
         self._lock = threading.Lock()  # one training job at a time
+        self.params = self.grads = self._job_workers = None
+        self._micro_size = 0
 
     def close(self) -> None:
         """Ends every worker and waits for it; a worker still busy finishes
@@ -129,7 +135,8 @@ class GradPool:
         """A training run on the first `n_workers` workers, started here if
         need be: shared memory for the parameters, which start as `flat`,
         and `n_micro` gradient buffers. Each worker receives the layout, the
-        encoded instances and the model config once."""
+        encoded instances and the model config once. Yields the pool; its
+        buffers are dropped when the job ends."""
         with self._lock:
             while len(self.workers) < n_workers:
                 self.workers.append(_Worker(len(self.workers), self.memfd))
@@ -139,54 +146,38 @@ class GradPool:
                 self.size = nbytes
             bufs = np.frombuffer(mmap.mmap(self.memfd, nbytes), dtype=flat.dtype).reshape(1 + n_micro, -1)
             bufs[0] = flat
-            job = _Job(self, self.workers[:n_workers], bufs, micro_size)
-            job.exchange(("job", layout, flat.dtype.str, n_micro, micro_size, store, cfg))
-            yield job
+            self.params, self.grads = bufs[0], bufs[1:]
+            self._job_workers, self._micro_size = self.workers[:n_workers], micro_size
+            message = ("job", layout, flat.dtype.str, n_micro, micro_size, store, cfg)
+            try:
+                self._exchange(self._job_workers, message)
+                yield self
+            finally:
+                self.params = self.grads = self._job_workers = None
 
-
-class _Job:
-    def __init__(self, pool: GradPool, workers: list[_Worker], bufs: np.ndarray, micro_size: int) -> None:
-        self.pool = pool
-        self.workers = workers
-        self.params = bufs[0]
-        self.grads = bufs[1:]
-        self.micro_size = micro_size
-
-    def exchange(self, message: tuple, workers: list[_Worker] | None = None) -> list:
+    def _exchange(self, workers: list[_Worker], message: tuple) -> list:
         """Sends each worker the message, then reads every reply. Any failure,
         an interrupt included, closes the pool: a reply left unread would
         answer the next request."""
-        workers = self.workers if workers is None else workers
         try:
             for w in workers:
                 w.send(message)
             return [w.recv() for w in workers]
         except BaseException:
-            self.pool.close()
+            self.close()
             raise
 
     def step(self, rows: list[int]) -> LossReport:
-        """The batch of instances `rows`, which must span at least two
-        micro-batches: its gradient lands in `self.grads[0]`. Raises
+        """The open job's batch of instances `rows`, which must span at least
+        two micro-batches: its gradient lands in `self.grads[0]`. Raises
         LossNotFiniteError as `forward_loss` does."""
-        n_micro = -(-len(rows) // self.micro_size)
-        workers = self.workers[:n_micro]
-        replies = self.exchange(("step", rows, len(workers)), workers)
-        sums: list = [None] * n_micro
-        for _, _, parts in replies:
-            for m, result in parts:
-                sums[m] = result
-        md_sum = 0.0
-        eg_sum = 0.0
-        for result in sums:
-            if isinstance(result, str):  # the first micro-batch, in index order, whose loss is not finite
-                raise LossNotFiniteError(result)
-            md_sum += result[0]
-            eg_sum += result[1]
+        n_micro = -(-len(rows) // self._micro_size)
+        workers = self._job_workers[:n_micro]
+        replies = self._exchange(workers, ("step", rows, len(workers)))
+        report = batch_report(*replies[0][:2], [part for _, _, parts in replies for part in parts])
         for m in range(1, n_micro):
             self.grads[0] += self.grads[m]
-        n_md, n_eg, _ = replies[0]
-        return LossReport.from_sums(md_sum, eg_sum, n_md, n_eg)
+        return report
 
 
 _shared: GradPool | None = None
@@ -211,7 +202,6 @@ def serve(conn_fd: int, memfd: int, index: int) -> None:
     cpus = sorted(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpus[index % len(cpus)]})
     conn = Connection(conn_fd)
-    job = None
     while True:
         try:
             request = conn.recv()
@@ -219,45 +209,23 @@ def serve(conn_fd: int, memfd: int, index: int) -> None:
             return
         try:
             if request[0] == "job":
-                job = _WorkerJob(memfd, index, *request[1:])
+                layout, dtype, n_micro, micro_size, store, cfg = request[1:]
+                bufs = np.frombuffer(mmap.mmap(memfd, (1 + n_micro) * layout.size * np.dtype(dtype).itemsize),
+                                     dtype=dtype).reshape(1 + n_micro, -1)
+                params = bufs[0]
+                params.flags.writeable = False  # the parameters are the main process's to update
+                params, grads = layout.views(params), bufs[1:]
+                grad_views = [layout.views(g) for g in grads]
                 reply = None
             else:
-                reply = job.step(*request[1:])
+                rows, n_workers = request[1:]
+                ms = range(index, -(-len(rows) // micro_size), n_workers)
+                for m in ms:
+                    grads[m][...] = 0.0
+                reply = micro_batch_losses(params, cfg, make_batch(store, rows), micro_size, grad_views, ms)
         except Exception:
             reply = traceback.format_exc()
         try:
             conn.send(reply)
         except OSError:  # the main process is gone
             return
-
-
-class _WorkerJob:
-    def __init__(self, memfd: int, index: int, layout, dtype: str, n_micro: int, micro_size: int,
-                 store, cfg) -> None:
-        bufs = np.frombuffer(mmap.mmap(memfd, (1 + n_micro) * layout.size * np.dtype(dtype).itemsize),
-                             dtype=dtype).reshape(1 + n_micro, -1)
-        params = bufs[0]
-        params.flags.writeable = False  # the parameters are the main process's to update
-        self.params = layout.views(params)
-        self.grads = bufs[1:]
-        self.grad_views = [layout.views(g) for g in self.grads]
-        self.index, self.micro_size, self.store, self.cfg = index, micro_size, store, cfg
-
-    def step(self, rows: list[int], n_workers: int) -> tuple[int, int, list]:
-        """This worker's micro-batches of the batch `rows`: each one's gradient,
-        accumulated from zero, in its own buffer. Returns the batch's MD and EG
-        token counts and, per micro-batch, its cross-entropy sums, or the
-        message of a loss that is not finite, after which it stops."""
-        batch = make_batch(self.store, rows, ids=[str(i) for i in rows])
-        weights = token_weights(batch, self.cfg.np_dtype)
-        parts: list = []
-        for m in range(self.index, -(-len(rows) // self.micro_size), n_workers):
-            self.grads[m][...] = 0.0
-            try:
-                parts.append((m, micro_batch_loss(self.params, self.cfg, batch, weights,
-                                                  slice(m * self.micro_size, (m + 1) * self.micro_size),
-                                                  self.grad_views[m])))
-            except LossNotFiniteError as exc:
-                parts.append((m, str(exc)))
-                break
-        return weights.n_md, weights.n_eg, parts

@@ -11,8 +11,8 @@ process may run on more than one CPU: then min(micro-batches, CPUs) worker
 processes (`sdnet.model.pool`) compute the micro-batch gradients of each
 batch that has two or more, while the main process waits, sums them and runs
 AdamW. A batch of one micro-batch, and all training on one CPU, runs in
-process through `forward_loss`. Both follow one summation rule, so the trained
-bytes do not depend on which ran."""
+process through `forward_loss`. Both run `network`'s one micro-batch routine
+and one reduction, so the trained bytes do not depend on which ran."""
 
 from __future__ import annotations
 
@@ -222,9 +222,8 @@ def train(
                 if job is not None and len(idx) > tcfg.micro_size:
                     report = job.step(idx)
                 else:
-                    batch = make_batch(store, idx, ids=[str(i) for i in idx])
                     flat_grads[...] = 0.0
-                    report, _ = forward_loss(views, mcfg, batch, micro_size=tcfg.micro_size,
+                    report, _ = forward_loss(views, mcfg, make_batch(store, idx), micro_size=tcfg.micro_size,
                                              grads=grad_views)
             except LossNotFiniteError as exc:
                 raise TrainingDivergedError(f"step {step}: {exc}") from exc

@@ -326,12 +326,16 @@ def test_read_kb_and_pages_tally_malformed_lines(tmp_path):
             {"surface": "zzz", "target": "Q1", "offset": 0}]}) + "\n"
         + json.dumps({"title": "C", "text": 5, "anchors": []}) + "\n"
         + json.dumps({"title": "D", "text": "D rests.", "anchors": [
-            {"surface": "D", "target": 1, "offset": 0}]}) + "\n",
+            {"surface": "D", "target": 1, "offset": 0}]}) + "\n"
+        + json.dumps({"title": "E", "text": "Alice rests.", "anchors": [
+            {"surface": "Alice", "target": "Q1", "offset": False}]}) + "\n"
+        + json.dumps({"title": "F", "text": "Alice rests.", "anchors": [  # slices to "Alice"
+            {"surface": "Alice", "target": "Q1", "offset": -len("Alice rests.")}]}) + "\n",
         encoding="utf-8")
     tally = Counter()
     pages = read_pages_jsonl(pages_path, tally)
     assert [p.title for p in pages] == ["A"]
-    assert tally["malformed_page_record"] == 3
+    assert tally["malformed_page_record"] == 5
 
 
 def test_fixture_build_matches_golden_corpus():

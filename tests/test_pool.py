@@ -31,8 +31,8 @@ def _train_with_cpus(monkeypatch, cpus: int, params, insts, vocab, cfg, tcfg):
 def _pool_steps(monkeypatch) -> list[int]:
     """Counts the batches the pool computes, one entry per batch."""
     steps: list[int] = []
-    step = pool._Job.step
-    monkeypatch.setattr(pool._Job, "step", lambda job, rows: steps.append(len(rows)) or step(job, rows))
+    step = pool.GradPool.step
+    monkeypatch.setattr(pool.GradPool, "step", lambda job, rows: steps.append(len(rows)) or step(job, rows))
     return steps
 
 
@@ -70,6 +70,24 @@ def test_a_non_finite_loss_in_a_worker_raises_as_in_process(monkeypatch):
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("step 0: non-finite loss on instance ")
+
+
+@POOLED
+def test_a_non_finite_loss_outside_micro_batch_0_raises_as_in_process(monkeypatch):
+    # "animal" occurs only in instance 2's prompt, and seed 1's first batch is
+    # instances [4, 0, 1, 2]: only micro-batch 1, the second worker's, diverges
+    insts, vocab, cfg, params = tiny_setup()
+    assert [i for i, x in enumerate(insts) if "animal" in x.prompt_text + x.input_text] == [2]
+    params["tok_emb"][vocab.encode(["animal"])[0]] = np.nan
+    tcfg = TrainConfig(mode="pretrain", batch_size=4, lr=1e-3, steps=2, seed=1, micro_size=2)
+    steps = _pool_steps(monkeypatch)
+    messages = []
+    for cpus in (2, 1):
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError) as raised:
+            _train_with_cpus(monkeypatch, cpus, params, insts, vocab, cfg, tcfg)
+        messages.append(str(raised.value))
+    assert steps == [4]  # the pooled run reached the pool, the in-process one did not
+    assert messages == ["step 0: non-finite loss on instance '2'"] * 2
 
 
 @POOLED
