@@ -282,17 +282,17 @@ def int_field(value: object, name: str) -> int:
     return value
 
 
-def distinct_ids(convert: Callable[[dict], T],
-                 id_of: Callable[[T], str] = attrgetter("id")) -> Callable[[dict], T]:
+def distinct_ids(convert: Callable[[dict], T], id_of: Callable[[T], str] = attrgetter("id"),
+                 what: str = "sentence id") -> Callable[[dict], T]:
     """`convert` for `iter_jsonl`, except that a record whose id (`id_of` of
-    its value) an earlier record had is a format error."""
+    its value) an earlier record had is a format error naming it as `what`."""
     seen: set[str] = set()
 
     def checked(raw: dict) -> T:
         value = convert(raw)
         key = id_of(value)
         if key in seen:
-            raise CorpusFormatError(f"duplicate sentence id {key!r}")
+            raise CorpusFormatError(f"duplicate {what} {key!r}")
         seen.add(key)
         return value
 

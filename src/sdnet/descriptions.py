@@ -4,11 +4,12 @@ other-frequency filtering. No random draws: sampling.py subsamples them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import parse_generated, serialize_prompt_md
-from .data import (OTHER_TYPE, AnnotatedSentence, PromptMD, RowError, iter_jsonl,
+from .data import (OTHER_TYPE, AnnotatedSentence, PromptMD, RowError, distinct_ids, iter_jsonl,
                    ordered_unique_surfaces, string_field, string_list, write_jsonl)
 
 DescriptionMap = dict[str, tuple[str, ...]]
@@ -126,6 +127,8 @@ def _filtered_flag(raw: dict) -> bool:
 
 
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:
-    rows = list(iter_jsonl(path, lambda r: (string_field(r["type"], "type"),
-                                            string_list(r["concepts"], "concepts"), _filtered_flag(r))))
+    """A file's description map and filtered types; a repeated type is a format error."""
+    rows = list(iter_jsonl(path, distinct_ids(
+        lambda r: (string_field(r["type"], "type"), string_list(r["concepts"], "concepts"), _filtered_flag(r)),
+        itemgetter(0), "type")))
     return {t: concepts for t, concepts, _ in rows}, {t for t, _, filtered in rows if filtered}

@@ -15,12 +15,12 @@ and kept. 64-bit mode makes training bit-reproducible and lets gradients be
 checked against finite differences; 32-bit mode is for speed.
 Loss terms are means over each task's non-pad target tokens. A batch is always
 processed as the same fixed partition into micro-batches, and one summation
-rule makes its gradient: each micro-batch's gradient is accumulated from zero
-(`micro_batch_losses`), and those gradients and the micro-batches' loss sums
-are added in micro-batch index order (`batch_report`). Both halves live here
-only: `forward_loss` runs them in process, and the worker pool
-(`sdnet.model.pool`) runs the first in its workers and the second in the main
-process, so the gradient depends on nothing but the batch's rows.
+rule makes its gradient: `micro_batch_losses` zeroes micro-batch m's gradient
+row and accumulates its gradient there, and `batch_report` adds the rows and
+the micro-batches' loss sums in micro-batch index order. Nothing else zeroes
+or adds a row: `forward_loss` runs both halves in process, and the worker
+pool (`sdnet.model.pool`) runs the first in its workers and the second in the
+main process, so the gradient depends on nothing but the batch's rows.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("d_model", "n_layers", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.d_ff < 0:
+            raise ValueError(f"d_ff must not be negative, got {self.d_ff}")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
         if self.d_model % self.n_heads != 0:
@@ -564,15 +569,6 @@ class LossReport:
     md_tokens: int
     eg_tokens: int
 
-    @classmethod
-    def from_sums(cls, md_sum: float, eg_sum: float, md_tokens: int, eg_tokens: int) -> "LossReport":
-        """The report of a batch whose MD and EG token cross entropies sum to
-        `md_sum` and `eg_sum`; a task with no tokens has a zero term."""
-        md_term = md_sum / md_tokens if md_tokens else 0.0
-        eg_term = eg_sum / eg_tokens if eg_tokens else 0.0
-        return cls(total=md_term + eg_term, md_term=md_term, eg_term=eg_term,
-                   md_tokens=md_tokens, eg_tokens=eg_tokens)
-
 
 def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
     """Per-position cross entropy of one micro-batch; adds the gradient of
@@ -600,34 +596,31 @@ def forward_loss(
     cfg: ModelConfig,
     batch: Batch,
     micro_size: int = 8,
-    grads: dict[str, np.ndarray] | None = None,
+    grads: Sequence[dict[str, np.ndarray]] | None = None,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Teacher-forced cross entropy: mean over MD tokens plus mean over EG
     tokens, with analytic gradients.
 
     The batch runs as micro-batches of `micro_size` rows, one after another,
-    under the module's summation rule: micro-batch 0 accumulates its gradient
-    into `grads`, which must hold zeros (fresh zeros when None), and each
-    later one accumulates into zeros of its own that are then added into
-    `grads`, in index order. `grads` is returned.
+    under the module's summation rule, micro-batch m in `grads[m]` (new when
+    None; what they hold on entry is ignored). Returns the report and
+    `grads[0]`, which then holds the batch's gradient.
     """
+    n_micro = -(-len(batch) // micro_size)
     if grads is None:
-        grads = zero_grads(p)
-    parts = [grads] + [zero_grads(p) for _ in range(micro_size, len(batch), micro_size)]
-    report = batch_report(*micro_batch_losses(p, cfg, batch, micro_size, parts, range(len(parts))))
-    for part in parts[1:]:
-        for k, g in grads.items():
-            g += part[k]
-    return report, grads
+        grads = [{k: np.empty_like(v) for k, v in p.items()} for _ in range(n_micro)]
+    report = batch_report(*micro_batch_losses(p, cfg, batch, micro_size, grads, range(n_micro)), grads)
+    return report, grads[0]
 
 
 def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
                        grads: Sequence[dict[str, np.ndarray]], ms: Iterable[int]) -> tuple[int, int, list]:
     """The micro-batches `ms` of `batch`, in that order: micro-batch m, rows
-    m * micro_size onward, adds the gradient of its share of the batch loss
-    into `grads[m]`. Returns the batch's MD and EG token counts and, per
-    micro-batch run, (m, its MD and EG cross-entropy sums), or (m, the message
-    naming its first row whose loss is not finite), after which it stops."""
+    m * micro_size onward, zeroes `grads[m]` and accumulates there the
+    gradient of its share of the batch loss. Returns the batch's MD and EG
+    token counts and, per micro-batch run, (m, its MD and EG cross-entropy
+    sums), or (m, the message naming its first row whose loss is not finite),
+    after which it stops."""
     tok_mask = batch.labels != PAD_ID
     md_mask = tok_mask & batch.is_md[:, None]
     eg_mask = tok_mask & ~batch.is_md[:, None]
@@ -640,6 +633,8 @@ def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
         pos_w[eg_mask] = 1.0 / n_eg
     parts: list = []
     for m in ms:
+        for g in grads[m].values():
+            g.fill(0.0)
         sl = slice(m * micro_size, (m + 1) * micro_size)
         ce = _micro_loss_grads(p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
                                batch.labels[sl], pos_w[sl], grads[m])
@@ -652,18 +647,25 @@ def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
     return n_md, n_eg, parts
 
 
-def batch_report(n_md: int, n_eg: int, parts: list) -> LossReport:
-    """The batch's report from the parts of its micro-batches, added in index
-    order. Raises LossNotFiniteError with the message of the first
-    micro-batch, in index order, whose loss is not finite."""
+def batch_report(n_md: int, n_eg: int, parts: list, grads: Sequence[dict[str, np.ndarray]]) -> LossReport:
+    """The batch's report from the parts of its micro-batches: their loss sums
+    are added, and their gradients in `grads` into `grads[0]`, in index order;
+    a task with no tokens has a zero term. Raises LossNotFiniteError with the
+    message of the first micro-batch, in index order, whose loss is not finite."""
     md_sum = 0.0
     eg_sum = 0.0
-    for _, result in sorted(parts, key=lambda part: part[0]):
+    for m, result in sorted(parts, key=lambda part: part[0]):
         if isinstance(result, str):
             raise LossNotFiniteError(result)
         md_sum += result[0]
         eg_sum += result[1]
-    return LossReport.from_sums(md_sum, eg_sum, n_md, n_eg)
+        if m:
+            for k, g in grads[0].items():
+                g += grads[m][k]
+    md_term = md_sum / n_md if n_md else 0.0
+    eg_term = eg_sum / n_eg if n_eg else 0.0
+    return LossReport(total=md_term + eg_term, md_term=md_term, eg_term=eg_term,
+                      md_tokens=n_md, eg_tokens=n_eg)
 
 
 def generate(

@@ -15,12 +15,11 @@ disappears with the last process that holds it.
 
 The pool only routes rows and buffers; the summation rule is
 `sdnet.model.network`'s alone. For each step the main process sends the
-batch's instance indices to the first W workers. Worker w zeroes the buffers
-of micro-batches w, w + W, ... and runs them through
-`network.micro_batch_losses`, as `forward_loss` does in process, and replies
-with their loss sums. The main process computes nothing meanwhile; it then
-reduces the replies with `network.batch_report` and adds the buffers into
-buffer 0 in micro-batch index order, so both give the same bits.
+batch's instance indices to the first W workers. Worker w runs micro-batches
+w, w + W, ... through `network.micro_batch_losses` into their gradient
+buffers and replies with their loss sums. The main process computes nothing
+meanwhile; it then hands the replies and the buffers to `network.batch_report`,
+as `forward_loss` does in process, so both give the same bits.
 
 The pool starts on first use, once per interpreter, and closes at exit:
 closing a worker's socket ends it, and the main process waits for each. A
@@ -103,7 +102,7 @@ class _Worker:
 
 class GradPool:
     """Gradient workers and the shared memory file they map. While a job is
-    open, `params` and `grads` are its shared buffers."""
+    open, `params` and `grads`, a row per micro-batch, are its buffers."""
 
     def __init__(self) -> None:
         self.memfd = os.memfd_create("sdnet-grads")
@@ -111,7 +110,7 @@ class GradPool:
         self.workers: list[_Worker] = []
         self.closed = False
         self._lock = threading.Lock()  # one training job at a time
-        self.params = self.grads = self._job_workers = None
+        self.params = self.grads = self._grad_views = self._job_workers = None
         self._micro_size = 0
 
     def close(self) -> None:
@@ -147,13 +146,14 @@ class GradPool:
             bufs = np.frombuffer(mmap.mmap(self.memfd, nbytes), dtype=flat.dtype).reshape(1 + n_micro, -1)
             bufs[0] = flat
             self.params, self.grads = bufs[0], bufs[1:]
+            self._grad_views = [layout.views(g) for g in self.grads]
             self._job_workers, self._micro_size = self.workers[:n_workers], micro_size
             message = ("job", layout, flat.dtype.str, n_micro, micro_size, store, cfg)
             try:
                 self._exchange(self._job_workers, message)
                 yield self
             finally:
-                self.params = self.grads = self._job_workers = None
+                self.params = self.grads = self._grad_views = self._job_workers = None
 
     def _exchange(self, workers: list[_Worker], message: tuple) -> list:
         """Sends each worker the message, then reads every reply. Any failure,
@@ -174,10 +174,8 @@ class GradPool:
         n_micro = -(-len(rows) // self._micro_size)
         workers = self._job_workers[:n_micro]
         replies = self._exchange(workers, ("step", rows, len(workers)))
-        report = batch_report(*replies[0][:2], [part for _, _, parts in replies for part in parts])
-        for m in range(1, n_micro):
-            self.grads[0] += self.grads[m]
-        return report
+        parts = [part for _, _, worker_parts in replies for part in worker_parts]
+        return batch_report(*replies[0][:2], parts, self._grad_views)
 
 
 _shared: GradPool | None = None
@@ -214,15 +212,12 @@ def serve(conn_fd: int, memfd: int, index: int) -> None:
                                      dtype=dtype).reshape(1 + n_micro, -1)
                 params = bufs[0]
                 params.flags.writeable = False  # the parameters are the main process's to update
-                params, grads = layout.views(params), bufs[1:]
-                grad_views = [layout.views(g) for g in grads]
+                params, grads = layout.views(params), [layout.views(g) for g in bufs[1:]]
                 reply = None
             else:
                 rows, n_workers = request[1:]
-                ms = range(index, -(-len(rows) // micro_size), n_workers)
-                for m in ms:
-                    grads[m][...] = 0.0
-                reply = micro_batch_losses(params, cfg, make_batch(store, rows), micro_size, grad_views, ms)
+                reply = micro_batch_losses(params, cfg, make_batch(store, rows), micro_size, grads,
+                                           range(index, -(-len(rows) // micro_size), n_workers))
         except Exception:
             reply = traceback.format_exc()
         try:

@@ -1,18 +1,18 @@
 """Training loop: decoupled-weight-decay Adam, warmup/linear-decay schedule,
 seeded epoch shuffling, and self-describing npz checkpoints.
 
-`train` packs the parameters, their gradients and both Adam moments into one
-contiguous buffer each (`FlatLayout`), so that the optimizer and the
-finiteness check are a few whole-buffer operations; the network reads and
-accumulates into per-tensor views of those buffers.
+`train` packs the parameters and both Adam moments into one contiguous buffer
+each (`FlatLayout`) and holds one gradient row per micro-batch of a full
+batch, made once per call, so that the optimizer and the finiteness check are
+a few whole-buffer operations; the network reads and fills per-tensor views.
 
 Training is pooled when a full batch spans two or more micro-batches and the
-process may run on more than one CPU: then min(micro-batches, CPUs) worker
-processes (`sdnet.model.pool`) compute the micro-batch gradients of each
-batch that has two or more, while the main process waits, sums them and runs
-AdamW. A batch of one micro-batch, and all training on one CPU, runs in
-process through `forward_loss`. Both run `network`'s one micro-batch routine
-and one reduction, so the trained bytes do not depend on which ran."""
+process may run on more than one CPU: the rows are then the pool's shared
+buffers, which min(micro-batches, CPUs) worker processes (`sdnet.model.pool`)
+fill for each batch of two or more while the main process waits. Otherwise
+the batch runs in process through `forward_loss`. Either way the rows follow
+`network`'s one summation rule and AdamW reads row 0, so the trained bytes do
+not depend on which ran."""
 
 from __future__ import annotations
 
@@ -65,6 +65,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.lr <= 0:
             raise ValueError("batch size and learning rate must be positive")
+        if self.micro_size < 1:
+            raise ValueError(f"micro_size must be at least 1, got {self.micro_size}")
         if self.mode == "pretrain" and self.steps < 1:
             raise ValueError("pretrain mode needs a positive step budget")
         if self.mode == "finetune" and self.epochs < 1:
@@ -210,11 +212,9 @@ def train(
         from .pool import shared_pool  # the process machinery loads only where training is pooled
         pooled = shared_pool().job(n_workers, layout, flat, n_micro, store, mcfg, tcfg.micro_size)
     with pooled as job:
-        if job is None:
-            flat_grads = np.empty_like(flat)
-        else:
-            flat, flat_grads = job.params, job.grads[0]
-        views, grad_views = layout.views(flat), layout.views(flat_grads)
+        flat, rows = ((flat, np.empty((n_micro, layout.size), flat.dtype)) if job is None
+                      else (job.params, job.grads))
+        views, grads = layout.views(flat), [layout.views(row) for row in rows]
         state = AdamWState.init(flat, layout.n_decay)
         log: list[StepLog] = []
         for step, idx in enumerate(_batches(rng, n, tcfg.batch_size, total)):
@@ -222,13 +222,12 @@ def train(
                 if job is not None and len(idx) > tcfg.micro_size:
                     report = job.step(idx)
                 else:
-                    flat_grads[...] = 0.0
                     report, _ = forward_loss(views, mcfg, make_batch(store, idx), micro_size=tcfg.micro_size,
-                                             grads=grad_views)
+                                             grads=grads)
             except LossNotFiniteError as exc:
                 raise TrainingDivergedError(f"step {step}: {exc}") from exc
             lr = lr_at(tcfg, step, total)
-            adamw_step(flat, flat_grads, state, lr)
+            adamw_step(flat, rows[0], state, lr)
             if not np.isfinite(flat).all():
                 bad = next(k for k, p in views.items() if not np.isfinite(p).all())
                 raise TrainingDivergedError(f"step {step}: parameter {bad!r} not finite")

@@ -58,8 +58,7 @@ from sdnet.evaluation import (
 from sdnet.locate import locate
 from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, generate_many,
                          init_params, train)
-from sdnet.sampling import (SamplerConfig, build_pretrain_instances, make_finetune_instance,
-                            present_types)
+from sdnet.sampling import SamplerConfig, build_pretrain_instances, present_types
 from sdnet.synthetic import generate_synthetic_corpus
 
 # ---- 1. codec round-trip volume ----
@@ -317,6 +316,15 @@ def test_pretrain_loss_equals_sum_of_task_terms_each_step():
 
 # ---- 8 & 9. end-to-end memorization, prompt controllability, cached decoding ----
 
+def _memorization_script():
+    """`scripts/memorization.py`, loaded as a module."""
+    path = FIXTURES.parent / "scripts" / "memorization.py"
+    spec = importlib.util.spec_from_file_location("memorization", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 @pytest.fixture(scope="module")
 def memorized():
     """Train the small model to memorize the synthetic corpus once; the
@@ -326,18 +334,8 @@ def memorized():
     desc = build_cooccurrence_descriptions(corpus)
     dictionary = TypeDictionary(entries={t: 10 for t in schema})
     pre = build_pretrain_instances(corpus, dictionary, desc, SamplerConfig(rng_seed=0))
-
-    # Fine-tuning mixes prompt schemas per sentence: the full schema, one
-    # present type alone, and one absent type (empty target), so the model
-    # learns that the prompt's type set governs which mentions to emit.
-    fin = []
-    for i, s in enumerate(corpus):
-        fin.append(make_finetune_instance(s, schema, desc))
-        pres = present_types(s)
-        fin.append(make_finetune_instance(s, [pres[i % len(pres)]], desc))
-        absent = [t for t in schema if t not in pres]
-        if absent:
-            fin.append(make_finetune_instance(s, [absent[i % len(absent)]], desc))
+    # the memorization script's fine-tuning mix, which teaches prompt-set obedience
+    fin = _memorization_script().mixed_schema_instances(corpus, schema, desc)
 
     vocab = build_vocab([x for inst in pre + fin
                          for x in (inst.prompt_text, inst.input_text, inst.target_text)])
@@ -376,10 +374,7 @@ def test_memorization_reaches_f1_095_within_five_minutes(memorized):
 
 
 def test_memorization_script_runs_at_a_tiny_size(capsys):
-    path = FIXTURES.parent / "scripts" / "memorization.py"
-    spec = importlib.util.spec_from_file_location("memorization", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _memorization_script()
     assert script.main(["--sentences", "16", "--pretrain-steps", "5", "--finetune-epochs", "1",
                         "--d-model", "8"]) == 0
     assert "full-schema micro-F1 = " in capsys.readouterr().out

@@ -268,6 +268,22 @@ def test_training_names_the_instance_that_exceeds_the_model_cap(cmd, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--heads", "0", "n_heads"), ("--heads", "-2", "n_heads"),
+    ("--d-model", "0", "d_model"), ("--layers", "0", "n_layers"),
+])
+def test_a_model_size_below_one_is_data_fault_naming_the_field(tmp_path, capsys, flag, value, field):
+    inst = TrainingInstance(task="EG", prompt_text="[EG] city", input_text="Rome won.",
+                            target_text="Rome is city.")
+    data = tmp_path / "instances.jsonl"
+    write_instances_jsonl(data, [inst, inst])
+    out = tmp_path / "out.ckpt"
+    argv = ["pretrain", "--data", str(data), "--out", str(out), "--steps", "2", "--batch", "2", flag, value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {field} must be at least 1, got {value}\n"
+    assert not out.exists()
+
+
 # ---- flag defaults ----
 
 

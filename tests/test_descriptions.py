@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from functools import partial
 
 import pytest
@@ -225,6 +226,16 @@ def test_description_map_file_round_trip(tmp_path):
     loaded, filtered = read_description_map(path)
     assert loaded == desc
     assert filtered == {"city"}
+
+
+def test_description_map_rejects_a_repeated_type_naming_the_line(tmp_path):
+    # the second row would replace the first, and `writer` would be lost unsaid
+    path = tmp_path / "desc.jsonl"
+    path.write_text('{"type": "person", "concepts": ["writer"]}\n'
+                    '{"type": "city", "concepts": []}\n'
+                    '{"type": "person", "concepts": ["actor"], "filtered": true}\n', encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:3: duplicate type 'person'$"):
+        read_description_map(path)
 
 
 def test_description_map_filtered_field_is_a_bool(tmp_path):

@@ -55,6 +55,18 @@ def test_model_config_validates():
         ModelConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d_model", 0, "d_model must be at least 1, got 0"),
+    ("n_layers", 0, "n_layers must be at least 1, got 0"),
+    ("n_heads", 0, "n_heads must be at least 1, got 0"),
+    ("n_heads", -2, "n_heads must be at least 1, got -2"),
+    ("d_ff", -1, "d_ff must not be negative, got -1"),
+])
+def test_model_config_rejects_a_degenerate_size_naming_the_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModelConfig(vocab_size=50, **{field: value})
+
+
 def test_init_params_shapes_and_dtype():
     cfg = ModelConfig(vocab_size=40, d_model=8, n_layers=2, n_heads=2, d_ff=16,
                       max_len=32, dtype="float32", seed=0)
@@ -171,6 +183,18 @@ def test_micro_batches_accumulate_in_index_order_deterministically():
     assert md_sum / r1.md_tokens + eg_sum / r1.eg_tokens == r1.total
     for k in g1:
         assert g1[k].tobytes() == summed[k].tobytes(), k
+
+
+@pytest.mark.parametrize("n_rows, n_micro", [(8, 1), (17, 3)])
+def test_forward_loss_starts_each_micro_batch_from_zero_whatever_its_buffers_hold(n_rows, n_micro):
+    insts, vocab, cfg, params = tiny_setup()
+    batch = batch_of((insts * 4)[:n_rows], vocab, cfg)
+    fresh_report, fresh = forward_loss(params, cfg, batch)
+    stale = [{k: np.full_like(v, np.nan) for k, v in params.items()} for _ in range(n_micro)]
+    report, grads = forward_loss(params, cfg, batch, grads=stale)
+    assert report == fresh_report and grads is stale[0]
+    for k in fresh:
+        assert grads[k].tobytes() == fresh[k].tobytes(), k
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -47,6 +47,12 @@ def test_train_config_validation():
         TrainConfig(mode="pretrain", batch_size=0, lr=5e-5, steps=1)
 
 
+@pytest.mark.parametrize("micro_size", [0, -8])
+def test_train_config_rejects_a_micro_size_below_one(micro_size):
+    with pytest.raises(ValueError, match=f"^micro_size must be at least 1, got {micro_size}$"):
+        TrainConfig(mode="pretrain", batch_size=16, lr=5e-5, steps=1, micro_size=micro_size)
+
+
 def test_constant_schedule_is_flat():
     cfg = replace(PRETRAIN, steps=100)
     assert {lr_at(cfg, s, 100) for s in range(100)} == {5e-5}
