@@ -25,6 +25,7 @@ from .data import (
     Sentence,
     TypeDictionary,
     TypedMention,
+    check_at_least,
     int_field,
     jsonl_lines,
     string_field,
@@ -85,8 +86,8 @@ class BuildConfig:
     top_np_count: int = 3
 
     def __post_init__(self) -> None:
-        if self.min_type_instances < 1 or self.max_type_tokens < 1 or self.top_np_count < 0:
-            raise ValueError("bad corpus build config")
+        check_at_least(self, 1, "min_type_instances", "max_type_tokens")
+        check_at_least(self, 0, "top_np_count")
 
 
 def truncate_type_name(name: str, cfg: BuildConfig) -> str:

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Literal, TextIO, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Literal, Sequence, TextIO, TypeVar
 
 Task = Literal["MD", "EG"]
 
@@ -32,6 +32,16 @@ class RowError(ValueError):
         super().__init__(f"row {row}: {reason}")
         self.row = row
         self.reason = reason
+
+
+def check_at_least(config: object, floor: int, *names: str) -> None:
+    """Raises ValueError naming the first field of `names` whose value in
+    `config` is below `floor`, and that value."""
+    for name in names:
+        value = getattr(config, name)
+        if value < floor:
+            bound = "not be negative" if floor == 0 else f"be at least {floor}"
+            raise ValueError(f"{name} must {bound}, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,21 +70,13 @@ class TypedMention:
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
-    """A sentence and its mentions, held in text order (`mention_order_key`, then as given)."""
+    """A sentence and its mentions, held in text order (`_in_text_order`)."""
 
     sentence: Sentence
     mentions: tuple[TypedMention, ...]
 
     def __post_init__(self) -> None:
-        # one find per mention gives the absence check and `mention_order_key`;
-        # the given position breaks ties, so the order is stable
-        keyed = []
-        for i, m in enumerate(self.mentions):
-            idx = self.sentence.text.find(m.surface)
-            if idx < 0:
-                raise SurfaceAbsentError(f"sentence {self.id!r}: surface {m.surface!r} not in its text")
-            keyed.append((idx, -len(m.surface), i))
-        object.__setattr__(self, "mentions", tuple(self.mentions[i] for *_, i in sorted(keyed)))
+        object.__setattr__(self, "mentions", _in_text_order(self.sentence, self.mentions))
 
     @property
     def id(self) -> str:
@@ -85,12 +87,18 @@ class AnnotatedSentence:
         return self.sentence.text
 
 
-def mention_order_key(sentence_text: str, surface: str) -> tuple[int, int]:
-    """(first occurrence index, -len(surface)): sort key for mention order, longer first on ties."""
-    idx = sentence_text.find(surface)
-    if idx < 0:
-        raise SurfaceAbsentError(f"surface {surface!r} not found in sentence text")
-    return (idx, -len(surface))
+def _in_text_order(sentence: Sentence, mentions: Sequence[TypedMention]) -> tuple[TypedMention, ...]:
+    """`mentions` sorted by the first index of their surface in the text, the
+    longer surface first on a tie, then as given, so the order is stable; a
+    surface absent from the text raises SurfaceAbsentError. One find per
+    mention gives both."""
+    keyed = []
+    for i, m in enumerate(mentions):
+        idx = sentence.text.find(m.surface)
+        if idx < 0:
+            raise SurfaceAbsentError(f"sentence {sentence.id!r}: surface {m.surface!r} not in its text")
+        keyed.append((idx, -len(m.surface), i))
+    return tuple(mentions[i] for *_, i in sorted(keyed))
 
 
 def ordered_unique_surfaces(s: AnnotatedSentence) -> list[tuple[str, tuple[str, ...]]]:
@@ -105,28 +113,14 @@ def ordered_unique_surfaces(s: AnnotatedSentence) -> list[tuple[str, tuple[str, 
     return [(surf, tuple(types)) for surf, types in merged.items()]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    message: str = ""
-    offending_surface: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_annotated_sentence(candidate: AnnotatedSentence) -> ValidationReport:
-    """Check surface presence and mention ordering. Violations are data, not faults."""
-    text = candidate.sentence.text
-    keys = []
-    for mention in candidate.mentions:
-        if mention.surface not in text:
-            return ValidationReport(False, "surface not found in sentence text", mention.surface)
-        keys.append(mention_order_key(text, mention.surface))
-    for prev, cur, mention in zip(keys, keys[1:], candidate.mentions[1:]):
-        if cur < prev:
-            return ValidationReport(False, "mentions out of first-occurrence order", mention.surface)
-    return ValidationReport(True)
+def validate_annotated_sentence(s: AnnotatedSentence) -> bool:
+    """Whether `s` holds its mentions in the order its constructor gives them,
+    every surface in its text: false only for a sentence altered behind the
+    constructor's back."""
+    try:
+        return _in_text_order(s.sentence, s.mentions) == s.mentions
+    except SurfaceAbsentError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .codec import parse_generated, serialize_target
+from .codec import parse_generated
 from .data import OTHER_TYPE, AnnotatedSentence, Sentence, TargetSequence
 from .descriptions import DescriptionConfig, DescriptionMap, describe_with_model
 from .locate import SpanPrediction, locate
@@ -131,21 +131,6 @@ def predict_spans(
     return spans, parsed.diagnostics, unlocated
 
 
-def gold_pipeline_report(
-    corpus: Iterable[AnnotatedSentence], schema_types: Sequence[str]
-) -> EvalReport:
-    """Score `predict_spans` with a generator that emits each sentence's
-    serialized gold target against the directly-located gold spans: the
-    end-to-end plumbing identity."""
-    gold: dict[str, list[SpanPrediction]] = {}
-    pred: dict[str, list[SpanPrediction]] = {}
-    for sent in corpus:
-        gold[sent.id] = gold_spans(sent, schema_types)
-        text = serialize_target(TargetSequence(task="EG", pairs=eg_pairs(sent, list(schema_types))))
-        pred[sent.id] = predict_spans(lambda _prompt, _source: text, sent.sentence, "")[0]
-    return score(gold, pred)
-
-
 # ---- episode protocol ----
 
 EpisodeFactory = Callable[[KShotSample, Sequence[str], int], tuple[GenerateFn, DescriptionMap]]
@@ -195,6 +180,8 @@ def run_episodes(
     the test split, score. A failed run is recorded and the loop continues."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     reports: list[EvalReport] = []
     failures: list[EpisodeFailure] = []
     gold = {sent.id: gold_spans(sent, schema_types) for sent in test_corpus}

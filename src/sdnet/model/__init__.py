@@ -12,7 +12,6 @@ from .network import (
     init_params,
     make_batch,
     softmax_last,
-    zero_grads,
 )
 from .tokenizer import (
     EG_ID,
@@ -48,7 +47,6 @@ from .trainer import (
 __all__ = [
     "Batch", "LossNotFiniteError", "LossReport", "ModelConfig", "encode_instances",
     "forward_loss", "generate", "generate_many", "init_params", "make_batch", "softmax_last",
-    "zero_grads",
     "EG_ID", "EOS_ID", "MD_ID", "PAD_ID", "SPECIAL_TOKENS", "UNK_ID", "Vocab",
     "build_vocab", "detokenize", "encode_input", "encode_target", "tokenize",
     "FINETUNE", "PRETRAIN", "AdamWState", "FlatLayout", "StepLog", "TrainConfig",

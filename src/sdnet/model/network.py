@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..data import RowError
+from ..data import RowError, check_at_least
 from .tokenizer import EOS_ID, PAD_ID, Vocab, detokenize, encode_input, encode_target
 
 NEG_INF = -1e9
@@ -59,19 +59,16 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("d_model", "n_layers", "n_heads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.d_ff < 0:
-            raise ValueError(f"d_ff must not be negative, got {self.d_ff}")
+        check_at_least(self, 1, "d_model", "n_layers", "n_heads")
+        check_at_least(self, 0, "d_ff")
+        check_at_least(self, 5, "vocab_size")
+        check_at_least(self, 2, "max_len")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", 4 * self.d_model)
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
+            raise ValueError(f"d_model must be divisible by n_heads, got {self.d_model} and {self.n_heads}")
         if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
-        if self.vocab_size < 5 or self.max_len < 2:
-            raise ValueError("bad model dimensions")
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def np_dtype(self) -> type:
@@ -164,10 +161,6 @@ def check_params(p: dict[str, np.ndarray], cfg: ModelConfig) -> None:
             raise ValueError(f"tensor {name!r} has shape {p[name].shape}, config expects {shape}")
         if p[name].dtype != cfg.np_dtype:
             raise ValueError(f"tensor {name!r} has dtype {p[name].dtype}, config expects {cfg.dtype}")
-
-
-def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 # ---- differentiable primitives: each forward returns (out, cache) ----
@@ -692,8 +685,11 @@ def generate_many(
     the lowest token id. A row stops at its own [EOS] and emits at most
     min(max_len, cfg.max_len - 1) tokens: the start token takes one of the
     cfg.max_len decoder positions. Rows run in padded batches of at most
-    GEN_MAX_ROWS. A row that encodes to no ids or to more than cfg.max_len
-    raises RowError naming its index, before anything is decoded."""
+    GEN_MAX_ROWS. A max_len below 1 raises ValueError; a row that encodes to
+    no ids or to more than cfg.max_len raises RowError naming its index,
+    before anything is decoded."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     sources = []
     for row, (prompt_text, input_text) in enumerate(zip(prompt_texts, input_texts, strict=True)):
         try:

@@ -26,7 +26,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ..data import atomic_write
+from ..data import atomic_write, check_at_least
 from .network import (
     LossNotFiniteError,
     LossReport,
@@ -63,14 +63,10 @@ class TrainConfig:
     micro_size: int = 8
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("batch size and learning rate must be positive")
-        if self.micro_size < 1:
-            raise ValueError(f"micro_size must be at least 1, got {self.micro_size}")
-        if self.mode == "pretrain" and self.steps < 1:
-            raise ValueError("pretrain mode needs a positive step budget")
-        if self.mode == "finetune" and self.epochs < 1:
-            raise ValueError("finetune mode needs a positive epoch budget")
+        budget = "steps" if self.mode == "pretrain" else "epochs"
+        check_at_least(self, 1, "batch_size", "micro_size", budget)
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
 
 # The two published recipes; callers change budget and seed with `dataclasses.replace`.

@@ -24,6 +24,7 @@ from .data import (
     TargetSequence,
     Task,
     TypeDictionary,
+    check_at_least,
     iter_jsonl,
     ordered_unique_surfaces,
     string_field,
@@ -84,9 +85,9 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.md_target_fraction <= 1.0):
-            raise ValueError("md_target_fraction must lie in (0, 1]")
-        if self.max_positive_types < 1 or self.max_negative_types < 0 or self.max_concepts < 1:
-            raise ValueError("bad sampler bounds")
+            raise ValueError(f"md_target_fraction must lie in (0, 1], got {self.md_target_fraction}")
+        check_at_least(self, 1, "max_positive_types", "max_concepts")
+        check_at_least(self, 0, "max_negative_types")
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,19 +192,6 @@ class _EgSampler:
             input_text=s.text,
             target_text=serialize_target(target),
         )
-
-
-def make_eg_instance(
-    s: AnnotatedSentence,
-    dictionary: TypeDictionary,
-    desc: DescriptionMap,
-    cfg: SamplerConfig,
-    draw_key: int,
-) -> TrainingInstance:
-    sentence_types = present_types(s)
-    if not sentence_types:
-        raise ValueError(f"sentence {s.id!r} has no non-{OTHER_TYPE!r} mention types")
-    return _EgSampler(dictionary, desc, cfg).instance(s, sentence_types, draw_key)
 
 
 def make_finetune_instance(

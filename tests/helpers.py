@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
+from sdnet.codec import serialize_target
 from sdnet.corpus import ABBREVIATIONS, truncate_type_name
-from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TypeDictionary,
-                        TypedMention)
+from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TargetSequence,
+                        TypeDictionary, TypedMention)
+from sdnet.evaluation import EpisodeReport, corpus_schema, run_episodes
 from sdnet.model import (
     EOS_ID,
     PAD_ID,
@@ -31,9 +35,20 @@ from sdnet.model import (
 )
 from sdnet.model.network import decoder_forward, encoder_forward
 from sdnet.model.trainer import BETA1, BETA2, EPS, WEIGHT_DECAY
-from sdnet.sampling import TrainingInstance
+from sdnet.sampling import TrainingInstance, eg_pairs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@cache
+def memorization_script():
+    """`scripts/memorization.py`, loaded as a module: the home of the seeded
+    synthetic corpus (`generate_synthetic_corpus`) and of its fine-tuning mix."""
+    path = FIXTURES.parent / "scripts" / "memorization.py"
+    spec = importlib.util.spec_from_file_location("memorization", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def sent(sid: str, text: str, mentions: list[tuple[str, tuple[str, ...]]]) -> AnnotatedSentence:
@@ -231,6 +246,24 @@ def reference_sample_concepts(type_id: str, full, max_concepts: int, rng_seed: i
         return ConceptDescription(type_id=type_id, concepts=tuple(full))
     picked = sorted(reference_keyed_shuffle(rng_seed, draw_key, "concepts", len(full))[:max_concepts])
     return ConceptDescription(type_id=type_id, concepts=tuple(full[i] for i in picked))
+
+
+def gold_echo_episodes(corpus: list[AnnotatedSentence], k: int, runs: int) -> EpisodeReport:
+    """`run_episodes` with `corpus` as both splits over its own schema, through
+    a factory whose generator answers each sentence with its serialized gold
+    EG target: the end-to-end plumbing identity, which must score 1.0 on every
+    run. Answers are keyed by text, so sentences sharing a text must share a
+    target."""
+    schema = corpus_schema(corpus)
+    answers: dict[str, str] = {}
+    for s in corpus:
+        target = serialize_target(TargetSequence(task="EG", pairs=eg_pairs(s, schema)))
+        assert answers.setdefault(s.text, target) == target, f"{s.id}: another target for its text"
+
+    def factory(support, schema_types, run_seed):
+        return (lambda prompt, text: answers[text]), {}
+
+    return run_episodes(corpus, corpus, schema, k=k, runs=runs, base_seed=0, episode_factory=factory)
 
 
 def on_token_boundaries(text: str, start: int, end: int) -> bool:

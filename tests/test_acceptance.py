@@ -4,7 +4,6 @@ pass/fail line per criterion."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import random
@@ -22,6 +21,8 @@ from helpers import (
     FIXTURES,
     batch_of,
     fd_gradient_check,
+    gold_echo_episodes,
+    memorization_script,
     on_token_boundaries,
     reference_generate,
     sent,
@@ -47,8 +48,6 @@ from sdnet.descriptions import (
     build_cooccurrence_descriptions,
 )
 from sdnet.evaluation import (
-    corpus_schema,
-    gold_pipeline_report,
     gold_spans,
     predict_spans,
     run_episodes,
@@ -59,7 +58,6 @@ from sdnet.locate import locate
 from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, generate_many,
                          init_params, train)
 from sdnet.sampling import SamplerConfig, build_pretrain_instances, present_types
-from sdnet.synthetic import generate_synthetic_corpus
 
 # ---- 1. codec round-trip volume ----
 
@@ -316,26 +314,17 @@ def test_pretrain_loss_equals_sum_of_task_terms_each_step():
 
 # ---- 8 & 9. end-to-end memorization, prompt controllability, cached decoding ----
 
-def _memorization_script():
-    """`scripts/memorization.py`, loaded as a module."""
-    path = FIXTURES.parent / "scripts" / "memorization.py"
-    spec = importlib.util.spec_from_file_location("memorization", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 @pytest.fixture(scope="module")
 def memorized():
     """Train the small model to memorize the synthetic corpus once; the
     memorization and controllability criteria both read from it."""
     started = time.perf_counter()
-    corpus, schema = generate_synthetic_corpus(200, seed=0)
+    corpus, schema = memorization_script().generate_synthetic_corpus(200, seed=0)
     desc = build_cooccurrence_descriptions(corpus)
     dictionary = TypeDictionary(entries={t: 10 for t in schema})
     pre = build_pretrain_instances(corpus, dictionary, desc, SamplerConfig(rng_seed=0))
     # the memorization script's fine-tuning mix, which teaches prompt-set obedience
-    fin = _memorization_script().mixed_schema_instances(corpus, schema, desc)
+    fin = memorization_script().mixed_schema_instances(corpus, schema, desc)
 
     vocab = build_vocab([x for inst in pre + fin
                          for x in (inst.prompt_text, inst.input_text, inst.target_text)])
@@ -374,7 +363,7 @@ def test_memorization_reaches_f1_095_within_five_minutes(memorized):
 
 
 def test_memorization_script_runs_at_a_tiny_size(capsys):
-    script = _memorization_script()
+    script = memorization_script()
     assert script.main(["--sentences", "16", "--pretrain-steps", "5", "--finetune-epochs", "1",
                         "--d-model", "8"]) == 0
     assert "full-schema micro-F1 = " in capsys.readouterr().out
@@ -445,10 +434,12 @@ def test_batched_decoding_matches_per_call_decoding_on_the_memorized_model(memor
 
 def test_gold_pipeline_scores_one_on_the_fixture_corpus():
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
-    report = gold_pipeline_report(corpus, corpus_schema(corpus))
-    assert report.precision == 1.0
-    assert report.recall == 1.0
-    assert report.f1 == 1.0
+    episodes = gold_echo_episodes(corpus, k=1, runs=2)
+    assert episodes.failures == () and len(episodes.per_run) == 2
+    for report in episodes.per_run:
+        assert report.precision == 1.0
+        assert report.recall == 1.0
+        assert report.f1 == 1.0
 
 
 # ---- 11. episode protocol ----
@@ -458,7 +449,7 @@ def _constant_output_factory(sample, schema_types, run_seed):
 
 
 def test_episode_protocol_is_deterministic_and_averages_exactly(tmp_path, capsys):
-    corpus, schema = generate_synthetic_corpus(200, seed=0)
+    corpus, schema = memorization_script().generate_synthetic_corpus(200, seed=0)
     test_split = corpus[:40]
 
     # A constant-output model makes every run identical: the mean must equal

@@ -22,14 +22,13 @@ from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate,
                          save_checkpoint, tokenize, train)
 from sdnet.sampling import (SamplerConfig, TrainingInstance, make_md_instance,
                             read_instances_jsonl, write_instances_jsonl)
-from sdnet.synthetic import generate_synthetic_corpus
-from helpers import FIXTURES
+from helpers import FIXTURES, memorization_script
 
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-world")
-    corpus, _ = generate_synthetic_corpus(n_sentences=10, seed=3)
+    corpus, _ = memorization_script().generate_synthetic_corpus(n_sentences=10, seed=3)
     corpus_path = root / "corpus.jsonl"
     write_annotated_jsonl(corpus_path, corpus)
     present = sorted({t for s in corpus for m in s.mentions for t in m.types})
@@ -281,6 +280,58 @@ def test_a_model_size_below_one_is_data_fault_naming_the_field(tmp_path, capsys,
     argv = ["pretrain", "--data", str(data), "--out", str(out), "--steps", "2", "--batch", "2", flag, value]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {field} must be at least 1, got {value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, flag, value, message", [
+    ("pretrain", "--max-len", "1", "max_len must be at least 2, got 1"),
+    ("pretrain", "--batch", "0", "batch_size must be at least 1, got 0"),
+    ("pretrain", "--lr", "0", "lr must be positive, got 0.0"),
+    ("pretrain", "--steps", "0", "steps must be at least 1, got 0"),
+    ("finetune", "--epochs", "0", "epochs must be at least 1, got 0"),
+    ("make-pretrain-data", "--max-neg", "-1", "max_negative_types must not be negative, got -1"),
+    ("make-pretrain-data", "--max-pos", "0", "max_positive_types must be at least 1, got 0"),
+    ("make-pretrain-data", "--max-concepts", "0", "max_concepts must be at least 1, got 0"),
+    ("make-pretrain-data", "--md-fraction", "0", "md_target_fraction must lie in (0, 1], got 0.0"),
+    ("build-corpus", "--top-np", "-1", "top_np_count must not be negative, got -1"),
+    ("build-corpus", "--min-type-instances", "0", "min_type_instances must be at least 1, got 0"),
+    ("build-corpus", "--max-type-tokens", "0", "max_type_tokens must be at least 1, got 0"),
+])
+def test_a_bad_config_value_is_data_fault_naming_the_field(tmp_path, capsys, cmd, flag, value, message):
+    if cmd in ("pretrain", "finetune"):
+        inst = TrainingInstance(task="EG", prompt_text="[EG] city", input_text="Rome won.",
+                                target_text="Rome is city.")
+        data = tmp_path / "instances.jsonl"
+        write_instances_jsonl(data, [inst, inst])
+        inputs = ["--data", str(data), "--batch", "2"]
+        if cmd == "finetune":
+            _untrained_checkpoint(tmp_path / "base.ckpt", [inst.prompt_text, inst.input_text,
+                                                           inst.target_text])
+            inputs += ["--model", str(tmp_path / "base.ckpt")]
+    elif cmd == "make-pretrain-data":
+        inputs = ["--corpus", str(FIXTURES / "golden_corpus.jsonl"), "--dict", str(FIXTURES / "golden_dict.json"),
+                  "--desc", str(FIXTURES / "wnut_descriptions.jsonl")]
+    else:
+        inputs = ["--kb", str(FIXTURES / "kb_items.jsonl"), "--pages", str(FIXTURES / "pages.jsonl")]
+    out = tmp_path / "out"
+    assert main([cmd, *inputs, "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_gen", ["0", "-5"])
+def test_predict_with_max_gen_below_one_is_data_fault(tmp_path, capsys, max_gen):
+    prompt = "[EG] GPE"
+    ckpt = tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [prompt, "China won."])
+    prompt_path = tmp_path / "prompt.txt"
+    prompt_path.write_text(prompt + "\n", encoding="utf-8")
+    sentences_path = tmp_path / "sentences.jsonl"
+    sentences_path.write_text(json.dumps({"id": "a", "text": "China won."}) + "\n", encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+                 "--sentences", str(sentences_path), "--out", str(out), "--max-gen", max_gen]) == 2
+    assert capsys.readouterr().err == f"error: max_len must be at least 1, got {max_gen}\n"
     assert not out.exists()
 
 
@@ -621,3 +672,14 @@ def test_run_episodes_smoke(world, tmp_path, capsys):
     assert report["failures"] == []
     assert 0.0 <= report["mean_f1"] <= 1.0
     capsys.readouterr()
+
+
+def test_run_episodes_with_k_below_one_is_data_fault_writing_no_report(world, tmp_path, capsys):
+    root, corpus, _ = world
+    ckpt = tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [s.text for s in corpus])
+    out = tmp_path / "episodes.json"
+    assert main(["run-episodes", "--corpus", str(root / "corpus.jsonl"), "--model", str(ckpt),
+                 "--out", str(out), "--k", "0", "--runs", "2"]) == 2
+    assert capsys.readouterr().err == "error: k must be >= 1\n"
+    assert not out.exists()

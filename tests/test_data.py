@@ -21,7 +21,6 @@ from sdnet.data import (
     annotated_from_record,
     annotated_to_record,
     atomic_write,
-    mention_order_key,
     ordered_unique_surfaces,
     read_annotated_jsonl,
     read_file,
@@ -36,17 +35,23 @@ from sdnet.sampling import SamplerConfig, build_pretrain_instances, instance_to_
 from helpers import sent
 
 
-def test_mention_order_key_sorts_by_first_index_then_longer_first():
-    text = "Paris Region is near Paris."
-    assert mention_order_key(text, "Paris") == (0, -5)
-    assert mention_order_key(text, "Paris Region") == (0, -12)
-    ordered = sorted(["Paris", "Paris Region", "near"], key=lambda s: mention_order_key(text, s))
-    assert ordered == ["Paris Region", "Paris", "near"]
+def test_mention_order_sorts_by_first_index_then_longer_first():
+    # "Paris" and "Paris Region" both start at index 0: the longer comes first
+    s = sent("o0", "Paris Region is near Paris.",
+             [("Paris", ("city",)), ("near", ("x",)), ("Paris Region", ("region",))])
+    assert [m.surface for m in s.mentions] == ["Paris Region", "Paris", "near"]
 
 
-def test_mention_order_key_absent_surface_raises():
-    with pytest.raises(ValueError):
-        mention_order_key("Alice met Bob.", "Carol")
+def test_mention_order_absent_surface_raises():
+    with pytest.raises(SurfaceAbsentError):
+        sent("o1", "Alice met Bob.", [("Carol", ("person",))])
+
+
+def test_validation_fails_a_sentence_reordered_behind_the_constructors_back():
+    s = sent("o2", "Alice met Bob.", [("Alice", ("person",)), ("Bob", ("person",))])
+    assert validate_annotated_sentence(s)
+    object.__setattr__(s, "mentions", s.mentions[::-1])
+    assert not validate_annotated_sentence(s)
 
 
 def test_typed_mention_rejects_empty_fields():

@@ -4,25 +4,20 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnet.evaluation import (
     EpisodeReport,
-    corpus_schema,
-    gold_pipeline_report,
     gold_spans,
     predict_spans,
     run_episodes,
     schema_prompt,
     score,
 )
-from sdnet.codec import serialize_target
-from sdnet.data import TargetSequence, read_annotated_jsonl
+from sdnet.data import read_annotated_jsonl
 from sdnet.locate import SpanPrediction
-from sdnet.sampling import eg_pairs
-from helpers import FIXTURES, sent
+from helpers import FIXTURES, gold_echo_episodes, sent
 
 
 def _sp(type_id: str, start: int, end: int) -> SpanPrediction:
@@ -150,9 +145,11 @@ def test_predict_spans_runs_generation_output_through_parse_and_locate():
 
 def test_gold_pipeline_identity_on_fixture_corpus():
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
-    rep = gold_pipeline_report(corpus, corpus_schema(corpus))
-    assert rep.f1 == 1.0
-    assert rep.precision == 1.0 and rep.recall == 1.0
+    episodes = gold_echo_episodes(corpus, k=1, runs=2)
+    assert episodes.failures == () and len(episodes.per_run) == 2
+    for rep in episodes.per_run:
+        assert rep.f1 == 1.0
+        assert rep.precision == 1.0 and rep.recall == 1.0
 
 
 def _toy_eval_world():
@@ -200,6 +197,17 @@ def test_run_episodes_isolates_failing_runs():
     assert "boom" in rep.failures[0].message
     assert len(rep.per_run) == 2
     assert rep.mean_f1 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_run_episodes_rejects_k_below_one_before_any_run(k):
+    corpus, schema = _toy_eval_world()
+
+    def never(support, schema_types, run_seed):
+        raise AssertionError("no run may start")
+
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        run_episodes(corpus, corpus, schema, k=k, runs=2, base_seed=0, episode_factory=never)
 
 
 def test_run_episodes_is_seed_deterministic():

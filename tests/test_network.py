@@ -22,7 +22,6 @@ from sdnet.model import (
     init_params,
     make_batch,
     softmax_last,
-    zero_grads,
 )
 from sdnet.model.network import (
     _GELU_A,
@@ -61,10 +60,12 @@ def test_model_config_validates():
     ("n_heads", 0, "n_heads must be at least 1, got 0"),
     ("n_heads", -2, "n_heads must be at least 1, got -2"),
     ("d_ff", -1, "d_ff must not be negative, got -1"),
+    ("vocab_size", 4, "vocab_size must be at least 5, got 4"),
+    ("max_len", 1, "max_len must be at least 2, got 1"),
 ])
 def test_model_config_rejects_a_degenerate_size_naming_the_field(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ModelConfig(vocab_size=50, **{field: value})
+        ModelConfig(**{"vocab_size": 50, field: value})
 
 
 def test_init_params_shapes_and_dtype():
@@ -76,7 +77,7 @@ def test_init_params_shapes_and_dtype():
     assert p["enc1.ffn.w1"].shape == (8, 16)
     assert p["dec0.cross.wq"].shape == (8, 8)
     assert all(v.dtype == np.float32 for v in p.values())
-    z = zero_grads(p)
+    z = {k: np.zeros_like(v) for k, v in p.items()}
     assert set(z) == set(p)
     assert all(not v.any() for v in z.values())
 
@@ -171,9 +172,9 @@ def test_micro_batches_accumulate_in_index_order_deterministically():
     md, eg = tok & batch.is_md[:, None], tok & ~batch.is_md[:, None]
     pos_w = np.where(md, 1.0 / r1.md_tokens, 0.0) + np.where(eg, 1.0 / r1.eg_tokens, 0.0)
     md_sum = eg_sum = 0.0
-    summed = zero_grads(params)
+    summed = {k: np.zeros_like(v) for k, v in params.items()}
     for sl in (slice(0, 8), slice(8, 16), slice(16, 17)):
-        g = zero_grads(params)
+        g = {k: np.zeros_like(v) for k, v in params.items()}
         ce = _micro_loss_grads(params, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
                                batch.labels[sl], pos_w[sl], g)
         md_sum += float(ce[md[sl]].sum())

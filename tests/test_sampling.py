@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnet.codec import parse_generated, parse_prompt_eg, parse_prompt_md
-from sdnet.data import OTHER_TYPE, TypeDictionary, read_annotated_jsonl, read_file, write_jsonl
+from sdnet.data import OTHER_TYPE, Sentence, TypeDictionary, read_annotated_jsonl, read_file, write_jsonl
 from sdnet.descriptions import build_cooccurrence_descriptions
 from sdnet.sampling import (
     KShotSample,
@@ -21,7 +22,6 @@ from sdnet.sampling import (
     instance_from_record,
     instance_to_record,
     keyed_sample,
-    make_eg_instance,
     make_finetune_instance,
     make_md_instance,
     read_instances_jsonl,
@@ -40,6 +40,18 @@ DICT = TypeDictionary(entries={
 
 ROWLING = sent("r#0", "J.K. Rowling wrote books in Edinburgh.",
                [("J.K. Rowling", ("person", "writer")), ("Edinburgh", ("city",))])
+
+
+def _eg_instance(s, desc, cfg):
+    """The EG instance `build_pretrain_instances` makes of `s`, after its MD
+    instance; its draws are keyed on `stable_draw_key(s.id, "EG")`."""
+    md, eg = build_pretrain_instances([s], DICT, desc, cfg)
+    assert (md.task, eg.task) == ("MD", "EG")
+    return eg
+
+
+def _with_id(s, sid):
+    return dataclasses.replace(s, sentence=Sentence(id=sid, text=s.text))
 
 
 def test_md_instance_lists_surfaces_and_concepts():
@@ -78,7 +90,7 @@ def test_md_merges_duplicate_surfaces():
 
 
 def test_eg_instance_prompt_types_and_target():
-    inst = make_eg_instance(ROWLING, DICT, {"person": ("writer",)}, CFG, draw_key=4)
+    inst = _eg_instance(ROWLING, {"person": ("writer",)}, CFG)
     assert inst.task == "EG"
     prompt = parse_prompt_eg(inst.prompt_text)
     prompt_types = [e.type_id for e in prompt.entries]
@@ -97,8 +109,8 @@ def test_eg_instance_prompt_types_and_target():
 
 
 def test_eg_negatives_disjoint_from_sentence_types_across_keys():
-    for key in range(40):
-        inst = make_eg_instance(ROWLING, DICT, {}, CFG, draw_key=key)
+    for i in range(40):
+        inst = _eg_instance(_with_id(ROWLING, f"r#{i}"), {}, CFG)
         prompt_types = [e.type_id for e in parse_prompt_eg(inst.prompt_text).entries]
         for t in prompt_types:
             assert t != OTHER_TYPE
@@ -109,9 +121,10 @@ def test_eg_negatives_disjoint_from_sentence_types_across_keys():
 @settings(max_examples=150)
 @given(st.lists(st.sampled_from(DICT.types(include_other=False) + ["t"]), min_size=1, unique=True),
        st.integers(0, 2**32 - 1), st.integers(0, 12))
-def test_eg_negatives_are_the_keyed_draw_from_the_listed_pool(sentence_types, key, max_negative_types):
-    s = sent("n#0", "Xy rests.", [("Xy", tuple(sentence_types))])
-    inst = make_eg_instance(s, DICT, {}, SamplerConfig(max_negative_types=max_negative_types), draw_key=key)
+def test_eg_negatives_are_the_keyed_draw_from_the_listed_pool(sentence_types, n, max_negative_types):
+    s = sent(f"n#{n}", "Xy rests.", [("Xy", tuple(sentence_types))])
+    inst = _eg_instance(s, {}, SamplerConfig(max_negative_types=max_negative_types))
+    key = stable_draw_key(s.id, "EG")
     negatives = {e.type_id for e in parse_prompt_eg(inst.prompt_text).entries} - set(sentence_types)
     pool = [t for t in DICT.types(include_other=False) if t not in sentence_types]
     drawn = reference_keyed_shuffle(CFG.rng_seed, key, "EG negatives", len(pool))[:max_negative_types]
@@ -120,8 +133,7 @@ def test_eg_negatives_are_the_keyed_draw_from_the_listed_pool(sentence_types, ke
 
 def test_eg_rejects_sentence_with_only_other_mentions():
     s = sent("s#2", "Thing rests.", [("Thing", (OTHER_TYPE,))])
-    with pytest.raises(ValueError):
-        make_eg_instance(s, DICT, {}, CFG, draw_key=0)
+    assert [i.task for i in build_pretrain_instances([s], DICT, {}, CFG)] == ["MD"]
 
 
 TEE = sent("t#0", "Tee rests.", [("Tee", ("t",))])
@@ -133,7 +145,7 @@ def _entry_of(inst, type_id):
 
 def test_eg_concepts_identity_when_under_budget():
     cfg = SamplerConfig(max_concepts=10)
-    got = _entry_of(make_eg_instance(TEE, DICT, {"t": ("a", "b", "c")}, cfg, draw_key=7), "t")
+    got = _entry_of(_eg_instance(TEE, {"t": ("a", "b", "c")}, cfg), "t")
     assert got.type_id == "t"
     assert got.concepts == ("a", "b", "c")
 
@@ -141,11 +153,11 @@ def test_eg_concepts_identity_when_under_budget():
 def test_eg_concepts_subsample_preserving_input_order():
     cfg = SamplerConfig(max_concepts=3, rng_seed=5)
     full = tuple(f"c{i}" for i in range(12))
-    got = _entry_of(make_eg_instance(TEE, DICT, {"t": full}, cfg, draw_key=1), "t")
+    got = _entry_of(_eg_instance(TEE, {"t": full}, cfg), "t")
     assert len(got.concepts) == 3
     assert list(got.concepts) == sorted(got.concepts, key=full.index)
     # keyed determinism: same (seed, key) -> same draw; different key -> may differ
-    again = _entry_of(make_eg_instance(TEE, DICT, {"t": full}, cfg, draw_key=1), "t")
+    again = _entry_of(_eg_instance(TEE, {"t": full}, cfg), "t")
     assert got == again
 
 
@@ -156,12 +168,14 @@ _CONCEPT_POOL = [f"k{i}" for i in range(16)] + ["big city", "writer"]
 @given(st.lists(st.lists(st.sampled_from(_CONCEPT_POOL), unique=True, max_size=16),
                 min_size=len(DICT.types()), max_size=len(DICT.types())),
        st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-def test_eg_prompt_entries_equal_the_reference_concept_draw(concept_lists, max_concepts, seed, key):
+def test_eg_prompt_entries_equal_the_reference_concept_draw(concept_lists, max_concepts, seed, n):
     """Every prompt entry, fitting or over-full, is the reference draw keyed on
     (rng_seed, stable_draw_key(instance key, type))."""
     desc = {t: tuple(concepts) for t, concepts in zip(DICT.types(include_other=False), concept_lists)}
     cfg = SamplerConfig(rng_seed=seed, max_concepts=max_concepts)
-    inst = make_eg_instance(ROWLING, DICT, desc, cfg, draw_key=key)
+    s = _with_id(ROWLING, f"r#{n}")
+    inst = _eg_instance(s, desc, cfg)
+    key = stable_draw_key(s.id, "EG")
     entries = parse_prompt_eg(inst.prompt_text).entries
     assert {"person", "writer", "city"} <= {e.type_id for e in entries}
     for e in entries:
@@ -350,7 +364,7 @@ def _random_sentence(draw):
 def test_pretrain_instances_reparse_cleanly(s, key):
     md = make_md_instance(s, CFG, draw_key=key)
     assert parse_generated("MD", md.target_text).diagnostics == []
-    eg = make_eg_instance(s, DICT, {}, CFG, draw_key=key)
+    eg = _eg_instance(_with_id(s, f"h#{key}"), {}, CFG)
     assert parse_generated("EG", eg.target_text).diagnostics == []
     prompt_types = [e.type_id for e in parse_prompt_eg(eg.prompt_text).entries]
     assert len(prompt_types) == len(set(prompt_types))

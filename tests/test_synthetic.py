@@ -1,10 +1,31 @@
-"""Tests for the seeded synthetic memorization corpus."""
+"""Tests for the seeded synthetic memorization corpus of `scripts/memorization.py`."""
 
 from __future__ import annotations
 
-from sdnet.data import validate_annotated_sentence
+import hashlib
+import json
+
+import pytest
+
+from sdnet.data import annotated_to_record, validate_annotated_sentence
 from sdnet.model import tokenize
-from sdnet.synthetic import SCHEMA_TYPES, generate_synthetic_corpus
+from helpers import memorization_script
+
+SCHEMA_TYPES = memorization_script().SCHEMA_TYPES
+generate_synthetic_corpus = memorization_script().generate_synthetic_corpus
+
+
+@pytest.mark.parametrize("n_sentences, seed, digest", [
+    (200, 0, "ebbd7c99fcd0e05ece7bed691a29a6ea8c9be9bc2c1ea54ef180bbf5af4c6909"),
+    # the CLI tests' corpus
+    (10, 3, "2a6ec3ebd827f2c64cfa54d16c86fc7a5df26cf0ec76f72eda6b6f6636fb6fd0"),
+])
+def test_corpus_bytes_are_pinned(n_sentences, seed, digest):
+    """SHA-256 of the corpus as JSONL: an edit to the generator cannot change
+    a memorization input without notice."""
+    corpus, _ = generate_synthetic_corpus(n_sentences, seed=seed)
+    jsonl = "".join(json.dumps(annotated_to_record(s), ensure_ascii=False) + "\n" for s in corpus)
+    assert hashlib.sha256(jsonl.encode("utf-8")).hexdigest() == digest
 
 
 def test_default_corpus_size_and_schema():
@@ -29,8 +50,7 @@ def test_different_seeds_differ():
 def test_every_sentence_validates():
     corpus, _ = generate_synthetic_corpus()
     for sent in corpus:
-        report = validate_annotated_sentence(sent)
-        assert report.ok, (sent.id, report.message)
+        assert validate_annotated_sentence(sent), sent.id
 
 
 def test_each_surface_occurs_exactly_once():
