@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -140,6 +141,25 @@ def _schema_of(args: argparse.Namespace, corpus) -> list[str]:
     return read_file(args.schema, _schema_from) if args.schema else corpus_schema(corpus)
 
 
+@contextmanager
+def _naming_flags(**flag_of: str):
+    """Names the flag behind a config fault raised inside: every config check's
+    message starts with its field (`batch_size must be at least 1, got 0`), and
+    `flag_of` maps fields to the flags that set them (`batch_size="--batch"`),
+    so the fault reads `--batch: batch_size must be at least 1, got 0`."""
+    try:
+        yield
+    except ValueError as exc:
+        field = str(exc).partition(" ")[0]
+        if field not in flag_of:
+            raise
+        raise ValueError(f"{flag_of[field]}: {exc}") from exc
+
+
+# the flags of `pretrain`, `finetune` and `run-episodes` that set a TrainConfig field
+_TRAIN_FLAGS = dict(batch_size="--batch", lr="--lr", steps="--steps", epochs="--epochs")
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
         _write_text(out, payload)
@@ -151,8 +171,10 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def cmd_build_corpus(args: argparse.Namespace) -> int:
-    cfg = BuildConfig(min_type_instances=args.min_type_instances,
-                      max_type_tokens=args.max_type_tokens, top_np_count=args.top_np)
+    with _naming_flags(min_type_instances="--min-type-instances", max_type_tokens="--max-type-tokens",
+                       top_np_count="--top-np"):
+        cfg = BuildConfig(min_type_instances=args.min_type_instances,
+                          max_type_tokens=args.max_type_tokens, top_np_count=args.top_np)
     build = build_corpus(args.kb, args.pages, cfg)
     write_annotated_jsonl(args.out, build.sentences)
     if args.dict_out:
@@ -169,7 +191,8 @@ def cmd_build_descriptions(args: argparse.Namespace) -> int:
         filtered: tuple[str, ...] = ()
     else:
         params, mcfg, vocab, _ = load_checkpoint(args.model)
-        dcfg = DescriptionConfig(other_threshold=args.other_threshold)
+        with _naming_flags(other_threshold="--other-threshold"):
+            dcfg = DescriptionConfig(other_threshold=args.other_threshold)
         desc, report = describe_with_model(corpus, partial(generate_many, params, mcfg, vocab), dcfg)
         filtered = report.filtered
     write_description_map(args.out, desc, filtered)
@@ -181,11 +204,13 @@ def cmd_make_pretrain_data(args: argparse.Namespace) -> int:
     corpus = read_annotated_jsonl(args.corpus)
     dictionary = read_file(args.dict, TypeDictionary.from_json)
     desc, _ = read_description_map(args.desc)
-    cfg = SamplerConfig(rng_seed=stable_draw_key(args.seed, "sampler"),
-                        md_target_fraction=args.md_fraction,
-                        max_positive_types=args.max_pos,
-                        max_negative_types=args.max_neg,
-                        max_concepts=args.max_concepts)
+    with _naming_flags(md_target_fraction="--md-fraction", max_positive_types="--max-pos",
+                       max_negative_types="--max-neg", max_concepts="--max-concepts"):
+        cfg = SamplerConfig(rng_seed=stable_draw_key(args.seed, "sampler"),
+                            md_target_fraction=args.md_fraction,
+                            max_positive_types=args.max_pos,
+                            max_negative_types=args.max_neg,
+                            max_concepts=args.max_concepts)
     instances = build_pretrain_instances(corpus, dictionary, desc, cfg)
     write_instances_jsonl(args.out, instances)
     print(f"instances={len(instances)}", file=sys.stderr)
@@ -230,20 +255,22 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     instances = read_instances_jsonl(args.data)
     texts = [t for i in instances for t in (i.prompt_text, i.input_text, i.target_text)]
     vocab = build_vocab(texts)
-    mcfg = ModelConfig(vocab_size=len(vocab), d_model=args.d_model, n_layers=args.layers,
-                       n_heads=args.heads, max_len=args.max_len, dtype=args.dtype,
-                       seed=stable_draw_key(args.seed, "model"))
-    params = init_params(mcfg)
-    tcfg = dataclasses.replace(PRETRAIN, batch_size=args.batch, lr=args.lr, steps=args.steps,
-                               seed=stable_draw_key(args.seed, "train"))
-    return _train_and_save(args, params, instances, vocab, mcfg, tcfg)
+    with _naming_flags(d_model="--d-model", n_layers="--layers", n_heads="--heads", max_len="--max-len",
+                       **_TRAIN_FLAGS):
+        mcfg = ModelConfig(vocab_size=len(vocab), d_model=args.d_model, n_layers=args.layers,
+                           n_heads=args.heads, max_len=args.max_len, dtype=args.dtype,
+                           seed=stable_draw_key(args.seed, "model"))
+        tcfg = dataclasses.replace(PRETRAIN, batch_size=args.batch, lr=args.lr, steps=args.steps,
+                                   seed=stable_draw_key(args.seed, "train"))
+    return _train_and_save(args, init_params(mcfg), instances, vocab, mcfg, tcfg)
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     instances = read_instances_jsonl(args.data)
-    tcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs,
-                               seed=stable_draw_key(args.seed, "train"))
+    with _naming_flags(**_TRAIN_FLAGS):
+        tcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs,
+                                   seed=stable_draw_key(args.seed, "train"))
     return _train_and_save(args, params, instances, vocab, mcfg, tcfg)
 
 
@@ -255,7 +282,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     predictions = []
     for sent in sentences:
         try:
-            spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
+            with _naming_flags(max_len="--max-gen"):  # `generate` checks its cap on each call
+                spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
         except RowError as exc:
             raise CorpusFormatError(
                 f"--sentences {args.sentences}: sentence {sent.id!r}: {exc.reason}") from exc
@@ -282,7 +310,8 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
     test = read_annotated_jsonl(args.test) if args.test else corpus
     schema = _schema_of(args, corpus)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
-    ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
+    with _naming_flags(**_TRAIN_FLAGS):
+        ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
     factory = model_episode_factory(params, mcfg, vocab, ftcfg)
     report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
                           base_seed=stable_draw_key(args.seed, "episodes"), episode_factory=factory)

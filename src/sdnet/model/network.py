@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -582,6 +583,20 @@ def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
     denc = decoder_backward(dlogits, dec_cache, grads)
     encoder_backward(denc, enc_cache, grads)
     return ce
+
+
+@cache
+def keep_freed_heap() -> None:
+    """Makes the calling process keep the memory its training steps free.
+    Until a process frees a large mapped block, glibc's malloc maps afresh each
+    block of 128 KB or more that the heap cannot hold and returns a free heap
+    top of more than 128 KB to the system, so every step pages a few hundred
+    of its temporaries' pages in anew. Freeing a mapped block raises the first
+    threshold to its size and the second to twice that, for good; this frees
+    one of 8 MB that nothing touched, which costs no resident memory. It runs
+    once per process: a second block would come from the heap, which it would
+    enlarge, and numpy marks so large a block for huge pages."""
+    np.empty(1 << 23, dtype=np.uint8)
 
 
 def forward_loss(

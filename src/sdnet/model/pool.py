@@ -9,6 +9,9 @@ tracker process that outlives the main one, and re-imports the main script.
 Worker w runs only on the w-th CPU (modulo their number) that the main process
 may use: the main process wakes every worker at once, and the scheduler
 otherwise often puts two of them on its own CPU, one waiting behind the other.
+A worker calls `network.keep_freed_heap` before its first request, so that no
+step pages its temporaries in afresh: a fresh interpreter would otherwise pay
+a few hundred page faults on every step.
 The parameters and one gradient buffer per micro-batch live in one shared
 memory file, a memfd named `sdnet-grads`: it has no path in /dev/shm and
 disappears with the last process that holds it.
@@ -45,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LossReport, batch_report, make_batch, micro_batch_losses
+from .network import LossReport, batch_report, keep_freed_heap, make_batch, micro_batch_losses
 
 _IMPORT_ROOT = str(Path(__file__).resolve().parents[2])  # the directory that holds `sdnet`
 _WORKER_MAIN = "import sys; from sdnet.model.pool import serve; serve(*map(int, sys.argv[1:]))"
@@ -196,6 +199,7 @@ def shared_pool() -> GradPool:
 def serve(conn_fd: int, memfd: int, index: int) -> None:
     """Worker `index`'s loop: answers requests until its socket reaches end of
     file. A request that raises is answered with the traceback text."""
+    keep_freed_heap()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the main process's to handle
     cpus = sorted(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpus[index % len(cpus)]})

@@ -12,7 +12,9 @@ buffers, which min(micro-batches, CPUs) worker processes (`sdnet.model.pool`)
 fill for each batch of two or more while the main process waits. Otherwise
 the batch runs in process through `forward_loss`. Either way the rows follow
 `network`'s one summation rule and AdamW reads row 0, so the trained bytes do
-not depend on which ran."""
+not depend on which ran. `train` first calls `network.keep_freed_heap`, so that
+even a fresh process's first in-process step keeps the temporaries it frees on
+the heap instead of paging them in again on the next step."""
 
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .network import (
     check_params,
     encode_instances,
     forward_loss,
+    keep_freed_heap,
     make_batch,
 )
 from .tokenizer import Vocab
@@ -123,9 +126,6 @@ class AdamWState:
 
     @classmethod
     def init(cls, flat: np.ndarray, n_decay: int) -> "AdamWState":
-        # one block: once a `train` call frees it, glibc's malloc keeps blocks of
-        # up to twice its size instead of returning them to the system, so a
-        # later training step does not page its temporaries in again
         m, v, scratch = np.zeros((3, flat.size), dtype=flat.dtype)
         return cls(m=m, v=v, n_decay=n_decay, scratch=scratch)
 
@@ -195,6 +195,7 @@ def train(
     when the last step is done; returns the per-step loss log."""
     if not instances:
         raise ValueError("no training instances")
+    keep_freed_heap()
     rng = np.random.default_rng(tcfg.seed)
     n = len(instances)
     total = total_steps_for(tcfg, n)

@@ -279,7 +279,7 @@ def test_a_model_size_below_one_is_data_fault_naming_the_field(tmp_path, capsys,
     out = tmp_path / "out.ckpt"
     argv = ["pretrain", "--data", str(data), "--out", str(out), "--steps", "2", "--batch", "2", flag, value]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {field} must be at least 1, got {value}\n"
+    assert capsys.readouterr().err == f"error: {flag}: {field} must be at least 1, got {value}\n"
     assert not out.exists()
 
 
@@ -315,7 +315,7 @@ def test_a_bad_config_value_is_data_fault_naming_the_field(tmp_path, capsys, cmd
         inputs = ["--kb", str(FIXTURES / "kb_items.jsonl"), "--pages", str(FIXTURES / "pages.jsonl")]
     out = tmp_path / "out"
     assert main([cmd, *inputs, "--out", str(out), flag, value]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
     assert not out.exists()
 
 
@@ -331,7 +331,7 @@ def test_predict_with_max_gen_below_one_is_data_fault(tmp_path, capsys, max_gen)
     out = tmp_path / "pred.jsonl"
     assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
                  "--sentences", str(sentences_path), "--out", str(out), "--max-gen", max_gen]) == 2
-    assert capsys.readouterr().err == f"error: max_len must be at least 1, got {max_gen}\n"
+    assert capsys.readouterr().err == f"error: --max-gen: max_len must be at least 1, got {max_gen}\n"
     assert not out.exists()
 
 
