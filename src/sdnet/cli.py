@@ -230,7 +230,8 @@ def cmd_make_finetune_data(args: argparse.Namespace) -> int:
 def cmd_sample_kshot(args: argparse.Namespace) -> int:
     corpus = read_annotated_jsonl(args.corpus)
     schema = _schema_of(args, corpus)
-    sample = sample_kshot(corpus, args.k, schema, rng_seed=stable_draw_key(args.seed, "kshot"))
+    with _naming_flags(k="--k"):
+        sample = sample_kshot(corpus, args.k, schema, rng_seed=stable_draw_key(args.seed, "kshot"))
     write_annotated_jsonl(args.out, sample.sentences)
     print(f"support={len(sample.sentences)} counts={sample.counts}", file=sys.stderr)
     if sample.unsatisfied:
@@ -279,11 +280,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     gen = partial(generate, params, mcfg, vocab, max_len=args.max_gen)
     sentences = list(iter_jsonl(args.sentences, distinct_ids(sentence_from_record)))
+    if args.max_gen < 1:  # checked here too: an empty file makes no `generate` call to check it
+        raise ValueError(f"--max-gen: max_len must be at least 1, got {args.max_gen}")
     predictions = []
     for sent in sentences:
         try:
-            with _naming_flags(max_len="--max-gen"):  # `generate` checks its cap on each call
-                spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
+            spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
         except RowError as exc:
             raise CorpusFormatError(
                 f"--sentences {args.sentences}: sentence {sent.id!r}: {exc.reason}") from exc
@@ -313,8 +315,9 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
     with _naming_flags(**_TRAIN_FLAGS):
         ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
     factory = model_episode_factory(params, mcfg, vocab, ftcfg)
-    report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
-                          base_seed=stable_draw_key(args.seed, "episodes"), episode_factory=factory)
+    with _naming_flags(k="--k", runs="--runs"):
+        report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
+                              base_seed=stable_draw_key(args.seed, "episodes"), episode_factory=factory)
     _emit(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.out)
     print(f"mean_f1={report.mean_f1:.4f} std_f1={report.std_f1:.4f} "
           f"failures={len(report.failures)}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .data import (
     TypedMention,
     check_at_least,
     int_field,
+    json_object,
     jsonl_lines,
     string_field,
     string_list,
@@ -129,7 +130,7 @@ def read_kb_jsonl(path: str | Path, tally: Counter) -> dict[str, KbItem]:
     items: dict[str, KbItem] = {}
     for _, line in jsonl_lines(path):
         try:
-            item = kb_from_record(json.loads(line))
+            item = kb_from_record(json_object(line))
         except (json.JSONDecodeError, KeyError, TypeError):
             tally["malformed_kb_record"] += 1
             continue
@@ -141,7 +142,7 @@ def read_pages_jsonl(path: str | Path, tally: Counter) -> list[WikiPage]:
     pages: list[WikiPage] = []
     for _, line in jsonl_lines(path):
         try:
-            pages.append(page_from_record(json.loads(line)))
+            pages.append(page_from_record(json_object(line)))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             tally["malformed_page_record"] += 1
     return pages

@@ -150,11 +150,9 @@ class TypeDictionary:
     def __contains__(self, type_id: str) -> bool:
         return type_id in self.entries
 
-    def types(self, include_other: bool = True) -> list[str]:
-        names = list(self.entries)
-        if not include_other:
-            names = [n for n in names if n != OTHER_TYPE]
-        return names
+    def types(self) -> list[str]:
+        """The type names, in canonical order, without the reserved `other`."""
+        return [n for n in self.entries if n != OTHER_TYPE]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -326,6 +324,14 @@ def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def json_object(line: str) -> dict:
+    """The JSON object `line` holds; other JSON raises TypeError."""
+    raw = json.loads(line)
+    if not isinstance(raw, dict):
+        raise TypeError("record must be a JSON object")
+    return raw
+
+
 def _format_error(where: str, exc: Exception) -> CorpusFormatError:
     """The CorpusFormatError for a record at `where` that failed with `exc`:
     bad JSON, KeyError (a missing field) or another bad value."""
@@ -337,12 +343,12 @@ def _format_error(where: str, exc: Exception) -> CorpusFormatError:
 
 def iter_jsonl(path: str | Path, convert: Callable[[dict], T]) -> Iterator[T]:
     """The records of a JSONL file, each passed through `convert`; blank lines
-    are skipped. A line that is not JSON, or a record that `convert` rejects
-    with KeyError (a missing field), TypeError or ValueError, raises
+    are skipped. A line that is not a JSON object, or a record that `convert`
+    rejects with KeyError (a missing field), TypeError or ValueError, raises
     CorpusFormatError naming `path:line`."""
     for lineno, line in jsonl_lines(path):
         try:
-            value = convert(json.loads(line))
+            value = convert(json_object(line))
         except (KeyError, TypeError, ValueError) as exc:
             raise _format_error(f"{path}:{lineno}", exc) from exc
         yield value

@@ -179,9 +179,9 @@ def run_episodes(
     factory produce a fine-tuned generator plus type descriptions, predict on
     the test split, score. A failed run is recorded and the loop continues."""
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise ValueError(f"runs must be at least 1, got {runs}")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k must be at least 1, got {k}")
     reports: list[EvalReport] = []
     failures: list[EpisodeFailure] = []
     gold = {sent.id: gold_spans(sent, schema_types) for sent in test_corpus}

@@ -8,11 +8,12 @@ padding, causal, or None). `generate_many` is the one greedy decode loop: it
 pads a batch of sources behind a key mask, encodes them once, and runs
 `decoder_forward` once per emitted token over each row's new position only,
 until every row has emitted its own [EOS] or the length cap; `generate` is
-that loop on one row. The `DecodeState` decides only where keys and values
-come from: the new position's are written into buffers after those of the
-positions before it, and the encoder output's are projected on the first call
-and kept. 64-bit mode makes training bit-reproducible and lets gradients be
-checked against finite differences; 32-bit mode is for speed.
+that loop on one row. It builds its `DecodeState` whole before the first step
+(K/V buffers, the encoder output's keys and values, the source bias); each
+cached step then runs one new position, which sees every key written before
+it, so only the teacher-forced pass needs a causal mask. 64-bit mode makes
+training bit-reproducible and lets gradients be checked against finite
+differences; 32-bit mode is for speed.
 Loss terms are means over each task's non-pad target tokens. A batch is always
 processed as the same fixed partition into micro-batches, and one summation
 rule makes its gradient: `micro_batch_losses` zeroes micro-batch m's gradient
@@ -45,6 +46,10 @@ _GELU_A = 0.044715
 
 class LossNotFiniteError(RuntimeError):
     """Loss left the reals; carries the offending instance id."""
+
+
+# the values a ModelConfig field of each type may take when read back
+_CONFIG_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -80,15 +85,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        """Raises ValueError naming a field that `to_dict` does not write, or
-        one it writes that `raw` lacks."""
+        """Raises ValueError naming a field that `to_dict` does not write, one
+        it writes that `raw` lacks, or one whose value is not of its type (an
+        int is a float too, a bool is neither)."""
         names = [f.name for f in fields(cls)]
         for name in raw:
             if name not in names:
                 raise ValueError(f"unexpected config field {name!r}")
-        for name in names:
-            if name not in raw:
-                raise ValueError(f"missing config field {name!r}")
+        for f in fields(cls):
+            if f.name not in raw:
+                raise ValueError(f"missing config field {f.name!r}")
+            value = raw[f.name]
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[f.type]):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         return cls(**raw)
 
 
@@ -389,57 +398,51 @@ def encoder_backward(denc, cache, grads):
 
 
 class DecodeState:
-    """K/V cache of one incremental decode, filled in by `decoder_forward`.
+    """K/V cache of one incremental decode of the encoder output `enc_out` of
+    sources masked by `src_mask`, built whole before the first step.
 
-    After `length` decoder positions have been run, each layer's entry in
-    `self_kv` holds their self-attention keys and values, split into heads, in
-    buffers of cfg.max_len positions; `cross_kv` holds each layer's `_kv_fwd`
-    of the encoder output, computed on the first call, and `cross_bias` the
-    source-mask bias, or None when no source position is masked.
+    `cross_kv` holds each layer's `_kv_fwd` of `enc_out`, and `cross_bias` the
+    source-mask bias, or None when no source position is masked. After
+    `length` decoder positions have been run, one per `decoder_forward` call,
+    each layer's entry in `self_kv` holds their self-attention keys and
+    values, split into heads, in buffers of cfg.max_len positions.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, p, cfg: ModelConfig, enc_out, src_mask) -> None:
+        shape = (enc_out.shape[0], cfg.n_heads, cfg.max_len, cfg.d_model // cfg.n_heads)
         self.length = 0
-        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        self.cross_kv: list[tuple] = []
-        self.cross_bias: np.ndarray | None = None
+        self.self_kv = [(np.empty(shape, enc_out.dtype), np.empty(shape, enc_out.dtype))
+                        for _ in range(cfg.n_layers)]
+        self.cross_kv = [_kv_fwd(p, f"dec{i}.cross", enc_out, cfg.n_heads) for i in range(cfg.n_layers)]
+        self.cross_bias = _key_bias(src_mask, enc_out.dtype)
 
 
 def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: DecodeState | None = None):
     """Teacher-forced decoder pass; returns (logits, backward cache).
 
-    With a `state`, `dec_in` holds only the positions after the
-    `state.length` already run: they attend to the cached keys and values,
-    `state` is extended by them, and no backward cache is kept (None).
+    With a `state`, `dec_in` holds the one position after the `state.length`
+    already run: it attends to the cached keys and values and to those
+    `state` holds of `enc_out`, `state` is extended by it, and no backward
+    cache is kept (None).
     """
     start = 0 if state is None else state.length
     t = dec_in.shape[1]
-    end = start + t
-    x = p["tok_emb"][dec_in] + p["pos_dec"][start:end]
-    causal = None  # a single new position sees every key
-    if t > 1:
-        causal = np.triu(np.full((t, end), NEG_INF, dtype=x.dtype), k=start + 1)
+    x = p["tok_emb"][dec_in] + p["pos_dec"][start:start + t]
     if state is None:
+        causal = np.triu(np.full((t, t), NEG_INF, dtype=x.dtype), k=1)
         cross_bias = _key_bias(src_mask, x.dtype)
-    elif not state.cross_kv:  # the first call: buffers, and the encoder output's K/V
-        shape = (enc_out.shape[0], cfg.n_heads, cfg.max_len, cfg.d_model // cfg.n_heads)
-        state.self_kv = [(np.empty(shape, x.dtype), np.empty(shape, x.dtype))
-                         for _ in range(cfg.n_layers)]
-        state.cross_kv = [_kv_fwd(p, f"dec{i}.cross", enc_out, cfg.n_heads)
-                          for i in range(cfg.n_layers)]
-        state.cross_bias = cross_bias = _key_bias(src_mask, x.dtype)
-    else:
-        cross_bias = state.cross_bias
+    else:  # the one new position sees every key
+        causal, cross_bias = None, state.cross_bias
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"dec{i}"
         h1, cl1 = _layernorm_fwd(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
         kv = _kv_fwd(p, pre + ".self", h1, cfg.n_heads)
-        if state is not None:  # the new positions' K/V go after the cached ones
+        if state is not None:  # the new position's K/V go after the cached ones
             k_buf, v_buf = state.self_kv[i]
-            k_buf[:, :, start:end] = kv[0]
-            v_buf[:, :, start:end] = kv[1]
-            kv = (k_buf[:, :, :end], v_buf[:, :, :end], None, None)  # no backward
+            k_buf[:, :, start:start + 1] = kv[0]
+            v_buf[:, :, start:start + 1] = kv[1]
+            kv = (k_buf[:, :, :start + 1], v_buf[:, :, :start + 1], None, None)  # no backward
         a, ca = _attention_fwd(p, pre + ".self", h1, kv, causal)
         x = x + a
         h2, cl2 = _layernorm_fwd(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
@@ -456,7 +459,7 @@ def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: Decod
     h, cfin = _layernorm_fwd(x, p["dec_ln.g"], p["dec_ln.b"])
     logits, cout = _linear_fwd(h, p["out.w"], p["out.b"])
     if state is not None:
-        state.length += t
+        state.length += 1
         return logits, None
     return logits, (dec_in, layer_caches, cfin, cout)
 
@@ -538,11 +541,9 @@ def _gather_padded(ids: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tup
     return out, mask
 
 
-def make_batch(store: EncodedInstances, rows: Sequence[int] | None = None,
-               ids: Sequence[str] | None = None) -> Batch:
+def make_batch(store: EncodedInstances, rows: Sequence[int] | None = None) -> Batch:
     """Pad the instances `rows` of `store` (all of them, in order, when None)
-    into one batch; the rows are named `ids`, by default their instance
-    indices."""
+    into one batch; each row is named by its instance index."""
     rows = np.arange(len(store)) if rows is None else np.asarray(rows, dtype=np.int64)
     if not rows.size:
         raise ValueError("empty batch")
@@ -552,7 +553,7 @@ def make_batch(store: EncodedInstances, rows: Sequence[int] | None = None,
     dec_in = np.full(labels.shape, PAD_ID, dtype=np.int64)
     dec_in[:, 1:] = np.where(tgt_mask[:, 1:], labels[:, :-1], PAD_ID)
     return Batch(src=src, src_mask=src_mask, dec_in=dec_in, labels=labels,
-                 is_md=store.is_md[rows], ids=tuple(map(str, rows.tolist()) if ids is None else ids))
+                 is_md=store.is_md[rows], ids=tuple(map(str, rows.tolist())))
 
 
 @dataclass(frozen=True)
@@ -730,13 +731,13 @@ def _greedy_batch(p, cfg: ModelConfig, sources: list[list[int]], limit: int) -> 
     ends = np.cumsum(lengths)
     src, src_mask = _gather_padded(np.concatenate(sources), ends - lengths, ends)
     enc, _ = encoder_forward(p, cfg, src, src_mask)
-    state = DecodeState()
+    state = DecodeState(p, cfg, enc, src_mask)
     out: list[list[int]] = [[] for _ in sources]
     live = range(len(sources))  # the rows that have not emitted [EOS] yet
     nxt = np.full((len(sources), 1), PAD_ID, dtype=np.int64)
     for _ in range(limit):
         logits, _ = decoder_forward(p, cfg, nxt, enc, src_mask, state=state)
-        nxt = logits[:, -1:].argmax(axis=-1)
+        nxt = logits.argmax(axis=-1)
         tokens = nxt.ravel().tolist()
         live = [k for k in live if tokens[k] != EOS_ID]
         if not live:

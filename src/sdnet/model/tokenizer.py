@@ -87,6 +87,8 @@ class Vocab:
     id_to_token: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(tok, str) for tok in self.id_to_token):
+            raise ValueError("vocabulary tokens must be strings")
         if self.id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise ValueError("vocabulary must start with the special tokens")
         if len(set(self.id_to_token)) != len(self.id_to_token):

@@ -271,14 +271,25 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig, Vocab, dict]:
-    """Raises ValueError when the stored config has an unexpected or missing
-    field, or the tensors' names, shapes or dtypes do not fit it."""
+    """Raises ValueError naming the metadata or config field that is missing,
+    unexpected or of the wrong type, or when the vocabulary's size or the
+    tensors' names, shapes or dtypes do not fit the config."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("checkpoint metadata must be a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+    for name, kind in (("config", dict), ("vocab", list), ("extra", dict)):
+        if name not in meta:
+            raise ValueError(f"missing checkpoint field {name!r}")
+        if not isinstance(meta[name], kind):
+            raise ValueError(f"checkpoint field {name!r} must be a JSON {'array' if kind is list else 'object'}, "
+                             f"got {meta[name]!r}")
     cfg = ModelConfig.from_dict(meta["config"])
     check_params(params, cfg)
     vocab = Vocab(id_to_token=tuple(meta["vocab"]))
+    if len(vocab) != cfg.vocab_size:
+        raise ValueError(f"vocabulary has {len(vocab)} tokens, config expects {cfg.vocab_size}")
     return params, cfg, vocab, meta["extra"]

@@ -159,7 +159,7 @@ class _EgSampler:
     instance, keyed on the instance and the type, in input order."""
 
     def __init__(self, dictionary: TypeDictionary, desc: DescriptionMap, cfg: SamplerConfig) -> None:
-        self.types = dictionary.types(include_other=False)
+        self.types = dictionary.types()
         self.desc = desc
         self.cfg = cfg
         self.fitting: dict[str, ConceptDescription] = {}
@@ -252,7 +252,7 @@ def sample_kshot(
     any sentence that raises a still-deficient type count; stop once every
     type reaches k."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k must be at least 1, got {k}")
     counts = {t: 0 for t in schema_types}
     picked: list[AnnotatedSentence] = []
     for idx in keyed_order(rng_seed, 0, "kshot", len(corpus)):

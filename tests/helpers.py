@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -15,26 +16,11 @@ from sdnet.corpus import ABBREVIATIONS, truncate_type_name
 from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TargetSequence,
                         TypeDictionary, TypedMention)
 from sdnet.evaluation import EpisodeReport, corpus_schema, run_episodes
-from sdnet.model import (
-    EOS_ID,
-    PAD_ID,
-    SPECIAL_TOKENS,
-    ModelConfig,
-    StepLog,
-    Vocab,
-    build_vocab,
-    detokenize,
-    encode_input,
-    encode_instances,
-    forward_loss,
-    init_params,
-    make_batch,
-    lr_at,
-    tokenize,
-    total_steps_for,
-)
-from sdnet.model.network import decoder_forward, encoder_forward
-from sdnet.model.trainer import BETA1, BETA2, EPS, WEIGHT_DECAY
+from sdnet.model import ModelConfig, build_vocab, init_params
+from sdnet.model.network import decoder_forward, encode_instances, encoder_forward, forward_loss, make_batch
+from sdnet.model.tokenizer import (EOS_ID, PAD_ID, SPECIAL_TOKENS, Vocab, detokenize, encode_input,
+                                   tokenize)
+from sdnet.model.trainer import BETA1, BETA2, EPS, WEIGHT_DECAY, StepLog, lr_at, total_steps_for
 from sdnet.sampling import TrainingInstance, eg_pairs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -272,8 +258,27 @@ def on_token_boundaries(text: str, start: int, end: int) -> bool:
     return tokenize(text[:start]) + tokenize(text[start:end]) + tokenize(text[end:]) == tokenize(text)
 
 
+def rewrite_checkpoint_meta(path, edit) -> None:
+    """Replaces the metadata of the checkpoint at `path` by `edit` of it."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = edit(json.loads(bytes(arrays["__meta__"]).decode("utf-8")))
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:  # a path not ending in .npz would get that suffix
+        np.savez(fh, **arrays)
+
+
+# edits of a checkpoint's metadata that `load_checkpoint` rejects, by the message naming the field
+BAD_CHECKPOINT_META = {
+    "config field 'd_model' must be int, got '8'": lambda m: {**m, "config": {**m["config"], "d_model": "8"}},
+    "config field 'd_model' must be int, got 8.0": lambda m: {**m, "config": {**m["config"], "d_model": 8.0}},
+    "checkpoint field 'vocab' must be a JSON array, got 5": lambda m: {**m, "vocab": 5},
+    "missing checkpoint field 'config'": lambda m: {k: v for k, v in m.items() if k != "config"},
+}
+
+
 def batch_of(insts, vocab, cfg):
-    return make_batch(encode_instances(insts, vocab, cfg), ids=[str(i) for i in range(len(insts))])
+    return make_batch(encode_instances(insts, vocab, cfg))
 
 
 def reference_generate(p, cfg, vocab, prompt_text: str, input_text: str, max_len: int = 64) -> str:
@@ -318,6 +323,7 @@ def reference_train(params, instances, vocab, mcfg, tcfg) -> list[StepLog]:
     match; trains `params` in place."""
     rng = np.random.default_rng(tcfg.seed)
     n = len(instances)
+    store = encode_instances(instances, vocab, mcfg)
     total = total_steps_for(tcfg, n)
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -329,9 +335,7 @@ def reference_train(params, instances, vocab, mcfg, tcfg) -> list[StepLog]:
             if step >= total:
                 break
             idx = order[b0 : b0 + tcfg.batch_size]
-            batch = make_batch(encode_instances([instances[i] for i in idx], vocab, mcfg),
-                               ids=[str(i) for i in idx])
-            report, grads = forward_loss(params, mcfg, batch, micro_size=tcfg.micro_size)
+            report, grads = forward_loss(params, mcfg, make_batch(store, idx), micro_size=tcfg.micro_size)
             lr = lr_at(tcfg, step, total)
             reference_adamw_step(params, grads, m, v, step + 1, lr)
             log.append(StepLog(step=step, lr=lr, report=report))

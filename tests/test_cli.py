@@ -19,10 +19,11 @@ from sdnet.descriptions import DescriptionConfig, read_description_map
 from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import spans_to_record
 from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, init_params,
-                         save_checkpoint, tokenize, train)
+                         save_checkpoint, train)
+from sdnet.model.tokenizer import tokenize
 from sdnet.sampling import (SamplerConfig, TrainingInstance, make_md_instance,
                             read_instances_jsonl, write_instances_jsonl)
-from helpers import FIXTURES, memorization_script
+from helpers import BAD_CHECKPOINT_META, FIXTURES, memorization_script, rewrite_checkpoint_meta
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +333,58 @@ def test_predict_with_max_gen_below_one_is_data_fault(tmp_path, capsys, max_gen)
     assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
                  "--sentences", str(sentences_path), "--out", str(out), "--max-gen", max_gen]) == 2
     assert capsys.readouterr().err == f"error: --max-gen: max_len must be at least 1, got {max_gen}\n"
+    assert not out.exists()
+
+
+def test_predict_with_max_gen_below_one_is_data_fault_on_an_empty_sentence_file(tmp_path, capsys):
+    prompt = "[EG] GPE"
+    ckpt = tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [prompt, "China won."])
+    prompt_path = tmp_path / "prompt.txt"
+    prompt_path.write_text(prompt + "\n", encoding="utf-8")
+    sentences_path = tmp_path / "sentences.jsonl"
+    sentences_path.write_text("", encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+                 "--sentences", str(sentences_path), "--out", str(out), "--max-gen", "0"]) == 2
+    assert capsys.readouterr().err == "error: --max-gen: max_len must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, flag", [("sample-kshot", "--k"), ("run-episodes", "--runs")])
+def test_a_count_below_one_is_data_fault_naming_the_flag(world, tmp_path, capsys, cmd, flag):
+    root, corpus, _ = world
+    inputs = ["--corpus", str(root / "corpus.jsonl"), "--k", "1"]
+    if cmd == "run-episodes":
+        _untrained_checkpoint(tmp_path / "base.ckpt", [s.text for s in corpus])
+        inputs += ["--model", str(tmp_path / "base.ckpt"), "--runs", "1"]
+    out = tmp_path / "out.jsonl"
+    assert main([cmd, *inputs, "--out", str(out), flag, "0"]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: {flag[2:]} must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["predict", "finetune"])
+@pytest.mark.parametrize("message", BAD_CHECKPOINT_META)
+def test_bad_checkpoint_metadata_is_data_fault_naming_the_field(tmp_path, capsys, cmd, message):
+    inst = TrainingInstance(task="EG", prompt_text="[EG] GPE", input_text="China won.",
+                            target_text="China is GPE.")
+    ckpt = tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [inst.prompt_text, inst.input_text, inst.target_text])
+    rewrite_checkpoint_meta(ckpt, BAD_CHECKPOINT_META[message])
+    if cmd == "predict":
+        prompt_path = tmp_path / "prompt.txt"
+        prompt_path.write_text(inst.prompt_text + "\n", encoding="utf-8")
+        sentences_path = tmp_path / "sentences.jsonl"
+        sentences_path.write_text(json.dumps({"id": "a", "text": inst.input_text}) + "\n", encoding="utf-8")
+        inputs = ["--prompt-file", str(prompt_path), "--sentences", str(sentences_path)]
+    else:
+        data = tmp_path / "instances.jsonl"
+        write_instances_jsonl(data, [inst])
+        inputs = ["--data", str(data)]
+    out = tmp_path / "out"
+    assert main([cmd, "--model", str(ckpt), *inputs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -681,5 +734,5 @@ def test_run_episodes_with_k_below_one_is_data_fault_writing_no_report(world, tm
     out = tmp_path / "episodes.json"
     assert main(["run-episodes", "--corpus", str(root / "corpus.jsonl"), "--model", str(ckpt),
                  "--out", str(out), "--k", "0", "--runs", "2"]) == 2
-    assert capsys.readouterr().err == "error: k must be >= 1\n"
+    assert capsys.readouterr().err == "error: --k: k must be at least 1, got 0\n"
     assert not out.exists()

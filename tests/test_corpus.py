@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdnet.corpus import (
@@ -336,6 +337,19 @@ def test_read_kb_and_pages_tally_malformed_lines(tmp_path):
     pages = read_pages_jsonl(pages_path, tally)
     assert [p.title for p in pages] == ["A"]
     assert tally["malformed_page_record"] == 5
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "null"])
+def test_a_kb_or_page_line_that_is_not_an_object_is_tallied_malformed(tmp_path, line):
+    kb_path, pages_path = tmp_path / "kb.jsonl", tmp_path / "pages.jsonl"
+    kb_path.write_text(line + "\n" + (FIXTURES / "kb_items.jsonl").read_text(encoding="utf-8"),
+                       encoding="utf-8")
+    pages_path.write_text((FIXTURES / "pages.jsonl").read_text(encoding="utf-8") + line + "\n",
+                          encoding="utf-8")
+    build = build_corpus(kb_path, pages_path, CFG)
+    golden = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
+    assert build.sentences == golden.sentences
+    assert build.tally - golden.tally == Counter(malformed_kb_record=1, malformed_page_record=1)
 
 
 def test_fixture_build_matches_golden_corpus():

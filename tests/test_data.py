@@ -75,8 +75,8 @@ def test_validate_annotated_sentence_flags_absent_surface():
 def test_type_dictionary_always_contains_other():
     d = TypeDictionary(entries={"person": 10, "city": 7})
     assert OTHER_TYPE in d
-    assert d.types() == ["city", "other", "person"]
-    assert d.types(include_other=False) == ["city", "person"]
+    assert list(d.entries) == ["city", "other", "person"]
+    assert d.types() == ["city", "person"]
 
 
 def test_type_dictionary_json_round_trip(tmp_path):
@@ -132,13 +132,16 @@ def test_prediction_jsonl_rejects_duplicate_ids(tmp_path):
         read_predictions_jsonl(path)
 
 
-@pytest.mark.parametrize("read, record", [
+_READ_RECORDS = [  # each JSONL reader with a record it accepts
     (read_annotated_jsonl, {"id": "s", "text": "Alice rests.", "mentions": []}),
     (read_instances_jsonl, {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.",
                             "target": "Alice is person."}),
     (read_description_map, {"type": "person", "concepts": ["writer"], "filtered": False}),
     (read_predictions_jsonl, {"id": "s", "spans": []}),
-])
+]
+
+
+@pytest.mark.parametrize("read, record", _READ_RECORDS)
 def test_jsonl_readers_name_the_line_of_bad_json(tmp_path, read, record):
     path = tmp_path / "records.jsonl"
     # blank lines are skipped but still counted
@@ -152,6 +155,15 @@ def test_jsonl_readers_name_the_line_of_bad_json(tmp_path, read, record):
         read(path)
     path.write_text(json.dumps(record) + "\n\n", encoding="utf-8")
     read(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "null"])
+@pytest.mark.parametrize("read, record", _READ_RECORDS)
+def test_jsonl_readers_name_the_line_that_is_not_an_object(tmp_path, read, record, line):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: record must be a JSON object$"):
+        read(path)
 
 
 _INSTANCE = {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.", "target": "Alice is person."}

@@ -206,7 +206,7 @@ def test_run_episodes_rejects_k_below_one_before_any_run(k):
     def never(support, schema_types, run_seed):
         raise AssertionError("no run may start")
 
-    with pytest.raises(ValueError, match="^k must be >= 1$"):
+    with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
         run_episodes(corpus, corpus, schema, k=k, runs=2, base_seed=0, episode_factory=never)
 
 

@@ -9,25 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnet.data import RowError
-from sdnet.model import (
-    EOS_ID,
-    PAD_ID,
-    LossNotFiniteError,
-    ModelConfig,
-    build_vocab,
-    encode_instances,
-    forward_loss,
-    generate,
-    generate_many,
-    init_params,
-    make_batch,
-    softmax_last,
-)
+from sdnet.model import ModelConfig, generate, generate_many, init_params
 from sdnet.model.network import (
     _GELU_A,
     _GELU_C,
     LN_EPS,
     DecodeState,
+    LossNotFiniteError,
     _add_rows,
     _gelu_bwd,
     _gelu_fwd,
@@ -35,8 +23,12 @@ from sdnet.model.network import (
     _layernorm_fwd,
     _micro_loss_grads,
     decoder_forward,
+    encode_instances,
     encoder_forward,
+    forward_loss,
+    softmax_last,
 )
+from sdnet.model.tokenizer import EOS_ID, PAD_ID
 from helpers import batch_of, fd_gradient_check, reference_generate, tiny_instances, tiny_setup
 
 
@@ -391,13 +383,11 @@ def test_cached_decoder_steps_match_one_full_pass(n_layers, n_heads, seed, data)
     enc, _ = encoder_forward(params, cfg, src, src_mask)
     full, _ = decoder_forward(params, cfg, dec_in, enc, src_mask)
 
-    cuts = sorted(data.draw(st.sets(st.integers(1, n_dec - 1)), label="chunk starts")) if n_dec > 1 else []
-    for bounds in (range(n_dec + 1), [0, *cuts, n_dec]):  # one position per call, then chunks
-        state = DecodeState()
-        steps = []
-        for a, b in zip(bounds, bounds[1:]):
-            logits, cache = decoder_forward(params, cfg, dec_in[:, a:b], enc, src_mask, state=state)
-            assert cache is None
-            steps.append(logits)
-        assert state.length == n_dec
-        np.testing.assert_allclose(np.concatenate(steps, axis=1), full, rtol=0.0, atol=1e-9)
+    state = DecodeState(params, cfg, enc, src_mask)
+    steps = []
+    for a in range(n_dec):  # one position per call
+        logits, cache = decoder_forward(params, cfg, dec_in[:, a:a + 1], enc, src_mask, state=state)
+        assert cache is None
+        steps.append(logits)
+    assert state.length == n_dec
+    np.testing.assert_allclose(np.concatenate(steps, axis=1), full, rtol=0.0, atol=1e-9)

@@ -119,14 +119,14 @@ def test_eg_negatives_disjoint_from_sentence_types_across_keys():
 
 
 @settings(max_examples=150)
-@given(st.lists(st.sampled_from(DICT.types(include_other=False) + ["t"]), min_size=1, unique=True),
+@given(st.lists(st.sampled_from(DICT.types() + ["t"]), min_size=1, unique=True),
        st.integers(0, 2**32 - 1), st.integers(0, 12))
 def test_eg_negatives_are_the_keyed_draw_from_the_listed_pool(sentence_types, n, max_negative_types):
     s = sent(f"n#{n}", "Xy rests.", [("Xy", tuple(sentence_types))])
     inst = _eg_instance(s, {}, SamplerConfig(max_negative_types=max_negative_types))
     key = stable_draw_key(s.id, "EG")
     negatives = {e.type_id for e in parse_prompt_eg(inst.prompt_text).entries} - set(sentence_types)
-    pool = [t for t in DICT.types(include_other=False) if t not in sentence_types]
+    pool = [t for t in DICT.types() if t not in sentence_types]
     drawn = reference_keyed_shuffle(CFG.rng_seed, key, "EG negatives", len(pool))[:max_negative_types]
     assert negatives == {pool[i] for i in drawn}
 
@@ -171,7 +171,7 @@ _CONCEPT_POOL = [f"k{i}" for i in range(16)] + ["big city", "writer"]
 def test_eg_prompt_entries_equal_the_reference_concept_draw(concept_lists, max_concepts, seed, n):
     """Every prompt entry, fitting or over-full, is the reference draw keyed on
     (rng_seed, stable_draw_key(instance key, type))."""
-    desc = {t: tuple(concepts) for t, concepts in zip(DICT.types(include_other=False), concept_lists)}
+    desc = {t: tuple(concepts) for t, concepts in zip(DICT.types(), concept_lists)}
     cfg = SamplerConfig(rng_seed=seed, max_concepts=max_concepts)
     s = _with_id(ROWLING, f"r#{n}")
     inst = _eg_instance(s, desc, cfg)

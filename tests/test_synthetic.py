@@ -8,7 +8,7 @@ import json
 import pytest
 
 from sdnet.data import annotated_to_record, validate_annotated_sentence
-from sdnet.model import tokenize
+from sdnet.model.tokenizer import tokenize
 from helpers import memorization_script
 
 SCHEMA_TYPES = memorization_script().SCHEMA_TYPES

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from sdnet.codec import serialize_prompt_eg, serialize_prompt_md, serialize_target
 from sdnet.data import ConceptDescription, PromptEG, PromptMD, TargetSequence
-from sdnet.model import (
+from sdnet.model.tokenizer import (
     EOS_ID,
     PAD_ID,
     UNK_ID,
@@ -17,9 +17,9 @@ from sdnet.model import (
     detokenize,
     encode_input,
     encode_target,
+    token_bounds,
     tokenize,
 )
-from sdnet.model.tokenizer import token_bounds
 from helpers import reference_build_vocab, reference_tokenize
 
 

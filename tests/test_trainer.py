@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,22 +11,19 @@ import pytest
 from sdnet.model import (
     FINETUNE,
     PRETRAIN,
-    AdamWState,
-    FlatLayout,
     ModelConfig,
     TrainConfig,
     TrainingDivergedError,
-    adamw_step,
     clone_params,
     init_params,
     load_checkpoint,
-    lr_at,
     save_checkpoint,
-    total_steps_for,
     train,
 )
-from sdnet.model.trainer import BETA1, BETA2, EPS, WARMUP_FRAC, WEIGHT_DECAY
-from helpers import reference_adamw_step, reference_train, tiny_instances, tiny_setup
+from sdnet.model.trainer import (BETA1, BETA2, EPS, WARMUP_FRAC, WEIGHT_DECAY, AdamWState, FlatLayout,
+                                 adamw_step, lr_at, total_steps_for)
+from helpers import (BAD_CHECKPOINT_META, reference_adamw_step, reference_train, rewrite_checkpoint_meta,
+                     tiny_setup)
 
 
 def test_train_config_presets_match_published_recipes():
@@ -226,11 +223,27 @@ def test_load_rejects_a_checkpoint_that_does_not_fit_its_config(tmp_path, fault,
     path = tmp_path / "model.npz"
     save_checkpoint(path, params, cfg, vocab)
     if fault == "config":  # a field this ModelConfig does not have
-        with np.load(path) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        meta["config"]["dropout"] = 0.1
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **arrays)
+        rewrite_checkpoint_meta(path, lambda meta: {**meta, "config": {**meta["config"], "dropout": 0.1}})
     with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("message, edit", [
+    *BAD_CHECKPOINT_META.items(),
+    ("config field 'dtype' must be str, got 64", lambda m: {**m, "config": {**m["config"], "dtype": 64}}),
+    ("config field 'seed' must be int, got True", lambda m: {**m, "config": {**m["config"], "seed": True}}),
+    ("checkpoint field 'extra' must be a JSON object, got", lambda m: {**m, "extra": []}),
+    ("checkpoint field 'config' must be a JSON object, got", lambda m: {**m, "config": [8]}),
+    ("missing checkpoint field 'vocab'", lambda m: {k: v for k, v in m.items() if k != "vocab"}),
+    ("vocabulary tokens must be strings", lambda m: {**m, "vocab": [*m["vocab"][:-1], 7]}),
+    ("vocabulary has {short} tokens, config expects {n}", lambda m: {**m, "vocab": m["vocab"][:-1]}),
+    ("checkpoint metadata must be a JSON object", lambda m: [m]),
+])
+def test_load_rejects_checkpoint_metadata_naming_the_bad_field(tmp_path, message, edit):
+    _, vocab, cfg, params = tiny_setup()
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, params, cfg, vocab)
+    rewrite_checkpoint_meta(path, edit)
+    message = message.format(short=cfg.vocab_size - 1, n=cfg.vocab_size)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         load_checkpoint(path)
