@@ -8,30 +8,3 @@ with strict micro-F1.
 """
 
 __version__ = "0.1.0"
-
-from .codec import (
-    ParseResult,
-    parse_generated,
-    parse_prompt_eg,
-    parse_prompt_md,
-    serialize_prompt_eg,
-    serialize_prompt_md,
-    serialize_target,
-)
-from .data import (
-    OTHER_TYPE,
-    AnnotatedSentence,
-    ConceptDescription,
-    CorpusFormatError,
-    PromptEG,
-    PromptMD,
-    Sentence,
-    SurfaceAbsentError,
-    TargetSequence,
-    TypeDictionary,
-    TypedMention,
-    read_annotated_jsonl,
-    validate_annotated_sentence,
-    write_annotated_jsonl,
-)
-from .locate import SpanPrediction, locate

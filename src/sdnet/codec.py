@@ -141,10 +141,6 @@ def prompt_body(task: Task, text: str) -> str:
     return text[len(prefix):]
 
 
-def parse_prompt_md(text: str) -> PromptMD:
-    return PromptMD(targets=tuple(prompt_body("MD", text).split(SEPARATOR)))
-
-
 def parse_prompt_eg(text: str) -> PromptEG:
     """Accept both "type" and "type: {}" entry forms."""
     entries = []

@@ -10,6 +10,7 @@ from typing import Iterable, TextIO
 
 from .data import (Sentence, TargetSequence, distinct_ids, int_field, iter_jsonl, list_field, string_field,
                    write_jsonl)
+from .model.tokenizer import token_bounds
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,6 @@ def locate(
     "Romeo". Occurrences of the same surface never overlap; different surfaces
     are matched independently. Pairs that run out of occurrences are dropped
     and reported."""
-    from .model.tokenizer import token_bounds  # late import keeps `import sdnet` model-free
-
     if parsed.task != "EG":
         raise ValueError("locate expects an entity-generation target")
     text = sentence.text

@@ -176,9 +176,33 @@ def check_params(p: dict[str, np.ndarray], cfg: ModelConfig) -> None:
 # ---- differentiable primitives: each forward returns (out, cache) ----
 
 
-# Reductions call the ufunc's `reduce` directly: `x.mean()`, `.sum()` and
-# `.max()` go through numpy's Python-level wrappers, which cost more than the
-# reduction itself at these sizes, and give the same bits.
+# Row reductions stay off numpy's `reduce` along a short last axis, which runs
+# its inner loop once per row and so costs more than the arithmetic around it
+# at these shapes. One rule holds for every shape, so the cached decoder and
+# the teacher-forced pass do the same arithmetic: a sum over the last axis is
+# one matrix-vector product with a ones vector, a column sum one vector-matrix
+# product, and a max over the last axis is taken along axis 0 of a contiguous
+# transposed copy, which is exact.
+
+
+@cache
+def _ones(n: int, dtype) -> np.ndarray:
+    """A read-only ones vector, one per length and dtype; the lengths are
+    bounded by the model's widths, its vocabulary and rows times positions."""
+    ones = np.ones(n, dtype)
+    ones.flags.writeable = False
+    return ones
+
+
+def _sum_last(x):
+    """`x.sum(axis=-1, keepdims=True)` as `x.reshape(-1, n) @ ones(n)`."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ _ones(n, x.dtype)).reshape(x.shape[:-1] + (1,))
+
+
+def _sum_cols(x2):
+    """`x2.sum(axis=0)` of a 2-D `x2` as `ones(m) @ x2`."""
+    return _ones(x2.shape[0], x2.dtype) @ x2
 
 
 def _linear_fwd(x, w, b):
@@ -193,13 +217,13 @@ def _linear_bwd(dy, cache):
     x, w = cache
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    return (dy2 @ w.T).reshape(x.shape), x2.T @ dy2, np.add.reduce(dy2, axis=0)
+    return (dy2 @ w.T).reshape(x.shape), x2.T @ dy2, _sum_cols(dy2)
 
 
 def _layernorm_fwd(x, g, b):
     n = x.shape[-1]
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    xc = x - _sum_last(x) / n
+    var = _sum_last(xc * xc) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xc *= inv  # now x-hat
     return g * xc + b, (xc, inv, g)
@@ -209,13 +233,13 @@ def _layernorm_bwd(dy, cache):
     xhat, inv, g = cache
     n = xhat.shape[-1]
     tmp = dy * xhat
-    dg = np.add.reduce(tmp.reshape(-1, n), axis=0)
-    db = np.add.reduce(dy.reshape(-1, n), axis=0)
+    dg = _sum_cols(tmp.reshape(-1, n))
+    db = _sum_cols(dy.reshape(-1, n))
     # dx = inv * (dxh - mean(dxh) - xhat * mean(dxh * xhat)), with dxh = dy * g
     dx = dy * g
     np.multiply(dx, xhat, out=tmp)
-    proj = np.add.reduce(tmp, axis=-1, keepdims=True) / n
-    dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
+    proj = _sum_last(tmp) / n
+    dx -= _sum_last(dx) / n
     np.multiply(xhat, proj, out=tmp)
     dx -= tmp
     dx *= inv
@@ -256,9 +280,15 @@ def _gelu_bwd(dy, cache):
 
 
 def softmax_last(x):
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, computed on one contiguous transposed copy
+    so that the max and the sum run along its axis 0; returns a contiguous
+    array of the shape of `x`."""
+    n = x.shape[-1]
+    t = x.reshape(-1, n).T.copy()
+    t -= np.maximum.reduce(t, axis=0)
+    np.exp(t, out=t)
+    t /= _ones(n, t.dtype) @ t
+    return np.ascontiguousarray(t.T).reshape(x.shape)
 
 
 def _split_heads(x, n_heads):
@@ -311,7 +341,7 @@ def _attention_bwd(dout, cache, grads):
     dctx = _split_heads(dmerged, n_heads)
     dattn = dctx @ vh.swapaxes(-1, -2)
     dvh = attn.swapaxes(-1, -2) @ dctx
-    ds = attn * (dattn - np.add.reduce(dattn * attn, axis=-1, keepdims=True))
+    ds = attn * (dattn - _sum_last(dattn * attn))
     dqh = (ds @ kh) * scale
     dkh = (ds.swapaxes(-1, -2) @ qh) * scale
     dq_in, dwq, dbq = _linear_bwd(_merge_heads(dqh), cq)
@@ -570,8 +600,9 @@ def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
     sum(pos_w * ce) into `grads`."""
     enc, enc_cache = encoder_forward(p, cfg, src, src_mask)
     logits, dec_cache = decoder_forward(p, cfg, dec_in, enc, src_mask)
+    # a row as long as the vocabulary, where `reduce` is already the faster max
     m = np.maximum.reduce(logits, axis=-1, keepdims=True)
-    logz = np.log(np.add.reduce(np.exp(logits - m), axis=-1, keepdims=True)) + m
+    logz = np.log(_sum_last(np.exp(logits - m))) + m
     label_logit = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
     ce = logz[..., 0] - label_logit
     dlogits = logits  # the logits are not needed past this point

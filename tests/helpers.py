@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sdnet.codec import serialize_target
+from sdnet.codec import SEPARATOR, prompt_body, serialize_target
 from sdnet.corpus import ABBREVIATIONS, truncate_type_name
-from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TargetSequence,
+from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD, Sentence, TargetSequence,
                         TypeDictionary, TypedMention)
 from sdnet.evaluation import EpisodeReport, corpus_schema, run_episodes
 from sdnet.model import ModelConfig, build_vocab, init_params
@@ -42,6 +42,11 @@ def sent(sid: str, text: str, mentions: list[tuple[str, tuple[str, ...]]]) -> An
         sentence=Sentence(id=sid, text=text),
         mentions=tuple(TypedMention(surface=s, types=t) for s, t in mentions),
     )
+
+
+def parse_prompt_md(text: str) -> PromptMD:
+    """The mentions an MD prompt lists: the inverse of `serialize_prompt_md`."""
+    return PromptMD(targets=tuple(prompt_body("MD", text).split(SEPARATOR)))
 
 
 TINY_ROWS: list[tuple[str, str, str, str]] = [

@@ -11,13 +11,13 @@ from sdnet.codec import (
     UNSAFE_IN_SURFACE,
     parse_generated,
     parse_prompt_eg,
-    parse_prompt_md,
     serialize_prompt_eg,
     serialize_prompt_md,
     serialize_target,
     surface_is_safe,
 )
 from sdnet.data import ConceptDescription, PromptEG, PromptMD, TargetSequence
+from helpers import parse_prompt_md
 
 
 def test_md_prompt_format():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from sdnet.model.network import (
     _layernorm_bwd,
     _layernorm_fwd,
     _micro_loss_grads,
+    _sum_cols,
+    _sum_last,
     decoder_forward,
     encode_instances,
     encoder_forward,
@@ -195,37 +198,71 @@ def test_forward_loss_starts_each_micro_batch_from_zero_whatever_its_buffers_hol
 def test_reductions_and_in_place_primitives_keep_the_bits_of_the_plain_formulas(dtype, shape):
     x = np.random.default_rng(sum(shape)).normal(size=shape).astype(dtype)
     n = shape[-1]
-    assert np.array_equal(np.add.reduce(x, axis=-1, keepdims=True) / n,
-                          x.mean(axis=-1, keepdims=True))
-    assert np.array_equal(np.add.reduce(x, axis=-1, keepdims=True), x.sum(axis=-1, keepdims=True))
-    assert np.array_equal(np.maximum.reduce(x, axis=-1, keepdims=True),
-                          x.max(axis=-1, keepdims=True))
+    rows = x.reshape(-1, n)
+
+    def row_sum(a):  # a matrix-vector product with a ones vector
+        return (a.reshape(-1, n) @ np.ones(n, dtype)).reshape(a.shape[:-1] + (1,))
+
+    def mean(a):
+        return row_sum(a) / n
+
+    def col_sum(a2):
+        return np.ones(a2.shape[0], dtype) @ a2
+
+    assert np.array_equal(_sum_last(x), row_sum(x))
+    assert np.array_equal(_sum_cols(rows), col_sum(rows))
+    # the max along axis 0 of a transposed copy is exact
+    assert np.array_equal(np.maximum.reduce(rows.T.copy(), axis=0), x.max(axis=-1).ravel())
 
     # the layer norm, softmax and GELU primitives against their plain formulas
     rng = np.random.default_rng(n)
     g, b = (rng.normal(size=n).astype(dtype) for _ in range(2))
     dy = rng.normal(size=shape).astype(dtype)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) * (x - mu)).mean(axis=-1, keepdims=True)
+    mu = mean(x)
+    var = mean((x - mu) * (x - mu))
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
     y, cache = _layernorm_fwd(x, g, b)
     assert np.array_equal(y, g * xhat + b)
     dxh = dy * g
-    dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
-                - xhat * (dxh * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dxh - mean(dxh) - xhat * mean(dxh * xhat))
     got = _layernorm_bwd(dy, cache)
     assert np.array_equal(got[0], dx)
-    assert np.array_equal(got[1], (dy * xhat).reshape(-1, n).sum(axis=0))
-    assert np.array_equal(got[2], dy.reshape(-1, n).sum(axis=0))
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    assert np.array_equal(softmax_last(x), e / e.sum(axis=-1, keepdims=True))
+    assert np.array_equal(got[1], col_sum((dy * xhat).reshape(-1, n)))
+    assert np.array_equal(got[2], col_sum(dy.reshape(-1, n)))
+    t = rows.T.copy()  # softmax on one transposed copy, each row a column
+    e = np.exp(t - t.max(axis=0))
+    assert np.array_equal(softmax_last(x), (e / (np.ones(n, dtype) @ e)).T.reshape(shape))
     y, (xg, t) = _gelu_fwd(x)
     assert np.array_equal(t, np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
     assert np.array_equal(y, 0.5 * x * (1.0 + t))
     du = _GELU_C * (1.0 + 3.0 * _GELU_A * xg * xg)
     assert np.array_equal(_gelu_bwd(dy, (xg, t)),
                           dy * (0.5 * (1.0 + t) + 0.5 * xg * (1.0 - t * t) * du))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 300), n=st.sampled_from([1, 7, 22, 64, 163, 256]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 10_000))
+def test_reduction_helpers_stay_within_a_summation_bound_of_an_exact_sum(rows, n, dtype, seed):
+    # A sum of m terms in any order is within m * eps * sum(|terms|) of the
+    # exact sum; a softmax entry is within (n + 16) * eps of the exact one,
+    # relative to it, for logits of unit scale.
+    eps = float(np.finfo(dtype).eps)
+    x = np.random.default_rng(seed).normal(size=(rows, n)).astype(dtype)
+    x64 = x.astype(np.float64)
+    got = _sum_last(x)[:, 0].astype(np.float64)
+    want = np.array([math.fsum(r) for r in x64.tolist()])
+    scale = np.array([math.fsum(r) for r in np.abs(x64).tolist()])
+    assert (np.abs(got - want) <= n * eps * scale).all()
+    got = _sum_cols(x).astype(np.float64)
+    want = np.array([math.fsum(c) for c in x64.T.tolist()])
+    scale = np.array([math.fsum(c) for c in np.abs(x64).T.tolist()])
+    assert (np.abs(got - want) <= rows * eps * scale).all()
+    e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+    want = e / np.array([[math.fsum(r)] for r in e.tolist()])
+    got = softmax_last(x).astype(np.float64)
+    assert (np.abs(got - want) <= (n + 16) * eps * want).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnet.codec import parse_generated, parse_prompt_eg, parse_prompt_md
+from sdnet.codec import parse_generated, parse_prompt_eg
 from sdnet.data import OTHER_TYPE, Sentence, TypeDictionary, read_annotated_jsonl, read_file, write_jsonl
 from sdnet.descriptions import build_cooccurrence_descriptions
 from sdnet.sampling import (
@@ -29,7 +29,7 @@ from sdnet.sampling import (
     stable_draw_key,
     write_instances_jsonl,
 )
-from helpers import FIXTURES, reference_keyed_shuffle, reference_sample_concepts, sent
+from helpers import FIXTURES, parse_prompt_md, reference_keyed_shuffle, reference_sample_concepts, sent
 
 CFG = SamplerConfig(rng_seed=0)
 
