@@ -9,7 +9,6 @@ across every sentence that carries it: the records are frozen.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
 from collections import Counter
@@ -131,7 +130,7 @@ def read_kb_jsonl(path: str | Path, tally: Counter) -> dict[str, KbItem]:
     for _, line in jsonl_lines(path):
         try:
             item = kb_from_record(json_object(line))
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             tally["malformed_kb_record"] += 1
             continue
         items[item.item_id] = item
@@ -143,7 +142,7 @@ def read_pages_jsonl(path: str | Path, tally: Counter) -> list[WikiPage]:
     for _, line in jsonl_lines(path):
         try:
             pages.append(page_from_record(json_object(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             tally["malformed_page_record"] += 1
     return pages
 

@@ -314,19 +314,19 @@ def read_annotated_jsonl(path: str | Path) -> list[AnnotatedSentence]:
     return list(iter_jsonl(path, distinct_ids(annotated_from_record)))
 
 
-def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """The non-blank lines of a UTF-8 text file, stripped, each with its line
-    number (from 1)."""
-    with open(path, "r", encoding="utf-8") as fh:
+def jsonl_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """The non-blank lines of a file as stripped bytes, each with its line
+    number (from 1); each is decoded where its record is handled."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 yield lineno, line
 
 
-def json_object(line: str) -> dict:
-    """The JSON object `line` holds; other JSON raises TypeError."""
-    raw = json.loads(line)
+def json_object(line: bytes) -> dict:
+    """The JSON object the UTF-8 `line` holds; other JSON raises TypeError."""
+    raw = json.loads(line.decode("utf-8"))
     if not isinstance(raw, dict):
         raise TypeError("record must be a JSON object")
     return raw
@@ -343,9 +343,9 @@ def _format_error(where: str, exc: Exception) -> CorpusFormatError:
 
 def iter_jsonl(path: str | Path, convert: Callable[[dict], T]) -> Iterator[T]:
     """The records of a JSONL file, each passed through `convert`; blank lines
-    are skipped. A line that is not a JSON object, or a record that `convert`
-    rejects with KeyError (a missing field), TypeError or ValueError, raises
-    CorpusFormatError naming `path:line`."""
+    are skipped. A line that is not a UTF-8 JSON object, or a record that
+    `convert` rejects with KeyError (a missing field), TypeError or
+    ValueError, raises CorpusFormatError naming `path:line`."""
     for lineno, line in jsonl_lines(path):
         try:
             value = convert(json_object(line))

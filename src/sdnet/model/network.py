@@ -16,12 +16,13 @@ training bit-reproducible and lets gradients be checked against finite
 differences; 32-bit mode is for speed.
 Loss terms are means over each task's non-pad target tokens. A batch is always
 processed as the same fixed partition into micro-batches, and one summation
-rule makes its gradient: `micro_batch_losses` zeroes micro-batch m's gradient
-row and accumulates its gradient there, and `batch_report` adds the rows and
-the micro-batches' loss sums in micro-batch index order. Nothing else zeroes
-or adds a row: `forward_loss` runs both halves in process, and the worker
-pool (`sdnet.model.pool`) runs the first in its workers and the second in the
-main process, so the gradient depends on nothing but the batch's rows.
+rule makes its gradient: `micro_batch_losses`, the only code that splits a
+batch, runs a worker's round-robin share of its micro-batches (by default all),
+zeroing micro-batch m's row and accumulating its gradient there, and
+`batch_report` adds the rows and loss sums in micro-batch index order. Nothing
+else zeroes or adds a row: `forward_loss` runs both halves in process, and a
+pooled `train` the first in the workers of `sdnet.model.pool`, so the gradient
+depends on nothing but the batch's rows.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -571,10 +572,10 @@ def _gather_padded(ids: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tup
     return out, mask
 
 
-def make_batch(store: EncodedInstances, rows: Sequence[int] | None = None) -> Batch:
-    """Pad the instances `rows` of `store` (all of them, in order, when None)
-    into one batch; each row is named by its instance index."""
-    rows = np.arange(len(store)) if rows is None else np.asarray(rows, dtype=np.int64)
+def make_batch(store: EncodedInstances, rows: Sequence[int]) -> Batch:
+    """Pad the instances `rows` of `store` into one batch; each row is named
+    by its instance index."""
+    rows = np.asarray(rows, dtype=np.int64)
     if not rows.size:
         raise ValueError("empty batch")
     b = store.bounds
@@ -646,21 +647,21 @@ def forward_loss(
     None; what they hold on entry is ignored). Returns the report and
     `grads[0]`, which then holds the batch's gradient.
     """
-    n_micro = -(-len(batch) // micro_size)
     if grads is None:
-        grads = [{k: np.empty_like(v) for k, v in p.items()} for _ in range(n_micro)]
-    report = batch_report(*micro_batch_losses(p, cfg, batch, micro_size, grads, range(n_micro)), grads)
+        grads = [{k: np.empty_like(v) for k, v in p.items()} for _ in range(0, len(batch), micro_size)]
+    report = batch_report(*micro_batch_losses(p, cfg, batch, micro_size, grads), grads)
     return report, grads[0]
 
 
 def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
-                       grads: Sequence[dict[str, np.ndarray]], ms: Iterable[int]) -> tuple[int, int, list]:
-    """The micro-batches `ms` of `batch`, in that order: micro-batch m, rows
-    m * micro_size onward, zeroes `grads[m]` and accumulates there the
-    gradient of its share of the batch loss. Returns the batch's MD and EG
-    token counts and, per micro-batch run, (m, its MD and EG cross-entropy
-    sums), or (m, the message naming its first row whose loss is not finite),
-    after which it stops."""
+                       grads: Sequence[dict[str, np.ndarray]], worker: int = 0,
+                       n_workers: int = 1) -> tuple[int, int, list]:
+    """The micro-batches m = worker, worker + n_workers, ... of `batch`, in
+    that order (by default all): micro-batch m, rows m * micro_size onward,
+    zeroes `grads[m]` and accumulates there the gradient of its share of the
+    batch loss. Returns the batch's MD and EG token counts and, per micro-batch
+    run, (m, its MD and EG cross-entropy sums), or (m, the message naming its
+    first row whose loss is not finite), after which it stops."""
     tok_mask = batch.labels != PAD_ID
     md_mask = tok_mask & batch.is_md[:, None]
     eg_mask = tok_mask & ~batch.is_md[:, None]
@@ -672,7 +673,7 @@ def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
     if n_eg:
         pos_w[eg_mask] = 1.0 / n_eg
     parts: list = []
-    for m in ms:
+    for m in range(worker, -(-len(batch) // micro_size), n_workers):
         for g in grads[m].values():
             g.fill(0.0)
         sl = slice(m * micro_size, (m + 1) * micro_size)

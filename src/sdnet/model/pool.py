@@ -16,13 +16,13 @@ The parameters and one gradient buffer per micro-batch live in one shared
 memory file, a memfd named `sdnet-grads`: it has no path in /dev/shm and
 disappears with the last process that holds it.
 
-The pool only routes rows and buffers; the summation rule is
-`sdnet.model.network`'s alone. For each step the main process sends the
-batch's instance indices to the first W workers. Worker w runs micro-batches
-w, w + W, ... through `network.micro_batch_losses` into their gradient
-buffers and replies with their loss sums. The main process computes nothing
-meanwhile; it then hands the replies and the buffers to `network.batch_report`,
-as `forward_loss` does in process, so both give the same bits.
+The pool only carries rows and buffers; the micro-batch split and the
+summation rule are `sdnet.model.network`'s alone. Each of a job's W workers
+learns W once. For each step the main process sends the batch's instance
+indices to all W; worker w runs its share of the micro-batches through
+`network.micro_batch_losses` into their gradient buffers and replies with
+their loss sums, while the main process waits. `train` hands the merged
+replies and the buffers to `network.batch_report`, as `forward_loss` does.
 
 The pool starts on first use, once per interpreter, and closes at exit:
 closing a worker's socket ends it, and the main process waits for each. A
@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import LossReport, batch_report, keep_freed_heap, make_batch, micro_batch_losses
+from .network import keep_freed_heap, make_batch, micro_batch_losses
 
 _IMPORT_ROOT = str(Path(__file__).resolve().parents[2])  # the directory that holds `sdnet`
 _WORKER_MAIN = "import sys; from sdnet.model.pool import serve; serve(*map(int, sys.argv[1:]))"
@@ -113,8 +113,7 @@ class GradPool:
         self.workers: list[_Worker] = []
         self.closed = False
         self._lock = threading.Lock()  # one training job at a time
-        self.params = self.grads = self._grad_views = self._job_workers = None
-        self._micro_size = 0
+        self.params = self.grads = self._job_workers = None
 
     def close(self) -> None:
         """Ends every worker and waits for it; a worker still busy finishes
@@ -137,8 +136,8 @@ class GradPool:
         """A training run on the first `n_workers` workers, started here if
         need be: shared memory for the parameters, which start as `flat`,
         and `n_micro` gradient buffers. Each worker receives the layout, the
-        encoded instances and the model config once. Yields the pool; its
-        buffers are dropped when the job ends."""
+        encoded instances, the model config and the worker count once. Yields
+        the pool; its buffers are dropped when the job ends."""
         with self._lock:
             while len(self.workers) < n_workers:
                 self.workers.append(_Worker(len(self.workers), self.memfd))
@@ -149,14 +148,13 @@ class GradPool:
             bufs = np.frombuffer(mmap.mmap(self.memfd, nbytes), dtype=flat.dtype).reshape(1 + n_micro, -1)
             bufs[0] = flat
             self.params, self.grads = bufs[0], bufs[1:]
-            self._grad_views = [layout.views(g) for g in self.grads]
-            self._job_workers, self._micro_size = self.workers[:n_workers], micro_size
-            message = ("job", layout, flat.dtype.str, n_micro, micro_size, store, cfg)
+            self._job_workers = self.workers[:n_workers]
+            message = ("job", layout, flat.dtype.str, n_micro, micro_size, store, cfg, n_workers)
             try:
                 self._exchange(self._job_workers, message)
                 yield self
             finally:
-                self.params = self.grads = self._grad_views = self._job_workers = None
+                self.params = self.grads = self._job_workers = None
 
     def _exchange(self, workers: list[_Worker], message: tuple) -> list:
         """Sends each worker the message, then reads every reply. Any failure,
@@ -170,15 +168,12 @@ class GradPool:
             self.close()
             raise
 
-    def step(self, rows: list[int]) -> LossReport:
-        """The open job's batch of instances `rows`, which must span at least
-        two micro-batches: its gradient lands in `self.grads[0]`. Raises
-        LossNotFiniteError as `forward_loss` does."""
-        n_micro = -(-len(rows) // self._micro_size)
-        workers = self._job_workers[:n_micro]
-        replies = self._exchange(workers, ("step", rows, len(workers)))
-        parts = [part for _, _, worker_parts in replies for part in worker_parts]
-        return batch_report(*replies[0][:2], parts, self._grad_views)
+    def step(self, rows: list[int]) -> tuple[int, int, list]:
+        """The open job's batch of instances `rows`: every worker runs its
+        share into `self.grads`. Returns what `micro_batch_losses` returns for
+        the whole batch, the workers' parts merged."""
+        replies = self._exchange(self._job_workers, ("step", rows))
+        return *replies[0][:2], [part for _, _, parts in replies for part in parts]
 
 
 _shared: GradPool | None = None
@@ -211,7 +206,7 @@ def serve(conn_fd: int, memfd: int, index: int) -> None:
             return
         try:
             if request[0] == "job":
-                layout, dtype, n_micro, micro_size, store, cfg = request[1:]
+                layout, dtype, n_micro, micro_size, store, cfg, n_workers = request[1:]
                 bufs = np.frombuffer(mmap.mmap(memfd, (1 + n_micro) * layout.size * np.dtype(dtype).itemsize),
                                      dtype=dtype).reshape(1 + n_micro, -1)
                 params = bufs[0]
@@ -219,9 +214,8 @@ def serve(conn_fd: int, memfd: int, index: int) -> None:
                 params, grads = layout.views(params), [layout.views(g) for g in bufs[1:]]
                 reply = None
             else:
-                rows, n_workers = request[1:]
-                reply = micro_batch_losses(params, cfg, make_batch(store, rows), micro_size, grads,
-                                           range(index, -(-len(rows) // micro_size), n_workers))
+                reply = micro_batch_losses(params, cfg, make_batch(store, request[1]), micro_size, grads,
+                                           index, n_workers)
         except Exception:
             reply = traceback.format_exc()
         try:

@@ -123,7 +123,7 @@ def build_vocab(texts: Iterable[str]) -> Vocab:
     return Vocab(id_to_token=SPECIAL_TOKENS + tuple(sorted(tokens.difference(SPECIAL_TOKENS))))
 
 
-def encode_input(prompt_text: str, input_text: str, vocab: Vocab, max_len: int = 256) -> list[int]:
+def encode_input(prompt_text: str, input_text: str, vocab: Vocab, max_len: int) -> list[int]:
     """Prompt tokens then input tokens, as one encoder id sequence."""
     ids = vocab.encode(tokenize(prompt_text)) + vocab.encode(tokenize(input_text))
     if len(ids) > max_len:
@@ -131,7 +131,7 @@ def encode_input(prompt_text: str, input_text: str, vocab: Vocab, max_len: int =
     return ids
 
 
-def encode_target(target_text: str, vocab: Vocab, max_len: int = 256) -> list[int]:
+def encode_target(target_text: str, vocab: Vocab, max_len: int) -> list[int]:
     """Target token ids with the closing [EOS]; an empty target is just [EOS]."""
     ids = vocab.encode(tokenize(target_text)) + [EOS_ID]
     if len(ids) > max_len:

@@ -6,15 +6,15 @@ each (`FlatLayout`) and holds one gradient row per micro-batch of a full
 batch, made once per call, so that the optimizer and the finiteness check are
 a few whole-buffer operations; the network reads and fills per-tensor views.
 
-Training is pooled when a full batch spans two or more micro-batches and the
-process may run on more than one CPU: the rows are then the pool's shared
-buffers, which min(micro-batches, CPUs) worker processes (`sdnet.model.pool`)
-fill for each batch of two or more while the main process waits. Otherwise
-the batch runs in process through `forward_loss`. Either way the rows follow
-`network`'s one summation rule and AdamW reads row 0, so the trained bytes do
-not depend on which ran. `train` first calls `network.keep_freed_heap`, so that
-even a fresh process's first in-process step keeps the temporaries it frees on
-the heap instead of paging them in again on the next step."""
+`train` decides once per call whether it pools: when a full batch spans two
+or more micro-batches and the process may run on more than one CPU, every
+batch goes to min(micro-batches, CPUs) worker processes (`sdnet.model.pool`),
+which fill the rows, the pool's shared buffers, while the main process waits;
+`train` then makes the report with `batch_report`, as `forward_loss`, which
+runs every batch otherwise, does in process. The trained bytes do not depend
+on which ran. `train` first calls `network.keep_freed_heap`, so that even a
+fresh process's first in-process step keeps the temporaries it frees on the
+heap instead of paging them in again on the next step."""
 
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .network import (
     LossNotFiniteError,
     LossReport,
     ModelConfig,
+    batch_report,
     check_params,
     encode_instances,
     forward_loss,
@@ -212,15 +213,13 @@ def train(
         flat, rows = ((flat, np.empty((n_micro, layout.size), flat.dtype)) if job is None
                       else (job.params, job.grads))
         views, grads = layout.views(flat), [layout.views(row) for row in rows]
+        batch_loss = ((lambda idx: forward_loss(views, mcfg, make_batch(store, idx), tcfg.micro_size, grads)[0])
+                      if job is None else (lambda idx: batch_report(*job.step(idx), grads)))
         state = AdamWState.init(flat, layout.n_decay)
         log: list[StepLog] = []
         for step, idx in enumerate(_batches(rng, n, tcfg.batch_size, total)):
             try:
-                if job is not None and len(idx) > tcfg.micro_size:
-                    report = job.step(idx)
-                else:
-                    report, _ = forward_loss(views, mcfg, make_batch(store, idx), micro_size=tcfg.micro_size,
-                                             grads=grads)
+                report = batch_loss(idx)
             except LossNotFiniteError as exc:
                 raise TrainingDivergedError(f"step {step}: {exc}") from exc
             lr = lr_at(tcfg, step, total)

@@ -283,7 +283,7 @@ BAD_CHECKPOINT_META = {
 
 
 def batch_of(insts, vocab, cfg):
-    return make_batch(encode_instances(insts, vocab, cfg))
+    return make_batch(encode_instances(insts, vocab, cfg), range(len(insts)))
 
 
 def reference_generate(p, cfg, vocab, prompt_text: str, input_text: str, max_len: int = 64) -> str:

@@ -352,6 +352,19 @@ def test_a_kb_or_page_line_that_is_not_an_object_is_tallied_malformed(tmp_path, 
     assert build.tally - golden.tally == Counter(malformed_kb_record=1, malformed_page_record=1)
 
 
+def test_a_kb_or_page_line_that_is_not_utf8_is_tallied_and_the_build_keeps_its_golden_bytes(tmp_path):
+    kb_path, pages_path, out = tmp_path / "kb.jsonl", tmp_path / "pages.jsonl", tmp_path / "corpus.jsonl"
+    kb_path.write_bytes(b'{"id": "Q\xff", "label": "x"}\n' + (FIXTURES / "kb_items.jsonl").read_bytes())
+    pages_path.write_bytes((FIXTURES / "pages.jsonl").read_bytes()
+                           + b'{"title": "\xff", "text": "x", "anchors": []}\n')
+    build = build_corpus(kb_path, pages_path, CFG)
+    write_annotated_jsonl(out, build.sentences)
+    assert out.read_bytes() == (FIXTURES / "golden_corpus.jsonl").read_bytes()
+    assert (build.dictionary.to_json() + "\n").encode("utf-8") == (FIXTURES / "golden_dict.json").read_bytes()
+    golden = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
+    assert build.tally - golden.tally == Counter(malformed_kb_record=1, malformed_page_record=1)
+
+
 def test_fixture_build_matches_golden_corpus():
     build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
     got = "".join(json.dumps(annotated_to_record(s), ensure_ascii=False) + "\n"

@@ -166,6 +166,20 @@ def test_jsonl_readers_name_the_line_that_is_not_an_object(tmp_path, read, recor
         read(path)
 
 
+@pytest.mark.parametrize("read, record", _READ_RECORDS)
+def test_jsonl_readers_name_the_line_that_is_not_utf8_and_read_crlf_line_ends(tmp_path, read, record):
+    path = tmp_path / "records.jsonl"
+    line = json.dumps(record).encode("utf-8")
+    path.write_bytes(line + b"\n" + '{"id": "café"}'.encode("latin-1") + b"\n")
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(path))}:2: 'utf-8' codec can't decode byte 0xe9"):
+        read(path)
+    path.write_bytes(line + b"\n")
+    lf = read(path)
+    path.write_bytes(b"\r\n" + line + b"\r\n")
+    assert read(path) == lf
+
+
 _INSTANCE = {"task": "MD", "prompt": "[MD] Alice", "input": "Alice rests.", "target": "Alice is person."}
 _SPAN = {"surface": "Alice", "type": "person", "start": 0, "end": 5}
 

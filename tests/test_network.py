@@ -25,10 +25,13 @@ from sdnet.model.network import (
     _micro_loss_grads,
     _sum_cols,
     _sum_last,
+    batch_report,
     decoder_forward,
     encode_instances,
     encoder_forward,
     forward_loss,
+    make_batch,
+    micro_batch_losses,
     softmax_last,
 )
 from sdnet.model.tokenizer import EOS_ID, PAD_ID
@@ -179,6 +182,30 @@ def test_micro_batches_accumulate_in_index_order_deterministically():
     assert md_sum / r1.md_tokens + eg_sum / r1.eg_tokens == r1.total
     for k in g1:
         assert g1[k].tobytes() == summed[k].tobytes(), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), micro_size=st.integers(1, 3), n_workers=st.integers(1, 4),
+       data=st.data())
+def test_every_workers_share_run_in_any_order_gives_the_bytes_of_forward_loss(seed, micro_size,
+                                                                                n_workers, data):
+    # each worker's round-robin share of the micro-batches, the workers in a
+    # drawn order, into one set of stale gradient rows: `batch_report` then
+    # gives the report and the gradient bytes of the whole batch in process
+    insts, vocab, cfg, params = tiny_setup(seed=seed)
+    rows = data.draw(st.lists(st.integers(0, len(insts) - 1), min_size=1, max_size=9), label="rows")
+    batch = make_batch(encode_instances(insts, vocab, cfg), rows)
+    want_report, want = forward_loss(params, cfg, batch, micro_size)
+    grads = [{k: np.full_like(v, np.nan) for k, v in params.items()}
+             for _ in range(0, len(batch), micro_size)]
+    parts = []
+    for worker in data.draw(st.permutations(range(n_workers)), label="worker order"):
+        n_md, n_eg, share = micro_batch_losses(params, cfg, batch, micro_size, grads, worker, n_workers)
+        parts += share
+    assert sorted(m for m, _ in parts) == list(range(len(grads)))  # each micro-batch run once
+    assert batch_report(n_md, n_eg, parts, grads) == want_report
+    for k in want:
+        assert grads[0][k].tobytes() == want[k].tobytes(), k
 
 
 @pytest.mark.parametrize("n_rows, n_micro", [(8, 1), (17, 3)])

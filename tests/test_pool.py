@@ -40,17 +40,17 @@ def _pool_steps(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("batch_size, micro_size, cpus", [(3, 2, 2), (4, 1, 3)])
 def test_pooled_training_is_byte_identical_to_in_process(monkeypatch, dtype, batch_size, micro_size, cpus):
-    # each epoch of the five instances ends on a batch of one micro-batch, run
-    # in process; (3, 2): two micro-batches, one per worker; (4, 1): more
-    # workers than the two CPUs a test machine may have, and worker 0 also
-    # takes micro-batch 3
+    # each epoch of the five instances ends on a batch of one micro-batch,
+    # which the pool runs too, its second worker idle; (3, 2): two
+    # micro-batches, one per worker; (4, 1): more workers than the two CPUs a
+    # test machine may have, and worker 0 also takes micro-batch 3
     insts, vocab, cfg, params = tiny_setup(dtype=dtype)
     tcfg = TrainConfig(mode="finetune", batch_size=batch_size, lr=3e-3, epochs=4,
                        schedule="linear", seed=5, micro_size=micro_size)
     steps = _pool_steps(monkeypatch)
     pooled, pooled_log = _train_with_cpus(monkeypatch, cpus, params, insts, vocab, cfg, tcfg)
     n_pooled = len(steps)
-    assert 0 < n_pooled < len(pooled_log)  # some batches pooled, some not
+    assert n_pooled == len(pooled_log)  # every batch pooled, the short ones too
     alone, alone_log = _train_with_cpus(monkeypatch, 1, params, insts, vocab, cfg, tcfg)
     assert len(steps) == n_pooled  # the in-process run reached no worker
     assert pooled_log == alone_log

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from sdnet.codec import serialize_prompt_eg, serialize_prompt_md, serialize_target
 from sdnet.data import ConceptDescription, PromptEG, PromptMD, TargetSequence
+from sdnet.model import ModelConfig
 from sdnet.model.tokenizer import (
     EOS_ID,
     PAD_ID,
@@ -81,15 +82,15 @@ def test_vocab_json_round_trip():
 
 def test_encode_input_concatenates_prompt_and_input():
     v = build_vocab(["[MD] Alice", "Alice rests."])
-    ids = encode_input("[MD] Alice", "Alice rests.", v)
+    ids = encode_input("[MD] Alice", "Alice rests.", v, ModelConfig.max_len)
     assert v.decode(ids) == ["[MD]", "Alice", "Alice", "rests", "."]
 
 
 def test_encode_target_appends_eos():
     v = build_vocab(["Alice is person."])
-    ids = encode_target("Alice is person.", v)
+    ids = encode_target("Alice is person.", v, ModelConfig.max_len)
     assert ids[-1] == EOS_ID
-    assert encode_target("", v) == [EOS_ID]
+    assert encode_target("", v, ModelConfig.max_len) == [EOS_ID]
 
 
 def test_encode_rejects_over_length():
