@@ -40,7 +40,7 @@ from .descriptions import (
     read_description_map,
     write_description_map,
 )
-from .evaluation import (corpus_schema, gold_spans, model_episode_factory, predict_spans,
+from .evaluation import (corpus_schema, gold_spans, locate_generated, model_episode_factory,
                          run_episodes, score)
 from .locate import read_predictions_jsonl, write_predictions_jsonl
 from .model import (
@@ -50,7 +50,6 @@ from .model import (
     TrainConfig,
     TrainingDivergedError,
     build_vocab,
-    generate,
     generate_many,
     init_params,
     load_checkpoint,
@@ -278,17 +277,17 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     prompt = read_file(args.prompt_file, _eg_prompt_from)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
-    gen = partial(generate, params, mcfg, vocab, max_len=args.max_gen)
     sentences = list(iter_jsonl(args.sentences, distinct_ids(sentence_from_record)))
-    if args.max_gen < 1:  # checked here too: an empty file makes no `generate` call to check it
-        raise ValueError(f"--max-gen: max_len must be at least 1, got {args.max_gen}")
+    try:
+        with _naming_flags(max_len="--max-gen"):
+            texts = generate_many(params, mcfg, vocab, [prompt] * len(sentences),
+                                  [sent.text for sent in sentences], max_len=args.max_gen)
+    except RowError as exc:
+        raise CorpusFormatError(
+            f"--sentences {args.sentences}: sentence {sentences[exc.row].id!r}: {exc.reason}") from exc
     predictions = []
-    for sent in sentences:
-        try:
-            spans, diagnostics, unlocated = predict_spans(gen, sent, prompt)
-        except RowError as exc:
-            raise CorpusFormatError(
-                f"--sentences {args.sentences}: sentence {sent.id!r}: {exc.reason}") from exc
+    for sent, text in zip(sentences, texts):
+        spans, diagnostics, unlocated = locate_generated(sent, text)
         if diagnostics or unlocated:
             print(f"{sent.id}: {len(diagnostics)} parse diagnostics, "
                   f"{len(unlocated)} unlocated", file=sys.stderr)

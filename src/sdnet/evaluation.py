@@ -123,10 +123,18 @@ def gold_spans(sent: AnnotatedSentence, schema_types: Sequence[str]) -> list[Spa
 def predict_spans(
     generate_fn: GenerateFn, sentence: Sentence, prompt_text: str
 ) -> tuple[list[SpanPrediction], list[str], list[tuple[str, str]]]:
-    """The one generate -> parse -> locate path: the spans of the EG text that
-    `generate_fn` answers for `sentence`, with the parse diagnostics and the
-    pairs `locate` could not place."""
-    parsed = parse_generated("EG", generate_fn(prompt_text, sentence.text))
+    """Generate -> parse -> locate for one sentence: `locate_generated` of
+    the EG text that `generate_fn` answers for `sentence`."""
+    return locate_generated(sentence, generate_fn(prompt_text, sentence.text))
+
+
+def locate_generated(
+    sentence: Sentence, generated: str
+) -> tuple[list[SpanPrediction], list[str], list[tuple[str, str]]]:
+    """The one parse -> locate path: the spans of the EG text `generated` for
+    `sentence`, with the parse diagnostics and the pairs `locate` could not
+    place."""
+    parsed = parse_generated("EG", generated)
     spans, unlocated = locate(sentence, parsed.target)
     return spans, parsed.diagnostics, unlocated
 

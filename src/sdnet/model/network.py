@@ -2,18 +2,23 @@
 
 Pre-LN blocks, learned positions, tanh-GELU feed-forward, and K/V-cached
 incremental greedy decoding. One attention forward, `_attention_fwd`, serves
-the encoder, the teacher-forced decoder and the cached decoder: it takes keys
-and values projected by `_kv_fwd` and a score bias built once per stack (key
-padding, causal, or None). `generate_many` is the one greedy decode loop: it
-pads a batch of sources behind a key mask, encodes them once, and runs
-`decoder_forward` once per emitted token over each row's new position only,
-until every row has emitted its own [EOS] or the length cap; `generate` is
-that loop on one row. It builds its `DecodeState` whole before the first step
-(K/V buffers, the encoder output's keys and values, the source bias); each
-cached step then runs one new position, which sees every key written before
-it, so only the teacher-forced pass needs a causal mask. 64-bit mode makes
-training bit-reproducible and lets gradients be checked against finite
-differences; 32-bit mode is for speed.
+the encoder and the teacher-forced decoder: it takes keys and values projected
+by `_kv_fwd` and a score bias built once per stack (key padding, causal, or
+None). `generate_many` is the one greedy decode loop: it pads a batch of
+sources behind a key mask, encodes them once, and runs `decoder_forward` once
+per emitted token over each row's new position only, until every row has
+emitted its own [EOS] or the length cap; `generate` is that loop on one row.
+It builds its `DecodeState` whole before the first step: the decoder weights
+with each layer norm's gain and bias folded into the projection that reads it,
+the encoder output's keys and values, the source bias and the K/V buffers.
+Each cached step, `DecodeState.step`, then runs the one new position on
+(rows, d) arrays: row normalisations with no affine step, one product for the
+self-attention's queries, keys and values, in-place softmaxes over the keys
+written before it (so only the teacher-forced pass needs a causal mask), and
+in-place residual adds. It computes the teacher-forced pass's function, equal
+to rounding but not to the bit. 64-bit mode makes training bit-reproducible
+and lets gradients be checked against finite differences; 32-bit mode is for
+speed.
 Loss terms are means over each task's non-pad target tokens. A batch is always
 processed as the same fixed partition into micro-batches, and one summation
 rule makes its gradient: `micro_batch_losses`, the only code that splits a
@@ -179,11 +184,16 @@ def check_params(p: dict[str, np.ndarray], cfg: ModelConfig) -> None:
 
 # Row reductions stay off numpy's `reduce` along a short last axis, which runs
 # its inner loop once per row and so costs more than the arithmetic around it
-# at these shapes. One rule holds for every shape, so the cached decoder and
-# the teacher-forced pass do the same arithmetic: a sum over the last axis is
-# one matrix-vector product with a ones vector, a column sum one vector-matrix
-# product, and a max over the last axis is taken along axis 0 of a contiguous
-# transposed copy, which is exact.
+# at these shapes: a sum over the last axis is one matrix-vector product with a
+# ones vector, a column sum one vector-matrix product, and a max over the last
+# axis is taken along axis 0 of a contiguous transposed copy, which is exact.
+# The training passes hold to that rule at every shape. The cached decode step
+# keeps its sums as such products too (a row's mean is one product with a
+# vector of 1/d), but it does not repeat the teacher-forced pass's arithmetic:
+# its layer norms are folded into the projections that read them, the score
+# scale into its query weights, and its softmax runs in place with `reduce`
+# for the max over its few rows of scores (one per row and head). Its logits
+# match the teacher-forced pass to rounding, and the tests hold it to that.
 
 
 @cache
@@ -428,59 +438,138 @@ def encoder_backward(denc, cache, grads):
     grads["pos_enc"][: src.shape[1]] += np.add.reduce(dx, axis=0)
 
 
-class DecodeState:
-    """K/V cache of one incremental decode of the encoder output `enc_out` of
-    sources masked by `src_mask`, built whole before the first step.
+def _normalize_rows(x2, mean):
+    """Layer normalisation of the rows of a 2-D `x2` with no gain or bias;
+    `mean` is a vector of 1/d."""
+    xc = x2 - (x2 @ mean)[:, None]
+    xc /= np.sqrt((xc * xc) @ mean + LN_EPS)[:, None]
+    return xc
 
-    `cross_kv` holds each layer's `_kv_fwd` of `enc_out`, and `cross_bias` the
-    source-mask bias, or None when no source position is masked. After
-    `length` decoder positions have been run, one per `decoder_forward` call,
-    each layer's entry in `self_kv` holds their self-attention keys and
-    values, split into heads, in buffers of cfg.max_len positions.
+
+def _project(x2, w, b):
+    """`x2 @ w + b` for (rows, d) `x2`."""
+    y = x2 @ w
+    y += b
+    return y
+
+
+def _attend_rows(q, k, v, bias):
+    """Attention of one query per row and head, `q` (B, H, 1, d_k), over keys
+    `k` (B, H, d_k, n) and values `v` (B, H, n, d_k), the scale already in `q`
+    and `bias`, if not None, added to the scores; the context as (B, H d_k)."""
+    s = q @ k
+    if bias is not None:
+        s += bias
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= (s @ _ones(s.shape[-1], s.dtype))[..., None]
+    return (s @ v).reshape(q.shape[0], -1)
+
+
+def _fold(p, ln, w, b):
+    """`w` and `b` of a projection that reads layer norm `ln`'s output, made
+    to read x-hat instead: `LN(x) @ w + b` is `x-hat @ (g w) + (beta @ w + b)`
+    for the norm's gain g (scaling the rows of `w`) and bias beta."""
+    return p[ln + ".g"][:, None] * w, p[ln + ".b"] @ w + b
+
+
+class DecodeState:
+    """One incremental decode of the encoder output `enc_out` of sources
+    masked by `src_mask`, prepared whole before the first step.
+
+    Each decoder layer norm's gain and bias are folded (`_fold`) into the
+    projection that reads its output, so a step only normalizes rows: ln1 into
+    the self-attention's one [wq s | wk | wv] matrix, ln2 into the
+    cross-attention query, ln3 into the feed-forward's first matrix and dec_ln
+    into the output projection; s = 1/sqrt(d_k) scales both queries. The
+    cross-attention keys of `enc_out` are held as (B, H, d_k, S), its values as
+    (B, H, S, d_k), and `cross_bias` hides the masked source positions (None
+    when none is). After `length` steps, each layer's self-attention buffers
+    hold those positions' keys as (B, H, d_k, cfg.max_len) and values as
+    (B, H, cfg.max_len, d_k), so every score and context is one product with
+    no transpose. `mean`, a vector of 1/d, takes a row's mean in one product.
     """
 
     def __init__(self, p, cfg: ModelConfig, enc_out, src_mask) -> None:
-        shape = (enc_out.shape[0], cfg.n_heads, cfg.max_len, cfg.d_model // cfg.n_heads)
+        b, s, d = enc_out.shape
+        h, dk = cfg.n_heads, d // cfg.n_heads
+        scale = 1.0 / math.sqrt(dk)
+        enc2 = enc_out.reshape(b * s, d)
+        self.n_heads = h
+        self.mean = np.full(d, 1.0 / d, enc_out.dtype)
         self.length = 0
-        self.self_kv = [(np.empty(shape, enc_out.dtype), np.empty(shape, enc_out.dtype))
-                        for _ in range(cfg.n_layers)]
-        self.cross_kv = [_kv_fwd(p, f"dec{i}.cross", enc_out, cfg.n_heads) for i in range(cfg.n_layers)]
+        self.tok_emb, self.pos_dec = p["tok_emb"], p["pos_dec"]
         self.cross_bias = _key_bias(src_mask, enc_out.dtype)
+        self.layers = []
+        for i in range(cfg.n_layers):
+            pre = f"dec{i}."
+            sa, ca = pre + "self.", pre + "cross."
+            w_qkv, b_qkv = _fold(p, pre + "ln1",
+                                 np.concatenate([p[sa + "wq"] * scale, p[sa + "wk"], p[sa + "wv"]], axis=1),
+                                 np.concatenate([p[sa + "bq"] * scale, p[sa + "bk"], p[sa + "bv"]]))
+            k_cross = _project(enc2, p[ca + "wk"], p[ca + "bk"]).reshape(b, s, h, dk)
+            v_cross = _project(enc2, p[ca + "wv"], p[ca + "bv"]).reshape(b, s, h, dk)
+            self.layers.append((
+                w_qkv, b_qkv,
+                np.empty((b, h, dk, cfg.max_len), enc_out.dtype),
+                np.empty((b, h, cfg.max_len, dk), enc_out.dtype),
+                p[sa + "wo"], p[sa + "bo"],
+                *_fold(p, pre + "ln2", p[ca + "wq"] * scale, p[ca + "bq"] * scale),
+                np.ascontiguousarray(k_cross.transpose(0, 2, 3, 1)),
+                np.ascontiguousarray(v_cross.transpose(0, 2, 1, 3)),
+                p[ca + "wo"], p[ca + "bo"],
+                *_fold(p, pre + "ln3", p[pre + "ffn.w1"], p[pre + "ffn.b1"]),
+                p[pre + "ffn.w2"], p[pre + "ffn.b2"],
+            ))
+        self.out_w, self.out_b = _fold(p, "dec_ln", p["out.w"], p["out.b"])
+
+    def step(self, dec_in):
+        """The decoder on the one position `dec_in` (B, 1) after the `length`
+        already run, as (B, d) rows; records its keys and values and returns
+        its logits as (B, 1, V)."""
+        t = self.length
+        rows = dec_in.shape[0]
+        x = self.tok_emb[dec_in[:, 0]]
+        x += self.pos_dec[t]
+        d = x.shape[1]
+        kv_shape = (rows, self.n_heads, d // self.n_heads)
+        q_shape = (rows, self.n_heads, 1, d // self.n_heads)
+        for (w_qkv, b_qkv, k_self, v_self, wo, bo, wq_c, bq_c, k_cross, v_cross, wo_c, bo_c,
+             w1, b1, w2, b2) in self.layers:
+            qkv = _project(_normalize_rows(x, self.mean), w_qkv, b_qkv)
+            k_self[:, :, :, t] = qkv[:, d:2 * d].reshape(kv_shape)
+            v_self[:, :, t] = qkv[:, 2 * d:].reshape(kv_shape)
+            x += _project(_attend_rows(qkv[:, :d].reshape(q_shape), k_self[..., :t + 1],
+                                       v_self[:, :, :t + 1], None), wo, bo)
+            q = _project(_normalize_rows(x, self.mean), wq_c, bq_c)
+            x += _project(_attend_rows(q.reshape(q_shape), k_cross, v_cross, self.cross_bias), wo_c, bo_c)
+            x += _project(_gelu_fwd(_project(_normalize_rows(x, self.mean), w1, b1))[0], w2, b2)
+        self.length = t + 1
+        return _project(_normalize_rows(x, self.mean), self.out_w, self.out_b).reshape(rows, 1, -1)
 
 
 def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: DecodeState | None = None):
     """Teacher-forced decoder pass; returns (logits, backward cache).
 
     With a `state`, `dec_in` holds the one position after the `state.length`
-    already run: it attends to the cached keys and values and to those
-    `state` holds of `enc_out`, `state` is extended by it, and no backward
-    cache is kept (None).
+    already run, and `state.step` runs it: it attends to the keys and values
+    `state` holds, `state` is extended by it, and no backward cache is kept
+    (None).
     """
-    start = 0 if state is None else state.length
+    if state is not None:
+        return state.step(dec_in), None
     t = dec_in.shape[1]
-    x = p["tok_emb"][dec_in] + p["pos_dec"][start:start + t]
-    if state is None:
-        causal = np.triu(np.full((t, t), NEG_INF, dtype=x.dtype), k=1)
-        cross_bias = _key_bias(src_mask, x.dtype)
-    else:  # the one new position sees every key
-        causal, cross_bias = None, state.cross_bias
+    x = p["tok_emb"][dec_in] + p["pos_dec"][:t]
+    causal = np.triu(np.full((t, t), NEG_INF, dtype=x.dtype), k=1)
+    cross_bias = _key_bias(src_mask, x.dtype)
     layer_caches = []
     for i in range(cfg.n_layers):
         pre = f"dec{i}"
         h1, cl1 = _layernorm_fwd(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
-        kv = _kv_fwd(p, pre + ".self", h1, cfg.n_heads)
-        if state is not None:  # the new position's K/V go after the cached ones
-            k_buf, v_buf = state.self_kv[i]
-            k_buf[:, :, start:start + 1] = kv[0]
-            v_buf[:, :, start:start + 1] = kv[1]
-            kv = (k_buf[:, :, :start + 1], v_buf[:, :, :start + 1], None, None)  # no backward
-        a, ca = _attention_fwd(p, pre + ".self", h1, kv, causal)
+        a, ca = _attention_fwd(p, pre + ".self", h1, _kv_fwd(p, pre + ".self", h1, cfg.n_heads), causal)
         x = x + a
         h2, cl2 = _layernorm_fwd(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
-        if state is None:
-            kv = _kv_fwd(p, pre + ".cross", enc_out, cfg.n_heads)
-        else:
-            kv = state.cross_kv[i]
+        kv = _kv_fwd(p, pre + ".cross", enc_out, cfg.n_heads)
         c, cc = _attention_fwd(p, pre + ".cross", h2, kv, cross_bias)
         x = x + c
         h3, cl3 = _layernorm_fwd(x, p[pre + ".ln3.g"], p[pre + ".ln3.b"])
@@ -489,9 +578,6 @@ def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: Decod
         layer_caches.append((pre, cl1, ca, cl2, cc, cl3, cf))
     h, cfin = _layernorm_fwd(x, p["dec_ln.g"], p["dec_ln.b"])
     logits, cout = _linear_fwd(h, p["out.w"], p["out.b"])
-    if state is not None:
-        state.length += 1
-        return logits, None
     return logits, (dec_in, layer_caches, cfin, cout)
 
 
@@ -636,19 +722,17 @@ def forward_loss(
     p: dict[str, np.ndarray],
     cfg: ModelConfig,
     batch: Batch,
-    micro_size: int = 8,
-    grads: Sequence[dict[str, np.ndarray]] | None = None,
+    micro_size: int,
+    grads: Sequence[dict[str, np.ndarray]],
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Teacher-forced cross entropy: mean over MD tokens plus mean over EG
     tokens, with analytic gradients.
 
     The batch runs as micro-batches of `micro_size` rows, one after another,
-    under the module's summation rule, micro-batch m in `grads[m]` (new when
-    None; what they hold on entry is ignored). Returns the report and
-    `grads[0]`, which then holds the batch's gradient.
+    under the module's summation rule, micro-batch m in `grads[m]` (what they
+    hold on entry is ignored). Returns the report and `grads[0]`, which then
+    holds the batch's gradient.
     """
-    if grads is None:
-        grads = [{k: np.empty_like(v) for k, v in p.items()} for _ in range(0, len(batch), micro_size)]
     report = batch_report(*micro_batch_losses(p, cfg, batch, micro_size, grads), grads)
     return report, grads[0]
 

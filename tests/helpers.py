@@ -20,7 +20,8 @@ from sdnet.model import ModelConfig, build_vocab, init_params
 from sdnet.model.network import decoder_forward, encode_instances, encoder_forward, forward_loss, make_batch
 from sdnet.model.tokenizer import (EOS_ID, PAD_ID, SPECIAL_TOKENS, Vocab, detokenize, encode_input,
                                    tokenize)
-from sdnet.model.trainer import BETA1, BETA2, EPS, WEIGHT_DECAY, StepLog, lr_at, total_steps_for
+from sdnet.model.trainer import (BETA1, BETA2, EPS, WEIGHT_DECAY, StepLog, TrainConfig, lr_at,
+                                 total_steps_for)
 from sdnet.sampling import TrainingInstance, eg_pairs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -78,6 +79,15 @@ def tiny_setup(d_model: int = 8, n_layers: int = 1, n_heads: int = 2,
     return insts, vocab, cfg, init_params(cfg)
 
 
+MICRO_SIZE = TrainConfig.micro_size  # the micro-batch size the tests run `forward_loss` at
+
+
+def grad_rows(params, batch, micro_size: int = MICRO_SIZE) -> list[dict[str, np.ndarray]]:
+    """One gradient dict per micro-batch of `batch`: the rows `forward_loss`
+    and `micro_batch_losses` fill, as `train` allocates them."""
+    return [{k: np.empty_like(v) for k, v in params.items()} for _ in range(0, len(batch), micro_size)]
+
+
 def fd_gradient_check(params, cfg, batch, h: float = 1e-4,
                       entries_per_tensor: int = 3, seed: int = 0):
     """Five-point central finite differences against the analytic gradient.
@@ -90,7 +100,7 @@ def fd_gradient_check(params, cfg, batch, h: float = 1e-4,
     truncation error well below the comparison tolerance even for entries whose
     gradient is itself of order h.
     """
-    _, grads = forward_loss(params, cfg, batch)
+    _, grads = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     rng = np.random.default_rng(seed)
     rows = []
     for name, g in grads.items():
@@ -103,7 +113,7 @@ def fd_gradient_check(params, cfg, batch, h: float = 1e-4,
             losses = []
             for mult in (2, 1, -1, -2):
                 p2[name][idx] = params[name][idx] + mult * h
-                losses.append(forward_loss(p2, cfg, batch)[0].total)
+                losses.append(forward_loss(p2, cfg, batch, MICRO_SIZE, grad_rows(p2, batch))[0].total)
             fd = (-losses[0] + 8 * losses[1] - 8 * losses[2] + losses[3]) / (12 * h)
             an = float(g[idx])
             rel = abs(fd - an) / max(1e-6, abs(fd) + abs(an))
@@ -340,7 +350,9 @@ def reference_train(params, instances, vocab, mcfg, tcfg) -> list[StepLog]:
             if step >= total:
                 break
             idx = order[b0 : b0 + tcfg.batch_size]
-            report, grads = forward_loss(params, mcfg, make_batch(store, idx), micro_size=tcfg.micro_size)
+            batch = make_batch(store, idx)
+            report, grads = forward_loss(params, mcfg, batch, tcfg.micro_size,
+                                         grad_rows(params, batch, tcfg.micro_size))
             lr = lr_at(tcfg, step, total)
             reference_adamw_step(params, grads, m, v, step + 1, lr)
             log.append(StepLog(step=step, lr=lr, report=report))

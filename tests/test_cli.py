@@ -112,7 +112,7 @@ def test_predict_rejects_a_prompt_file_that_is_not_an_eg_prompt(tmp_path, capsys
     import sdnet.cli as cli_module
 
     monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (None, None, None, {}))
-    monkeypatch.setattr(cli_module, "generate", lambda *a, **k: "China is GPE.")
+    monkeypatch.setattr(cli_module, "generate_many", lambda *a, **k: ["China is GPE."] * len(a[4]))
     prompt_path = tmp_path / "prompt.txt"
     prompt_path.write_text(prompt + "\n", encoding="utf-8")
     sentences_path = tmp_path / "sentences.jsonl"
@@ -232,7 +232,7 @@ def test_predict_rejects_a_repeated_sentence_id_before_decoding(tmp_path, capsys
 
     decoded = []
     monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (None, None, None, {}))
-    monkeypatch.setattr(cli_module, "generate", lambda *a, **k: decoded.append(a) or "")
+    monkeypatch.setattr(cli_module, "generate_many", lambda *a, **k: decoded.append(a) or [""] * len(a[4]))
     prompt_path = tmp_path / "prompt.txt"
     prompt_path.write_text("[EG] GPE\n", encoding="utf-8")
     sentences_path = tmp_path / "sentences.jsonl"
@@ -246,6 +246,30 @@ def test_predict_rejects_a_repeated_sentence_id_before_decoding(tmp_path, capsys
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: {sentences_path}:3: duplicate sentence id 't1'")
     assert decoded == [] and not out.exists()
+
+
+def test_predict_decodes_every_sentence_in_one_batched_call(tmp_path, capsys, monkeypatch):
+    import sdnet.cli as cli_module
+
+    calls = []
+    monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (None, None, None, {}))
+    monkeypatch.setattr(cli_module, "generate_many",
+                        lambda p, c, v, prompts, texts, max_len: calls.append((prompts, texts, max_len))
+                        or ["China is GPE."] * len(texts))
+    prompt_path = tmp_path / "prompt.txt"
+    prompt_path.write_text("[EG] GPE\n", encoding="utf-8")
+    sentences_path = tmp_path / "sentences.jsonl"
+    texts = ["China won.", "Zoë met China.", "Rain fell."]
+    sentences_path.write_text("".join(json.dumps({"id": f"t{i}", "text": text}) + "\n"
+                                      for i, text in enumerate(texts)), encoding="utf-8")
+    ckpt = tmp_path / "fake.ckpt"
+    ckpt.write_text("{}", encoding="utf-8")
+    assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+                 "--sentences", str(sentences_path), "--max-gen", "16"]) == 0
+    assert calls == [(["[EG] GPE"] * 3, texts, 16)]
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["id"], [s["surface"] for s in r["spans"]]) for r in out] == [
+        ("t0", ["China"]), ("t1", ["China"]), ("t2", [])]
 
 
 @pytest.mark.parametrize("cmd", ["pretrain", "finetune"])
@@ -642,8 +666,8 @@ def test_predict_matches_grammar_fixture_when_generation_is_wired(world, tmp_pat
     canned = "China is GPE. a few days ago is date."
     monkeypatch.setattr(cli_module, "load_checkpoint",
                         lambda path: (None, None, None, {}))
-    monkeypatch.setattr(cli_module, "generate",
-                        lambda *a, **k: canned)
+    monkeypatch.setattr(cli_module, "generate_many",
+                        lambda *a, **k: [canned] * len(a[4]))
     prompt_path = tmp_path / "prompt.txt"
     prompt_path.write_text("[EG] GPE; date\n", encoding="utf-8")
     sentences_path = tmp_path / "sentences.jsonl"

@@ -35,7 +35,8 @@ from sdnet.model.network import (
     softmax_last,
 )
 from sdnet.model.tokenizer import EOS_ID, PAD_ID
-from helpers import batch_of, fd_gradient_check, reference_generate, tiny_instances, tiny_setup
+from helpers import (MICRO_SIZE, batch_of, fd_gradient_check, grad_rows, reference_generate, tiny_instances,
+                     tiny_setup)
 
 
 def test_model_config_validates():
@@ -99,7 +100,7 @@ def test_uniform_logits_give_log_vocab_loss():
     params["out.w"][:] = 0.0
     params["out.b"][:] = 0.0
     batch = batch_of(insts, vocab, cfg)
-    report, _ = forward_loss(params, cfg, batch)
+    report, _ = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     expect = np.log(cfg.vocab_size)
     assert abs(report.md_term - expect) < 1e-6
     assert abs(report.eg_term - expect) < 1e-6
@@ -108,7 +109,8 @@ def test_uniform_logits_give_log_vocab_loss():
 
 def test_loss_decomposes_into_md_plus_eg_terms_exactly():
     insts, vocab, cfg, params = tiny_setup()
-    report, _ = forward_loss(params, cfg, batch_of(insts, vocab, cfg))
+    batch = batch_of(insts, vocab, cfg)
+    report, _ = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     assert report.total == report.md_term + report.eg_term
     assert report.md_tokens > 0 and report.eg_tokens > 0
 
@@ -116,7 +118,8 @@ def test_loss_decomposes_into_md_plus_eg_terms_exactly():
 def test_md_only_batch_has_zero_eg_term():
     insts, vocab, cfg, params = tiny_setup()
     md_only = [i for i in insts if i.task == "MD"]
-    report, _ = forward_loss(params, cfg, batch_of(md_only, vocab, cfg))
+    batch = batch_of(md_only, vocab, cfg)
+    report, _ = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     assert report.eg_term == 0.0
     assert report.eg_tokens == 0
     assert report.total == report.md_term
@@ -140,7 +143,7 @@ def test_make_batch_shapes_and_teacher_forcing_shift():
 def test_padding_columns_do_not_change_the_loss():
     insts, vocab, cfg, params = tiny_setup()
     batch = batch_of(insts, vocab, cfg)
-    report, grads = forward_loss(params, cfg, batch)
+    report, grads = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     import dataclasses
     wider = dataclasses.replace(
         batch,
@@ -148,7 +151,7 @@ def test_padding_columns_do_not_change_the_loss():
         src_mask=np.concatenate(
             [batch.src_mask, np.zeros((batch.src.shape[0], 3), dtype=bool)], axis=1),
     )
-    report2, grads2 = forward_loss(params, cfg, wider)
+    report2, grads2 = forward_loss(params, cfg, wider, MICRO_SIZE, grad_rows(params, wider))
     assert report2.total == pytest.approx(report.total, rel=0, abs=1e-12)
     for k in grads:
         assert np.allclose(grads[k], grads2[k], atol=1e-12)
@@ -158,8 +161,8 @@ def test_micro_batches_accumulate_in_index_order_deterministically():
     insts, vocab, cfg, params = tiny_setup()
     rows = (insts * 4)[:17]  # crosses the fixed micro-batch boundary: slices of 8, 8 and 1
     batch = batch_of(rows, vocab, cfg)
-    r1, g1 = forward_loss(params, cfg, batch)
-    r2, g2 = forward_loss(params, cfg, batch)
+    r1, g1 = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
+    r2, g2 = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     assert r1 == r2
     for k in g1:
         assert (g1[k] == g2[k]).all()
@@ -195,7 +198,7 @@ def test_every_workers_share_run_in_any_order_gives_the_bytes_of_forward_loss(se
     insts, vocab, cfg, params = tiny_setup(seed=seed)
     rows = data.draw(st.lists(st.integers(0, len(insts) - 1), min_size=1, max_size=9), label="rows")
     batch = make_batch(encode_instances(insts, vocab, cfg), rows)
-    want_report, want = forward_loss(params, cfg, batch, micro_size)
+    want_report, want = forward_loss(params, cfg, batch, micro_size, grad_rows(params, batch, micro_size))
     grads = [{k: np.full_like(v, np.nan) for k, v in params.items()}
              for _ in range(0, len(batch), micro_size)]
     parts = []
@@ -212,9 +215,9 @@ def test_every_workers_share_run_in_any_order_gives_the_bytes_of_forward_loss(se
 def test_forward_loss_starts_each_micro_batch_from_zero_whatever_its_buffers_hold(n_rows, n_micro):
     insts, vocab, cfg, params = tiny_setup()
     batch = batch_of((insts * 4)[:n_rows], vocab, cfg)
-    fresh_report, fresh = forward_loss(params, cfg, batch)
+    fresh_report, fresh = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     stale = [{k: np.full_like(v, np.nan) for k, v in params.items()} for _ in range(n_micro)]
-    report, grads = forward_loss(params, cfg, batch, grads=stale)
+    report, grads = forward_loss(params, cfg, batch, MICRO_SIZE, stale)
     assert report == fresh_report and grads is stale[0]
     for k in fresh:
         assert grads[k].tobytes() == fresh[k].tobytes(), k
@@ -330,8 +333,9 @@ def test_gradients_match_finite_differences_at_depth():
 def test_non_finite_params_raise():
     insts, vocab, cfg, params = tiny_setup()
     params["out.w"][0, 0] = np.inf
+    batch = batch_of(insts, vocab, cfg)
     with np.errstate(invalid="ignore"), pytest.raises(LossNotFiniteError):
-        forward_loss(params, cfg, batch_of(insts, vocab, cfg))
+        forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
 
 
 def test_generate_breaks_argmax_ties_toward_lowest_id():
@@ -455,3 +459,38 @@ def test_cached_decoder_steps_match_one_full_pass(n_layers, n_heads, seed, data)
         steps.append(logits)
     assert state.length == n_dec
     np.testing.assert_allclose(np.concatenate(steps, axis=1), full, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cached_decoder_steps_match_one_full_pass_in_float32_at_the_reference_shape(n_layers, seed):
+    # the cached step folds the layer norms into the projections that read
+    # them, so its gains and every bias are drawn away from 1 and 0 here: a
+    # fold that lost one would move the logits far past float32 rounding
+    cfg = ModelConfig(vocab_size=164, d_model=64, n_layers=n_layers, n_heads=4, d_ff=256,
+                      max_len=32, dtype="float32", init_std=0.1, seed=seed)
+    params = init_params(cfg)
+    rng = np.random.default_rng(seed)
+    for name, value in params.items():
+        if name.endswith(".g"):
+            value[:] = rng.normal(1.0, 0.5, value.shape)
+        elif value.ndim == 1:
+            value[:] = rng.normal(0.0, 0.5, value.shape)
+    src = rng.integers(0, cfg.vocab_size, size=(2, 20))
+    src_mask = np.ones(src.shape, dtype=bool)
+    src_mask[1, 13:] = False  # the second source row is padded
+    dec_in = rng.integers(0, cfg.vocab_size, size=(2, cfg.max_len))
+    enc, _ = encoder_forward(params, cfg, src, src_mask)
+    full, _ = decoder_forward(params, cfg, dec_in, enc, src_mask)
+
+    state = DecodeState(params, cfg, enc, src_mask)
+    steps = np.concatenate([decoder_forward(params, cfg, dec_in[:, a:a + 1], enc, src_mask, state=state)[0]
+                            for a in range(cfg.max_len)], axis=1)
+    assert steps.dtype == np.float32
+    tol = 64 * np.finfo(np.float32).eps * float(np.abs(full).max())
+    np.testing.assert_allclose(steps, full, rtol=0.0, atol=tol)
+    # greedy decoding picks the same token wherever rounding cannot swap the top two
+    top2 = np.sort(full, axis=-1)[..., -2:]
+    clear = top2[..., 1] - top2[..., 0] > 2 * tol
+    assert clear.mean() > 0.9
+    assert (steps.argmax(axis=-1)[clear] == full.argmax(axis=-1)[clear]).all()
