@@ -4,7 +4,8 @@ corpus until it reproduces the annotations, then score the full
 generate -> parse -> locate -> score pipeline and probe whether the prompt's
 type set controls which mentions are generated.
 
-Run from the repository root:
+The corpus comes from `perfbench/gen.py`, loaded relative to this file, so
+the script runs from any directory:
 
     python scripts/memorization.py
     python scripts/memorization.py --sentences 80 --pretrain-steps 500
@@ -13,88 +14,44 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import time
-from dataclasses import replace
-from functools import partial
+from dataclasses import dataclass, replace
+from pathlib import Path
 
-import numpy as np
-
-from sdnet.data import AnnotatedSentence, Sentence, TypeDictionary, TypedMention
 from sdnet.codec import parse_generated
-from sdnet.descriptions import build_cooccurrence_descriptions
-from sdnet.evaluation import gold_spans, predict_spans, schema_prompt, score
+from sdnet.data import AnnotatedSentence, TypeDictionary, annotated_from_record
+from sdnet.descriptions import DescriptionMap, build_cooccurrence_descriptions
+from sdnet.evaluation import EvalReport, gold_spans, locate_generated, schema_prompt, score
 from sdnet.model import (
     FINETUNE,
     PRETRAIN,
     ModelConfig,
     build_vocab,
-    generate,
+    generate_many,
     init_params,
     save_checkpoint,
     train,
 )
+from sdnet.model.tokenizer import Vocab
 from sdnet.sampling import (SamplerConfig, build_pretrain_instances, make_finetune_instance,
                             present_types)
 
-# The synthetic corpus: short templated sentences over eight entity types,
-# small enough to memorize in minutes yet exercising the full pipeline.
+_GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+_spec = importlib.util.spec_from_file_location("gen", _GEN_PATH)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
 
-SCHEMA_TYPES = ("person", "city", "animal", "color", "fruit", "metal", "river", "game")
-
-_POOLS: dict[str, tuple[str, ...]] = {
-    "person": ("Alice", "Bob", "Carol", "David", "Emma", "Frank", "Grace",
-               "Henry", "Irene", "Jack", "Karen", "Leo"),
-    "city": ("Paris", "London", "Berlin", "Madrid", "Rome", "Vienna", "Oslo",
-             "Dublin", "Prague", "Lisbon", "Athens", "Cairo"),
-    "animal": ("fox", "owl", "bear", "wolf", "deer", "hawk", "otter", "lynx",
-               "crane", "mole", "toad", "hare"),
-    "color": ("amber", "violet", "teal", "ivory", "indigo", "coral", "olive",
-              "slate", "beige", "maroon", "cyan", "magenta"),
-    "fruit": ("apple", "pear", "plum", "mango", "grape", "melon", "cherry",
-              "lemon", "peach", "kiwi", "fig", "banana"),
-    "metal": ("iron", "copper", "zinc", "gold", "silver", "nickel", "tin",
-              "cobalt", "brass", "steel", "bronze", "titanium"),
-    "river": ("Danube", "Nile", "Amazon", "Rhine", "Volga", "Seine", "Thames",
-              "Ganges", "Mekong", "Congo", "Loire", "Tiber"),
-    "game": ("chess", "poker", "tennis", "soccer", "hockey", "golf", "rugby",
-             "cricket", "darts", "billiards", "squash", "badminton"),
-}
-
-_TEMPLATES: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("{0} visited {1} with {2}.", ("person", "city", "person")),
-    ("{0} saw a {1} near the {2}.", ("person", "animal", "river")),
-    ("The {0} {1} pleased {2}.", ("color", "fruit", "person")),
-    ("{0} played {1} in {2}.", ("person", "game", "city")),
-    ("A {0} swam along the {1} at dusk.", ("animal", "river")),
-    ("{0} bought {1} rings in {2}.", ("person", "metal", "city")),
-    ("The {0} stand in {1} also sold {2} pans.", ("fruit", "city", "metal")),
-    ("{0} painted the {1} gate {2}.", ("person", "city", "color")),
-)
+MAX_GEN = 32  # decoded tokens per answer: every target of the corpus fits
 
 
 def generate_synthetic_corpus(
     n_sentences: int = 200, seed: int = 0
 ) -> tuple[list[AnnotatedSentence], tuple[str, ...]]:
-    rng = np.random.default_rng(seed)
-    corpus: list[AnnotatedSentence] = []
-    for i in range(n_sentences):
-        template, slot_types = _TEMPLATES[int(rng.integers(len(_TEMPLATES)))]
-        used: dict[str, list[str]] = {}
-        fillers: list[str] = []
-        for t in slot_types:
-            pool = [s for s in _POOLS[t] if s not in used.get(t, ())]
-            surface = pool[int(rng.integers(len(pool)))]
-            used.setdefault(t, []).append(surface)
-            fillers.append(surface)
-        text = template.format(*fillers)
-        for surface in fillers:
-            if text.count(surface) != 1:
-                raise AssertionError(f"surface {surface!r} not unique in {text!r}")
-        mentions = tuple(TypedMention(surface=surf, types=(t,)) for surf, t in zip(fillers, slot_types))
-        corpus.append(
-            AnnotatedSentence(Sentence(id=f"syn-{i:04d}", text=text), mentions)
-        )
-    return corpus, SCHEMA_TYPES
+    """The train records of `gen.synthetic_splits(seed, n_sentences, 0)`, read
+    as annotated sentences, and the generator's schema."""
+    train_records, _ = gen.synthetic_splits(seed, n_sentences, 0)
+    return [annotated_from_record(r) for r in train_records], gen.SCHEMA
 
 
 def mixed_schema_instances(corpus, schema, desc):
@@ -111,6 +68,86 @@ def mixed_schema_instances(corpus, schema, desc):
     return out
 
 
+@dataclass(frozen=True)
+class Memorized:
+    """A model trained by `memorize`, with the corpus and descriptions it
+    was trained on."""
+    corpus: list[AnnotatedSentence]
+    schema: tuple[str, ...]
+    desc: DescriptionMap
+    vocab: Vocab
+    cfg: ModelConfig
+    params: dict
+
+    def decode(self, prompts: list[str], texts: list[str]) -> list[str]:
+        return generate_many(self.params, self.cfg, self.vocab, prompts, texts, max_len=MAX_GEN)
+
+    def full_schema_report(self) -> EvalReport:
+        """Strict span scores of one batched full-schema decode of the corpus."""
+        prompt = schema_prompt(self.schema, self.desc)
+        outputs = self.decode([prompt] * len(self.corpus), [s.text for s in self.corpus])
+        gold = {s.id: gold_spans(s, self.schema) for s in self.corpus}
+        pred = {s.id: locate_generated(s.sentence, out)[0]
+                for s, out in zip(self.corpus, outputs, strict=True)}
+        return score(gold, pred)
+
+    def control_probes(self) -> list[tuple[str, str, str]]:
+        """(type, prompt, text) rows: for each of the first 30 sentences with
+        two present types, its first two, each alone in the prompt."""
+        rows = []
+        for s in self.corpus[:30]:
+            present = present_types(s)
+            if len(present) >= 2:
+                rows += [(t, schema_prompt([t], self.desc), s.text) for t in present[:2]]
+        return rows
+
+    def controllability(self) -> tuple[int, int]:
+        """(conformant, checked) sentences of `control_probes`, decoded in one
+        call: a sentence conforms when its two answers differ and each
+        generates mentions of its prompt's type only."""
+        rows = self.control_probes()
+        outputs = self.decode([p for _, p, _ in rows], [text for _, _, text in rows])
+        answers = [(t, out, {label for _, ls in parse_generated("EG", out).target.pairs for label in ls})
+                   for (t, _, _), out in zip(rows, outputs, strict=True)]
+        conformant = 0
+        for (a, out_a, got_a), (b, out_b, got_b) in zip(answers[::2], answers[1::2]):
+            if out_a != out_b and got_a and got_b and got_a <= {a} and got_b <= {b}:
+                conformant += 1
+        return conformant, len(answers) // 2
+
+
+def memorize(n_sentences: int = 200, seed: int = 0, pretrain_steps: int = PRETRAIN.steps,
+             finetune_epochs: int = FINETUNE.epochs, d_model: int = 64) -> Memorized:
+    """The memorization recipe: co-occurrence descriptions, pretraining
+    instances and the mixed-schema fine-tuning mix of the seeded corpus; a
+    1-layer float32 model over their vocabulary, pretrained (seed + 1) and
+    then fine-tuned (seed + 2)."""
+    t0 = time.time()
+    corpus, schema = generate_synthetic_corpus(n_sentences, seed=seed)
+    desc = build_cooccurrence_descriptions(corpus)
+    dictionary = TypeDictionary(entries={t: 10 for t in schema})
+    pretrain_data = build_pretrain_instances(corpus, dictionary, desc,
+                                             SamplerConfig(rng_seed=seed))
+    finetune_data = mixed_schema_instances(corpus, schema, desc)
+
+    vocab = build_vocab([text for inst in pretrain_data + finetune_data
+                         for text in (inst.prompt_text, inst.input_text, inst.target_text)])
+    cfg = ModelConfig(vocab_size=len(vocab.id_to_token), d_model=d_model,
+                      n_layers=1, n_heads=4, d_ff=4 * d_model, max_len=64,
+                      dtype="float32", seed=seed)
+    params = init_params(cfg)
+    print(f"corpus={len(corpus)} sentences, vocab={len(vocab.id_to_token)}, "
+          f"pretrain={len(pretrain_data)} inst, finetune={len(finetune_data)} inst")
+
+    train(params, pretrain_data, vocab, cfg,
+          replace(PRETRAIN, steps=pretrain_steps, seed=seed + 1))
+    print(f"pretrain done at {time.time() - t0:.0f}s")
+    train(params, finetune_data, vocab, cfg,
+          replace(FINETUNE, epochs=finetune_epochs, seed=seed + 2))
+    print(f"finetune done at {time.time() - t0:.0f}s")
+    return Memorized(corpus, schema, desc, vocab, cfg, params)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--sentences", type=int, default=200)
@@ -122,54 +159,16 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     t0 = time.time()
-    corpus, schema = generate_synthetic_corpus(args.sentences, seed=args.seed)
-    desc = build_cooccurrence_descriptions(corpus)
-    dictionary = TypeDictionary(entries={t: 10 for t in schema})
-    pretrain_data = build_pretrain_instances(corpus, dictionary, desc,
-                                             SamplerConfig(rng_seed=args.seed))
-    finetune_data = mixed_schema_instances(corpus, schema, desc)
-
-    vocab = build_vocab([text for inst in pretrain_data + finetune_data
-                         for text in (inst.prompt_text, inst.input_text, inst.target_text)])
-    cfg = ModelConfig(vocab_size=len(vocab.id_to_token), d_model=args.d_model,
-                      n_layers=1, n_heads=4, d_ff=4 * args.d_model, max_len=64,
-                      dtype="float32", seed=args.seed)
-    params = init_params(cfg)
-    print(f"corpus={len(corpus)} sentences, vocab={len(vocab.id_to_token)}, "
-          f"pretrain={len(pretrain_data)} inst, finetune={len(finetune_data)} inst")
-
-    train(params, pretrain_data, vocab, cfg,
-          replace(PRETRAIN, steps=args.pretrain_steps, seed=args.seed + 1))
-    print(f"pretrain done at {time.time() - t0:.0f}s")
-    train(params, finetune_data, vocab, cfg,
-          replace(FINETUNE, epochs=args.finetune_epochs, seed=args.seed + 2))
-    print(f"finetune done at {time.time() - t0:.0f}s")
-
-    gen = partial(generate, params, cfg, vocab, max_len=32)
-    prompt = schema_prompt(schema, desc)
-    gold = {s.id: gold_spans(s, schema) for s in corpus}
-    pred = {s.id: predict_spans(gen, s.sentence, prompt)[0] for s in corpus}
-    report = score(gold, pred)
+    run = memorize(args.sentences, args.seed, args.pretrain_steps, args.finetune_epochs,
+                   args.d_model)
+    report = run.full_schema_report()
     print(f"full-schema micro-F1 = {report.f1:.4f} "
           f"(P={report.precision:.4f} R={report.recall:.4f})")
-
-    conformant = checked = 0
-    for s in corpus[:30]:
-        present = present_types(s)
-        if len(present) < 2:
-            continue
-        a, b = present[0], present[1]
-        out_a = gen(schema_prompt([a], desc), s.text)
-        out_b = gen(schema_prompt([b], desc), s.text)
-        types_a = {t for _, ls in parse_generated("EG", out_a).target.pairs for t in ls}
-        types_b = {t for _, ls in parse_generated("EG", out_b).target.pairs for t in ls}
-        checked += 1
-        if out_a != out_b and types_a and types_b and types_a <= {a} and types_b <= {b}:
-            conformant += 1
+    conformant, checked = run.controllability()
     print(f"prompt controllability: {conformant}/{checked} sentences type-conformant")
 
     if args.out:
-        save_checkpoint(args.out, params, cfg, vocab,
+        save_checkpoint(args.out, run.params, run.cfg, run.vocab,
                         extra={"mode": "memorization-demo", "f1": report.f1})
         print(f"checkpoint written to {args.out}")
     print(f"total {time.time() - t0:.0f}s")

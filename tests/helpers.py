@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -29,11 +30,14 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 @cache
 def memorization_script():
-    """`scripts/memorization.py`, loaded as a module: the home of the seeded
-    synthetic corpus (`generate_synthetic_corpus`) and of its fine-tuning mix."""
+    """`scripts/memorization.py`, loaded as a module: the memorization recipe
+    (`memorize`), its fine-tuning mix, and its reader of `perfbench/gen.py`'s
+    seeded synthetic corpus (`generate_synthetic_corpus`; the generator is
+    its `gen`)."""
     path = FIXTURES.parent / "scripts" / "memorization.py"
     spec = importlib.util.spec_from_file_location("memorization", path)
     script = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = script  # dataclasses resolve their module by name
     spec.loader.exec_module(script)
     return script
 

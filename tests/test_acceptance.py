@@ -47,17 +47,9 @@ from sdnet.descriptions import (
     apply_filtering,
     build_cooccurrence_descriptions,
 )
-from sdnet.evaluation import (
-    gold_spans,
-    predict_spans,
-    run_episodes,
-    schema_prompt,
-    score,
-)
+from sdnet.evaluation import run_episodes, schema_prompt
 from sdnet.locate import locate
-from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, generate_many,
-                         init_params, train)
-from sdnet.sampling import SamplerConfig, build_pretrain_instances, present_types
+from sdnet.model import PRETRAIN, generate, train
 
 # ---- 1. codec round-trip volume ----
 
@@ -316,47 +308,25 @@ def test_pretrain_loss_equals_sum_of_task_terms_each_step():
 
 @pytest.fixture(scope="module")
 def memorized():
-    """Train the small model to memorize the synthetic corpus once; the
-    memorization and controllability criteria both read from it."""
+    """The memorization script's recipe at its defaults, trained once and
+    timed; the memorization and controllability criteria both read from it."""
     started = time.perf_counter()
-    corpus, schema = memorization_script().generate_synthetic_corpus(200, seed=0)
-    desc = build_cooccurrence_descriptions(corpus)
-    dictionary = TypeDictionary(entries={t: 10 for t in schema})
-    pre = build_pretrain_instances(corpus, dictionary, desc, SamplerConfig(rng_seed=0))
-    # the memorization script's fine-tuning mix, which teaches prompt-set obedience
-    fin = memorization_script().mixed_schema_instances(corpus, schema, desc)
+    run = memorization_script().memorize()
+    return run, time.perf_counter() - started
 
-    vocab = build_vocab([x for inst in pre + fin
-                         for x in (inst.prompt_text, inst.input_text, inst.target_text)])
-    cfg = ModelConfig(vocab_size=len(vocab.id_to_token), d_model=64, n_layers=1,
-                      n_heads=4, d_ff=256, max_len=64, dtype="float32", seed=0)
-    params = init_params(cfg)
-    train(params, pre, vocab, cfg, replace(PRETRAIN, steps=2000, seed=1))
-    train(params, fin, vocab, cfg, replace(FINETUNE, epochs=50, seed=2))
 
-    return {
-        "corpus": corpus,
-        "schema": schema,
-        "desc": desc,
-        "vocab": vocab,
-        "params": params,
-        "cfg": cfg,
-        "gen": partial(generate, params, cfg, vocab, max_len=32),
-        "train_seconds": time.perf_counter() - started,
-    }
+def _per_call(run):
+    return partial(generate, run.params, run.cfg, run.vocab, max_len=memorization_script().MAX_GEN)
 
 
 def test_memorization_reaches_f1_095_within_five_minutes(memorized):
-    corpus, schema, desc = memorized["corpus"], memorized["schema"], memorized["desc"]
-    assert len(corpus) == 200 and len(schema) == 8
-    assert len(memorized["vocab"].id_to_token) <= 500
+    run, train_seconds = memorized
+    assert len(run.corpus) == 200 and len(run.schema) == 8
+    assert len(run.vocab.id_to_token) <= 500
 
     started = time.perf_counter()
-    prompt = schema_prompt(schema, desc)
-    gold = {s.id: gold_spans(s, schema) for s in corpus}
-    pred = {s.id: predict_spans(memorized["gen"], s.sentence, prompt)[0] for s in corpus}
-    report = score(gold, pred)
-    elapsed = memorized["train_seconds"] + (time.perf_counter() - started)
+    report = run.full_schema_report()
+    elapsed = train_seconds + (time.perf_counter() - started)
 
     assert report.f1 >= 0.95, f"micro-F1 {report.f1:.4f}"
     assert elapsed <= 300.0, f"pipeline took {elapsed:.0f}s"
@@ -370,61 +340,42 @@ def test_memorization_script_runs_at_a_tiny_size(capsys):
 
 
 def test_prompts_control_which_types_are_generated(memorized):
-    corpus, desc, gen = memorized["corpus"], memorized["desc"], memorized["gen"]
-    conformant = 0
-    checked = 0
-    for s in corpus[:30]:
-        pres = present_types(s)
-        if len(pres) < 2:
-            continue
-        first, second = pres[0], pres[1]
-        out_first = gen(schema_prompt([first], desc), s.text)
-        out_second = gen(schema_prompt([second], desc), s.text)
-        got_first = {t for _, labels in parse_generated("EG", out_first).target.pairs
-                     for t in labels}
-        got_second = {t for _, labels in parse_generated("EG", out_second).target.pairs
-                      for t in labels}
-        checked += 1
-        if (out_first != out_second and got_first and got_second
-                and got_first <= {first} and got_second <= {second}):
-            conformant += 1
+    conformant, checked = memorized[0].controllability()
     assert checked >= 5
     assert conformant >= 5, f"{conformant}/{checked} sentences prompt-conformant"
 
 
-def _memorized_probes(memorized) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+def _memorized_probes(run) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """The (prompt, text) rows of the memorization criterion (the full schema
     over every sentence) and of the controllability criterion (single types)."""
-    corpus, schema, desc = (memorized[k] for k in ("corpus", "schema", "desc"))
-    full_prompt = schema_prompt(schema, desc)
-    full = [(full_prompt, s.text) for s in corpus]
-    single = []
-    for s in corpus[:30]:
-        pres = present_types(s)
-        if len(pres) >= 2:
-            single += [(schema_prompt([t], desc), s.text) for t in pres[:2]]
+    full_prompt = schema_prompt(run.schema, run.desc)
+    full = [(full_prompt, s.text) for s in run.corpus]
+    single = [(prompt, text) for _, prompt, text in run.control_probes()]
     return full, single
 
 
 def test_cached_decoding_matches_full_recompute_on_the_memorized_model(memorized):
-    full, single = _memorized_probes(memorized)
+    run, _ = memorized
+    full, single = _memorized_probes(run)
     probes = full + single
+    gen = _per_call(run)
     mismatched = [
         (prompt, text) for prompt, text in probes
-        if memorized["gen"](prompt, text) != reference_generate(
-            memorized["params"], memorized["cfg"], memorized["vocab"], prompt, text, max_len=32)
+        if gen(prompt, text) != reference_generate(
+            run.params, run.cfg, run.vocab, prompt, text, max_len=memorization_script().MAX_GEN)
     ]
     assert not mismatched, f"{len(mismatched)}/{len(probes)} differ, first: {mismatched[0]}"
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["full-schema", "single-type"])
 def test_batched_decoding_matches_per_call_decoding_on_the_memorized_model(memorized, which):
-    probes = _memorized_probes(memorized)[which]
+    run, _ = memorized
+    probes = _memorized_probes(run)[which]
     assert len(probes) >= 10
     prompts, texts = zip(*probes)
-    batched = generate_many(memorized["params"], memorized["cfg"], memorized["vocab"],
-                            prompts, texts, max_len=32)
-    per_call = [memorized["gen"](prompt, text) for prompt, text in probes]
+    batched = run.decode(list(prompts), list(texts))
+    gen = _per_call(run)
+    per_call = [gen(prompt, text) for prompt, text in probes]
     mismatched = [(row, got, want) for row, (got, want) in enumerate(zip(batched, per_call, strict=True))
                   if got != want]
     assert not mismatched, f"{len(mismatched)}/{len(probes)} differ, first: {mismatched[0]}"

@@ -14,7 +14,7 @@ import pytest
 
 from sdnet.cli import build_parser, main
 from sdnet.corpus import BuildConfig
-from sdnet.data import read_annotated_jsonl, write_annotated_jsonl
+from sdnet.data import AnnotatedSentence, TypedMention, read_annotated_jsonl, write_annotated_jsonl
 from sdnet.descriptions import DescriptionConfig, read_description_map
 from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import spans_to_record
@@ -701,8 +701,12 @@ def test_mention_describing_decodes_the_corpus_in_one_batch_with_per_row_answers
     import sdnet.cli as cli_module
 
     root, corpus, _ = world
+    # Every MD target names a constant second concept beside the mention's
+    # type, which filtering strips, so a described type keeps a concept.
     md = SamplerConfig(md_target_fraction=1.0)
-    insts = [make_md_instance(s, md, draw_key=i) for i, s in enumerate(corpus) if s.mentions]
+    tagged = [AnnotatedSentence(s.sentence, tuple(TypedMention(m.surface, m.types + ("thing",))
+                                                  for m in s.mentions)) for s in corpus]
+    insts = [make_md_instance(s, md, draw_key=i) for i, s in enumerate(tagged) if s.mentions]
     vocab = build_vocab([x for i in insts for x in (i.prompt_text, i.input_text, i.target_text)])
     mcfg = ModelConfig(vocab_size=len(vocab), d_model=16, n_layers=1, n_heads=2, max_len=64,
                        dtype="float32", seed=0)
