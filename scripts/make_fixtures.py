@@ -4,6 +4,7 @@ descriptions). Deterministic: same output bytes on every run.
 
 The golden corpus files are frozen outputs of a verified build; pass
 --write-golden to refresh them after an intentional builder change.
+Run from the repository root with `PYTHONPATH=src`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
+
+from sdnet.corpus import BuildConfig, build_corpus
+from sdnet.data import write_annotated_jsonl, write_jsonl
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -263,13 +267,6 @@ def build_pages(kb: list[dict]) -> list[dict]:
     return pages
 
 
-def write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--write-golden", action="store_true",
@@ -297,9 +294,6 @@ def main() -> None:
     assert len(pages) >= 20, "need at least 20 pages"
 
     if args.write_golden:
-        from sdnet.corpus import BuildConfig, build_corpus
-        from sdnet.data import write_annotated_jsonl
-
         build = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl",
                              BuildConfig())
         write_annotated_jsonl(FIXTURES / "golden_corpus.jsonl", build.sentences)

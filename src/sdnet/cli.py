@@ -302,7 +302,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = {s.id: gold_spans(s, schema) for s in corpus}
     pred = read_predictions_jsonl(args.pred)
     report = score(gold, pred)
-    _emit(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2, ensure_ascii=False) + "\n", args.out)
     return 0
 
 
@@ -317,7 +317,7 @@ def cmd_run_episodes(args: argparse.Namespace) -> int:
     with _naming_flags(k="--k", runs="--runs"):
         report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
                               base_seed=stable_draw_key(args.seed, "episodes"), episode_factory=factory)
-    _emit(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(report), indent=2, ensure_ascii=False) + "\n", args.out)
     print(f"mean_f1={report.mean_f1:.4f} std_f1={report.std_f1:.4f} "
           f"failures={len(report.failures)}", file=sys.stderr)
     return 0

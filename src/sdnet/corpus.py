@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .codec import surface_is_safe
 from .data import (
@@ -31,6 +31,8 @@ from .data import (
     string_field,
     string_list,
 )
+
+T = TypeVar("T")
 
 PREPOSITION_STOPLIST = ("of", "in", "for", "on", "at", "by", "with", "from", "to")
 
@@ -125,26 +127,24 @@ def page_from_record(raw: dict) -> WikiPage:
                     anchors=anchors)
 
 
-def read_kb_jsonl(path: str | Path, tally: Counter) -> dict[str, KbItem]:
-    items: dict[str, KbItem] = {}
+def _read_dump(path: str | Path, tally: Counter, label: str, convert: Callable[[dict], T]) -> list[T]:
+    """The records of a KB or page dump, each through `convert`; a line that is
+    not a JSON object, or that `convert` rejects, is counted under `label`."""
+    records: list[T] = []
     for _, line in jsonl_lines(path):
         try:
-            item = kb_from_record(json_object(line))
+            records.append(convert(json_object(line)))
         except (KeyError, TypeError, ValueError):
-            tally["malformed_kb_record"] += 1
-            continue
-        items[item.item_id] = item
-    return items
+            tally[label] += 1
+    return records
+
+
+def read_kb_jsonl(path: str | Path, tally: Counter) -> dict[str, KbItem]:
+    return {item.item_id: item for item in _read_dump(path, tally, "malformed_kb_record", kb_from_record)}
 
 
 def read_pages_jsonl(path: str | Path, tally: Counter) -> list[WikiPage]:
-    pages: list[WikiPage] = []
-    for _, line in jsonl_lines(path):
-        try:
-            pages.append(page_from_record(json_object(line)))
-        except (KeyError, TypeError, ValueError):
-            tally["malformed_page_record"] += 1
-    return pages
+    return _read_dump(path, tally, "malformed_page_record", page_from_record)
 
 
 def claimed_types(item: KbItem, cfg: BuildConfig, label_of: Mapping[str, str]) -> tuple[str, ...]:
@@ -316,10 +316,15 @@ def build_corpus(
     jobs: int = 1,  # read by nothing; kept for callers that still pass it (perfbench)
 ) -> CorpusBuild:
     """Full pipeline: each KB item's types are resolved once, into the table
-    every page is typed by, then the pages are harvested in input order."""
+    every page is typed by, then the pages are harvested in input order. Of
+    the pages sharing a title only the first is harvested, since a title names
+    its sentences; each later one is counted as `duplicate_page_title`."""
     tally: Counter = Counter()
     kb = read_kb_jsonl(kb_path, tally)
-    pages = read_pages_jsonl(pages_path, tally)
+    pages: dict[str, WikiPage] = {}
+    for page in read_pages_jsonl(pages_path, tally):
+        if pages.setdefault(page.title, page) is not page:
+            tally["duplicate_page_title"] += 1
     label_of = {item.item_id: item.label for item in kb.values()}
     claims = {item_id: claimed_types(item, cfg, label_of) for item_id, item in kb.items()}
     dictionary = build_type_dictionary(claims.values(), cfg)
@@ -327,6 +332,6 @@ def build_corpus(
     by_label = {item.label: item for item in reversed(kb.values())}  # the first item per label
     shared: dict[MentionKey, TypedMention] = {}
     sentences: list[AnnotatedSentence] = []
-    for page in pages:
+    for page in pages.values():
         sentences.extend(harvest_mentions(page, types_of, cfg, tally, shared, by_label.get(page.title)))
     return CorpusBuild(dictionary=dictionary, sentences=sentences, tally=tally)

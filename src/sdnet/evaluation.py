@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -40,21 +40,10 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    gold_count: int
-    predicted_count: int
-    matched_count: int
+    gold: int
+    predicted: int
+    matched: int
     per_type: dict[str, TypeScore]
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "gold": self.gold_count,
-            "predicted": self.predicted_count,
-            "matched": self.matched_count,
-            "per_type": {t: dataclasses.asdict(s) for t, s in self.per_type.items()},
-        }
 
 
 def _prf(matched: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -94,9 +83,8 @@ def score(
         tp, tr, tf = _prf(nm, np_, ng)
         per_type[t] = TypeScore(gold=ng, predicted=np_, matched=nm,
                                 precision=tp, recall=tr, f1=tf)
-    return EvalReport(precision=precision, recall=recall, f1=f1,
-                      gold_count=gold_count, predicted_count=pred_count,
-                      matched_count=matched, per_type=per_type)
+    return EvalReport(precision=precision, recall=recall, f1=f1, gold=gold_count,
+                      predicted=pred_count, matched=matched, per_type=per_type)
 
 
 def corpus_schema(corpus: Iterable[AnnotatedSentence]) -> list[str]:
@@ -155,23 +143,14 @@ class EpisodeReport:
     k: int
     runs: int
     base_seed: int
-    per_run: tuple[EvalReport, ...]
     f1_values: tuple[float, ...]
     mean_f1: float
     std_f1: float
+    per_run: tuple[EvalReport, ...]
     failures: tuple[EpisodeFailure, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "f1_values": list(self.f1_values),
-            "mean_f1": self.mean_f1,
-            "std_f1": self.std_f1,
-            "per_run": [r.to_dict() for r in self.per_run],
-            "failures": [dataclasses.asdict(f) for f in self.failures],
-        }
+    def to_dict(self) -> dict:  # perfbench serializes a report by this name
+        return dataclasses.asdict(self)
 
 
 def run_episodes(

@@ -22,28 +22,20 @@ _OPENING = "([{"
 _TRAILING = ".,;:!?)]}"
 
 
-def _core(chunk: str) -> tuple[int, int]:
-    """The chunk rule: `chunk[lo:hi]` is its core token once opening marks are
-    peeled off its front, then trailing marks off its back, each while more
-    than one character is left. Each peeled mark is a token of its own; a
-    special token is never peeled."""
-    lo, hi = 0, len(chunk)
-    if chunk in SPECIAL_TOKENS:
-        return lo, hi
-    while hi - lo > 1 and chunk[lo] in _OPENING:
-        lo += 1
-    while hi - lo > 1 and chunk[hi - 1] in _TRAILING:
-        hi -= 1
-    return lo, hi
-
-
 def tokenize(text: str) -> list[str]:
-    """The tokens of each whitespace chunk by the chunk rule (`_core`); a chunk
-    with no mark at either end is one token as it is."""
+    """The chunk rule: each whitespace chunk's core token is what is left once
+    opening marks are peeled off its front, then trailing marks off its back,
+    each while more than one character is left. Each peeled mark is a token of
+    its own; a special token, or a chunk with no mark at either end, is one
+    token as it is."""
     tokens: list[str] = []
     for chunk in text.split():
-        if chunk[0] in _OPENING or chunk[-1] in _TRAILING:
-            lo, hi = _core(chunk)
+        if (chunk[0] in _OPENING or chunk[-1] in _TRAILING) and chunk not in SPECIAL_TOKENS:
+            lo, hi = 0, len(chunk)
+            while hi - lo > 1 and chunk[lo] in _OPENING:
+                lo += 1
+            while hi - lo > 1 and chunk[hi - 1] in _TRAILING:
+                hi -= 1
             tokens.extend(chunk[:lo])
             tokens.append(chunk[lo:hi])
             tokens.extend(chunk[hi:])
@@ -54,18 +46,15 @@ def tokenize(text: str) -> list[str]:
 
 def token_bounds(text: str) -> set[int]:
     """Character offsets of `text` where a token of `tokenize(text)` starts or
-    ends: the chunk edges, and each split-off opening or trailing mark."""
+    ends. Tokens hold no whitespace and only whitespace lies between chunks,
+    so each token is the first match of its text after the previous token's
+    end."""
     bounds: set[int] = set()
     end = 0
-    for chunk in text.split():
-        start = text.index(chunk, end)
-        end = start + len(chunk)
-        if chunk[0] in _OPENING or chunk[-1] in _TRAILING:
-            lo, hi = _core(chunk)
-            bounds.update(range(start, start + lo + 1))
-            bounds.update(range(start + hi, end + 1))
-        else:
-            bounds.update((start, end))
+    for tok in tokenize(text):
+        start = text.index(tok, end)
+        end = start + len(tok)
+        bounds.update((start, end))
     return bounds
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -270,10 +271,19 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig, Vocab, dict]:
-    """Raises ValueError naming the metadata or config field that is missing,
+    """Raises ValueError naming `path` when it is not an .npz archive with a
+    `__meta__` entry, naming the metadata or config field that is missing,
     unexpected or of the wrong type, or when the vocabulary's size or the
     tensors' names, shapes or dtypes do not fit the config."""
-    with np.load(path) as data:
+    with open(path, "rb") as fh:  # np.load leaves a file it opened open when the archive is cut
+        try:
+            data = np.load(fh)
+        except (EOFError, ValueError, zipfile.BadZipFile):  # empty, not numpy data, or a cut archive
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: not a checkpoint: not an .npz archive")
+        if "__meta__" not in data.files:
+            raise ValueError(f"{path}: not a checkpoint: no __meta__ entry")
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("checkpoint metadata must be a JSON object")

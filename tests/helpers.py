@@ -148,6 +148,26 @@ def reference_tokenize(text: str) -> list[str]:
     return tokens
 
 
+def reference_token_bounds(text: str) -> set[int]:
+    """Token offsets chunk by chunk: each whitespace chunk's edges, and the
+    edges of every mark the chunk rule peels off it, found by peeling the
+    chunk in place. The oracle `token_bounds` must match."""
+    bounds: set[int] = set()
+    end = 0
+    for chunk in text.split():
+        start = text.index(chunk, end)
+        end = start + len(chunk)
+        lo, hi = 0, len(chunk)
+        if chunk not in SPECIAL_TOKENS:
+            while hi - lo > 1 and chunk[lo] in "([{":
+                lo += 1
+            while hi - lo > 1 and chunk[hi - 1] in ".,;:!?)]}":
+                hi -= 1
+        bounds.update(range(start, start + lo + 1))
+        bounds.update(range(start + hi, end + 1))
+    return bounds
+
+
 def reference_build_vocab(texts) -> Vocab:
     """The vocabulary from tokenizing every text whole: the oracle for
     `build_vocab`, which tokenizes each distinct chunk once."""

@@ -10,6 +10,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdnet.cli import build_parser, main
@@ -412,6 +413,46 @@ def test_bad_checkpoint_metadata_is_data_fault_naming_the_field(tmp_path, capsys
     assert not out.exists()
 
 
+def _truncated_checkpoint(path: Path) -> None:
+    _untrained_checkpoint(path, ["China won."])
+    path.write_bytes(path.read_bytes()[:-100])  # cuts off the zip central directory
+
+
+def _bare_array(path: Path) -> None:
+    with open(path, "wb") as fh:  # np.save would add a .npy suffix to the path
+        np.save(fh, np.arange(3))
+
+
+def _archive_without_metadata(path: Path) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **{"param/emb": np.zeros((2, 2))})
+
+
+_NOT_CHECKPOINTS = {  # file kind -> (writer, what the error says after the path)
+    "empty": (lambda path: path.write_bytes(b""), "not an .npz archive"),
+    "bare array": (_bare_array, "not an .npz archive"),
+    "truncated checkpoint": (_truncated_checkpoint, "not an .npz archive"),
+    "text": (lambda path: path.write_text("not a model\n", encoding="utf-8"), "not an .npz archive"),
+    "archive without metadata": (_archive_without_metadata, "no __meta__ entry"),
+}
+
+
+@pytest.mark.parametrize("kind", _NOT_CHECKPOINTS)
+def test_a_model_file_that_is_not_a_checkpoint_is_data_fault_naming_the_path(tmp_path, capsys, kind):
+    write, reason = _NOT_CHECKPOINTS[kind]
+    ckpt = tmp_path / "model.npz"
+    write(ckpt)
+    prompt_path = tmp_path / "prompt.txt"
+    prompt_path.write_text("[EG] GPE\n", encoding="utf-8")
+    sentences_path = tmp_path / "sentences.jsonl"
+    sentences_path.write_text(json.dumps({"id": "a", "text": "China won."}) + "\n", encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
+                 "--sentences", str(sentences_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {ckpt}: not a checkpoint: {reason}\n"
+    assert not out.exists()
+
+
 # ---- flag defaults ----
 
 
@@ -607,6 +648,18 @@ def test_full_pipeline_smoke(world, tmp_path_factory, capsys):
     capsys.readouterr()
 
 
+# key order of an `evaluate` report (also each `run-episodes` per-run report), its per-type
+# scores, and a `run-episodes` report
+_REPORT_KEYS = ["precision", "recall", "f1", "gold", "predicted", "matched", "per_type"]
+_TYPE_SCORE_KEYS = ["gold", "predicted", "matched", "precision", "recall", "f1"]
+_EPISODES_KEYS = ["k", "runs", "base_seed", "f1_values", "mean_f1", "std_f1", "per_run", "failures"]
+
+
+def _assert_report_key_order(report: dict) -> None:
+    assert list(report) == _REPORT_KEYS
+    assert report["per_type"] and all(list(s) == _TYPE_SCORE_KEYS for s in report["per_type"].values())
+
+
 def test_evaluate_scores_gold_derived_predictions_at_one(world, tmp_path, capsys):
     root, corpus, present = world
     pred_path = tmp_path / "pred.jsonl"
@@ -620,6 +673,7 @@ def test_evaluate_scores_gold_derived_predictions_at_one(world, tmp_path, capsys
                  "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["f1"] == 1.0 and report["precision"] == 1.0 and report["recall"] == 1.0
+    _assert_report_key_order(report)
     capsys.readouterr()
 
 
@@ -752,6 +806,8 @@ def test_run_episodes_smoke(world, tmp_path, capsys):
     assert report["runs"] == 1 and len(report["f1_values"]) == 1
     assert report["failures"] == []
     assert 0.0 <= report["mean_f1"] <= 1.0
+    assert list(report) == _EPISODES_KEYS
+    _assert_report_key_order(report["per_run"][0])
     capsys.readouterr()
 
 

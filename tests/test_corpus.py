@@ -24,8 +24,8 @@ from sdnet.corpus import (
     truncate_type_name,
     type_table,
 )
-from sdnet.data import (OTHER_TYPE, TypeDictionary, annotated_to_record, validate_annotated_sentence,
-                        write_annotated_jsonl)
+from sdnet.data import (OTHER_TYPE, TypeDictionary, annotated_to_record, read_annotated_jsonl,
+                        validate_annotated_sentence, write_annotated_jsonl)
 from helpers import (FIXTURES, reference_build_type_dictionary, reference_entity_types,
                      reference_split_sentences)
 
@@ -363,6 +363,20 @@ def test_a_kb_or_page_line_that_is_not_utf8_is_tallied_and_the_build_keeps_its_g
     assert (build.dictionary.to_json() + "\n").encode("utf-8") == (FIXTURES / "golden_dict.json").read_bytes()
     golden = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
     assert build.tally - golden.tally == Counter(malformed_kb_record=1, malformed_page_record=1)
+
+
+def test_a_repeated_page_title_is_tallied_and_only_its_first_page_harvested(tmp_path):
+    pages_path, out = tmp_path / "pages.jsonl", tmp_path / "corpus.jsonl"
+    first, second = (FIXTURES / "pages.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+    # the second page's text under the first page's title: its sentences would reuse the first's ids
+    repeat = {**json.loads(second), "title": json.loads(first)["title"]}
+    pages_path.write_text((FIXTURES / "pages.jsonl").read_text(encoding="utf-8")
+                          + json.dumps(repeat, ensure_ascii=False) + "\n", encoding="utf-8")
+    build = build_corpus(FIXTURES / "kb_items.jsonl", pages_path, CFG)
+    golden = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
+    assert build.tally - golden.tally == Counter(duplicate_page_title=1)
+    write_annotated_jsonl(out, build.sentences)
+    assert read_annotated_jsonl(out) == golden.sentences
 
 
 def test_fixture_build_matches_golden_corpus():

@@ -34,8 +34,8 @@ def test_perfect_prediction_scores_one():
 def test_duplicate_predictions_count_as_false_positives():
     gold = {"s0": [_sp("a", 0, 2)]}
     rep = score(gold, {"s0": [_sp("a", 0, 2), _sp("a", 0, 2)]})
-    assert rep.matched_count == 1
-    assert rep.predicted_count == 2
+    assert rep.matched == 1
+    assert rep.predicted == 2
     assert rep.precision == pytest.approx(0.5)
     assert rep.recall == 1.0
 
@@ -43,7 +43,7 @@ def test_duplicate_predictions_count_as_false_positives():
 def test_duplicate_gold_spans_need_duplicate_predictions():
     gold = {"s0": [_sp("a", 0, 2), _sp("a", 0, 2)]}
     rep = score(gold, {"s0": [_sp("a", 0, 2)]})
-    assert rep.matched_count == 1
+    assert rep.matched == 1
     assert rep.recall == pytest.approx(0.5)
 
 
@@ -55,7 +55,7 @@ def test_unknown_sentence_id_is_a_fault():
 def test_missing_prediction_rows_count_as_empty():
     gold = {"s0": [_sp("a", 0, 2)], "s1": [_sp("b", 0, 2)]}
     rep = score(gold, {"s0": [_sp("a", 0, 2)]})
-    assert rep.matched_count == 1
+    assert rep.matched == 1
     assert rep.recall == pytest.approx(0.5)
     assert rep.per_type["b"].predicted == 0
 
@@ -64,9 +64,9 @@ def test_per_type_counts_sum_to_totals():
     gold = {"s0": [_sp("a", 0, 2), _sp("b", 3, 5)], "s1": [_sp("a", 1, 4)]}
     pred = {"s0": [_sp("a", 0, 2), _sp("a", 3, 5)], "s1": [_sp("b", 1, 4)]}
     rep = score(gold, pred)
-    assert sum(t.gold for t in rep.per_type.values()) == rep.gold_count
-    assert sum(t.predicted for t in rep.per_type.values()) == rep.predicted_count
-    assert sum(t.matched for t in rep.per_type.values()) == rep.matched_count
+    assert sum(t.gold for t in rep.per_type.values()) == rep.gold
+    assert sum(t.predicted for t in rep.per_type.values()) == rep.predicted
+    assert sum(t.matched for t in rep.per_type.values()) == rep.matched
 
 
 def _oracle_matched(gold_rows, pred_rows):
@@ -95,7 +95,7 @@ _span = st.builds(
 @given(st.lists(_span, max_size=5), st.lists(_span, max_size=5))
 def test_matched_count_equals_max_matching_oracle(gold_rows, pred_rows):
     rep = score({"s": gold_rows}, {"s": pred_rows})
-    assert rep.matched_count == _oracle_matched(gold_rows, pred_rows)
+    assert rep.matched == _oracle_matched(gold_rows, pred_rows)
 
 
 def test_gold_spans_follow_ith_occurrence_rule():

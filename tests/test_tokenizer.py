@@ -21,7 +21,7 @@ from sdnet.model.tokenizer import (
     token_bounds,
     tokenize,
 )
-from helpers import reference_build_vocab, reference_tokenize
+from helpers import reference_build_vocab, reference_token_bounds, reference_tokenize
 
 
 def test_tokenize_peels_trailing_punctuation():
@@ -151,4 +151,5 @@ def test_tokenizer_matches_reference_property(texts):
     for text in texts:
         assert tokenize(text) == reference_tokenize(text)
         assert token_bounds(text) == _walked_bounds(text)
+        assert token_bounds(text) == reference_token_bounds(text)
     assert build_vocab(texts).id_to_token == reference_build_vocab(texts).id_to_token
