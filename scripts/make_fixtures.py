@@ -10,7 +10,6 @@ Run from the repository root with `PYTHONPATH=src`.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from sdnet.corpus import BuildConfig, build_corpus
@@ -278,14 +277,8 @@ def main() -> None:
     pages = build_pages(kb)
     write_jsonl(FIXTURES / "kb_items.jsonl", kb)
     write_jsonl(FIXTURES / "pages.jsonl", pages)
-    rowling = next(p for p in pages if p["title"] == "J.K. Rowling")
-    (FIXTURES / "rowling.json").write_text(
-        json.dumps(rowling, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-
     wnut = [{"type": t, "concepts": c, "filtered": False} for t, c in WNUT_DESCRIPTIONS]
     write_jsonl(FIXTURES / "wnut_descriptions.jsonl", wnut)
-    (FIXTURES / "schema_wnut.json").write_text(
-        json.dumps([t for t, _ in WNUT_DESCRIPTIONS]) + "\n", encoding="utf-8")
 
     kb_size = (FIXTURES / "kb_items.jsonl").stat().st_size
     print(f"kb_items.jsonl: {len(kb)} items, {kb_size} bytes")

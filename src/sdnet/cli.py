@@ -2,8 +2,9 @@
 building and pretraining, then k-shot fine-tuning, prediction, and scoring.
 
 Exit codes: 0 success, 1 usage error, 2 data/runtime fault. Diagnostics go to
-stderr; data goes to files or stdout. Every file-producing subcommand writes a
-run manifest (resolved config, input hashes, seed, version) before its outputs.
+stderr; data goes to files or stdout. Every file-producing subcommand that
+succeeds writes a run manifest (resolved config, the hashes its inputs had when
+the run started, seed, version) beside its first output; a failed run writes none.
 """
 
 from __future__ import annotations
@@ -104,13 +105,14 @@ INPUT_FLAGS = ("kb", "pages", "corpus", "dict", "desc", "schema", "data", "model
 OUTPUT_FLAGS = ("out", "dict_out")
 
 
-def _write_manifest(args: argparse.Namespace) -> None:
-    """Records the config, the SHA-256 of each given input file (in parser order),
-    the outputs, seed and version beside the first output, if the run writes one."""
+def _manifest(args: argparse.Namespace) -> tuple[Path, str] | None:
+    """The path beside the first output, if the run writes one, and the text of
+    the run manifest: the config, the SHA-256 of each given input file (in
+    parser order), the outputs, seed and version."""
     given = [(key, value) for key, value in vars(args).items() if value]
     outputs = [Path(value) for key, value in given if key in OUTPUT_FLAGS]
     if not outputs:
-        return
+        return None
     manifest = {
         "subcommand": args.cmd,
         "config": {key: value for key, value in vars(args).items() if not callable(value)},
@@ -119,14 +121,16 @@ def _write_manifest(args: argparse.Namespace) -> None:
         "seed": getattr(args, "seed", None),
         "tool_version": TOOL_VERSION,
     }
-    manifest_path = Path(str(outputs[0]) + ".manifest.json")
-    _write_text(manifest_path, json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
+    return Path(str(outputs[0]) + ".manifest.json"), json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
 
 
 def _schema_from(text: str) -> list[str]:
     raw = json.loads(text)
     if not isinstance(raw, list) or not all(isinstance(t, str) and t.strip() for t in raw) or not raw:
         raise ValueError("schema must be a non-empty JSON array of non-blank type names")
+    repeated = next((t for i, t in enumerate(raw) if t in raw[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"schema repeats type {repeated!r}")
     return raw
 
 
@@ -135,9 +139,14 @@ def _eg_prompt_from(text: str) -> str:
     return text.strip()
 
 
-def _schema_of(args: argparse.Namespace, corpus) -> list[str]:
-    """The --schema file's types, or without one every non-`other` type of `corpus`, sorted."""
-    return read_file(args.schema, _schema_from) if args.schema else corpus_schema(corpus)
+def _schema_of(args: argparse.Namespace, corpus, flag: str = "--corpus") -> list[str]:
+    """The --schema file's types, or without one every non-`other` type of
+    `corpus` (read from `flag`), sorted; a corpus with none is a fault."""
+    schema = read_file(args.schema, _schema_from) if args.schema else corpus_schema(corpus)
+    if not schema:
+        raise CorpusFormatError(f"{flag} {getattr(args, flag[2:])}: no typed mention to derive a schema from; "
+                                "give --schema")
+    return schema
 
 
 @contextmanager
@@ -298,7 +307,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = read_annotated_jsonl(args.gold)
-    schema = _schema_of(args, corpus)
+    schema = _schema_of(args, corpus, "--gold")
     gold = {s.id: gold_spans(s, schema) for s in corpus}
     pred = read_predictions_jsonl(args.pred)
     report = score(gold, pred)
@@ -447,8 +456,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _write_manifest(args)
-        return args.func(args)
+        manifest = _manifest(args)  # the inputs as they are before the run
+        status = args.func(args)
+        if status == 0 and manifest:
+            _write_text(*manifest)
+        return status
     except (ValueError, KeyError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .data import ConceptDescription, PromptEG, PromptMD, TargetSequence, Task
+from .data import ConceptDescription, TargetSequence, Task
 
 DESCRIPTORS: dict[Task, str] = {"MD": "[MD]", "EG": "[EG]"}
 SEPARATOR = "; "             # between prompt entries and between target clauses
@@ -42,13 +42,15 @@ def surface_is_safe(text: str) -> bool:
     return not any(sep in in_clause for sep in UNSAFE_IN_SURFACE)
 
 
-def serialize_prompt_md(prompt: PromptMD) -> str:
-    return DESCRIPTORS["MD"] + " " + SEPARATOR.join(prompt.targets)
+def serialize_prompt_md(targets: tuple[str, ...]) -> str:
+    """The MD prompt listing `targets`, distinct mention surfaces in text order."""
+    return DESCRIPTORS["MD"] + " " + SEPARATOR.join(targets)
 
 
-def serialize_prompt_eg(prompt: PromptEG) -> str:
+def serialize_prompt_eg(entries: tuple[ConceptDescription, ...]) -> str:
+    """The EG prompt listing `entries`, one per distinct type."""
     rendered = []
-    for entry in prompt.entries:
+    for entry in entries:
         if entry.concepts:
             inner = CONCEPT_SEPARATOR.join(entry.concepts)
             rendered.append(entry.type_id + DESC_COLON + DESC_OPEN + inner + DESC_CLOSE)
@@ -141,17 +143,24 @@ def prompt_body(task: Task, text: str) -> str:
     return text[len(prefix):]
 
 
-def parse_prompt_eg(text: str) -> PromptEG:
-    """Accept both "type" and "type: {}" entry forms."""
+def parse_prompt_eg(text: str) -> tuple[ConceptDescription, ...]:
+    """The entries of an EG prompt read from outside; accepts both "type" and
+    "type: {}" entry forms. A blank or repeated type, or a type that repeats
+    a concept, raises ValueError."""
     entries = []
     for chunk in prompt_body("EG", text).split(SEPARATOR):
+        type_id, concepts = chunk, ()
         if DESC_COLON in chunk:
             type_id, desc = chunk.split(DESC_COLON, 1)
             if not (desc.startswith(DESC_OPEN) and desc.endswith(DESC_CLOSE)):
                 raise ValueError(f"malformed type description in {chunk!r}")
             inner = desc[len(DESC_OPEN): -len(DESC_CLOSE)]
-            concepts = tuple(c for c in inner.split(CONCEPT_SEPARATOR) if c) if inner else ()
-            entries.append(ConceptDescription(type_id=type_id, concepts=concepts))
-        else:
-            entries.append(ConceptDescription(type_id=chunk))
-    return PromptEG(entries=tuple(entries))
+            concepts = tuple(c for c in inner.split(CONCEPT_SEPARATOR) if c)
+        if not type_id.strip():
+            raise ValueError(f"blank type name {type_id!r}")
+        if len(set(concepts)) != len(concepts):
+            raise ValueError(f"duplicate concepts for type {type_id!r}")
+        entries.append(ConceptDescription(type_id=type_id, concepts=concepts))
+    if len({e.type_id for e in entries}) != len(entries):
+        raise ValueError("duplicate type ids in entity-generation prompt")
+    return tuple(entries)

@@ -1,4 +1,11 @@
-"""Core domain types: sentences, typed mentions, prompts, targets, type dictionaries."""
+"""Core domain types: sentences, typed mentions, prompts, targets, type dictionaries.
+
+Input is checked where it is read, and the fault names where it came from
+(`path:line`, the file, the flag). The constructors of `Sentence`,
+`TypedMention`, `AnnotatedSentence` and `TypeDictionary` check, as the readers
+build them from what they read; prompt entries, targets, training instances and
+spans are plain values that their builders make valid by construction.
+"""
 
 from __future__ import annotations
 
@@ -64,6 +71,8 @@ class TypedMention:
             raise ValueError(f"bad mention surface {self.surface!r}")
         if not self.types:
             raise ValueError(f"mention {self.surface!r} has no types")
+        if not all(t.strip() for t in self.types):
+            raise ValueError(f"mention {self.surface!r} has a blank type name")
         if len(set(self.types)) != len(self.types):
             raise ValueError(f"mention {self.surface!r} has duplicate types")
 
@@ -182,35 +191,6 @@ class ConceptDescription:
     type_id: str
     concepts: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.type_id.strip():
-            raise ValueError(f"blank type name {self.type_id!r}")
-        if len(set(self.concepts)) != len(self.concepts):
-            raise ValueError(f"duplicate concepts for type {self.type_id!r}")
-
-
-@dataclass(frozen=True)
-class PromptMD:
-    targets: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.targets:
-            raise ValueError("mention-describing prompt needs at least one target mention")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("duplicate target surfaces in mention-describing prompt")
-
-
-@dataclass(frozen=True)
-class PromptEG:
-    entries: tuple[ConceptDescription, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("entity-generation prompt needs at least one type entry")
-        ids = [e.type_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate type ids in entity-generation prompt")
-
 
 @dataclass(frozen=True)
 class TargetSequence:
@@ -222,13 +202,6 @@ class TargetSequence:
 
     task: Task
     pairs: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __post_init__(self) -> None:
-        for surface, labels in self.pairs:
-            if not labels:
-                raise ValueError(f"target pair {surface!r} has no labels")
-            if self.task == "EG" and len(labels) != 1:
-                raise ValueError(f"EG target pair {surface!r} must have exactly one type")
 
 
 # JSONL lingua franca between corpus-builder, instance-sampler and evaluator.

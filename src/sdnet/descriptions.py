@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .codec import parse_generated, serialize_prompt_md
-from .data import (OTHER_TYPE, AnnotatedSentence, PromptMD, RowError, distinct_ids, iter_jsonl,
+from .data import (OTHER_TYPE, AnnotatedSentence, RowError, distinct_ids, iter_jsonl,
                    ordered_unique_surfaces, string_field, string_list, write_jsonl)
 
 DescriptionMap = dict[str, tuple[str, ...]]
@@ -87,10 +87,8 @@ def describe_with_model(
     fuse the parsed concept descriptions per gold type, then filter. A row the
     generator rejects raises ValueError naming its sentence id."""
     described = [s for s in corpus if s.mentions]
-    prompts = []
-    for sent in described:
-        surfaces = tuple(surface for surface, _ in ordered_unique_surfaces(sent))
-        prompts.append(serialize_prompt_md(PromptMD(targets=surfaces)))
+    prompts = [serialize_prompt_md(tuple(surface for surface, _ in ordered_unique_surfaces(sent)))
+               for sent in described]
     try:
         outputs = generate_fn(prompts, [s.text for s in described])
     except RowError as exc:
@@ -126,9 +124,15 @@ def _filtered_flag(raw: dict) -> bool:
     return value
 
 
+def _description_from_record(raw: dict) -> tuple[str, tuple[str, ...], bool]:
+    type_id, concepts = string_field(raw["type"], "type"), string_list(raw["concepts"], "concepts")
+    if len(set(concepts)) != len(concepts):
+        raise ValueError(f"duplicate concepts for type {type_id!r}")
+    return type_id, concepts, _filtered_flag(raw)
+
+
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:
-    """A file's description map and filtered types; a repeated type is a format error."""
-    rows = list(iter_jsonl(path, distinct_ids(
-        lambda r: (string_field(r["type"], "type"), string_list(r["concepts"], "concepts"), _filtered_flag(r)),
-        itemgetter(0), "type")))
+    """A file's description map and filtered types; a repeated type, or a type
+    that repeats a concept, is a format error naming `path:line`."""
+    rows = list(iter_jsonl(path, distinct_ids(_description_from_record, itemgetter(0), "type")))
     return {t: concepts for t, concepts, _ in rows}, {t for t, _, filtered in rows if filtered}

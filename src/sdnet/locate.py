@@ -15,14 +15,12 @@ from .model.tokenizer import token_bounds
 
 @dataclass(frozen=True)
 class SpanPrediction:
+    """A typed span [start, end) of a sentence's text, 0 <= start < end."""
+
     surface: str
     type_id: str
     start: int
     end: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"bad span offsets [{self.start}, {self.end})")
 
     def key(self) -> tuple[str, int, int]:
         return (self.type_id, self.start, self.end)
@@ -31,14 +29,12 @@ class SpanPrediction:
 def locate(
     sentence: Sentence, parsed: TargetSequence
 ) -> tuple[list[SpanPrediction], list[tuple[str, str]]]:
-    """Assign the k-th appearance of each surface in `parsed` to the k-th
-    occurrence of that surface in the sentence. An occurrence starts and ends
-    on token boundaries (`token_bounds`), so "Rome" does not match inside
-    "Romeo". Occurrences of the same surface never overlap; different surfaces
-    are matched independently. Pairs that run out of occurrences are dropped
-    and reported."""
-    if parsed.task != "EG":
-        raise ValueError("locate expects an entity-generation target")
+    """Assign the k-th appearance of each surface in the EG target `parsed` to
+    the k-th occurrence of that surface in the sentence. An occurrence starts
+    and ends on token boundaries (`token_bounds`), so "Rome" does not match
+    inside "Romeo". Occurrences of the same surface never overlap; different
+    surfaces are matched independently. Pairs that run out of occurrences are
+    dropped and reported."""
     text = sentence.text
     bounds = token_bounds(text)
     next_start: dict[str, int] = {}
@@ -67,12 +63,19 @@ def spans_to_record(sentence_id: str, spans: Iterable[SpanPrediction]) -> dict:
     }
 
 
+def _span_from_record(raw: dict) -> SpanPrediction:
+    span = SpanPrediction(surface=string_field(raw["surface"], "surface"),
+                          type_id=string_field(raw["type"], "type"),
+                          start=int_field(raw["start"], "start"), end=int_field(raw["end"], "end"))
+    if not 0 <= span.start < span.end:
+        raise ValueError(f"bad span offsets [{span.start}, {span.end})")
+    return span
+
+
 def spans_from_record(raw: dict) -> tuple[str, list[SpanPrediction]]:
-    spans = [
-        SpanPrediction(surface=string_field(s["surface"], "surface"), type_id=string_field(s["type"], "type"),
-                       start=int_field(s["start"], "start"), end=int_field(s["end"], "end"))
-        for s in list_field(raw["spans"], "spans")
-    ]
+    """A record's sentence id and spans; a span whose offsets are not
+    0 <= start < end raises ValueError."""
+    spans = [_span_from_record(s) for s in list_field(raw["spans"], "spans")]
     return string_field(raw["id"], "id"), spans
 
 

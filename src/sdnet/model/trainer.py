@@ -272,9 +272,9 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig, Vocab, dict]:
     """Raises ValueError naming `path` when it is not an .npz archive with a
-    `__meta__` entry, naming the metadata or config field that is missing,
-    unexpected or of the wrong type, or when the vocabulary's size or the
-    tensors' names, shapes or dtypes do not fit the config."""
+    `__meta__` entry of UTF-8 JSON, naming the metadata or config field that
+    is missing, unexpected or of the wrong type, or when the vocabulary's size
+    or the tensors' names, shapes or dtypes do not fit the config."""
     with open(path, "rb") as fh:  # np.load leaves a file it opened open when the archive is cut
         try:
             data = np.load(fh)
@@ -284,7 +284,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
             raise ValueError(f"{path}: not a checkpoint: not an .npz archive")
         if "__meta__" not in data.files:
             raise ValueError(f"{path}: not a checkpoint: no __meta__ entry")
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        try:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: __meta__ is not UTF-8 JSON: {exc}") from exc
         if not isinstance(meta, dict):
             raise ValueError("checkpoint metadata must be a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:

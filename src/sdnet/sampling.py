@@ -19,8 +19,6 @@ from .data import (
     OTHER_TYPE,
     AnnotatedSentence,
     ConceptDescription,
-    PromptEG,
-    PromptMD,
     TargetSequence,
     Task,
     TypeDictionary,
@@ -92,31 +90,27 @@ class SamplerConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrainingInstance:
-    """One prompt/input/target triple. The builders below serialize targets
-    that re-parse cleanly by construction; `instance_from_record` checks the
-    targets read from outside."""
+    """One prompt/input/target triple. The builders below serialize prompts
+    that start with their task's descriptor and targets that re-parse cleanly,
+    by construction; `instance_from_record` checks the instances read from
+    outside."""
 
     task: Task
     prompt_text: str
     input_text: str
     target_text: str
 
-    def __post_init__(self) -> None:
-        prompt_body(self.task, self.prompt_text)
-
 
 def make_md_instance(s: AnnotatedSentence, cfg: SamplerConfig, draw_key: int) -> TrainingInstance:
-    if not s.mentions:
-        raise ValueError(f"sentence {s.id!r} has no mentions")
+    """The MD instance of a sentence with at least one mention."""
     candidates = ordered_unique_surfaces(s)
     want = math.ceil(cfg.md_target_fraction * len(candidates))
     if want < len(candidates):
         candidates = [candidates[i] for i in _keyed_subset(cfg.rng_seed, draw_key, "MD", len(candidates), want)]
-    prompt = PromptMD(targets=tuple(surf for surf, _ in candidates))
     target = TargetSequence(task="MD", pairs=tuple(candidates))
     return TrainingInstance(
         task="MD",
-        prompt_text=serialize_prompt_md(prompt),
+        prompt_text=serialize_prompt_md(tuple(surf for surf, _ in candidates)),
         input_text=s.text,
         target_text=serialize_target(target),
     )
@@ -148,7 +142,7 @@ def present_types(sent: AnnotatedSentence) -> list[str]:
 def schema_prompt(schema_types: Sequence[str], desc: DescriptionMap) -> str:
     """The full-schema EG prompt: every type with all of its concepts."""
     entries = tuple(ConceptDescription(type_id=t, concepts=desc.get(t, ())) for t in schema_types)
-    return serialize_prompt_eg(PromptEG(entries=entries))
+    return serialize_prompt_eg(entries)
 
 
 class _EgSampler:
@@ -184,11 +178,10 @@ class _EgSampler:
                                                                    self.cfg.max_negative_types)]
         n = len(prompt_types)
         prompt_types = [prompt_types[i] for i in keyed_sample(seed, draw_key, "EG order", n, n)]
-        prompt = PromptEG(entries=tuple(self._entry(t, draw_key) for t in prompt_types))
         target = TargetSequence(task="EG", pairs=eg_pairs(s, positives))
         return TrainingInstance(
             task="EG",
-            prompt_text=serialize_prompt_eg(prompt),
+            prompt_text=serialize_prompt_eg(tuple(self._entry(t, draw_key) for t in prompt_types)),
             input_text=s.text,
             target_text=serialize_target(target),
         )
@@ -199,8 +192,6 @@ def make_finetune_instance(
 ) -> TrainingInstance:
     """Full-schema prompt, no negative sampling; empty target when the sentence
     has no gold mention typed within the schema."""
-    if not schema_types:
-        raise ValueError("schema_types must be non-empty")
     target = TargetSequence(task="EG", pairs=eg_pairs(s, list(schema_types)))
     return TrainingInstance(
         task="EG",
@@ -278,9 +269,10 @@ def instance_to_record(inst: TrainingInstance) -> dict:
 
 
 def instance_from_record(raw: dict) -> TrainingInstance:
-    """The instance a record holds; raises ValueError when its target does not
-    re-parse cleanly."""
+    """The instance a record holds; raises ValueError when its prompt does not
+    start with its task's descriptor or its target does not re-parse cleanly."""
     inst = TrainingInstance(*(string_field(raw[k], k) for k in ("task", "prompt", "input", "target")))
+    prompt_body(inst.task, inst.prompt_text)
     parsed = parse_generated(inst.task, inst.target_text)
     if parsed.diagnostics:
         raise ValueError(f"target does not re-parse cleanly: {parsed.diagnostics}")

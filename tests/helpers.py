@@ -14,7 +14,7 @@ import numpy as np
 
 from sdnet.codec import SEPARATOR, prompt_body, serialize_target
 from sdnet.corpus import ABBREVIATIONS, truncate_type_name
-from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, PromptMD, Sentence, TargetSequence,
+from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TargetSequence,
                         TypeDictionary, TypedMention)
 from sdnet.evaluation import EpisodeReport, corpus_schema, run_episodes
 from sdnet.model import ModelConfig, build_vocab, init_params
@@ -49,9 +49,9 @@ def sent(sid: str, text: str, mentions: list[tuple[str, tuple[str, ...]]]) -> An
     )
 
 
-def parse_prompt_md(text: str) -> PromptMD:
+def parse_prompt_md(text: str) -> tuple[str, ...]:
     """The mentions an MD prompt lists: the inverse of `serialize_prompt_md`."""
-    return PromptMD(targets=tuple(prompt_body("MD", text).split(SEPARATOR)))
+    return tuple(prompt_body("MD", text).split(SEPARATOR))
 
 
 TINY_ROWS: list[tuple[str, str, str, str]] = [

@@ -34,7 +34,6 @@ from sdnet.codec import parse_generated, serialize_prompt_eg, serialize_target
 from sdnet.data import (
     ConceptDescription,
     OTHER_TYPE,
-    PromptEG,
     Sentence,
     TargetSequence,
     TypeDictionary,
@@ -97,8 +96,7 @@ def test_codec_round_trips_10k_targets_under_5s():
 # ---- 2. canonical grammar strings ----
 
 def test_grammar_fixture_strings_serialize_and_parse_exactly():
-    prompt = PromptEG(entries=(
-        ConceptDescription(type_id="person", concepts=("actor", "writer")),))
+    prompt = (ConceptDescription(type_id="person", concepts=("actor", "writer")),)
     assert serialize_prompt_eg(prompt) == "[EG] person: {actor, writer}"
 
     single = TargetSequence(task="EG", pairs=(("J.K. Rowling", ("person",)),))

@@ -15,7 +15,7 @@ import pytest
 
 from sdnet.cli import build_parser, main
 from sdnet.corpus import BuildConfig
-from sdnet.data import AnnotatedSentence, TypedMention, read_annotated_jsonl, write_annotated_jsonl
+from sdnet.data import AnnotatedSentence, Sentence, TypedMention, read_annotated_jsonl, write_annotated_jsonl
 from sdnet.descriptions import DescriptionConfig, read_description_map
 from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import spans_to_record
@@ -168,6 +168,73 @@ def test_blank_schema_type_is_data_fault_naming_the_file(world, tmp_path, capsys
     assert capsys.readouterr().err.startswith(f"error: {bad}: schema must be")
 
 
+def _schema_reader_argv(cmd: str, corpus: Path, tmp_path: Path) -> list[str]:
+    """`cmd` over `corpus` with every other input it needs; the output is `tmp_path/out`."""
+    desc, ckpt, pred = tmp_path / "desc.jsonl", tmp_path / "model.npz", tmp_path / "pred.jsonl"
+    for path in (desc, ckpt, pred):
+        path.write_text("", encoding="utf-8")
+    out = str(tmp_path / "out")
+    return {"run-episodes": ["run-episodes", "--corpus", str(corpus), "--model", str(ckpt), "--out", out],
+            "evaluate": ["evaluate", "--gold", str(corpus), "--pred", str(pred), "--out", out],
+            "sample-kshot": ["sample-kshot", "--corpus", str(corpus), "--k", "1", "--out", out],
+            "make-finetune-data": ["make-finetune-data", "--corpus", str(corpus), "--desc", str(desc),
+                                   "--out", out]}[cmd]
+
+
+@pytest.mark.parametrize("cmd", ["run-episodes", "evaluate", "sample-kshot", "make-finetune-data"])
+def test_a_schema_that_repeats_a_type_is_data_fault_naming_the_file(tmp_path, capsys, cmd):
+    # A repeated type would fail every episode at prompt building, and give
+    # `evaluate` a false gold span: the second "city" clause for "Paris" lands
+    # on the "Paris" of "Paris Hilton".
+    corpus = tmp_path / "corpus.jsonl"
+    write_annotated_jsonl(corpus, [AnnotatedSentence(Sentence("s0", "Paris met Paris Hilton."),
+                                                     (TypedMention("Paris", ("city",)),))])
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(["city", "person", "city"]), encoding="utf-8")
+    argv = _schema_reader_argv(cmd, corpus, tmp_path) + ["--schema", str(schema)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {schema}: schema repeats type 'city'\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.manifest.json").exists()
+
+
+@pytest.mark.parametrize("cmd, flag", [("run-episodes", "--corpus"), ("evaluate", "--gold"),
+                                       ("sample-kshot", "--corpus")])
+def test_no_schema_and_no_typed_mention_is_data_fault_naming_the_corpus_flag(tmp_path, capsys, cmd, flag):
+    corpus = tmp_path / "corpus.jsonl"
+    write_annotated_jsonl(corpus, [
+        AnnotatedSentence(Sentence("s0", "Ada rests."), (TypedMention("Ada", ("other",)),)),
+        AnnotatedSentence(Sentence("s1", "Bo rests."), ())])
+    assert main(_schema_reader_argv(cmd, corpus, tmp_path)) == 2
+    assert capsys.readouterr().err == (f"error: {flag} {corpus}: no typed mention to derive a schema from; "
+                                       "give --schema\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_description_that_repeats_a_concept_is_data_fault_naming_the_line(world, tmp_path, capsys):
+    root, _, _ = world
+    desc = tmp_path / "desc.jsonl"
+    desc.write_text(json.dumps({"type": "person", "concepts": ["writer"]}) + "\n"
+                    + json.dumps({"type": "city", "concepts": ["capital", "port", "capital"]}) + "\n",
+                    encoding="utf-8")
+    dictionary = tmp_path / "dict.json"
+    dictionary.write_text('{"min_count": 1, "max_tokens": 3, "entries": {"person": 1}}', encoding="utf-8")
+    rc = main(["make-pretrain-data", "--corpus", str(root / "corpus.jsonl"), "--dict", str(dictionary),
+               "--desc", str(desc), "--out", str(tmp_path / "inst.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {desc}:2: duplicate concepts for type 'city'\n"
+
+
+def test_a_blank_type_name_in_the_corpus_is_data_fault_naming_the_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "s0", "text": "Ada rests.", "mentions": [{"surface": "Ada", "types": ["person"]}]})
+        + "\n" + json.dumps({"id": "s1", "text": "Bo rests.", "mentions": [{"surface": "Bo", "types": [" "]}]})
+        + "\n", encoding="utf-8")
+    rc = main(["sample-kshot", "--corpus", str(corpus), "--k", "1", "--out", str(tmp_path / "s.jsonl")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {corpus}:2: mention 'Bo' has a blank type name\n"
+
+
 @pytest.mark.parametrize("text, detail", [
     ('{"min_count": 5}', "missing field 'entries'"),
     ('{"entries": {}', "invalid JSON"),
@@ -183,22 +250,6 @@ def test_bad_type_dictionary_is_data_fault_naming_the_file(world, tmp_path, caps
                "--desc", str(desc), "--out", str(tmp_path / "inst.jsonl")])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
-
-
-def test_manifest_is_written_before_outputs(world, tmp_path, capsys):
-    # A corrupt checkpoint faults after the manifest is on disk but before the
-    # output exists: the manifest records intent, not success.
-    root, _, _ = world
-    bad_ckpt = tmp_path / "broken.ckpt"
-    bad_ckpt.write_text("not a checkpoint", encoding="utf-8")
-    out = tmp_path / "tuned.ckpt"
-    rc = main(["finetune", "--data", str(root / "corpus.jsonl"),
-               "--model", str(bad_ckpt), "--out", str(out), "--epochs", "1"])
-    assert rc == 2
-    assert not out.exists()
-    manifest = _manifest_of(out)
-    assert manifest["subcommand"] == "finetune"
-    capsys.readouterr()
 
 
 def test_mention_describing_without_a_model_faults_before_any_manifest(world, tmp_path, capsys):
@@ -428,12 +479,28 @@ def _archive_without_metadata(path: Path) -> None:
         np.savez(fh, **{"param/emb": np.zeros((2, 2))})
 
 
+def _checkpoint_with_metadata(meta: bytes):
+    def write(path: Path) -> None:
+        _untrained_checkpoint(path, ["China won."])
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["__meta__"] = np.frombuffer(meta, dtype=np.uint8)
+        with open(path, "wb") as fh:  # a path not ending in .npz would get that suffix
+            np.savez(fh, **arrays)
+    return write
+
+
 _NOT_CHECKPOINTS = {  # file kind -> (writer, what the error says after the path)
-    "empty": (lambda path: path.write_bytes(b""), "not an .npz archive"),
-    "bare array": (_bare_array, "not an .npz archive"),
-    "truncated checkpoint": (_truncated_checkpoint, "not an .npz archive"),
-    "text": (lambda path: path.write_text("not a model\n", encoding="utf-8"), "not an .npz archive"),
-    "archive without metadata": (_archive_without_metadata, "no __meta__ entry"),
+    "empty": (lambda path: path.write_bytes(b""), "not a checkpoint: not an .npz archive"),
+    "bare array": (_bare_array, "not a checkpoint: not an .npz archive"),
+    "truncated checkpoint": (_truncated_checkpoint, "not a checkpoint: not an .npz archive"),
+    "text": (lambda path: path.write_text("not a model\n", encoding="utf-8"),
+             "not a checkpoint: not an .npz archive"),
+    "archive without metadata": (_archive_without_metadata, "not a checkpoint: no __meta__ entry"),
+    "metadata not UTF-8": (_checkpoint_with_metadata(b"\xff{}"), "__meta__ is not UTF-8 JSON: 'utf-8' codec "
+                           "can't decode byte 0xff in position 0: invalid start byte"),
+    "metadata not JSON": (_checkpoint_with_metadata(b"{"), "__meta__ is not UTF-8 JSON: Expecting property name "
+                          "enclosed in double quotes: line 1 column 2 (char 1)"),
 }
 
 
@@ -449,8 +516,8 @@ def test_a_model_file_that_is_not_a_checkpoint_is_data_fault_naming_the_path(tmp
     out = tmp_path / "pred.jsonl"
     assert main(["predict", "--model", str(ckpt), "--prompt-file", str(prompt_path),
                  "--sentences", str(sentences_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {ckpt}: not a checkpoint: {reason}\n"
-    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {ckpt}: {reason}\n"
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
 
 # ---- flag defaults ----
@@ -571,18 +638,18 @@ def test_evaluate_manifest_records_the_schema_hash(world, tmp_path, capsys):
 
 
 def test_manifest_lists_inputs_in_the_order_the_parser_declares_them(world, tmp_path, capsys):
-    # Flags given out of order; the checkpoint faults after the manifest is written.
-    root, _, _ = world
-    bad_ckpt = tmp_path / "broken.ckpt"
-    bad_ckpt.write_text("not a checkpoint", encoding="utf-8")
+    # Flags given out of order.
+    root, corpus, _ = world
+    ckpt = tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [s.text for s in corpus])
     test_path = tmp_path / "test.jsonl"
     test_path.write_bytes((root / "corpus.jsonl").read_bytes())
     out = tmp_path / "episodes.json"
     assert main(["run-episodes", "--schema", str(root / "schema.json"), "--test", str(test_path),
                  "--out", str(out), "--corpus", str(root / "corpus.jsonl"),
-                 "--model", str(bad_ckpt)]) == 2
+                 "--model", str(ckpt), "--k", "1", "--runs", "1", "--epochs", "1"]) == 0
     inputs = _manifest_of(out)["inputs"]
-    assert list(inputs) == [str(root / "corpus.jsonl"), str(bad_ckpt), str(test_path),
+    assert list(inputs) == [str(root / "corpus.jsonl"), str(ckpt), str(test_path),
                             str(root / "schema.json")]
     capsys.readouterr()
 

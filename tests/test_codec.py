@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,13 +18,12 @@ from sdnet.codec import (
     serialize_target,
     surface_is_safe,
 )
-from sdnet.data import ConceptDescription, PromptEG, PromptMD, TargetSequence
+from sdnet.data import ConceptDescription, TargetSequence
 from helpers import parse_prompt_md
 
 
 def test_md_prompt_format():
-    p = PromptMD(targets=("J.K. Rowling", "London"))
-    assert serialize_prompt_md(p) == "[MD] J.K. Rowling; London"
+    assert serialize_prompt_md(("J.K. Rowling", "London")) == "[MD] J.K. Rowling; London"
 
 
 def test_eg_prompt_with_and_without_concepts():
@@ -30,7 +31,7 @@ def test_eg_prompt_with_and_without_concepts():
         ConceptDescription(type_id="person", concepts=("actor", "writer")),
         ConceptDescription(type_id="city", concepts=()),
     )
-    assert serialize_prompt_eg(PromptEG(entries=entries)) == "[EG] person: {actor, writer}; city"
+    assert serialize_prompt_eg(entries) == "[EG] person: {actor, writer}; city"
 
 
 def test_target_serialization_separators_and_terminator():
@@ -87,26 +88,33 @@ def test_parser_never_raises_and_reports_diagnostics():
 
 
 def test_prompt_parsing_round_trip():
-    md = PromptMD(targets=("Alice", "Bob Smith"))
+    md = ("Alice", "Bob Smith")
     assert parse_prompt_md(serialize_prompt_md(md)) == md
-    eg = PromptEG(entries=(
+    eg = (
         ConceptDescription(type_id="person", concepts=("actor",)),
         ConceptDescription(type_id="city", concepts=()),
-    ))
+    )
     assert parse_prompt_eg(serialize_prompt_eg(eg)) == eg
 
 
 def test_eg_prompt_parse_accepts_empty_braces():
-    assert parse_prompt_eg("[EG] city: {}") == PromptEG(
-        entries=(ConceptDescription(type_id="city", concepts=()),))
+    assert parse_prompt_eg("[EG] city: {}") == (ConceptDescription(type_id="city", concepts=()),)
 
 
 @pytest.mark.parametrize("text", ["[EG] person; ; city", "[EG] : {}", "[EG]  "])
 def test_eg_prompt_parse_rejects_a_blank_type_entry(text):
     with pytest.raises(ValueError, match="blank type name"):
         parse_prompt_eg(text)
-    with pytest.raises(ValueError, match="blank type name"):
-        ConceptDescription(type_id=" ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[EG] person; city; person", "duplicate type ids in entity-generation prompt"),
+    ("[EG] person: {actor}; person", "duplicate type ids in entity-generation prompt"),
+    ("[EG] person: {actor, writer, actor}; city", "duplicate concepts for type 'person'"),
+])
+def test_eg_prompt_parse_rejects_a_repeated_type_or_concept(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_prompt_eg(text)
 
 
 def test_surface_safety():
@@ -151,13 +159,12 @@ def test_serialize_parse_round_trip_property(target):
 
 @given(st.lists(_safe_surface, min_size=1, max_size=5, unique=True))
 def test_md_prompt_round_trip_property(surfaces):
-    p = PromptMD(targets=tuple(surfaces))
+    p = tuple(surfaces)
     assert parse_prompt_md(serialize_prompt_md(p)) == p
 
 
 @given(st.lists(st.tuples(_safe_word, st.lists(_safe_word, max_size=3, unique=True)),
                 min_size=1, max_size=4, unique_by=lambda row: row[0]))
 def test_eg_prompt_round_trip_property(rows):
-    p = PromptEG(entries=tuple(
-        ConceptDescription(type_id=t, concepts=tuple(cs)) for t, cs in rows))
+    p = tuple(ConceptDescription(type_id=t, concepts=tuple(cs)) for t, cs in rows)
     assert parse_prompt_eg(serialize_prompt_eg(p)) == p

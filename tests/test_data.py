@@ -28,10 +28,12 @@ from sdnet.data import (
     write_annotated_jsonl,
     write_jsonl,
 )
+from sdnet.codec import parse_generated
 from sdnet.descriptions import build_cooccurrence_descriptions, read_description_map
 from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import read_predictions_jsonl
-from sdnet.sampling import SamplerConfig, build_pretrain_instances, instance_to_record, read_instances_jsonl
+from sdnet.sampling import (SamplerConfig, build_pretrain_instances, eg_pairs, instance_to_record,
+                            read_instances_jsonl)
 from helpers import sent
 
 
@@ -59,6 +61,8 @@ def test_typed_mention_rejects_empty_fields():
         TypedMention(surface="", types=("person",))
     with pytest.raises(ValueError):
         TypedMention(surface="Alice", types=())
+    with pytest.raises(ValueError, match="^mention 'Alice' has a blank type name$"):
+        TypedMention(surface="Alice", types=("person", " "))
 
 
 def test_validate_annotated_sentence_flags_absent_surface():
@@ -90,9 +94,12 @@ def test_type_dictionary_json_round_trip(tmp_path):
 
 
 def test_eg_target_pairs_carry_exactly_one_label():
-    TargetSequence(task="EG", pairs=(("Alice", ("person",)),))
-    with pytest.raises(ValueError):
-        TargetSequence(task="EG", pairs=(("Alice", ("person", "writer")),))
+    # EG targets come from `eg_pairs` and `parse_generated`, which give each pair one label
+    s = sent("a#0", "Alice met Bob.", [("Alice", ("person", "writer")), ("Bob", ("person",))])
+    assert eg_pairs(s, ["writer", "person"]) == (
+        ("Alice", ("writer",)), ("Alice", ("person",)), ("Bob", ("person",)))
+    assert parse_generated("EG", "Alice is person, writer.").target == TargetSequence(
+        task="EG", pairs=(("Alice", ("person, writer",)),))
 
 
 def test_annotated_record_round_trip():

@@ -64,11 +64,11 @@ def test_absent_surface_is_unlocated():
     assert unlocated == [("Carol", "person")]
 
 
-def test_span_prediction_validates_offsets():
-    with pytest.raises(ValueError):
-        SpanPrediction(surface="x", type_id="t", start=3, end=3)
-    with pytest.raises(ValueError):
-        SpanPrediction(surface="x", type_id="t", start=-1, end=2)
+@pytest.mark.parametrize("start, end", [(3, 3), (-1, 2), (4, 2)])
+def test_span_prediction_validates_offsets(start, end):
+    record = {"id": "s", "spans": [{"surface": "x", "type": "t", "start": start, "end": end}]}
+    with pytest.raises(ValueError, match=fr"^bad span offsets \[{start}, {end}\)$"):
+        spans_from_record(record)
 
 
 def test_prediction_record_round_trip(tmp_path):
@@ -141,6 +141,7 @@ def test_locate_matches_token_boundary_oracle(words, cuts):
     assert len(spans) + len(unlocated) == len(pairs)
     for s in spans:
         assert on_token_boundaries(text, s.start, s.end)
+    assert spans_from_record(spans_to_record("s", spans)) == ("s", spans)
 
 
 def test_generated_text_round_trip_through_parse_and_locate():

@@ -9,9 +9,10 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnet.codec import parse_generated, parse_prompt_eg
+from sdnet.codec import parse_generated, parse_prompt_eg, serialize_prompt_eg
 from sdnet.data import OTHER_TYPE, Sentence, TypeDictionary, read_annotated_jsonl, read_file, write_jsonl
 from sdnet.descriptions import build_cooccurrence_descriptions
+from sdnet.locate import locate, spans_from_record, spans_to_record
 from sdnet.sampling import (
     KShotSample,
     SamplerConfig,
@@ -74,11 +75,11 @@ def test_md_fraction_subsamples_with_ceiling():
              [("Alice", ("person",)), ("Bob", ("person",)), ("Rome", ("city",))])
     cfg = SamplerConfig(rng_seed=3, md_target_fraction=0.5)
     inst = make_md_instance(s, cfg, draw_key=9)
-    prompt = parse_prompt_md(inst.prompt_text)
-    assert len(prompt.targets) == 2  # ceil(0.5 * 3)
+    targets = parse_prompt_md(inst.prompt_text)
+    assert len(targets) == 2  # ceil(0.5 * 3)
     # surfaces keep textual order
     order = {"Alice": 0, "Bob": 1, "Rome": 2}
-    picked = [order[t] for t in prompt.targets]
+    picked = [order[t] for t in targets]
     assert picked == sorted(picked)
 
 
@@ -92,8 +93,7 @@ def test_md_merges_duplicate_surfaces():
 def test_eg_instance_prompt_types_and_target():
     inst = _eg_instance(ROWLING, {"person": ("writer",)}, CFG)
     assert inst.task == "EG"
-    prompt = parse_prompt_eg(inst.prompt_text)
-    prompt_types = [e.type_id for e in prompt.entries]
+    prompt_types = [e.type_id for e in parse_prompt_eg(inst.prompt_text)]
     sentence_types = {"person", "writer", "city"}
     positives = [t for t in prompt_types if t in sentence_types]
     negatives = [t for t in prompt_types if t not in sentence_types]
@@ -111,7 +111,7 @@ def test_eg_instance_prompt_types_and_target():
 def test_eg_negatives_disjoint_from_sentence_types_across_keys():
     for i in range(40):
         inst = _eg_instance(_with_id(ROWLING, f"r#{i}"), {}, CFG)
-        prompt_types = [e.type_id for e in parse_prompt_eg(inst.prompt_text).entries]
+        prompt_types = [e.type_id for e in parse_prompt_eg(inst.prompt_text)]
         for t in prompt_types:
             assert t != OTHER_TYPE
             if t not in ("person", "writer", "city"):
@@ -125,7 +125,7 @@ def test_eg_negatives_are_the_keyed_draw_from_the_listed_pool(sentence_types, n,
     s = sent(f"n#{n}", "Xy rests.", [("Xy", tuple(sentence_types))])
     inst = _eg_instance(s, {}, SamplerConfig(max_negative_types=max_negative_types))
     key = stable_draw_key(s.id, "EG")
-    negatives = {e.type_id for e in parse_prompt_eg(inst.prompt_text).entries} - set(sentence_types)
+    negatives = {e.type_id for e in parse_prompt_eg(inst.prompt_text)} - set(sentence_types)
     pool = [t for t in DICT.types() if t not in sentence_types]
     drawn = reference_keyed_shuffle(CFG.rng_seed, key, "EG negatives", len(pool))[:max_negative_types]
     assert negatives == {pool[i] for i in drawn}
@@ -140,7 +140,7 @@ TEE = sent("t#0", "Tee rests.", [("Tee", ("t",))])
 
 
 def _entry_of(inst, type_id):
-    return next(e for e in parse_prompt_eg(inst.prompt_text).entries if e.type_id == type_id)
+    return next(e for e in parse_prompt_eg(inst.prompt_text) if e.type_id == type_id)
 
 
 def test_eg_concepts_identity_when_under_budget():
@@ -176,7 +176,7 @@ def test_eg_prompt_entries_equal_the_reference_concept_draw(concept_lists, max_c
     s = _with_id(ROWLING, f"r#{n}")
     inst = _eg_instance(s, desc, cfg)
     key = stable_draw_key(s.id, "EG")
-    entries = parse_prompt_eg(inst.prompt_text).entries
+    entries = parse_prompt_eg(inst.prompt_text)
     assert {"person", "writer", "city"} <= {e.type_id for e in entries}
     for e in entries:
         assert e == reference_sample_concepts(e.type_id, desc.get(e.type_id, ()), max_concepts,
@@ -348,23 +348,45 @@ def test_instance_record_round_trip(tmp_path):
     assert read_instances_jsonl(path) == rows
 
 
+_TYPES = ["person", "city", "river", "animal"]
+
+
 @st.composite
 def _random_sentence(draw):
     words = draw(st.lists(st.sampled_from(["Ada", "Bo", "Cy", "Dee", "rests", "met"]),
                           min_size=2, max_size=6))
     text = " ".join(words) + "."
     surfaces = sorted(set(words[:draw(st.integers(1, len(words)))]))
-    types = ["person", "city", "river", "animal"]
-    mentions = [(w, (draw(st.sampled_from(types)),)) for w in surfaces]
+    types = st.lists(st.sampled_from(_TYPES + [OTHER_TYPE]), min_size=1, max_size=2, unique=True)
+    mentions = [(w, tuple(draw(types))) for w in surfaces]
     return sent("h#0", text, mentions)
 
 
+_descriptions = st.dictionaries(st.sampled_from(DICT.types()),
+                                st.lists(st.sampled_from(_CONCEPT_POOL), unique=True, max_size=4).map(tuple))
+
+
 @settings(max_examples=60)
-@given(_random_sentence(), st.integers(0, 10_000))
-def test_pretrain_instances_reparse_cleanly(s, key):
-    md = make_md_instance(s, CFG, draw_key=key)
-    assert parse_generated("MD", md.target_text).diagnostics == []
-    eg = _eg_instance(_with_id(s, f"h#{key}"), {}, CFG)
-    assert parse_generated("EG", eg.target_text).diagnostics == []
-    prompt_types = [e.type_id for e in parse_prompt_eg(eg.prompt_text).entries]
-    assert len(prompt_types) == len(set(prompt_types))
+@given(_random_sentence(), st.integers(0, 10_000), _descriptions, st.sampled_from([0.5, 1.0]),
+       st.integers(1, 3))
+def test_pretrain_instances_reparse_cleanly(s, key, desc, md_fraction, max_concepts):
+    """Builder output passes the readers' checks: every pretraining and
+    fine-tuning instance survives the instance reader, its MD prompt lists
+    distinct mentions, its EG prompt survives the EG prompt reader and its EG
+    target names only prompt types, one per clause; the spans `locate` finds
+    for that target survive the span reader."""
+    s = _with_id(s, f"h#{key}")
+    cfg = SamplerConfig(rng_seed=key, md_target_fraction=md_fraction, max_concepts=max_concepts)
+    instances = build_pretrain_instances([s], DICT, desc, cfg) + build_finetune_instances([s], _TYPES, desc)
+    for inst in instances:
+        assert instance_from_record(instance_to_record(inst)) == inst
+        if inst.task == "MD":
+            targets = parse_prompt_md(inst.prompt_text)
+            assert targets and len(set(targets)) == len(targets)
+            continue
+        entries = parse_prompt_eg(inst.prompt_text)
+        assert serialize_prompt_eg(entries) == inst.prompt_text
+        target = parse_generated("EG", inst.target_text).target
+        assert all(len(labels) == 1 and labels[0] in {e.type_id for e in entries} for _, labels in target.pairs)
+        spans, _ = locate(s.sentence, target)
+        assert spans_from_record(spans_to_record(s.id, spans)) == (s.id, spans)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdnet.codec import serialize_prompt_eg, serialize_prompt_md, serialize_target
-from sdnet.data import ConceptDescription, PromptEG, PromptMD, TargetSequence
+from sdnet.data import ConceptDescription, TargetSequence
 from sdnet.model import ModelConfig
 from sdnet.model.tokenizer import (
     EOS_ID,
@@ -50,10 +50,9 @@ def test_tokenize_keeps_lone_punctuation():
 
 def test_detokenize_inverts_serialized_texts():
     texts = [
-        serialize_prompt_md(PromptMD(targets=("J.K. Rowling", "London"))),
-        serialize_prompt_eg(PromptEG(entries=(
-            ConceptDescription("person", ("actor", "writer")),
-            ConceptDescription("city", ())))),
+        serialize_prompt_md(("J.K. Rowling", "London")),
+        serialize_prompt_eg((ConceptDescription("person", ("actor", "writer")),
+                             ConceptDescription("city", ()))),
         serialize_target(TargetSequence(task="EG", pairs=(
             ("J.K. Rowling", ("person",)), ("a few days ago", ("date",))))),
     ]
