@@ -272,9 +272,10 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig, Vocab, dict]:
     """Raises ValueError naming `path` when it is not an .npz archive with a
-    `__meta__` entry of UTF-8 JSON, naming the metadata or config field that
-    is missing, unexpected or of the wrong type, or when the vocabulary's size
-    or the tensors' names, shapes or dtypes do not fit the config."""
+    `__meta__` entry of UTF-8 JSON, or when its metadata is not a JSON object
+    of this version, a metadata or config field is missing, unexpected or of
+    the wrong type, or the vocabulary's size or the tensors' names, shapes or
+    dtypes do not fit the config; the message names the field."""
     with open(path, "rb") as fh:  # np.load leaves a file it opened open when the archive is cut
         try:
             data = np.load(fh)
@@ -288,11 +289,21 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         except ValueError as exc:  # not UTF-8, or not JSON
             raise ValueError(f"{path}: __meta__ is not UTF-8 JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise ValueError("checkpoint metadata must be a JSON object")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
         params = {k[len("param/"):]: data[k] for k in data.files if k.startswith("param/")}
+    try:
+        cfg, vocab = _checked_model(meta, params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return params, cfg, vocab, meta["extra"]
+
+
+def _checked_model(meta, params: dict[str, np.ndarray]) -> tuple[ModelConfig, Vocab]:
+    """The config and vocabulary of checkpoint metadata `meta`, checked
+    against the tensors `params`; a fault raises ValueError naming the field."""
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint metadata must be a JSON object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
     for name, kind in (("config", dict), ("vocab", list), ("extra", dict)):
         if name not in meta:
             raise ValueError(f"missing checkpoint field {name!r}")
@@ -304,4 +315,4 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     vocab = Vocab(id_to_token=tuple(meta["vocab"]))
     if len(vocab) != cfg.vocab_size:
         raise ValueError(f"vocabulary has {len(vocab)} tokens, config expects {cfg.vocab_size}")
-    return params, cfg, vocab, meta["extra"]
+    return cfg, vocab

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sdnet.cli import build_parser, main
+from sdnet.codec import parse_prompt_eg, serialize_prompt_eg
 from sdnet.corpus import BuildConfig
 from sdnet.data import AnnotatedSentence, Sentence, TypedMention, read_annotated_jsonl, write_annotated_jsonl
 from sdnet.descriptions import DescriptionConfig, read_description_map
@@ -222,6 +223,36 @@ def test_a_description_that_repeats_a_concept_is_data_fault_naming_the_line(worl
                "--desc", str(desc), "--out", str(tmp_path / "inst.jsonl")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {desc}:2: duplicate concepts for type 'city'\n"
+
+
+@pytest.mark.parametrize("concept, prompt", [
+    ("port; harbor", None),  # would read back as "city: {port" and "harbor}"
+    ("port}", "[EG] city: {port}}"),  # reads back unchanged: a brace alone breaks no entry
+])
+def test_a_description_whose_eg_prompt_entry_does_not_read_back_is_data_fault_naming_the_line(
+        tmp_path, capsys, concept, prompt):
+    corpus = tmp_path / "corpus.jsonl"
+    write_annotated_jsonl(corpus, [AnnotatedSentence(Sentence("s0", "Oslo rests."),
+                                                     (TypedMention("Oslo", ("city",)),))])
+    schema = tmp_path / "schema.json"
+    schema.write_text('["city"]', encoding="utf-8")
+    desc = tmp_path / "desc.jsonl"
+    desc.write_text(json.dumps({"type": "person", "concepts": ["writer"]}) + "\n"
+                    + json.dumps({"type": "city", "concepts": [concept]}) + "\n", encoding="utf-8")
+    out = tmp_path / "inst.jsonl"
+    rc = main(["make-finetune-data", "--corpus", str(corpus), "--schema", str(schema), "--desc", str(desc),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    if prompt is None:
+        assert rc == 2
+        assert err == (f"error: {desc}:2: type 'city' with concepts [{concept!r}] does not read back "
+                       f"from its EG prompt '[EG] city: {{{concept}}}'\n")
+        assert not out.exists()
+    else:
+        assert rc == 0
+        [inst] = read_instances_jsonl(out)
+        assert inst.prompt_text == prompt
+        assert serialize_prompt_eg(parse_prompt_eg(prompt)) == prompt
 
 
 def test_a_blank_type_name_in_the_corpus_is_data_fault_naming_the_line(tmp_path, capsys):
@@ -460,7 +491,7 @@ def test_bad_checkpoint_metadata_is_data_fault_naming_the_field(tmp_path, capsys
         inputs = ["--data", str(data)]
     out = tmp_path / "out"
     assert main([cmd, "--model", str(ckpt), *inputs, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
     assert not out.exists()
 
 

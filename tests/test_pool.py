@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,51 @@ def test_pooled_training_is_byte_identical_to_in_process(monkeypatch, dtype, bat
     assert pooled_log == alone_log
     for k in params:
         assert pooled[k].tobytes() == alone[k].tobytes(), k
+
+
+@POOLED
+def test_a_gap_between_steps_longer_than_the_poll_window_keeps_the_bytes(monkeypatch):
+    # after step 1 both workers poll out their window and block in `recv`
+    insts, vocab, cfg, params = tiny_setup()
+    tcfg = TrainConfig(mode="pretrain", batch_size=4, lr=1e-3, steps=4, seed=0, micro_size=2)
+    adamw_step = trainer.adamw_step
+    slept = []
+
+    def sleep_after_step_1(flat, grads, state, lr):
+        adamw_step(flat, grads, state, lr)
+        if state.t == 1:
+            time.sleep(3 * pool.POLL_S)
+            slept.append(state.t)
+
+    monkeypatch.setattr(trainer, "adamw_step", sleep_after_step_1)
+    steps = _pool_steps(monkeypatch)
+    pooled, pooled_log = _train_with_cpus(monkeypatch, 2, params, insts, vocab, cfg, tcfg)
+    assert len(steps) == 4 and slept == [1]
+    alone, alone_log = _train_with_cpus(monkeypatch, 1, params, insts, vocab, cfg, tcfg)
+    assert pooled_log == alone_log
+    for k in params:
+        assert pooled[k].tobytes() == alone[k].tobytes(), k
+
+
+def _cpu_ticks(pid: int) -> int:
+    """The process's user plus system CPU time so far, in clock ticks."""
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    fields = stat[stat.rindex(")") + 2:].split()  # the command name may hold spaces
+    return int(fields[11]) + int(fields[12])  # utime and stime, the stat file's 14th and 15th fields
+
+
+@POOLED
+def test_an_idle_pool_sleeps_once_its_poll_window_has_passed(monkeypatch):
+    insts, vocab, cfg, params = tiny_setup()
+    tcfg = TrainConfig(mode="pretrain", batch_size=4, lr=1e-3, steps=3, seed=0, micro_size=2)
+    _train_with_cpus(monkeypatch, 2, params, insts, vocab, cfg, tcfg)
+    workers = pool.shared_pool().workers
+    assert len(workers) >= 2
+    time.sleep(5 * pool.POLL_S)
+    before = [_cpu_ticks(w.proc.pid) for w in workers]
+    time.sleep(0.5)
+    after = [_cpu_ticks(w.proc.pid) for w in workers]
+    assert all(b - a <= 1 for a, b in zip(before, after)), (before, after)
 
 
 @POOLED

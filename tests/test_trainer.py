@@ -224,7 +224,7 @@ def test_load_rejects_a_checkpoint_that_does_not_fit_its_config(tmp_path, fault,
     save_checkpoint(path, params, cfg, vocab)
     if fault == "config":  # a field this ModelConfig does not have
         rewrite_checkpoint_meta(path, lambda meta: {**meta, "config": {**meta["config"], "dropout": 0.1}})
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
         load_checkpoint(path)
 
 
@@ -245,5 +245,5 @@ def test_load_rejects_checkpoint_metadata_naming_the_bad_field(tmp_path, message
     save_checkpoint(path, params, cfg, vocab)
     rewrite_checkpoint_meta(path, edit)
     message = message.format(short=cfg.vocab_size - 1, n=cfg.vocab_size)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_checkpoint(path)
