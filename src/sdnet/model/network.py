@@ -23,11 +23,15 @@ Loss terms are means over each task's non-pad target tokens. A batch is always
 processed as the same fixed partition into micro-batches, and one summation
 rule makes its gradient: `micro_batch_losses`, the only code that splits a
 batch, runs a worker's round-robin share of its micro-batches (by default all),
-zeroing micro-batch m's row and accumulating its gradient there, and
-`batch_report` adds the rows and loss sums in micro-batch index order. Nothing
-else zeroes or adds a row: `forward_loss` runs both halves in process, and a
-pooled `train` the first in the workers of `sdnet.model.pool`, so the gradient
-depends on nothing but the batch's rows.
+each at its own rows' longest source and target, not the batch's, and writes
+micro-batch m's gradient into its row once. Each backward primitive writes its
+parameters' gradients straight into the row's views of them; only `tok_emb`,
+`pos_enc` and `pos_dec` are zeroed first, to gain the rows that their positions
+read, the encoder's and decoder's token rows in one `_add_rows`. `batch_report`
+adds the rows and loss sums in micro-batch index order. Nothing else writes or
+adds a row: `forward_loss` runs both halves in process, and a pooled `train`
+the first in the workers of `sdnet.model.pool`, so the gradient depends on
+nothing but the batch's rows.
 """
 
 from __future__ import annotations
@@ -211,9 +215,9 @@ def _sum_last(x):
     return (x.reshape(-1, n) @ _ones(n, x.dtype)).reshape(x.shape[:-1] + (1,))
 
 
-def _sum_cols(x2):
-    """`x2.sum(axis=0)` of a 2-D `x2` as `ones(m) @ x2`."""
-    return _ones(x2.shape[0], x2.dtype) @ x2
+def _sum_cols(x2, out):
+    """`x2.sum(axis=0)` of a 2-D `x2` as `ones(m) @ x2`, written into `out`."""
+    return np.matmul(_ones(x2.shape[0], x2.dtype), x2, out=out)
 
 
 def _linear_fwd(x, w, b):
@@ -224,11 +228,14 @@ def _linear_fwd(x, w, b):
     return y.reshape(n, t, -1), (x, w)
 
 
-def _linear_bwd(dy, cache):
+def _linear_bwd(dy, cache, dw, db):
+    """Writes the weight and bias gradients into `dw` and `db`; returns dx."""
     x, w = cache
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    return (dy2 @ w.T).reshape(x.shape), x2.T @ dy2, _sum_cols(dy2)
+    np.matmul(x2.T, dy2, out=dw)
+    _sum_cols(dy2, db)
+    return (dy2 @ w.T).reshape(x.shape)
 
 
 def _layernorm_fwd(x, g, b):
@@ -240,12 +247,13 @@ def _layernorm_fwd(x, g, b):
     return g * xc + b, (xc, inv, g)
 
 
-def _layernorm_bwd(dy, cache):
+def _layernorm_bwd(dy, cache, dg, db):
+    """Writes the gain and bias gradients into `dg` and `db`; returns dx."""
     xhat, inv, g = cache
     n = xhat.shape[-1]
     tmp = dy * xhat
-    dg = _sum_cols(tmp.reshape(-1, n))
-    db = _sum_cols(dy.reshape(-1, n))
+    _sum_cols(tmp.reshape(-1, n), dg)
+    _sum_cols(dy.reshape(-1, n), db)
     # dx = inv * (dxh - mean(dxh) - xhat * mean(dxh * xhat)), with dxh = dy * g
     dx = dy * g
     np.multiply(dx, xhat, out=tmp)
@@ -254,38 +262,36 @@ def _layernorm_bwd(dy, cache):
     np.multiply(xhat, proj, out=tmp)
     dx -= tmp
     dx *= inv
-    return dx, dg, db
+    return dx
 
 
 def _gelu_fwd(x):
-    """0.5 x (1 + tanh(C (x + A x^3))), operation by operation in that order."""
-    t = x * x
-    t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = 0.5 * x
-    y *= t + 1.0
-    return y, (x, t)
+    """x h with h = (1 + tanh(C (x + A x^3))) / 2, operation by operation in
+    that order; caches h."""
+    h = x * x
+    h *= x
+    h *= _GELU_A
+    h += x
+    h *= _GELU_C
+    np.tanh(h, out=h)
+    h += 1.0
+    h *= 0.5
+    return x * h, (x, h)
 
 
 def _gelu_bwd(dy, cache):
-    """dy * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 A x^2)), in the same
-    per-element operation order as that expression, on three buffers."""
-    x, t = cache
-    du = (3.0 * _GELU_A) * x
-    du *= x
-    du += 1.0
-    du *= _GELU_C
-    out = 0.5 * x
-    s = t * t
-    np.subtract(1.0, s, out=s)
+    """dy (h + 2C x h (1 - h) (1 + 3A x^2)), since 1 - tanh^2 = 4 h (1 - h),
+    as ((x^2 6AC + 2C) x ((1 - h) h) + h) dy, operation by operation in that
+    order: nine passes over two buffers."""
+    x, h = cache
+    out = x * x
+    out *= 6.0 * _GELU_A * _GELU_C
+    out += 2.0 * _GELU_C
+    out *= x
+    s = 1.0 - h
+    s *= h
     out *= s
-    out *= du
-    np.add(t, 1.0, out=s)
-    s *= 0.5
-    out += s
+    out += h
     out *= dy
     return out
 
@@ -346,25 +352,19 @@ def _attention_fwd(p, prefix, q_in, kv, bias):
 
 def _attention_bwd(dout, cache, grads):
     prefix, n_heads, scale, cq, ck, cv, qh, kh, vh, attn, co = cache
-    dmerged, dwo, dbo = _linear_bwd(dout, co)
-    grads[f"{prefix}.wo"] += dwo
-    grads[f"{prefix}.bo"] += dbo
-    dctx = _split_heads(dmerged, n_heads)
+    dctx = _split_heads(_linear_bwd(dout, co, grads[prefix + ".wo"], grads[prefix + ".bo"]), n_heads)
     dattn = dctx @ vh.swapaxes(-1, -2)
     dvh = attn.swapaxes(-1, -2) @ dctx
-    ds = attn * (dattn - _sum_last(dattn * attn))
-    dqh = (ds @ kh) * scale
-    dkh = (ds.swapaxes(-1, -2) @ qh) * scale
-    dq_in, dwq, dbq = _linear_bwd(_merge_heads(dqh), cq)
-    dkv_k, dwk, dbk = _linear_bwd(_merge_heads(dkh), ck)
-    dkv_v, dwv, dbv = _linear_bwd(_merge_heads(dvh), cv)
-    grads[f"{prefix}.wq"] += dwq
-    grads[f"{prefix}.bq"] += dbq
-    grads[f"{prefix}.wk"] += dwk
-    grads[f"{prefix}.bk"] += dbk
-    grads[f"{prefix}.wv"] += dwv
-    grads[f"{prefix}.bv"] += dbv
-    return dq_in, dkv_k + dkv_v
+    ds = dattn * attn
+    dattn -= _sum_last(ds)
+    np.multiply(attn, dattn, out=ds)  # the score gradient, then scaled once for both products
+    ds *= scale
+    dqh = ds @ kh
+    dkh = ds.swapaxes(-1, -2) @ qh
+    dq_in = _linear_bwd(_merge_heads(dqh), cq, grads[prefix + ".wq"], grads[prefix + ".bq"])
+    dkv = _linear_bwd(_merge_heads(dkh), ck, grads[prefix + ".wk"], grads[prefix + ".bk"])
+    dkv += _linear_bwd(_merge_heads(dvh), cv, grads[prefix + ".wv"], grads[prefix + ".bv"])
+    return dq_in, dkv
 
 
 def _ffn_fwd(p, prefix, x):
@@ -376,21 +376,12 @@ def _ffn_fwd(p, prefix, x):
 
 def _ffn_bwd(dy, cache, grads):
     prefix, c1, cg, c2 = cache
-    dg, dw2, db2 = _linear_bwd(dy, c2)
-    du = _gelu_bwd(dg, cg)
-    dx, dw1, db1 = _linear_bwd(du, c1)
-    grads[prefix + ".w1"] += dw1
-    grads[prefix + ".b1"] += db1
-    grads[prefix + ".w2"] += dw2
-    grads[prefix + ".b2"] += db2
-    return dx
+    du = _gelu_bwd(_linear_bwd(dy, c2, grads[prefix + ".w2"], grads[prefix + ".b2"]), cg)
+    return _linear_bwd(du, c1, grads[prefix + ".w1"], grads[prefix + ".b1"])
 
 
-def _ln_bwd_acc(dy, cache, prefix, grads):
-    dx, dg, db = _layernorm_bwd(dy, cache)
-    grads[prefix + ".g"] += dg
-    grads[prefix + ".b"] += db
-    return dx
+def _ln_bwd(dy, cache, prefix, grads):
+    return _layernorm_bwd(dy, cache, grads[prefix + ".g"], grads[prefix + ".b"])
 
 
 def _add_rows(dst, ids, rows):
@@ -417,25 +408,27 @@ def encoder_forward(p, cfg: ModelConfig, src, src_mask):
         h1, cl1 = _layernorm_fwd(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
         kv = _kv_fwd(p, pre + ".attn", h1, cfg.n_heads)
         a, ca = _attention_fwd(p, pre + ".attn", h1, kv, bias)
-        x = x + a
+        x += a
         h2, cl2 = _layernorm_fwd(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
         f, cf = _ffn_fwd(p, pre + ".ffn", h2)
-        x = x + f
+        x += f
         layer_caches.append((pre, cl1, ca, cl2, cf))
     enc, cfin = _layernorm_fwd(x, p["enc_ln.g"], p["enc_ln.b"])
     return enc, (src, layer_caches, cfin)
 
 
 def encoder_backward(denc, cache, grads):
+    """Returns the gradient of the token embeddings' rows (B, S, d)."""
     src, layer_caches, cfin = cache
-    dx = _ln_bwd_acc(denc, cfin, "enc_ln", grads)
+    dx = _ln_bwd(denc, cfin, "enc_ln", grads)
     for pre, cl1, ca, cl2, cf in reversed(layer_caches):
         dh2 = _ffn_bwd(dx, cf, grads)
-        dx = dx + _ln_bwd_acc(dh2, cl2, pre + ".ln2", grads)
+        dx += _ln_bwd(dh2, cl2, pre + ".ln2", grads)
         dq, dkv = _attention_bwd(dx, ca, grads)
-        dx = dx + _ln_bwd_acc(dq + dkv, cl1, pre + ".ln1", grads)
-    _add_rows(grads["tok_emb"], src, dx)
+        dq += dkv
+        dx += _ln_bwd(dq, cl1, pre + ".ln1", grads)
     grads["pos_enc"][: src.shape[1]] += np.add.reduce(dx, axis=0)
+    return dx
 
 
 def _normalize_rows(x2, mean):
@@ -567,14 +560,14 @@ def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: Decod
         pre = f"dec{i}"
         h1, cl1 = _layernorm_fwd(x, p[pre + ".ln1.g"], p[pre + ".ln1.b"])
         a, ca = _attention_fwd(p, pre + ".self", h1, _kv_fwd(p, pre + ".self", h1, cfg.n_heads), causal)
-        x = x + a
+        x += a
         h2, cl2 = _layernorm_fwd(x, p[pre + ".ln2.g"], p[pre + ".ln2.b"])
         kv = _kv_fwd(p, pre + ".cross", enc_out, cfg.n_heads)
         c, cc = _attention_fwd(p, pre + ".cross", h2, kv, cross_bias)
-        x = x + c
+        x += c
         h3, cl3 = _layernorm_fwd(x, p[pre + ".ln3.g"], p[pre + ".ln3.b"])
         f, cf = _ffn_fwd(p, pre + ".ffn", h3)
-        x = x + f
+        x += f
         layer_caches.append((pre, cl1, ca, cl2, cc, cl3, cf))
     h, cfin = _layernorm_fwd(x, p["dec_ln.g"], p["dec_ln.b"])
     logits, cout = _linear_fwd(h, p["out.w"], p["out.b"])
@@ -582,24 +575,22 @@ def decoder_forward(p, cfg: ModelConfig, dec_in, enc_out, src_mask, state: Decod
 
 
 def decoder_backward(dlogits, cache, grads):
-    """Returns the gradient flowing into the encoder output."""
+    """Returns the gradients of the encoder output and of the token
+    embeddings' rows (B, T, d)."""
     dec_in, layer_caches, cfin, cout = cache
-    dh, dwout, dbout = _linear_bwd(dlogits, cout)
-    grads["out.w"] += dwout
-    grads["out.b"] += dbout
-    dx = _ln_bwd_acc(dh, cfin, "dec_ln", grads)
+    dx = _ln_bwd(_linear_bwd(dlogits, cout, grads["out.w"], grads["out.b"]), cfin, "dec_ln", grads)
     denc = None
     for pre, cl1, ca, cl2, cc, cl3, cf in reversed(layer_caches):
         dh3 = _ffn_bwd(dx, cf, grads)
-        dx = dx + _ln_bwd_acc(dh3, cl3, pre + ".ln3", grads)
+        dx += _ln_bwd(dh3, cl3, pre + ".ln3", grads)
         dq, dkv = _attention_bwd(dx, cc, grads)
         denc = dkv if denc is None else denc + dkv
-        dx = dx + _ln_bwd_acc(dq, cl2, pre + ".ln2", grads)
+        dx += _ln_bwd(dq, cl2, pre + ".ln2", grads)
         dqs, dkvs = _attention_bwd(dx, ca, grads)
-        dx = dx + _ln_bwd_acc(dqs + dkvs, cl1, pre + ".ln1", grads)
-    _add_rows(grads["tok_emb"], dec_in, dx)
+        dqs += dkvs
+        dx += _ln_bwd(dqs, cl1, pre + ".ln1", grads)
     grads["pos_dec"][: dec_in.shape[1]] += np.add.reduce(dx, axis=0)
-    return denc
+    return denc, dx
 
 
 # ---- batching and loss ----
@@ -683,24 +674,31 @@ class LossReport:
 
 
 def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
-    """Per-position cross entropy of one micro-batch; adds the gradient of
-    sum(pos_w * ce) into `grads`."""
+    """Per-position cross entropy of one micro-batch; writes the gradient of
+    sum(pos_w * ce) into `grads`, whatever they held: each tensor once, but
+    the token and position embeddings, which are zeroed and then gain the
+    rows their positions read."""
+    for k in ("tok_emb", "pos_enc", "pos_dec"):
+        grads[k].fill(0.0)
     enc, enc_cache = encoder_forward(p, cfg, src, src_mask)
     logits, dec_cache = decoder_forward(p, cfg, dec_in, enc, src_mask)
     # a row as long as the vocabulary, where `reduce` is already the faster max
     m = np.maximum.reduce(logits, axis=-1, keepdims=True)
-    logz = np.log(_sum_last(np.exp(logits - m))) + m
     label_logit = np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
-    ce = logz[..., 0] - label_logit
     dlogits = logits  # the logits are not needed past this point
-    dlogits -= logz
-    np.exp(dlogits, out=dlogits)
-    dlogits *= pos_w[..., None]
+    dlogits -= m
+    np.exp(dlogits, out=dlogits)  # the softmax times its normalizer z, computed once
+    z = _sum_last(dlogits)
+    ce = (np.log(z) + m)[..., 0] - label_logit
+    dlogits *= pos_w[..., None] / z
     b_idx = np.arange(labels.shape[0])[:, None]
     t_idx = np.arange(labels.shape[1])[None, :]
     dlogits[b_idx, t_idx, labels] -= pos_w
-    denc = decoder_backward(dlogits, dec_cache, grads)
-    encoder_backward(denc, enc_cache, grads)
+    denc, dx_dec = decoder_backward(dlogits, dec_cache, grads)
+    dx_enc = encoder_backward(denc, enc_cache, grads)
+    d = dx_enc.shape[-1]
+    _add_rows(grads["tok_emb"], np.concatenate((src.ravel(), dec_in.ravel())),
+              np.concatenate((dx_enc.reshape(-1, d), dx_dec.reshape(-1, d))))
     return ce
 
 
@@ -742,10 +740,11 @@ def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
                        n_workers: int = 1) -> tuple[int, int, list]:
     """The micro-batches m = worker, worker + n_workers, ... of `batch`, in
     that order (by default all): micro-batch m, rows m * micro_size onward,
-    zeroes `grads[m]` and accumulates there the gradient of its share of the
-    batch loss. Returns the batch's MD and EG token counts and, per micro-batch
-    run, (m, its MD and EG cross-entropy sums), or (m, the message naming its
-    first row whose loss is not finite), after which it stops."""
+    runs at its own rows' longest source and target, not the batch's, and
+    writes into `grads[m]` the gradient of its share of the batch loss.
+    Returns the batch's MD and EG token counts and, per micro-batch run, (m,
+    its MD and EG cross-entropy sums), or (m, the message naming its first
+    row with a target token whose loss is not finite), after which it stops."""
     tok_mask = batch.labels != PAD_ID
     md_mask = tok_mask & batch.is_md[:, None]
     eg_mask = tok_mask & ~batch.is_md[:, None]
@@ -758,15 +757,15 @@ def micro_batch_losses(p, cfg: ModelConfig, batch: Batch, micro_size: int,
         pos_w[eg_mask] = 1.0 / n_eg
     parts: list = []
     for m in range(worker, -(-len(batch) // micro_size), n_workers):
-        for g in grads[m].values():
-            g.fill(0.0)
-        sl = slice(m * micro_size, (m + 1) * micro_size)
-        ce = _micro_loss_grads(p, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
-                               batch.labels[sl], pos_w[sl], grads[m])
-        md, eg = md_mask[sl], eg_mask[sl]
-        if not np.isfinite(ce[md | eg]).all():
-            bad = int(np.where(~np.isfinite(ce).all(axis=1))[0][0])
-            parts.append((m, f"non-finite loss on instance {batch.ids[sl][bad]!r}"))
+        rows = slice(m * micro_size, (m + 1) * micro_size)
+        src = rows, slice(batch.src_mask[rows].any(axis=0).sum())  # its rows' own widths
+        tgt = rows, slice(tok_mask[rows].any(axis=0).sum())
+        ce = _micro_loss_grads(p, cfg, batch.src[src], batch.src_mask[src], batch.dec_in[tgt],
+                               batch.labels[tgt], pos_w[tgt], grads[m])
+        md, eg = md_mask[tgt], eg_mask[tgt]
+        bad = (~np.isfinite(ce) & (md | eg)).any(axis=1)
+        if bad.any():
+            parts.append((m, f"non-finite loss on instance {batch.ids[rows][bad.argmax()]!r}"))
             break
         parts.append((m, (float(ce[md].sum()), float(ce[eg].sum()))))
     return n_md, n_eg, parts

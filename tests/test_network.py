@@ -22,6 +22,7 @@ from sdnet.model.network import (
     _gelu_fwd,
     _layernorm_bwd,
     _layernorm_fwd,
+    _linear_bwd,
     _micro_loss_grads,
     _sum_cols,
     _sum_last,
@@ -141,50 +142,102 @@ def test_make_batch_shapes_and_teacher_forcing_shift():
 
 
 def test_padding_columns_do_not_change_the_loss():
+    # `micro_batch_losses` trims a micro-batch to its rows' widths, so the
+    # network itself is run here on three more source and target columns
     insts, vocab, cfg, params = tiny_setup()
     batch = batch_of(insts, vocab, cfg)
-    report, grads = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
-    import dataclasses
+    n = len(batch)
     wider = dataclasses.replace(
         batch,
-        src=np.concatenate([batch.src, np.full((batch.src.shape[0], 3), PAD_ID)], axis=1),
-        src_mask=np.concatenate(
-            [batch.src_mask, np.zeros((batch.src.shape[0], 3), dtype=bool)], axis=1),
+        src=np.concatenate([batch.src, np.full((n, 3), PAD_ID)], axis=1),
+        src_mask=np.concatenate([batch.src_mask, np.zeros((n, 3), dtype=bool)], axis=1),
+        dec_in=np.concatenate([batch.dec_in, np.full((n, 3), PAD_ID)], axis=1),
+        labels=np.concatenate([batch.labels, np.full((n, 3), PAD_ID)], axis=1),
     )
-    report2, grads2 = forward_loss(params, cfg, wider, MICRO_SIZE, grad_rows(params, wider))
-    assert report2.total == pytest.approx(report.total, rel=0, abs=1e-12)
+    ce, grads, md, eg = _rows_alone(params, cfg, batch, 10, 10)
+    ce2, grads2, md2, eg2 = _rows_alone(params, cfg, wider, 10, 10)
+    for mask, mask2 in ((md, md2), (eg, eg2)):
+        assert ce2[mask2].sum() == pytest.approx(ce[mask].sum(), rel=0, abs=1e-12)
     for k in grads:
-        assert np.allclose(grads[k], grads2[k], atol=1e-12)
+        assert np.allclose(grads[k], grads2[k], atol=1e-12), k
+
+
+def _rows_alone(params, cfg, alone, n_md, n_eg):
+    """`_micro_loss_grads` on the batch `alone`, its target tokens weighted by
+    a batch's MD and EG token counts, into NaN-filled gradients; returns the
+    per-position loss, the gradients and the MD and EG token masks."""
+    tok = alone.labels != PAD_ID
+    md, eg = tok & alone.is_md[:, None], tok & ~alone.is_md[:, None]
+    pos_w = np.where(md, 1.0 / max(n_md, 1), 0.0) + np.where(eg, 1.0 / max(n_eg, 1), 0.0)
+    grads = {k: np.full_like(v, np.nan) for k, v in params.items()}
+    ce = _micro_loss_grads(params, cfg, alone.src, alone.src_mask, alone.dec_in, alone.labels,
+                           pos_w.astype(cfg.np_dtype), grads)
+    return ce, grads, md, eg
 
 
 def test_micro_batches_accumulate_in_index_order_deterministically():
     insts, vocab, cfg, params = tiny_setup()
     rows = (insts * 4)[:17]  # crosses the fixed micro-batch boundary: slices of 8, 8 and 1
-    batch = batch_of(rows, vocab, cfg)
+    store = encode_instances(rows, vocab, cfg)
+    batch = make_batch(store, range(17))
     r1, g1 = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     r2, g2 = forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
     assert r1 == r2
     for k in g1:
         assert (g1[k] == g2[k]).all()
 
-    # each slice on its own from zero, weighted by the whole batch's task token
+    # each slice's rows on their own, weighted by the whole batch's task token
     # counts, then the slices' gradients added in index order: the same bits
-    tok = batch.labels != PAD_ID
-    md, eg = tok & batch.is_md[:, None], tok & ~batch.is_md[:, None]
-    pos_w = np.where(md, 1.0 / r1.md_tokens, 0.0) + np.where(eg, 1.0 / r1.eg_tokens, 0.0)
     md_sum = eg_sum = 0.0
     summed = {k: np.zeros_like(v) for k, v in params.items()}
     for sl in (slice(0, 8), slice(8, 16), slice(16, 17)):
-        g = {k: np.zeros_like(v) for k, v in params.items()}
-        ce = _micro_loss_grads(params, cfg, batch.src[sl], batch.src_mask[sl], batch.dec_in[sl],
-                               batch.labels[sl], pos_w[sl], g)
-        md_sum += float(ce[md[sl]].sum())
-        eg_sum += float(ce[eg[sl]].sum())
+        ce, g, md, eg = _rows_alone(params, cfg, make_batch(store, range(17)[sl]), r1.md_tokens, r1.eg_tokens)
+        md_sum += float(ce[md].sum())
+        eg_sum += float(ce[eg].sum())
         for k in summed:
             summed[k] += g[k]
     assert md_sum / r1.md_tokens + eg_sum / r1.eg_tokens == r1.total
     for k in g1:
         assert g1[k].tobytes() == summed[k].tobytes(), k
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), micro_size=st.integers(1, 4), dtype=st.sampled_from(["float32", "float64"]),
+       data=st.data())
+def test_each_micro_batch_runs_at_its_own_rows_widths(seed, micro_size, dtype, data):
+    # micro-batch m of a batch padded to its longest rows gives the loss sums
+    # and gradient bytes of its own rows batched alone, with the same weights
+    insts, vocab, cfg, params = tiny_setup(dtype=dtype, seed=seed)
+    store = encode_instances(insts, vocab, cfg)
+    rows = data.draw(st.lists(st.integers(0, len(insts) - 1), min_size=1, max_size=9), label="rows")
+    batch = make_batch(store, rows)
+    grads = [{k: np.full_like(v, np.nan) for k, v in params.items()} for _ in range(0, len(rows), micro_size)]
+    n_md, n_eg, parts = micro_batch_losses(params, cfg, batch, micro_size, grads)
+    for m, sums in parts:
+        ce, want, md, eg = _rows_alone(params, cfg, make_batch(store, rows[m * micro_size:(m + 1) * micro_size]),
+                                       n_md, n_eg)
+        assert sums == (float(ce[md].sum()), float(ce[eg].sum()))
+        for k in want:
+            assert grads[m][k].tobytes() == want[k].tobytes(), (m, k)
+
+
+def test_a_non_finite_loss_names_the_row_of_the_target_token_not_of_padding(monkeypatch):
+    # row 0's last position is padding, and a NaN there is no loss; the inf at
+    # one of row 1's target tokens is, so the message names row 1's instance
+    insts, vocab, cfg, params = tiny_setup()
+    batch = batch_of(insts[:4], vocab, cfg)
+    lengths = (batch.labels != PAD_ID).sum(axis=1)
+    assert lengths[0] < lengths.max()
+
+    def poisoned(*args):
+        ce = np.zeros(args[5].shape)
+        ce[0, -1] = np.nan
+        ce[1, 0] = np.inf
+        return ce
+
+    monkeypatch.setattr("sdnet.model.network._micro_loss_grads", poisoned)
+    with pytest.raises(LossNotFiniteError, match=r"^non-finite loss on instance '1'$"):
+        forward_loss(params, cfg, batch, MICRO_SIZE, grad_rows(params, batch))
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,14 +293,23 @@ def test_reductions_and_in_place_primitives_keep_the_bits_of_the_plain_formulas(
         return np.ones(a2.shape[0], dtype) @ a2
 
     assert np.array_equal(_sum_last(x), row_sum(x))
-    assert np.array_equal(_sum_cols(rows), col_sum(rows))
+    assert np.array_equal(_sum_cols(rows, np.full(n, np.nan, dtype)), col_sum(rows))
     # the max along axis 0 of a transposed copy is exact
     assert np.array_equal(np.maximum.reduce(rows.T.copy(), axis=0), x.max(axis=-1).ravel())
 
-    # the layer norm, softmax and GELU primitives against their plain formulas
+    # the linear, layer norm, softmax and GELU primitives against their plain
+    # formulas; the backward passes write their parameter gradients into
+    # destinations that start as NaN, so a write they miss shows
     rng = np.random.default_rng(n)
     g, b = (rng.normal(size=n).astype(dtype) for _ in range(2))
     dy = rng.normal(size=shape).astype(dtype)
+    w = rng.normal(size=(n, 5)).astype(dtype)
+    dy_lin = rng.normal(size=shape[:-1] + (5,)).astype(dtype)
+    dy2 = dy_lin.reshape(-1, 5)
+    dw, dw_b = np.full((n, 5), np.nan, dtype), np.full(5, np.nan, dtype)
+    assert np.array_equal(_linear_bwd(dy_lin, (x, w), dw, dw_b), (dy2 @ w.T).reshape(shape))
+    assert np.array_equal(dw, rows.T @ dy2)
+    assert np.array_equal(dw_b, col_sum(dy2))
     mu = mean(x)
     var = mean((x - mu) * (x - mu))
     inv = 1.0 / np.sqrt(var + LN_EPS)
@@ -256,19 +318,24 @@ def test_reductions_and_in_place_primitives_keep_the_bits_of_the_plain_formulas(
     assert np.array_equal(y, g * xhat + b)
     dxh = dy * g
     dx = inv * (dxh - mean(dxh) - xhat * mean(dxh * xhat))
-    got = _layernorm_bwd(dy, cache)
-    assert np.array_equal(got[0], dx)
-    assert np.array_equal(got[1], col_sum((dy * xhat).reshape(-1, n)))
-    assert np.array_equal(got[2], col_sum(dy.reshape(-1, n)))
+    dg, db = np.full(n, np.nan, dtype), np.full(n, np.nan, dtype)
+    assert np.array_equal(_layernorm_bwd(dy, cache, dg, db), dx)
+    assert np.array_equal(dg, col_sum((dy * xhat).reshape(-1, n)))
+    assert np.array_equal(db, col_sum(dy.reshape(-1, n)))
     t = rows.T.copy()  # softmax on one transposed copy, each row a column
     e = np.exp(t - t.max(axis=0))
     assert np.array_equal(softmax_last(x), (e / (np.ones(n, dtype) @ e)).T.reshape(shape))
-    y, (xg, t) = _gelu_fwd(x)
-    assert np.array_equal(t, np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
+    y, (xg, h) = _gelu_fwd(x)
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    assert xg is x
+    assert np.array_equal(h, (1.0 + t) * 0.5)
     assert np.array_equal(y, 0.5 * x * (1.0 + t))
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * xg * xg)
-    assert np.array_equal(_gelu_bwd(dy, (xg, t)),
-                          dy * (0.5 * (1.0 + t) + 0.5 * xg * (1.0 - t * t) * du))
+    dgelu = _gelu_bwd(dy, (x, h))
+    assert np.array_equal(dgelu, dy * (h + ((x * x) * (6.0 * _GELU_A * _GELU_C) + 2.0 * _GELU_C) * x * ((1.0 - h) * h)))
+    # the tanh form it rewrites, 1 - t^2 = 4 h (1 - h), to the rounding of a few operations
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    np.testing.assert_allclose(dgelu, dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),
+                               rtol=0, atol=32 * np.finfo(dtype).eps * float(np.abs(dy).max()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,7 +352,7 @@ def test_reduction_helpers_stay_within_a_summation_bound_of_an_exact_sum(rows, n
     want = np.array([math.fsum(r) for r in x64.tolist()])
     scale = np.array([math.fsum(r) for r in np.abs(x64).tolist()])
     assert (np.abs(got - want) <= n * eps * scale).all()
-    got = _sum_cols(x).astype(np.float64)
+    got = _sum_cols(x, np.empty(n, dtype)).astype(np.float64)
     want = np.array([math.fsum(c) for c in x64.T.tolist()])
     scale = np.array([math.fsum(c) for c in np.abs(x64).T.tolist()])
     assert (np.abs(got - want) <= rows * eps * scale).all()
