@@ -13,16 +13,16 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
-from .codec import parse_prompt_eg
+from .codec import check_eg_label, check_prompt_entry, parse_prompt_eg
 from .corpus import BuildConfig, build_corpus
 from .data import (
+    ConceptDescription,
     CorpusFormatError,
     RowError,
     TypeDictionary,
@@ -70,20 +70,17 @@ from .sampling import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract here is 1."""
+    """argparse exits with status 2 on usage errors; the contract here is 1.
+    A flag is spelled in full, so a prefix of one (`--mode` of `--model`) is
+    an unknown flag rather than that flag."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("SDNET_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 def _sha256(path: Path) -> str:
@@ -131,6 +128,9 @@ def _schema_from(text: str) -> list[str]:
     repeated = next((t for i, t in enumerate(raw) if t in raw[:i]), None)
     if repeated is not None:
         raise ValueError(f"schema repeats type {repeated!r}")
+    for type_id in raw:  # a type that does not read back could never be scored
+        check_prompt_entry(ConceptDescription(type_id))
+        check_eg_label(type_id)
     return raw
 
 
@@ -194,15 +194,15 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
 
 def cmd_build_descriptions(args: argparse.Namespace) -> int:
     corpus = read_annotated_jsonl(args.corpus)
-    if args.mode == "cooccurrence":
-        desc = build_cooccurrence_descriptions(corpus)
-        filtered: tuple[str, ...] = ()
-    else:
+    if args.model:
         params, mcfg, vocab, _ = load_checkpoint(args.model)
         with _naming_flags(other_threshold="--other-threshold"):
             dcfg = DescriptionConfig(other_threshold=args.other_threshold)
         desc, report = describe_with_model(corpus, partial(generate_many, params, mcfg, vocab), dcfg)
         filtered = report.filtered
+    else:
+        desc = build_cooccurrence_descriptions(corpus)
+        filtered = ()
     write_description_map(args.out, desc, filtered)
     print(f"types={len(desc)} filtered={len(filtered)}", file=sys.stderr)
     return 0
@@ -317,13 +317,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_run_episodes(args: argparse.Namespace) -> int:
     corpus = read_annotated_jsonl(args.corpus)
-    test = read_annotated_jsonl(args.test) if args.test else corpus
+    test = read_annotated_jsonl(args.test)
     schema = _schema_of(args, corpus)
     params, mcfg, vocab, _ = load_checkpoint(args.model)
     with _naming_flags(**_TRAIN_FLAGS):
         ftcfg = dataclasses.replace(FINETUNE, batch_size=args.batch, lr=args.lr, epochs=args.epochs)
     factory = model_episode_factory(params, mcfg, vocab, ftcfg)
-    with _naming_flags(k="--k", runs="--runs"):
+    with _naming_flags(k="--k", runs="--runs", train_corpus="--corpus", test_corpus="--test"):
         report = run_episodes(corpus, test, schema, k=args.k, runs=args.runs,
                               base_seed=stable_draw_key(args.seed, "episodes"), episode_factory=factory)
     _emit(json.dumps(dataclasses.asdict(report), indent=2, ensure_ascii=False) + "\n", args.out)
@@ -341,8 +341,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     def seeded(p: _Parser) -> None:  # only subcommands that draw seeded streams (`stable_draw_key`)
-        p.add_argument("--seed", type=int, default=_default_seed(),
-                       help="run seed (default: SDNET_SEED env var or 0)")
+        p.add_argument("--seed", type=int, default=0, help="run seed (default: 0)")
 
     p = sub.add_parser("build-corpus", help="build AnnotatedSentence JSONL from KB + page dumps")
     p.add_argument("--kb", required=True)
@@ -357,9 +356,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-descriptions", help="build the type->concepts map")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["cooccurrence", "mention-describing"],
-                   default="cooccurrence")
-    p.add_argument("--model", default=None, help="checkpoint for mention-describing mode")
+    p.add_argument("--model", default=None,
+                   help="describe with this checkpoint's MD task (default: mine co-occurrence)")
     p.add_argument("--other-threshold", type=float, default=DescriptionConfig.other_threshold)
     p.set_defaults(func=cmd_build_descriptions)
 
@@ -433,7 +431,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run-episodes", help="k-shot fine-tune/predict/score loop")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--test", default=None, help="default: the training corpus")
+    p.add_argument("--test", required=True, help="held-out split; shares no sentence with --corpus")
     p.add_argument("--schema", default=None)
     p.add_argument("--out", default=None, help="default: stdout")
     p.add_argument("--k", type=int, default=5)
@@ -451,8 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd == "build-descriptions" and args.mode == "mention-describing" and not args.model:
-            parser.error("--mode mention-describing requires --model")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

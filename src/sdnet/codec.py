@@ -164,3 +164,27 @@ def parse_prompt_eg(text: str) -> tuple[ConceptDescription, ...]:
     if len({e.type_id for e in entries}) != len(entries):
         raise ValueError("duplicate type ids in entity-generation prompt")
     return tuple(entries)
+
+
+def check_prompt_entry(entry: ConceptDescription) -> None:
+    """Raises ValueError unless `entry` comes back unchanged from the EG prompt
+    that lists it: a blank type, an empty concept, or a separator of the
+    prompt grammar in either, does not."""
+    prompt = serialize_prompt_eg((entry,))
+    try:
+        read_back = parse_prompt_eg(prompt)
+    except ValueError:
+        read_back = None
+    if read_back != (entry,):
+        concepts = f" with concepts {list(entry.concepts)!r}" if entry.concepts else ""
+        raise ValueError(f"type {entry.type_id!r}{concepts} does not read back from its EG prompt {prompt!r}")
+
+
+def check_eg_label(label: str) -> None:
+    """Raises ValueError unless `label` comes back unchanged as the type of an
+    EG clause, `Rome is <label>.`: a copula or a clause separator in it, or
+    blank space at its end, does not."""
+    pair = ("Rome", (label,))
+    clause = serialize_target(TargetSequence(task="EG", pairs=(pair,)))
+    if parse_generated("EG", clause).target.pairs != (pair,):
+        raise ValueError(f"type {label!r} does not read back from the EG clause {clause!r}")

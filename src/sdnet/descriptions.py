@@ -8,7 +8,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .codec import parse_generated, parse_prompt_eg, serialize_prompt_eg, serialize_prompt_md
+from .codec import check_prompt_entry, parse_generated, serialize_prompt_md
 from .data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, RowError, distinct_ids, iter_jsonl,
                    ordered_unique_surfaces, string_field, string_list, write_jsonl)
 
@@ -126,21 +126,12 @@ def _filtered_flag(raw: dict) -> bool:
 
 def _description_from_record(raw: dict) -> tuple[str, tuple[str, ...], bool]:
     """A record's type, concepts and filtered flag. A repeated concept, or an
-    entry that does not come back unchanged from the EG prompt that lists it
-    (a blank type, an empty concept, a separator of the prompt grammar in
-    either), raises ValueError."""
+    entry that does not read back from its EG prompt (`codec.check_prompt_entry`),
+    raises ValueError."""
     type_id, concepts = string_field(raw["type"], "type"), string_list(raw["concepts"], "concepts")
     if len(set(concepts)) != len(concepts):
         raise ValueError(f"duplicate concepts for type {type_id!r}")
-    entry = (ConceptDescription(type_id=type_id, concepts=concepts),)
-    prompt = serialize_prompt_eg(entry)
-    try:
-        read_back = parse_prompt_eg(prompt)
-    except ValueError:
-        read_back = None
-    if read_back != entry:
-        raise ValueError(f"type {type_id!r} with concepts {list(concepts)!r} does not read back "
-                         f"from its EG prompt {prompt!r}")
+    check_prompt_entry(ConceptDescription(type_id=type_id, concepts=concepts))
     return type_id, concepts, _filtered_flag(raw)
 
 

@@ -164,11 +164,21 @@ def run_episodes(
 ) -> EpisodeReport:
     """Per run r: sample a k-shot support with seed base_seed + r, let the
     factory produce a fine-tuned generator plus type descriptions, predict on
-    the test split, score. A failed run is recorded and the loop continues."""
+    the test split, score. A failed run is recorded and the loop continues.
+    Before any run, an empty split, or a test sentence with the id and text of
+    a training sentence, raises ValueError: the test split is held out."""
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if not train_corpus:
+        raise ValueError("train_corpus is empty")
+    if not test_corpus:
+        raise ValueError("test_corpus is empty")
+    seen = {(s.id, s.text) for s in train_corpus}
+    shared = next((s for s in test_corpus if (s.id, s.text) in seen), None)
+    if shared is not None:
+        raise ValueError(f"test_corpus holds training sentence {shared.id!r} (same id and text)")
     reports: list[EvalReport] = []
     failures: list[EpisodeFailure] = []
     gold = {sent.id: gold_spans(sent, schema_types) for sent in test_corpus}

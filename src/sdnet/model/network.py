@@ -704,15 +704,17 @@ def _micro_loss_grads(p, cfg, src, src_mask, dec_in, labels, pos_w, grads):
 
 @cache
 def keep_freed_heap() -> None:
-    """Makes the calling process keep the memory its training steps free.
-    Until a process frees a large mapped block, glibc's malloc maps afresh each
-    block of 128 KB or more that the heap cannot hold and returns a free heap
-    top of more than 128 KB to the system, so every step pages a few hundred
-    of its temporaries' pages in anew. Freeing a mapped block raises the first
-    threshold to its size and the second to twice that, for good; this frees
-    one of 8 MB that nothing touched, which costs no resident memory. It runs
-    once per process: a second block would come from the heap, which it would
-    enlarge, and numpy marks so large a block for huge pages."""
+    """Makes the calling process keep the memory its training steps and
+    decodes free. Until a process frees a large mapped block, glibc's malloc
+    maps afresh each block of 128 KB or more that the heap cannot hold and
+    returns a free heap top of more than 128 KB to the system, so every step
+    or decode batch pages a few hundred of its temporaries' pages in anew.
+    Freeing a mapped block raises the first threshold to its size and the
+    second to twice that, for good; this frees one of 8 MB that nothing
+    touched, which costs no resident memory. `train`, the pool workers and
+    `generate_many` call it; it is cached, so it runs once per process: a
+    second block would come from the heap, which it would enlarge, and numpy
+    marks so large a block for huge pages."""
     np.empty(1 << 23, dtype=np.uint8)
 
 
@@ -818,9 +820,12 @@ def generate_many(
     cfg.max_len decoder positions. Rows run in padded batches of at most
     GEN_MAX_ROWS. A max_len below 1 raises ValueError; a row that encodes to
     no ids or to more than cfg.max_len raises RowError naming its index,
-    before anything is decoded."""
+    before anything is decoded. Its first call in a process runs
+    `keep_freed_heap` (cached: once per process), so that a process that only
+    decodes pages no batch's temporaries in anew either."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
+    keep_freed_heap()
     sources = []
     for row, (prompt_text, input_text) in enumerate(zip(prompt_texts, input_texts, strict=True)):
         try:

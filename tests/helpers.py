@@ -15,7 +15,7 @@ import numpy as np
 from sdnet.codec import SEPARATOR, prompt_body, serialize_target
 from sdnet.corpus import ABBREVIATIONS, truncate_type_name
 from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TargetSequence,
-                        TypeDictionary, TypedMention)
+                        TypeDictionary, TypedMention, annotated_from_record)
 from sdnet.evaluation import EpisodeReport, corpus_schema, run_episodes
 from sdnet.model import ModelConfig, build_vocab, init_params
 from sdnet.model.network import decoder_forward, encode_instances, encoder_forward, forward_loss, make_batch
@@ -40,6 +40,14 @@ def memorization_script():
     sys.modules[spec.name] = script  # dataclasses resolve their module by name
     spec.loader.exec_module(script)
     return script
+
+
+def synthetic_test_split(n_train: int, n_test: int, seed: int) -> list[AnnotatedSentence]:
+    """The test split of `perfbench/gen.py`'s `synthetic_splits(seed, n_train,
+    n_test)`, whose train split is `generate_synthetic_corpus(n_train, seed)`:
+    no test text occurs in it."""
+    _, test = memorization_script().gen.synthetic_splits(seed, n_train, n_test)
+    return [annotated_from_record(r) for r in test]
 
 
 def sent(sid: str, text: str, mentions: list[tuple[str, tuple[str, ...]]]) -> AnnotatedSentence:
@@ -273,11 +281,12 @@ def reference_sample_concepts(type_id: str, full, max_concepts: int, rng_seed: i
     return ConceptDescription(type_id=type_id, concepts=tuple(full[i] for i in picked))
 
 
-def gold_echo_episodes(corpus: list[AnnotatedSentence], k: int, runs: int) -> EpisodeReport:
-    """`run_episodes` with `corpus` as both splits over its own schema, through
-    a factory whose generator answers each sentence with its serialized gold
-    EG target: the end-to-end plumbing identity, which must score 1.0 on every
-    run. Answers are keyed by text, so sentences sharing a text must share a
+def gold_echo_episodes(corpus: list[AnnotatedSentence], k: int, runs: int) -> list[EpisodeReport]:
+    """`run_episodes` on each half of `corpus` held out from the other, so that
+    every sentence is scored once, over the corpus's schema, through a factory
+    whose generator answers each sentence with its serialized gold EG target:
+    the end-to-end plumbing identity, which must score 1.0 on every run.
+    Answers are keyed by text, so sentences sharing a text must share a
     target."""
     schema = corpus_schema(corpus)
     answers: dict[str, str] = {}
@@ -288,7 +297,9 @@ def gold_echo_episodes(corpus: list[AnnotatedSentence], k: int, runs: int) -> Ep
     def factory(support, schema_types, run_seed):
         return (lambda prompt, text: answers[text]), {}
 
-    return run_episodes(corpus, corpus, schema, k=k, runs=runs, base_seed=0, episode_factory=factory)
+    half = len(corpus) // 2
+    return [run_episodes(train, test, schema, k=k, runs=runs, base_seed=0, episode_factory=factory)
+            for train, test in ((corpus[:half], corpus[half:]), (corpus[half:], corpus[:half]))]
 
 
 def on_token_boundaries(text: str, start: int, end: int) -> bool:

@@ -26,6 +26,7 @@ from helpers import (
     on_token_boundaries,
     reference_generate,
     sent,
+    synthetic_test_split,
     tiny_setup,
 )
 import sdnet
@@ -383,12 +384,12 @@ def test_batched_decoding_matches_per_call_decoding_on_the_memorized_model(memor
 
 def test_gold_pipeline_scores_one_on_the_fixture_corpus():
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
-    episodes = gold_echo_episodes(corpus, k=1, runs=2)
-    assert episodes.failures == () and len(episodes.per_run) == 2
-    for report in episodes.per_run:
-        assert report.precision == 1.0
-        assert report.recall == 1.0
-        assert report.f1 == 1.0
+    for episodes in gold_echo_episodes(corpus, k=1, runs=2):
+        assert episodes.failures == () and len(episodes.per_run) == 2
+        for report in episodes.per_run:
+            assert report.precision == 1.0
+            assert report.recall == 1.0
+            assert report.f1 == 1.0
 
 
 # ---- 11. episode protocol ----
@@ -399,7 +400,7 @@ def _constant_output_factory(sample, schema_types, run_seed):
 
 def test_episode_protocol_is_deterministic_and_averages_exactly(tmp_path, capsys):
     corpus, schema = memorization_script().generate_synthetic_corpus(200, seed=0)
-    test_split = corpus[:40]
+    test_split = synthetic_test_split(200, 40, seed=0)
 
     # A constant-output model makes every run identical: the mean must equal
     # the single-run F1 exactly and the spread must vanish.
@@ -418,7 +419,7 @@ def test_episode_protocol_is_deterministic_and_averages_exactly(tmp_path, capsys
     corpus_path = tmp_path / "corpus.jsonl"
     test_path = tmp_path / "test.jsonl"
     write_annotated_jsonl(corpus_path, corpus)
-    write_annotated_jsonl(test_path, corpus[:12])
+    write_annotated_jsonl(test_path, test_split[:12])
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(json.dumps(list(schema)), encoding="utf-8")
     desc_path = tmp_path / "desc.jsonl"

@@ -17,7 +17,8 @@ from sdnet.cli import build_parser, main
 from sdnet.codec import parse_prompt_eg, serialize_prompt_eg
 from sdnet.corpus import BuildConfig
 from sdnet.data import AnnotatedSentence, Sentence, TypedMention, read_annotated_jsonl, write_annotated_jsonl
-from sdnet.descriptions import DescriptionConfig, read_description_map
+from sdnet.descriptions import (DescriptionConfig, build_cooccurrence_descriptions, read_description_map,
+                                write_description_map)
 from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import spans_to_record
 from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate, init_params,
@@ -25,7 +26,8 @@ from sdnet.model import (FINETUNE, PRETRAIN, ModelConfig, build_vocab, generate,
 from sdnet.model.tokenizer import tokenize
 from sdnet.sampling import (SamplerConfig, TrainingInstance, make_md_instance,
                             read_instances_jsonl, write_instances_jsonl)
-from helpers import BAD_CHECKPOINT_META, FIXTURES, memorization_script, rewrite_checkpoint_meta
+from helpers import (BAD_CHECKPOINT_META, FIXTURES, memorization_script, rewrite_checkpoint_meta,
+                     synthetic_test_split)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,7 @@ def world(tmp_path_factory):
     corpus, _ = memorization_script().generate_synthetic_corpus(n_sentences=10, seed=3)
     corpus_path = root / "corpus.jsonl"
     write_annotated_jsonl(corpus_path, corpus)
+    write_annotated_jsonl(root / "test.jsonl", synthetic_test_split(10, 4, seed=3))  # held out
     present = sorted({t for s in corpus for m in s.mentions for t in m.types})
     schema_path = root / "schema.json"
     schema_path.write_text(json.dumps(present), encoding="utf-8")
@@ -174,27 +177,41 @@ def _schema_reader_argv(cmd: str, corpus: Path, tmp_path: Path) -> list[str]:
     desc, ckpt, pred = tmp_path / "desc.jsonl", tmp_path / "model.npz", tmp_path / "pred.jsonl"
     for path in (desc, ckpt, pred):
         path.write_text("", encoding="utf-8")
+    test = tmp_path / "test.jsonl"
+    write_annotated_jsonl(test, [AnnotatedSentence(Sentence("t0", "Rome rests."), ())])
     out = str(tmp_path / "out")
-    return {"run-episodes": ["run-episodes", "--corpus", str(corpus), "--model", str(ckpt), "--out", out],
+    return {"run-episodes": ["run-episodes", "--corpus", str(corpus), "--model", str(ckpt),
+                             "--test", str(test), "--out", out],
             "evaluate": ["evaluate", "--gold", str(corpus), "--pred", str(pred), "--out", out],
             "sample-kshot": ["sample-kshot", "--corpus", str(corpus), "--k", "1", "--out", out],
             "make-finetune-data": ["make-finetune-data", "--corpus", str(corpus), "--desc", str(desc),
                                    "--out", out]}[cmd]
 
 
-@pytest.mark.parametrize("cmd", ["run-episodes", "evaluate", "sample-kshot", "make-finetune-data"])
-def test_a_schema_that_repeats_a_type_is_data_fault_naming_the_file(tmp_path, capsys, cmd):
+@pytest.mark.parametrize("types, message", [
     # A repeated type would fail every episode at prompt building, and give
     # `evaluate` a false gold span: the second "city" clause for "Paris" lands
     # on the "Paris" of "Paris Hilton".
+    (["city", "person", "city"], "schema repeats type 'city'"),
+    # A type that does not read back from its prompt entry or its clause could
+    # never be scored: "a; b" prompts two types, and "Rome is x is y." types
+    # "Rome is x" as "y".
+    (["city", "a; b"], "type 'a; b' does not read back from its EG prompt '[EG] a; b'"),
+    (["city: {port}"], "type 'city: {port}' does not read back from its EG prompt '[EG] city: {port}'"),
+    (["x is y"], "type 'x is y' does not read back from the EG clause 'Rome is x is y.'"),
+    (["city "], "type 'city ' does not read back from the EG clause 'Rome is city .'"),
+], ids=["repeat", "separator", "description", "copula", "trailing-space"])
+@pytest.mark.parametrize("cmd", ["run-episodes", "evaluate", "sample-kshot", "make-finetune-data"])
+def test_a_schema_type_that_could_never_score_is_data_fault_naming_the_file(tmp_path, capsys, cmd, types,
+                                                                            message):
     corpus = tmp_path / "corpus.jsonl"
     write_annotated_jsonl(corpus, [AnnotatedSentence(Sentence("s0", "Paris met Paris Hilton."),
                                                      (TypedMention("Paris", ("city",)),))])
     schema = tmp_path / "schema.json"
-    schema.write_text(json.dumps(["city", "person", "city"]), encoding="utf-8")
+    schema.write_text(json.dumps(types), encoding="utf-8")
     argv = _schema_reader_argv(cmd, corpus, tmp_path) + ["--schema", str(schema)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {schema}: schema repeats type 'city'\n"
+    assert capsys.readouterr().err == f"error: {schema}: {message}\n"
     assert not (tmp_path / "out").exists() and not (tmp_path / "out.manifest.json").exists()
 
 
@@ -283,12 +300,73 @@ def test_bad_type_dictionary_is_data_fault_naming_the_file(world, tmp_path, caps
     assert capsys.readouterr().err.startswith(f"error: {bad}: {detail}")
 
 
-def test_mention_describing_without_a_model_faults_before_any_manifest(world, tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["cooccurrence", "mention-describing"])
+def test_mode_is_a_usage_error_as_model_alone_selects_describing(world, tmp_path, capsys, mode):
+    # a flag is spelled in full: `--mode` is not read as `--model`
     root, _, _ = world
     out = tmp_path / "desc.jsonl"
     assert main(["build-descriptions", "--corpus", str(root / "corpus.jsonl"), "--out", str(out),
-                 "--mode", "mention-describing"]) == 1
-    assert capsys.readouterr().err.splitlines()[-1] == "sdnet: error: --mode mention-describing requires --model"
+                 "--mode", mode]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"sdnet: error: unrecognized arguments: --mode {mode}"
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+def test_build_descriptions_describes_with_the_model_given_and_mines_cooccurrence_without_one(
+        world, tmp_path, monkeypatch, capsys):
+    import sdnet.cli as cli_module
+    root, corpus, _ = world
+    corpus_path, ckpt = root / "corpus.jsonl", tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [s.text for s in corpus])
+    described = []
+    describe = cli_module.describe_with_model
+    monkeypatch.setattr(cli_module, "describe_with_model",
+                        lambda *args: described.append(args[0]) or describe(*args))
+    mined, expected = tmp_path / "mined.jsonl", tmp_path / "expected.jsonl"
+    assert main(["build-descriptions", "--corpus", str(corpus_path), "--out", str(mined)]) == 0
+    write_description_map(expected, build_cooccurrence_descriptions(corpus))
+    assert described == [] and mined.read_bytes() == expected.read_bytes()
+    assert list(_manifest_of(mined)["inputs"]) == [str(corpus_path)]
+    by_model = tmp_path / "by_model.jsonl"
+    assert main(["build-descriptions", "--corpus", str(corpus_path), "--out", str(by_model),
+                 "--model", str(ckpt)]) == 0
+    assert described == [corpus]
+    manifest = _manifest_of(by_model)
+    assert list(manifest["inputs"]) == [str(corpus_path), str(ckpt)]
+    assert "mode" not in manifest["config"]
+    capsys.readouterr()
+
+
+def test_run_episodes_without_a_test_split_is_usage_error(world, tmp_path, capsys):
+    root, _, _ = world
+    out = tmp_path / "episodes.json"
+    assert main(["run-episodes", "--corpus", str(root / "corpus.jsonl"), "--model", str(tmp_path / "base.ckpt"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "sdnet run-episodes: error: the following arguments are required: --test")
+    assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("corpus as test", "--test: test_corpus holds training sentence 'tr-00000' (same id and text)"),
+    ("one shared sentence", "--test: test_corpus holds training sentence 'tr-00004' (same id and text)"),
+    ("empty test", "--test: test_corpus is empty"),
+    ("empty corpus", "--corpus: train_corpus is empty"),
+], ids=["corpus-as-test", "one-shared-sentence", "empty-test", "empty-corpus"])
+def test_run_episodes_on_splits_that_are_not_held_out_is_data_fault_writing_no_report(world, tmp_path, capsys,
+                                                                                      case, message):
+    root, corpus, _ = world
+    held_out = read_annotated_jsonl(root / "test.jsonl")
+    rows = {"corpus as test": (corpus, corpus), "one shared sentence": (corpus, [*held_out, corpus[4]]),
+            "empty test": (corpus, []), "empty corpus": ([], held_out)}[case]
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    for path, sentences in zip((train, test), rows):
+        write_annotated_jsonl(path, sentences)
+    ckpt = tmp_path / "base.ckpt"
+    _untrained_checkpoint(ckpt, [s.text for s in corpus])
+    out = tmp_path / "episodes.json"
+    assert main(["run-episodes", "--corpus", str(train), "--test", str(test), "--model", str(ckpt),
+                 "--schema", str(root / "schema.json"), "--out", str(out), "--k", "1", "--runs", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
 
@@ -464,7 +542,7 @@ def test_a_count_below_one_is_data_fault_naming_the_flag(world, tmp_path, capsys
     inputs = ["--corpus", str(root / "corpus.jsonl"), "--k", "1"]
     if cmd == "run-episodes":
         _untrained_checkpoint(tmp_path / "base.ckpt", [s.text for s in corpus])
-        inputs += ["--model", str(tmp_path / "base.ckpt"), "--runs", "1"]
+        inputs += ["--model", str(tmp_path / "base.ckpt"), "--test", str(root / "test.jsonl"), "--runs", "1"]
     out = tmp_path / "out.jsonl"
     assert main([cmd, *inputs, "--out", str(out), flag, "0"]) == 2
     assert capsys.readouterr().err == f"error: {flag}: {flag[2:]} must be at least 1, got 0\n"
@@ -597,33 +675,22 @@ def test_flag_defaults_equal_the_config_or_recipe_value_they_fill():
 # ---- seeds and manifests ----
 
 
-def test_seed_defaults_to_env_var(world, tmp_path, monkeypatch, capsys):
+def test_seed_defaults_to_zero_whatever_the_environment_holds(world, tmp_path, monkeypatch, capsys):
     root, _, _ = world
-    monkeypatch.setenv("SDNET_SEED", "7")
-    out = tmp_path / "support.jsonl"
-    assert main(["sample-kshot", "--corpus", str(root / "corpus.jsonl"),
-                 "--out", str(out), "--k", "1"]) == 0
-    assert _manifest_of(out)["seed"] == 7
-    capsys.readouterr()
-
-
-def test_seed_flag_beats_env_var(world, tmp_path, monkeypatch, capsys):
-    root, _, _ = world
-    monkeypatch.setenv("SDNET_SEED", "7")
-    out = tmp_path / "support.jsonl"
-    assert main(["sample-kshot", "--corpus", str(root / "corpus.jsonl"),
-                 "--out", str(out), "--k", "1", "--seed", "3"]) == 0
-    assert _manifest_of(out)["seed"] == 3
-    capsys.readouterr()
-
-
-def test_unparseable_seed_env_var_falls_back_to_zero(world, tmp_path, monkeypatch, capsys):
-    root, _, _ = world
-    monkeypatch.setenv("SDNET_SEED", "not-a-number")
+    monkeypatch.setenv("SDNET_SEED", "7")  # a variable that once set the default is not read
     out = tmp_path / "support.jsonl"
     assert main(["sample-kshot", "--corpus", str(root / "corpus.jsonl"),
                  "--out", str(out), "--k", "1"]) == 0
     assert _manifest_of(out)["seed"] == 0
+    capsys.readouterr()
+
+
+def test_seed_flag_sets_the_run_seed(world, tmp_path, capsys):
+    root, _, _ = world
+    out = tmp_path / "support.jsonl"
+    assert main(["sample-kshot", "--corpus", str(root / "corpus.jsonl"),
+                 "--out", str(out), "--k", "1", "--seed", "3"]) == 0
+    assert _manifest_of(out)["seed"] == 3
     capsys.readouterr()
 
 
@@ -674,7 +741,7 @@ def test_manifest_lists_inputs_in_the_order_the_parser_declares_them(world, tmp_
     ckpt = tmp_path / "base.ckpt"
     _untrained_checkpoint(ckpt, [s.text for s in corpus])
     test_path = tmp_path / "test.jsonl"
-    test_path.write_bytes((root / "corpus.jsonl").read_bytes())
+    test_path.write_bytes((root / "test.jsonl").read_bytes())
     out = tmp_path / "episodes.json"
     assert main(["run-episodes", "--schema", str(root / "schema.json"), "--test", str(test_path),
                  "--out", str(out), "--corpus", str(root / "corpus.jsonl"),
@@ -706,7 +773,7 @@ def test_full_pipeline_smoke(world, tmp_path_factory, capsys):
 
     desc_path = work / "desc.jsonl"
     assert main(["build-descriptions", "--corpus", str(corpus_path),
-                 "--out", str(desc_path), "--mode", "cooccurrence"]) == 0
+                 "--out", str(desc_path)]) == 0
     assert desc_path.exists() and _manifest_of(desc_path)["subcommand"] == "build-descriptions"
 
     inst_path = work / "instances.jsonl"
@@ -870,7 +937,7 @@ def test_mention_describing_decodes_the_corpus_in_one_batch_with_per_row_answers
 
     def describe(out: Path) -> bytes:
         assert main(["build-descriptions", "--corpus", str(root / "corpus.jsonl"), "--out", str(out),
-                     "--mode", "mention-describing", "--model", str(ckpt)]) == 0
+                     "--model", str(ckpt)]) == 0
         return out.read_bytes()
 
     batched = describe(tmp_path / "batched.jsonl")
@@ -887,7 +954,7 @@ def test_run_episodes_smoke(world, tmp_path, capsys):
     inst_path = tmp_path / "inst.jsonl"
     desc_path = tmp_path / "desc.jsonl"
     assert main(["build-descriptions", "--corpus", str(root / "corpus.jsonl"),
-                 "--out", str(desc_path), "--mode", "cooccurrence"]) == 0
+                 "--out", str(desc_path)]) == 0
     assert main(["make-finetune-data", "--corpus", str(root / "corpus.jsonl"),
                  "--schema", str(root / "schema.json"), "--desc", str(desc_path),
                  "--out", str(inst_path)]) == 0
@@ -896,7 +963,7 @@ def test_run_episodes_smoke(world, tmp_path, capsys):
                  "--steps", "2", "--batch", "4", "--d-model", "8", "--layers", "1",
                  "--heads", "2", "--max-len", "64", "--dtype", "float32"]) == 0
     report_path = tmp_path / "episodes.json"
-    assert main(["run-episodes", "--corpus", str(root / "corpus.jsonl"),
+    assert main(["run-episodes", "--corpus", str(root / "corpus.jsonl"), "--test", str(root / "test.jsonl"),
                  "--model", str(ckpt), "--schema", str(root / "schema.json"),
                  "--out", str(report_path), "--k", "1", "--runs", "1",
                  "--epochs", "1", "--batch", "4"]) == 0
@@ -915,6 +982,6 @@ def test_run_episodes_with_k_below_one_is_data_fault_writing_no_report(world, tm
     _untrained_checkpoint(ckpt, [s.text for s in corpus])
     out = tmp_path / "episodes.json"
     assert main(["run-episodes", "--corpus", str(root / "corpus.jsonl"), "--model", str(ckpt),
-                 "--out", str(out), "--k", "0", "--runs", "2"]) == 2
+                 "--test", str(root / "test.jsonl"), "--out", str(out), "--k", "0", "--runs", "2"]) == 2
     assert capsys.readouterr().err == "error: --k: k must be at least 1, got 0\n"
     assert not out.exists()

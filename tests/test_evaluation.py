@@ -145,20 +145,21 @@ def test_predict_spans_runs_generation_output_through_parse_and_locate():
 
 def test_gold_pipeline_identity_on_fixture_corpus():
     corpus = read_annotated_jsonl(FIXTURES / "golden_corpus.jsonl")
-    episodes = gold_echo_episodes(corpus, k=1, runs=2)
-    assert episodes.failures == () and len(episodes.per_run) == 2
-    for rep in episodes.per_run:
-        assert rep.f1 == 1.0
-        assert rep.precision == 1.0 and rep.recall == 1.0
+    for episodes in gold_echo_episodes(corpus, k=1, runs=2):
+        assert episodes.failures == () and len(episodes.per_run) == 2
+        for rep in episodes.per_run:
+            assert rep.f1 == 1.0
+            assert rep.precision == 1.0 and rep.recall == 1.0
 
 
 def _toy_eval_world():
+    """A 12-sentence training split, a held-out 4-sentence test split and their schema."""
     corpus = [
         sent(f"e#{i}", f"Entity{i} met Rome.",
              [(f"Entity{i}", ("person",)), ("Rome", ("city",))])
-        for i in range(12)
+        for i in range(16)
     ]
-    return corpus, ["person", "city"]
+    return corpus[:12], corpus[12:], ["person", "city"]
 
 
 def _gold_echo_factory(support, schema_types, run_seed):
@@ -169,8 +170,8 @@ def _gold_echo_factory(support, schema_types, run_seed):
 
 
 def test_run_episodes_constant_model_mean_equals_single_run():
-    corpus, schema = _toy_eval_world()
-    rep = run_episodes(corpus, corpus, schema, k=2, runs=5, base_seed=11,
+    corpus, test, schema = _toy_eval_world()
+    rep = run_episodes(corpus, test, schema, k=2, runs=5, base_seed=11,
                        episode_factory=_gold_echo_factory)
     assert rep.failures == ()
     assert len(rep.per_run) == 5
@@ -181,7 +182,7 @@ def test_run_episodes_constant_model_mean_equals_single_run():
 
 
 def test_run_episodes_isolates_failing_runs():
-    corpus, schema = _toy_eval_world()
+    corpus, test, schema = _toy_eval_world()
     calls = {"n": 0}
 
     def flaky(support, schema_types, run_seed):
@@ -190,7 +191,7 @@ def test_run_episodes_isolates_failing_runs():
             raise RuntimeError("boom")
         return _gold_echo_factory(support, schema_types, run_seed)
 
-    rep = run_episodes(corpus, corpus, schema, k=1, runs=3, base_seed=0,
+    rep = run_episodes(corpus, test, schema, k=1, runs=3, base_seed=0,
                        episode_factory=flaky)
     assert len(rep.failures) == 1
     assert rep.failures[0].run == 0
@@ -199,30 +200,52 @@ def test_run_episodes_isolates_failing_runs():
     assert rep.mean_f1 == pytest.approx(1.0)
 
 
+def _no_run(support, schema_types, run_seed):
+    raise AssertionError("no run may start")
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_run_episodes_rejects_k_below_one_before_any_run(k):
-    corpus, schema = _toy_eval_world()
-
-    def never(support, schema_types, run_seed):
-        raise AssertionError("no run may start")
-
+    corpus, test, schema = _toy_eval_world()
     with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
-        run_episodes(corpus, corpus, schema, k=k, runs=2, base_seed=0, episode_factory=never)
+        run_episodes(corpus, test, schema, k=k, runs=2, base_seed=0, episode_factory=_no_run)
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_run_episodes_rejects_an_empty_split_before_any_run(empty):
+    corpus, test, schema = _toy_eval_world()
+    splits = {"train": corpus, "test": test, empty: []}
+    with pytest.raises(ValueError, match=f"^{empty}_corpus is empty$"):
+        run_episodes(splits["train"], splits["test"], schema, k=1, runs=2, base_seed=0,
+                     episode_factory=_no_run)
+
+
+def test_run_episodes_rejects_a_training_sentence_in_the_test_split_before_any_run():
+    corpus, test, schema = _toy_eval_world()
+    with pytest.raises(ValueError, match=r"^test_corpus holds training sentence 'e#3' \(same id and text\)$"):
+        run_episodes(corpus, [*test, corpus[3], corpus[5]], schema, k=1, runs=2, base_seed=0,
+                     episode_factory=_no_run)
+    # a training text under another id, or a training id with another text, is held out
+    other_id = sent("t#3", corpus[3].text, [("Entity3", ("person",)), ("Rome", ("city",))])
+    other_text = sent("e#3", "Entity99 met Rome.", [("Entity99", ("person",)), ("Rome", ("city",))])
+    rep = run_episodes(corpus, [other_id, other_text], schema, k=1, runs=1, base_seed=0,
+                       episode_factory=_gold_echo_factory)
+    assert rep.failures == () and rep.f1_values == (1.0,)
 
 
 def test_run_episodes_is_seed_deterministic():
-    corpus, schema = _toy_eval_world()
-    a = run_episodes(corpus, corpus, schema, k=2, runs=3, base_seed=4,
+    corpus, test, schema = _toy_eval_world()
+    a = run_episodes(corpus, test, schema, k=2, runs=3, base_seed=4,
                      episode_factory=_gold_echo_factory)
-    b = run_episodes(corpus, corpus, schema, k=2, runs=3, base_seed=4,
+    b = run_episodes(corpus, test, schema, k=2, runs=3, base_seed=4,
                      episode_factory=_gold_echo_factory)
     assert a.f1_values == b.f1_values
     assert a.to_dict() == b.to_dict()
 
 
 def test_episode_report_serializes():
-    corpus, schema = _toy_eval_world()
-    rep = run_episodes(corpus, corpus, schema, k=1, runs=2, base_seed=0,
+    corpus, test, schema = _toy_eval_world()
+    rep = run_episodes(corpus, test, schema, k=1, runs=2, base_seed=0,
                        episode_factory=_gold_echo_factory)
     d = rep.to_dict()
     assert d["k"] == 1 and d["runs"] == 2
