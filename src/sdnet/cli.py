@@ -19,10 +19,9 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
-from .codec import check_eg_label, check_prompt_entry, parse_prompt_eg
+from .codec import is_name, parse_prompt_eg
 from .corpus import BuildConfig, build_corpus
 from .data import (
-    ConceptDescription,
     CorpusFormatError,
     RowError,
     TypeDictionary,
@@ -123,14 +122,14 @@ def _manifest(args: argparse.Namespace) -> tuple[Path, str] | None:
 
 def _schema_from(text: str) -> list[str]:
     raw = json.loads(text)
-    if not isinstance(raw, list) or not all(isinstance(t, str) and t.strip() for t in raw) or not raw:
-        raise ValueError("schema must be a non-empty JSON array of non-blank type names")
+    if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw) or not raw:
+        raise ValueError("schema must be a non-empty JSON array of type names")
+    bad = next((t for t in raw if not is_name(t)), None)
+    if bad is not None:  # a type that is not a name could never be scored
+        raise ValueError(f"bad type name {bad!r}")
     repeated = next((t for i, t in enumerate(raw) if t in raw[:i]), None)
     if repeated is not None:
         raise ValueError(f"schema repeats type {repeated!r}")
-    for type_id in raw:  # a type that does not read back could never be scored
-        check_prompt_entry(ConceptDescription(type_id))
-        check_eg_label(type_id)
     return raw
 
 

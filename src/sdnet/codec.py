@@ -7,16 +7,27 @@ model, one grammar for both tasks:
     [EG] t1: {c1, c2}; t2
     e1 is c1, c2; e2 is c3.
 
-This module is the only place the grammar's literals are spelled. Serializers
-emit SEPARATOR between clauses and a final TERMINATOR; the parser of model
-output also accepts ALT_CLAUSE_SEPARATOR between clauses.
+This module is the only place the grammar's literals are spelled, and the
+values the grammar carries (`Task`, `ConceptDescription`, `TargetSequence`)
+are defined here. Serializers emit SEPARATOR between clauses and a final
+TERMINATOR; the parser of model output also accepts ALT_CLAUSE_SEPARATOR
+between clauses.
+
+Every mention surface, type and concept is a name (`is_name`): non-empty,
+without blank space at either end, and, padded with one space on each side,
+holding none of COPULA, SEPARATOR, CONCEPT_SEPARATOR or DESC_COLON. A name
+reads back unchanged in every place the grammar puts it. Names are checked
+where they enter: the constructors in `data`, the corpus builder, and the
+readers of schema, description and prompt files, so a bad name in a file is a
+data fault (CLI exit 2) naming the file, and its line for JSONL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
-from .data import ConceptDescription, TargetSequence, Task
+Task = Literal["MD", "EG"]
 
 DESCRIPTORS: dict[Task, str] = {"MD": "[MD]", "EG": "[EG]"}
 SEPARATOR = "; "             # between prompt entries and between target clauses
@@ -28,18 +39,37 @@ DESC_OPEN = "{"
 DESC_CLOSE = "}"
 TERMINATOR = "."
 
-# Surfaces/labels containing these cannot survive a serialize->parse round trip;
-# the corpus builder drops such mentions. A bare "." is fine: the clause splitter
-# only honors ALT_CLAUSE_SEPARATOR when the copula appears on both sides, so
-# "J.K. Rowling" parses.
-UNSAFE_IN_SURFACE = (COPULA, SEPARATOR, CONCEPT_SEPARATOR)
+
+def is_name(text: str) -> bool:
+    """Whether `text` can stand as a mention surface, type or concept. A name
+    sits between the grammar's literals, so it is padded with a space on each
+    side before the test: "Acme Inc;" would read as "; " before the copula, and
+    the label "is x" would give "Rome is is x." a later copula. A bare "." is
+    fine: the clause splitter only honors ALT_CLAUSE_SEPARATOR when the copula
+    appears on both sides, so "J.K. Rowling" parses."""
+    padded = f" {text} "
+    return (bool(text) and text == text.strip() and COPULA not in padded and SEPARATOR not in padded
+            and CONCEPT_SEPARATOR not in padded and DESC_COLON not in padded)
 
 
-def surface_is_safe(text: str) -> bool:
-    """No separator occurs in the surface as it stands in a clause, that is,
-    followed by the copula's leading space: "Acme Inc;" would read as "; "."""
-    in_clause = text + COPULA[0]
-    return not any(sep in in_clause for sep in UNSAFE_IN_SURFACE)
+@dataclass(frozen=True)
+class ConceptDescription:
+    """An entity type with its describing concepts; empty concepts mean: bare type name."""
+
+    type_id: str
+    concepts: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class TargetSequence:
+    """Ordered (surface, labels) pairs; labels are concepts for MD, exactly one type for EG.
+
+    Gold targets list their pairs in the text order an `AnnotatedSentence` holds its
+    mentions in; parsed model output carries whatever order the model produced.
+    """
+
+    task: Task
+    pairs: tuple[tuple[str, tuple[str, ...]], ...]
 
 
 def serialize_prompt_md(targets: tuple[str, ...]) -> str:
@@ -143,10 +173,23 @@ def prompt_body(task: Task, text: str) -> str:
     return text[len(prefix):]
 
 
+def read_entry(type_id: str, concepts: tuple[str, ...]) -> ConceptDescription:
+    """The prompt entry of a type and its concepts read from outside; a type
+    or concept that is not a name (`is_name`), or a repeated concept, raises
+    ValueError."""
+    if not is_name(type_id):
+        raise ValueError(f"bad type name {type_id!r}")
+    bad = next((c for c in concepts if not is_name(c)), None)
+    if bad is not None:
+        raise ValueError(f"type {type_id!r} has a bad concept {bad!r}")
+    if len(set(concepts)) != len(concepts):
+        raise ValueError(f"duplicate concepts for type {type_id!r}")
+    return ConceptDescription(type_id=type_id, concepts=concepts)
+
+
 def parse_prompt_eg(text: str) -> tuple[ConceptDescription, ...]:
-    """The entries of an EG prompt read from outside; accepts both "type" and
-    "type: {}" entry forms. A blank or repeated type, or a type that repeats
-    a concept, raises ValueError."""
+    """The entries of an EG prompt read from outside (`read_entry`); accepts
+    both "type" and "type: {}" entry forms. A repeated type raises ValueError."""
     entries = []
     for chunk in prompt_body("EG", text).split(SEPARATOR):
         type_id, concepts = chunk, ()
@@ -155,36 +198,8 @@ def parse_prompt_eg(text: str) -> tuple[ConceptDescription, ...]:
             if not (desc.startswith(DESC_OPEN) and desc.endswith(DESC_CLOSE)):
                 raise ValueError(f"malformed type description in {chunk!r}")
             inner = desc[len(DESC_OPEN): -len(DESC_CLOSE)]
-            concepts = tuple(c for c in inner.split(CONCEPT_SEPARATOR) if c)
-        if not type_id.strip():
-            raise ValueError(f"blank type name {type_id!r}")
-        if len(set(concepts)) != len(concepts):
-            raise ValueError(f"duplicate concepts for type {type_id!r}")
-        entries.append(ConceptDescription(type_id=type_id, concepts=concepts))
+            concepts = tuple(inner.split(CONCEPT_SEPARATOR)) if inner else ()
+        entries.append(read_entry(type_id, concepts))
     if len({e.type_id for e in entries}) != len(entries):
         raise ValueError("duplicate type ids in entity-generation prompt")
     return tuple(entries)
-
-
-def check_prompt_entry(entry: ConceptDescription) -> None:
-    """Raises ValueError unless `entry` comes back unchanged from the EG prompt
-    that lists it: a blank type, an empty concept, or a separator of the
-    prompt grammar in either, does not."""
-    prompt = serialize_prompt_eg((entry,))
-    try:
-        read_back = parse_prompt_eg(prompt)
-    except ValueError:
-        read_back = None
-    if read_back != (entry,):
-        concepts = f" with concepts {list(entry.concepts)!r}" if entry.concepts else ""
-        raise ValueError(f"type {entry.type_id!r}{concepts} does not read back from its EG prompt {prompt!r}")
-
-
-def check_eg_label(label: str) -> None:
-    """Raises ValueError unless `label` comes back unchanged as the type of an
-    EG clause, `Rome is <label>.`: a copula or a clause separator in it, or
-    blank space at its end, does not."""
-    pair = ("Rome", (label,))
-    clause = serialize_target(TargetSequence(task="EG", pairs=(pair,)))
-    if parse_generated("EG", clause).target.pairs != (pair,):
-        raise ValueError(f"type {label!r} does not read back from the EG clause {clause!r}")

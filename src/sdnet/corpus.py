@@ -17,7 +17,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .codec import surface_is_safe
+from .codec import is_name
 from .data import (
     OTHER_TYPE,
     AnnotatedSentence,
@@ -94,10 +94,9 @@ class BuildConfig:
 
 def truncate_type_name(name: str, cfg: BuildConfig) -> str:
     """Lower-case; names over max_type_tokens keep the prefix before the first
-    stoplist preposition, clipped to max_type_tokens tokens."""
+    stoplist preposition, clipped to max_type_tokens tokens. A blank name
+    truncates to the empty string."""
     tokens = name.lower().split()
-    if not tokens:
-        raise ValueError("empty type name")
     if len(tokens) <= cfg.max_type_tokens:
         return " ".join(tokens)
     prefix = tokens
@@ -147,15 +146,20 @@ def read_pages_jsonl(path: str | Path, tally: Counter) -> list[WikiPage]:
     return _read_dump(path, tally, "malformed_page_record", page_from_record)
 
 
-def claimed_types(item: KbItem, cfg: BuildConfig, label_of: Mapping[str, str]) -> tuple[str, ...]:
+def claimed_types(item: KbItem, cfg: BuildConfig, label_of: Mapping[str, str],
+                  tally: Counter) -> tuple[str, ...]:
     """The truncated type names the item claims, in claim order, each once. A
     claim value naming a known item id resolves to that item's label, otherwise
-    it is taken as a literal type name; blank names are skipped."""
+    it is taken as a literal type name. A truncated name that is not a name of
+    the prompt grammar (`is_name`), a blank one too, is skipped and counted as
+    `unsafe_type_dropped`."""
     names: dict[str, None] = {}
     for value in item.claim_values():
-        name = label_of.get(value, value)
-        if name.strip():
-            names.setdefault(truncate_type_name(name, cfg))
+        name = truncate_type_name(label_of.get(value, value), cfg)
+        if is_name(name):
+            names.setdefault(name)
+        else:
+            tally["unsafe_type_dropped"] += 1
     return tuple(names)
 
 
@@ -285,11 +289,8 @@ def harvest_mentions(
             if pos + len(surface) > e:  # starts inside but crosses the sentence end
                 tally["cross_boundary_mention"] += 1
                 continue
-            if not surface_is_safe(surface):
+            if not is_name(surface):
                 tally["unsafe_surface_dropped"] += 1
-                continue
-            if not surface or surface != surface.strip():
-                tally["blank_surface_dropped"] += 1
                 continue
             mention = shared.get((surface, types))
             if mention is None:
@@ -326,7 +327,7 @@ def build_corpus(
         if pages.setdefault(page.title, page) is not page:
             tally["duplicate_page_title"] += 1
     label_of = {item.item_id: item.label for item in kb.values()}
-    claims = {item_id: claimed_types(item, cfg, label_of) for item_id, item in kb.items()}
+    claims = {item_id: claimed_types(item, cfg, label_of, tally) for item_id, item in kb.items()}
     dictionary = build_type_dictionary(claims.values(), cfg)
     types_of = type_table(claims, dictionary)
     by_label = {item.label: item for item in reversed(kb.values())}  # the first item per label

@@ -1,10 +1,14 @@
-"""Core domain types: sentences, typed mentions, prompts, targets, type dictionaries.
+"""Core domain types: sentences, typed mentions, type dictionaries, and the
+JSONL records that carry them.
 
 Input is checked where it is read, and the fault names where it came from
 (`path:line`, the file, the flag). The constructors of `Sentence`,
 `TypedMention`, `AnnotatedSentence` and `TypeDictionary` check, as the readers
-build them from what they read; prompt entries, targets, training instances and
-spans are plain values that their builders make valid by construction.
+build them from what they read: every mention surface and type name must be a
+name of the prompt grammar (`codec.is_name`), so a corpus or dictionary file
+that holds another is a data fault naming it (CLI exit 2). Prompt entries,
+targets, training instances and spans are plain values that their builders make
+valid by construction.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Literal, Sequence, TextIO, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
-Task = Literal["MD", "EG"]
+from .codec import is_name
 
 OTHER_TYPE = "other"
 
@@ -67,12 +71,13 @@ class TypedMention:
     types: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.surface or self.surface != self.surface.strip():
+        if not is_name(self.surface):
             raise ValueError(f"bad mention surface {self.surface!r}")
         if not self.types:
             raise ValueError(f"mention {self.surface!r} has no types")
-        if not all(t.strip() for t in self.types):
-            raise ValueError(f"mention {self.surface!r} has a blank type name")
+        bad = next((t for t in self.types if not is_name(t)), None)
+        if bad is not None:
+            raise ValueError(f"mention {self.surface!r} has a bad type name {bad!r}")
         if len(set(self.types)) != len(self.types):
             raise ValueError(f"mention {self.surface!r} has duplicate types")
 
@@ -147,10 +152,10 @@ class TypeDictionary:
         # regardless of construction order (or the process hash seed)
         object.__setattr__(self, "entries", dict(sorted(entries.items())))
         for name, count in entries.items():
-            if not name.strip():
-                raise ValueError(f"blank type name {name!r}")
             if name == OTHER_TYPE:
                 continue
+            if not is_name(name):
+                raise ValueError(f"bad type name {name!r}")
             if count < self.min_count:
                 raise ValueError(f"type {name!r} has {count} instances, below {self.min_count}")
             if len(name.split()) > self.max_tokens:
@@ -182,26 +187,6 @@ def read_file(path: str | Path, convert: Callable[[str], T]) -> T:
         return convert(Path(path).read_text(encoding="utf-8"))
     except (KeyError, TypeError, ValueError) as exc:
         raise _format_error(str(path), exc) from exc
-
-
-@dataclass(frozen=True)
-class ConceptDescription:
-    """An entity type with its describing concepts; empty concepts mean: bare type name."""
-
-    type_id: str
-    concepts: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class TargetSequence:
-    """Ordered (surface, labels) pairs; labels are concepts for MD, exactly one type for EG.
-
-    Gold targets list their pairs in the text order an `AnnotatedSentence` holds its
-    mentions in; parsed model output carries whatever order the model produced.
-    """
-
-    task: Task
-    pairs: tuple[tuple[str, tuple[str, ...]], ...]
 
 
 # JSONL lingua franca between corpus-builder, instance-sampler and evaluator.

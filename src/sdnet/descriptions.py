@@ -8,9 +8,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .codec import check_prompt_entry, parse_generated, serialize_prompt_md
-from .data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, RowError, distinct_ids, iter_jsonl,
-                   ordered_unique_surfaces, string_field, string_list, write_jsonl)
+from .codec import is_name, parse_generated, read_entry, serialize_prompt_md
+from .data import (OTHER_TYPE, AnnotatedSentence, RowError, distinct_ids, iter_jsonl, ordered_unique_surfaces,
+                   string_field, string_list, write_jsonl)
 
 DescriptionMap = dict[str, tuple[str, ...]]
 # (prompts, source texts) -> one generated text per row; a bad row raises RowError
@@ -54,9 +54,11 @@ def apply_filtering(
 ) -> tuple[DescriptionMap, FilterReport]:
     """Fuse each type's mention descriptions (one concept tuple per described
     mention) into the union of their concepts, in first-seen order, without
-    `other` and the type's own name. A type whose other-frequency (the share
-    of `other`-only descriptions) strictly exceeds the threshold maps to the
-    empty description instead (bare type name in prompts)."""
+    `other`, the type's own name, and generated concepts that are not names of
+    the prompt grammar (`is_name`), which no description file may hold. A type
+    whose other-frequency (the share of `other`-only descriptions) strictly
+    exceeds the threshold maps to the empty description instead (bare type
+    name in prompts)."""
     out: DescriptionMap = {}
     frequencies: dict[str, float] = {}
     filtered: list[str] = []
@@ -71,7 +73,7 @@ def apply_filtering(
         else:
             for concepts in descriptions:
                 for c in concepts:
-                    if c != OTHER_TYPE and c != type_id:
+                    if c != OTHER_TYPE and c != type_id and is_name(c):
                         fused.setdefault(c)
         out[type_id] = tuple(fused)
     return out, FilterReport(frequencies=frequencies, filtered=tuple(filtered))
@@ -125,14 +127,10 @@ def _filtered_flag(raw: dict) -> bool:
 
 
 def _description_from_record(raw: dict) -> tuple[str, tuple[str, ...], bool]:
-    """A record's type, concepts and filtered flag. A repeated concept, or an
-    entry that does not read back from its EG prompt (`codec.check_prompt_entry`),
-    raises ValueError."""
-    type_id, concepts = string_field(raw["type"], "type"), string_list(raw["concepts"], "concepts")
-    if len(set(concepts)) != len(concepts):
-        raise ValueError(f"duplicate concepts for type {type_id!r}")
-    check_prompt_entry(ConceptDescription(type_id=type_id, concepts=concepts))
-    return type_id, concepts, _filtered_flag(raw)
+    """A record's type, concepts and filtered flag; an entry that
+    `codec.read_entry` rejects raises ValueError."""
+    entry = read_entry(string_field(raw["type"], "type"), string_list(raw["concepts"], "concepts"))
+    return entry.type_id, entry.concepts, _filtered_flag(raw)
 
 
 def read_description_map(path: str | Path) -> tuple[DescriptionMap, set[str]]:

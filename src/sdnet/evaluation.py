@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .codec import parse_generated
-from .data import OTHER_TYPE, AnnotatedSentence, Sentence, TargetSequence
+from .codec import TargetSequence, parse_generated
+from .data import OTHER_TYPE, AnnotatedSentence, Sentence
 from .descriptions import DescriptionConfig, DescriptionMap, describe_with_model
 from .locate import SpanPrediction, locate
 from .model.network import GEN_MAX_LEN

@@ -8,8 +8,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .data import (Sentence, TargetSequence, distinct_ids, int_field, iter_jsonl, list_field, string_field,
-                   write_jsonl)
+from .codec import TargetSequence
+from .data import Sentence, distinct_ids, int_field, iter_jsonl, list_field, string_field, write_jsonl
 from .model.tokenizer import token_bounds
 
 

@@ -850,7 +850,7 @@ def _greedy_batch(p, cfg: ModelConfig, sources: list[list[int]], limit: int) -> 
     lengths = np.array([len(ids) for ids in sources])
     ends = np.cumsum(lengths)
     src, src_mask = _gather_padded(np.concatenate(sources), ends - lengths, ends)
-    enc, _ = encoder_forward(p, cfg, src, src_mask)
+    enc = encoder_forward(p, cfg, src, src_mask)[0]
     state = DecodeState(p, cfg, enc, src_mask)
     out: list[list[int]] = [[] for _ in sources]
     live = range(len(sources))  # the rows that have not emitted [EOS] yet

@@ -14,13 +14,11 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .codec import parse_generated, prompt_body, serialize_prompt_eg, serialize_prompt_md, serialize_target
+from .codec import (ConceptDescription, TargetSequence, Task, parse_generated, prompt_body, serialize_prompt_eg,
+                    serialize_prompt_md, serialize_target)
 from .data import (
     OTHER_TYPE,
     AnnotatedSentence,
-    ConceptDescription,
-    TargetSequence,
-    Task,
     TypeDictionary,
     check_at_least,
     iter_jsonl,

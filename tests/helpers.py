@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from sdnet.codec import SEPARATOR, prompt_body, serialize_target
+from sdnet.codec import SEPARATOR, ConceptDescription, TargetSequence, is_name, prompt_body, serialize_target
 from sdnet.corpus import ABBREVIATIONS, truncate_type_name
-from sdnet.data import (OTHER_TYPE, AnnotatedSentence, ConceptDescription, Sentence, TargetSequence,
-                        TypeDictionary, TypedMention, annotated_from_record)
+from sdnet.data import OTHER_TYPE, AnnotatedSentence, Sentence, TypeDictionary, TypedMention, annotated_from_record
 from sdnet.evaluation import EpisodeReport, corpus_schema, run_episodes
 from sdnet.model import ModelConfig, build_vocab, init_params
 from sdnet.model.network import decoder_forward, encode_instances, encoder_forward, forward_loss, make_batch
@@ -230,8 +229,9 @@ def reference_build_type_dictionary(items, cfg, label_of=None) -> TypeDictionary
         names = set()
         for value in item.claim_values():
             name = label_of.get(value, value) if label_of is not None else value
-            if name.strip():
-                names.add(truncate_type_name(name, cfg))
+            t = truncate_type_name(name, cfg)
+            if is_name(t):
+                names.add(t)
         counts.update(names)
     kept = {name: n for name, n in counts.items() if n >= cfg.min_type_instances}
     return TypeDictionary(entries=kept, min_count=cfg.min_type_instances, max_tokens=cfg.max_type_tokens)

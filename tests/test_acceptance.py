@@ -31,12 +31,11 @@ from helpers import (
 )
 import sdnet
 from sdnet.cli import main as cli_main
-from sdnet.codec import parse_generated, serialize_prompt_eg, serialize_target
+from sdnet.codec import (ConceptDescription, TargetSequence, parse_generated, serialize_prompt_eg,
+                         serialize_target)
 from sdnet.data import (
-    ConceptDescription,
     OTHER_TYPE,
     Sentence,
-    TargetSequence,
     TypeDictionary,
     read_annotated_jsonl,
     read_file,

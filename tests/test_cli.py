@@ -110,7 +110,7 @@ def test_schema_that_is_not_json_is_data_fault_naming_the_file(world, tmp_path, 
 @pytest.mark.parametrize("prompt, detail", [
     ("not a prompt", "EG prompt must start with"),
     ("[MD] China", "EG prompt must start with"),
-    ("[EG] person; ; city", "blank type name"),
+    ("[EG] person; ; city", "bad type name ''"),
 ])
 def test_predict_rejects_a_prompt_file_that_is_not_an_eg_prompt(tmp_path, capsys, monkeypatch,
                                                                prompt, detail):
@@ -169,7 +169,7 @@ def test_blank_schema_type_is_data_fault_naming_the_file(world, tmp_path, capsys
     rc = main(["make-finetune-data", "--corpus", str(root / "corpus.jsonl"), "--schema", str(bad),
                "--desc", str(desc), "--out", str(tmp_path / "ft.jsonl")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {bad}: schema must be")
+    assert capsys.readouterr().err == f"error: {bad}: bad type name {schema[-1]!r}\n"
 
 
 def _schema_reader_argv(cmd: str, corpus: Path, tmp_path: Path) -> list[str]:
@@ -193,13 +193,12 @@ def _schema_reader_argv(cmd: str, corpus: Path, tmp_path: Path) -> list[str]:
     # `evaluate` a false gold span: the second "city" clause for "Paris" lands
     # on the "Paris" of "Paris Hilton".
     (["city", "person", "city"], "schema repeats type 'city'"),
-    # A type that does not read back from its prompt entry or its clause could
-    # never be scored: "a; b" prompts two types, and "Rome is x is y." types
-    # "Rome is x" as "y".
-    (["city", "a; b"], "type 'a; b' does not read back from its EG prompt '[EG] a; b'"),
-    (["city: {port}"], "type 'city: {port}' does not read back from its EG prompt '[EG] city: {port}'"),
-    (["x is y"], "type 'x is y' does not read back from the EG clause 'Rome is x is y.'"),
-    (["city "], "type 'city ' does not read back from the EG clause 'Rome is city .'"),
+    # A type that is not a name could never be scored: "a; b" prompts two
+    # types, and "Rome is x is y." types "Rome is x" as "y".
+    (["city", "a; b"], "bad type name 'a; b'"),
+    (["city: {port}"], "bad type name 'city: {port}'"),
+    (["x is y"], "bad type name 'x is y'"),
+    (["city "], "bad type name 'city '"),
 ], ids=["repeat", "separator", "description", "copula", "trailing-space"])
 @pytest.mark.parametrize("cmd", ["run-episodes", "evaluate", "sample-kshot", "make-finetune-data"])
 def test_a_schema_type_that_could_never_score_is_data_fault_naming_the_file(tmp_path, capsys, cmd, types,
@@ -225,6 +224,22 @@ def test_no_schema_and_no_typed_mention_is_data_fault_naming_the_corpus_flag(tmp
     assert main(_schema_reader_argv(cmd, corpus, tmp_path)) == 2
     assert capsys.readouterr().err == (f"error: {flag} {corpus}: no typed mention to derive a schema from; "
                                        "give --schema\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("type_id", ["x is y", "a; b"])
+@pytest.mark.parametrize("cmd", ["run-episodes", "evaluate", "sample-kshot"])
+def test_a_corpus_type_that_is_not_a_name_is_data_fault_naming_the_line(tmp_path, capsys, cmd, type_id):
+    # without --schema the corpus's types are the schema: "x is y" and "a; b"
+    # would prompt "[EG] a; b; x is y", and no answer could score either
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "s0", "text": "Oslo rests.", "mentions": [{"surface": "Oslo", "types": ["city"]}]})
+        + "\n" + json.dumps({"id": "s1", "text": "Rome rests.",
+                             "mentions": [{"surface": "Rome", "types": ["city", type_id]}]}) + "\n",
+        encoding="utf-8")
+    assert main(_schema_reader_argv(cmd, corpus, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {corpus}:2: mention 'Rome' has a bad type name {type_id!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -262,8 +277,7 @@ def test_a_description_whose_eg_prompt_entry_does_not_read_back_is_data_fault_na
     err = capsys.readouterr().err
     if prompt is None:
         assert rc == 2
-        assert err == (f"error: {desc}:2: type 'city' with concepts [{concept!r}] does not read back "
-                       f"from its EG prompt '[EG] city: {{{concept}}}'\n")
+        assert err == f"error: {desc}:2: type 'city' has a bad concept {concept!r}\n"
         assert not out.exists()
     else:
         assert rc == 0
@@ -280,13 +294,13 @@ def test_a_blank_type_name_in_the_corpus_is_data_fault_naming_the_line(tmp_path,
         + "\n", encoding="utf-8")
     rc = main(["sample-kshot", "--corpus", str(corpus), "--k", "1", "--out", str(tmp_path / "s.jsonl")])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {corpus}:2: mention 'Bo' has a blank type name\n"
+    assert capsys.readouterr().err == f"error: {corpus}:2: mention 'Bo' has a bad type name ' '\n"
 
 
 @pytest.mark.parametrize("text, detail", [
     ('{"min_count": 5}', "missing field 'entries'"),
     ('{"entries": {}', "invalid JSON"),
-    ('{"min_count": 5, "max_tokens": 3, "entries": {" ": 6, "person": 6}}', "blank type name ' '"),
+    ('{"min_count": 5, "max_tokens": 3, "entries": {" ": 6, "person": 6}}', "bad type name ' '"),
 ])
 def test_bad_type_dictionary_is_data_fault_naming_the_file(world, tmp_path, capsys, text, detail):
     root, _, _ = world

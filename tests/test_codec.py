@@ -9,16 +9,19 @@ from hypothesis import given, strategies as st
 
 from sdnet.codec import (
     ALT_CLAUSE_SEPARATOR,
+    CONCEPT_SEPARATOR,
+    COPULA,
+    DESC_COLON,
     SEPARATOR,
-    UNSAFE_IN_SURFACE,
+    ConceptDescription,
+    TargetSequence,
+    is_name,
     parse_generated,
     parse_prompt_eg,
     serialize_prompt_eg,
     serialize_prompt_md,
     serialize_target,
-    surface_is_safe,
 )
-from sdnet.data import ConceptDescription, TargetSequence
 from helpers import parse_prompt_md
 
 
@@ -103,7 +106,18 @@ def test_eg_prompt_parse_accepts_empty_braces():
 
 @pytest.mark.parametrize("text", ["[EG] person; ; city", "[EG] : {}", "[EG]  "])
 def test_eg_prompt_parse_rejects_a_blank_type_entry(text):
-    with pytest.raises(ValueError, match="blank type name"):
+    with pytest.raises(ValueError, match="bad type name"):
+        parse_prompt_eg(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[EG] x is y", "bad type name 'x is y'"),
+    ("[EG] city: {port , harbor}", "type 'city' has a bad concept 'port '"),
+    ("[EG] city: {port, , harbor}", "type 'city' has a bad concept ''"),
+    ("[EG] city: {port is x}", "type 'city' has a bad concept 'port is x'"),
+])
+def test_eg_prompt_parse_rejects_a_type_or_concept_that_is_not_a_name(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_prompt_eg(text)
 
 
@@ -117,13 +131,55 @@ def test_eg_prompt_parse_rejects_a_repeated_type_or_concept(text, message):
         parse_prompt_eg(text)
 
 
-def test_surface_safety():
-    assert surface_is_safe("J.K. Rowling")
-    assert surface_is_safe("a few days ago")
-    for marker in UNSAFE_IN_SURFACE:
-        assert not surface_is_safe(f"x{marker}y")
-    # "Acme Inc; is company." would split on "; "
-    assert not surface_is_safe("Acme Inc;")
+# ---- names: every surface, type and concept (`is_name`) ----
+
+_LITERALS = (COPULA, SEPARATOR, CONCEPT_SEPARATOR, DESC_COLON)
+
+
+@pytest.mark.parametrize("name", ["J.K. Rowling", "a few days ago", "port}", "city{", "Acme Inc.", "a;b",
+                                  "x:y", "U.S.", "Isis", "this is."])
+def test_a_name_may_hold_the_grammar_punctuation_outside_its_literals(name):
+    assert is_name(name)
+
+
+@pytest.mark.parametrize("name", [
+    *(f"x{literal}y" for literal in _LITERALS),
+    "Acme Inc;",  # "Acme Inc; is company." would split on "; "
+    "a; b", "city: {port}", "port; harbor",  # a separator inside
+    "city:",  # "city: {port}" would split the type from its description early
+    "b is", "is b", "is",  # the copula would close or open one word early: "Rome is is b."
+    "", " ", "city ", " b", "\tcity",  # empty or unstripped
+])
+def test_a_literal_or_blank_space_at_an_end_is_not_a_name(name):
+    assert not is_name(name)
+
+
+# words of the grammar's punctuation, spaces inside, and the copula's word
+_name_word = st.one_of(st.text(alphabet="aisX.;,:{}", min_size=1, max_size=4), st.sampled_from(["is", "is."]))
+_name = st.lists(_name_word, min_size=1, max_size=4).map(" ".join).filter(is_name)
+
+
+@given(_name)
+def test_a_name_reads_back_unchanged_in_each_place_the_grammar_puts_it(name):
+    for entry in (ConceptDescription(name), ConceptDescription("city", (name,))):  # EG type, EG concept
+        assert parse_prompt_eg(serialize_prompt_eg((entry,))) == (entry,)
+    # an EG clause label; an MD clause surface and label
+    for target in (TargetSequence("EG", (("Rome", (name,)),)),
+                   TargetSequence("MD", ((name, (name,)), ("Rome", ("city", name))))):
+        parsed = parse_generated(target.task, serialize_target(target))
+        assert (parsed.target, parsed.diagnostics) == (target, [])
+    assert parse_prompt_md(serialize_prompt_md((name, "Rome"))) == (name, "Rome")  # an MD prompt entry
+
+
+@given(st.text(alphabet="aisX.;,:{} ", max_size=6), st.sampled_from(_LITERALS),
+       st.text(alphabet="aisX.;,:{} ", max_size=6))
+def test_a_name_holding_a_literal_fails(left, literal, right):
+    assert not is_name(left + literal + right)
+
+
+@given(_name, st.sampled_from([" ", "  ", "\t", "\n", "\xa0"]), st.sampled_from(["left", "right"]))
+def test_a_name_with_blank_space_at_an_end_fails(name, blank, end):
+    assert not is_name(blank + name if end == "left" else name + blank)
 
 
 _safe_word = st.text(alphabet="abcdefghXYZ0123456789", min_size=1, max_size=8)
@@ -131,7 +187,7 @@ _safe_word = st.text(alphabet="abcdefghXYZ0123456789", min_size=1, max_size=8)
 _surface_word = st.one_of(st.text(alphabet="abcXYZ0189.;,:{}", min_size=1, max_size=8),
                           st.just("is"))
 
-_safe_surface = st.lists(_surface_word, min_size=1, max_size=3).map(" ".join).filter(surface_is_safe)
+_safe_surface = st.lists(_surface_word, min_size=1, max_size=3).map(" ".join).filter(is_name)
 
 
 @st.composite

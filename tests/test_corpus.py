@@ -52,6 +52,10 @@ def test_truncation_lowercases():
     assert truncate_type_name("Book Series", CFG) == "book series"
 
 
+def test_truncation_of_a_blank_name_is_the_empty_string():
+    assert truncate_type_name(" \t ", CFG) == ""
+
+
 def test_truncation_of_name_starting_with_preposition_keeps_token_prefix():
     # an empty pre-preposition prefix would erase the name; fall back to the budget
     assert truncate_type_name("of mice and men and more", CFG) == "of mice and"
@@ -117,8 +121,9 @@ def _item(i, label, instance_of=(), occupation=(), subclass_of=(), aliases=()):
                   occupation=tuple(occupation))
 
 
-def _claims(items, label_of, cfg=CFG) -> dict[str, tuple[str, ...]]:
-    return {it.item_id: claimed_types(it, cfg, label_of) for it in items}
+def _claims(items, label_of, cfg=CFG, tally=None) -> dict[str, tuple[str, ...]]:
+    tally = Counter() if tally is None else tally
+    return {it.item_id: claimed_types(it, cfg, label_of, tally) for it in items}
 
 
 def _types_of(items, d) -> dict[str, tuple[str, ...]]:
@@ -150,6 +155,31 @@ def test_dictionary_merges_truncated_names():
     assert "state award of the republic of moldova" not in d
 
 
+def test_a_claimed_type_that_is_not_a_name_is_no_dictionary_type_and_is_tallied():
+    # "city; capital" would prompt two types and "Oslo is city; capital." two clauses
+    items = [_item("T1", "City; Capital"), _item("T2", "city"), _item("T3", "x is y of z")]
+    items += [_item(f"Q{i}", f"o{i}", instance_of=("T1", "T2", "T3", " ")) for i in range(5)]
+    label_of = {it.item_id: it.label for it in items}
+    tally = Counter()
+    claims = _claims(items, label_of, tally=tally)
+    d = build_type_dictionary(claims.values(), CFG)
+    assert d.types() == ["city"]
+    assert claims["Q0"] == ("city",)
+    assert tally == Counter(unsafe_type_dropped=15)
+
+
+def test_build_corpus_drops_and_tallies_a_kb_claim_that_is_not_a_name(tmp_path):
+    kb_path = tmp_path / "kb.jsonl"
+    kb = [json.loads(line) for line in (FIXTURES / "kb_items.jsonl").read_text(encoding="utf-8").splitlines()]
+    kb[0] = {**kb[0], "instance_of": [*kb[0].get("instance_of", ()), "city; capital"]}
+    kb_path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in kb), encoding="utf-8")
+    build = build_corpus(kb_path, FIXTURES / "pages.jsonl", CFG)
+    golden = build_corpus(FIXTURES / "kb_items.jsonl", FIXTURES / "pages.jsonl", CFG)
+    assert "city; capital" not in build.dictionary
+    assert build.dictionary == golden.dictionary and build.sentences == golden.sentences
+    assert build.tally - golden.tally == Counter(unsafe_type_dropped=1)
+
+
 def test_entity_types_resolved_in_claim_order_with_other_fallback():
     label_of = {"T1": "human", "T4": "writer", "T5": "novelist"}
     d = TypeDictionary(entries={"human": 9, "writer": 9, "novelist": 9})
@@ -166,7 +196,8 @@ def test_entity_types_resolved_in_claim_order_with_other_fallback():
     assert tally["unknown_anchor_target"] == 1
 
 
-_WORDS = ["a", "B", "x", "other", "of", "in"]  # "of" and "in" are stoplist prepositions
+# "of" and "in" are stoplist prepositions; "is" and "b;" make names that are not names of the grammar
+_WORDS = ["a", "B", "x", "other", "of", "in", "is", "b;"]
 _name = st.one_of(
     st.sampled_from(["", " ", "\t ", "other", "Other", "mountain range in Europe"]),
     st.builds(lambda words, sep: sep.join(words),
@@ -272,13 +303,14 @@ def test_harvest_drops_entity_free_sentences_and_unsafe_surfaces():
     items = dict(items)
     items["Q3"] = _item("Q3", "Velgrad, Northern Side", instance_of=("T2",))
     tally = Counter()
+    # a separator inside, and blank space at an end, are both not a name
     page = _page("Ada Byron",
-                 "Velgrad, Northern Side is cold. Nothing here at all. Ada Byron naps.",
-                 [("Velgrad, Northern Side", "Q3")])
+                 "Velgrad, Northern Side is cold. Nothing here at all. Ada Byron naps. Velgrad rests.",
+                 [("Velgrad, Northern Side", "Q3"), ("Velgrad ", "Q2")])
     sents = harvest_mentions(page, _types_of(items.values(), d), CFG, page_item=items["Q1"],
                              tally=tally, shared={})
     assert [s.id for s in sents] == ["Ada Byron#2"]
-    assert tally["unsafe_surface_dropped"] == 1
+    assert tally["unsafe_surface_dropped"] == 2
     assert tally["entity_free_sentence_dropped"] >= 1
 
 

@@ -15,7 +15,6 @@ from sdnet.data import (
     OTHER_TYPE,
     Sentence,
     SurfaceAbsentError,
-    TargetSequence,
     TypeDictionary,
     TypedMention,
     annotated_from_record,
@@ -28,7 +27,7 @@ from sdnet.data import (
     write_annotated_jsonl,
     write_jsonl,
 )
-from sdnet.codec import parse_generated
+from sdnet.codec import TargetSequence, parse_generated
 from sdnet.descriptions import build_cooccurrence_descriptions, read_description_map
 from sdnet.evaluation import corpus_schema, gold_spans
 from sdnet.locate import read_predictions_jsonl
@@ -61,7 +60,7 @@ def test_typed_mention_rejects_empty_fields():
         TypedMention(surface="", types=("person",))
     with pytest.raises(ValueError):
         TypedMention(surface="Alice", types=())
-    with pytest.raises(ValueError, match="^mention 'Alice' has a blank type name$"):
+    with pytest.raises(ValueError, match="^mention 'Alice' has a bad type name ' '$"):
         TypedMention(surface="Alice", types=("person", " "))
 
 

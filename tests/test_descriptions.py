@@ -193,6 +193,21 @@ def test_describe_with_model_collects_per_gold_type():
     assert report.filtered == ()
 
 
+def test_describe_with_model_drops_generated_concepts_that_are_not_names_so_its_map_reads_back(tmp_path):
+    # " b", "b is" and "capital:" parse as MD labels, but the EG prompt "[EG] person: { b, b is}"
+    # would not give them back; a type left with none is a bare type name
+    corpus = [sent("s0", "Alice met Rome.", [("Alice", ("person",)), ("Rome", ("city",))])]
+    reply = "Alice is  b, b is, writer; Rome is capital:."
+
+    desc_map, report = describe_with_model(corpus, lambda prompts, texts: [reply] * len(texts),
+                                           DescriptionConfig())
+    assert desc_map == {"person": ("writer",), "city": ()}
+    assert report.filtered == ()
+    path = tmp_path / "desc.jsonl"
+    write_description_map(path, desc_map)
+    assert read_description_map(path) == (desc_map, set())
+
+
 def test_describe_with_model_lists_surfaces_in_the_pretraining_md_order():
     # Stored out of text order, the mentions are still prompted as pretraining's
     # MD instances list them: by first occurrence in the text.

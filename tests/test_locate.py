@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnet.codec import parse_generated, serialize_target
-from sdnet.data import Sentence, TargetSequence
+from sdnet.codec import TargetSequence, parse_generated, serialize_target
+from sdnet.data import Sentence
 from sdnet.locate import (
     SpanPrediction,
     locate,

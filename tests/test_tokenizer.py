@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from sdnet.codec import serialize_prompt_eg, serialize_prompt_md, serialize_target
-from sdnet.data import ConceptDescription, TargetSequence
+from sdnet.codec import (ConceptDescription, TargetSequence, serialize_prompt_eg, serialize_prompt_md,
+                         serialize_target)
 from sdnet.model import ModelConfig
 from sdnet.model.tokenizer import (
     EOS_ID,
